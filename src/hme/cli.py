@@ -84,7 +84,6 @@ def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
         raise ConfigError(f"model section: {exc}") from None
     train_raw = dict(raw.get("train", {}))
     train_raw["seed"] = seed
-    train_raw.setdefault("dropout", model_cfg.dropout)
     try:
         train_cfg = tr.TrainConfig(**train_raw)
     except (TypeError, ValueError) as exc:
@@ -145,42 +144,14 @@ def _label_vocabulary(sentences: list[TokenizedSentence]) -> list[str]:
     return ["O"] + sorted(tags - {"O"})
 
 
-def _build_resources(cfg: RunConfig, train_sentences) -> mdl.Resources:
-    labels = _label_vocabulary(train_sentences)
-    word_tables = cfg.manifest.load_tables("word")
-    subword_tables = []
-    bpe_models = {}
-    char_table = None
-    if cfg.model.variant == "hme":
-        subword_tables = cfg.manifest.load_tables("subword")
-        for entry in cfg.manifest.by_level("subword"):
-            bpe_models[entry.language_id] = load_bpe_merges(
-                entry.merges, entry.language_id)
-        alphabet = {c for s in train_sentences for w in s.words for c in to_chars(w)}
-        char_table = emb.init_char_table(alphabet, cfg.model.char_dim,
-                                         seed=cfg.seed)
-    if cfg.model.variant == "random":
-        vocab = {w for s in train_sentences for w in s.words}
-        word_tables = [me.random_baseline(vocab, cfg.model.random_dim,
-                                          seed=cfg.seed)]
-    return mdl.Resources(labels=labels, word_tables=word_tables,
-                         subword_tables=subword_tables, bpe_models=bpe_models,
-                         char_table=char_table)
+def _build_resources(manifest: emb.EmbeddingManifest, model_cfg: mdl.ModelConfig,
+                     labels: list[str], char_alphabet, random_vocab,
+                     seed: int) -> mdl.Resources:
+    """Load the embedding files and build the generated tables.
 
-
-def _restore_model(checkpoint_path: str) -> tuple[mdl.SequenceTagger, dict]:
-    header, arrays = mdl.load_checkpoint(checkpoint_path)
-    echo = header["run_config"]
-    model_cfg = mdl.ModelConfig(**header["model_config"])
-    entries = []
-    for e in echo.get("embeddings", []):
-        entry = emb.ManifestEntry(level=e["level"], language_id=e["language"],
-                                  path=e["path"], format=e["format"], dim=e.get("dim"),
-                                  limit=e.get("limit"), merges=e.get("merges"))
-        if not os.path.exists(entry.path):
-            raise ConfigError(f"embedding file from checkpoint is missing: {entry.path}")
-        entries.append(entry)
-    manifest = emb.EmbeddingManifest(entries)
+    Training passes the label set, character alphabet and vocabulary of its
+    train split; a restore passes the ones stored in the checkpoint header.
+    """
     word_tables = manifest.load_tables("word")
     subword_tables = []
     bpe_models = {}
@@ -188,17 +159,32 @@ def _restore_model(checkpoint_path: str) -> tuple[mdl.SequenceTagger, dict]:
     if model_cfg.variant == "hme":
         subword_tables = manifest.load_tables("subword")
         for entry in manifest.by_level("subword"):
-            bpe_models[entry.language_id] = load_bpe_merges(entry.merges,
-                                                            entry.language_id)
-        char_table = emb.init_char_table(header["char_alphabet"],
-                                         header["char_dim"], seed=0)
+            bpe_models[entry.language_id] = load_bpe_merges(
+                entry.merges, entry.language_id)
+        char_table = emb.init_char_table(char_alphabet, model_cfg.char_dim, seed=seed)
     if model_cfg.variant == "random":
-        word_tables = [me.random_baseline(header["random_vocab"],
-                                          model_cfg.random_dim, seed=0)]
-    resources = mdl.Resources(labels=list(header["labels"]),
-                              word_tables=word_tables,
-                              subword_tables=subword_tables,
-                              bpe_models=bpe_models, char_table=char_table)
+        word_tables = [emb.init_random_word_table(random_vocab, model_cfg.random_dim,
+                                                  seed=seed)]
+    return mdl.Resources(labels=labels, word_tables=word_tables,
+                         subword_tables=subword_tables, bpe_models=bpe_models,
+                         char_table=char_table)
+
+
+def _restore_model(checkpoint_path: str) -> tuple[mdl.SequenceTagger, dict]:
+    header, arrays = mdl.load_checkpoint(checkpoint_path)
+    model_cfg = mdl.ModelConfig(**header["model_config"])
+    entries = []
+    for e in header["run_config"].get("embeddings", []):
+        entry = emb.ManifestEntry(level=e["level"], language_id=e["language"],
+                                  path=e["path"], format=e["format"], dim=e.get("dim"),
+                                  limit=e.get("limit"), merges=e.get("merges"))
+        if not os.path.exists(entry.path):
+            raise ConfigError(f"embedding file from checkpoint is missing: {entry.path}")
+        entries.append(entry)
+    # the generated tables' start values are overwritten by the stored state
+    resources = _build_resources(emb.EmbeddingManifest(entries), model_cfg,
+                                 list(header["labels"]), header["char_alphabet"],
+                                 header["random_vocab"], seed=0)
     model = mdl.SequenceTagger(model_cfg, resources, seed=header["seed"])
     model.load_state(arrays)
     return model, header
@@ -221,8 +207,16 @@ def cmd_train(args) -> int:
     dev_set = read_conll(cfg.data.get("dev", ""))
     if not train_set or not dev_set:
         raise ConfigError("train and dev data must be non-empty")
-    resources = _build_resources(cfg, train_set)
+    words = [w for s in train_set for w in s.words]
+    resources = _build_resources(cfg.manifest, cfg.model, _label_vocabulary(train_set),
+                                 {c for w in words for c in to_chars(w)}, set(words),
+                                 seed=cfg.seed)
     model = mdl.SequenceTagger(cfg.model, resources, seed=cfg.seed)
+    # featurize dev before training: the featurizer caches these sentences,
+    # so its counters now hold the dev split's OOV hits and no train hits
+    for sent in dev_set:
+        model.featurizer.encode(sent)
+    dev_counters = dict(model.featurizer.counters)
     os.makedirs(cfg.output_dir, exist_ok=True)
     result = tr.train(model, train_set, dev_set, cfg.train,
                       log_path=os.path.join(cfg.output_dir, "metrics.jsonl"),
@@ -234,8 +228,7 @@ def cmd_train(args) -> int:
                 tags=preds)
     repairs = sum(s.repairs for s in dev_set)
     report = tr.entity_f1([s.labels for s in dev_set], preds,
-                          counters={"iob_repairs": repairs,
-                                    **dict(model.featurizer.counters)})
+                          counters={"iob_repairs": repairs, **dev_counters})
     with open(os.path.join(cfg.output_dir, "dev_report.json"), "w",
               encoding="utf-8") as fh:
         json.dump(report.to_dict(), fh, indent=2, sort_keys=True)

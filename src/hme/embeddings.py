@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import Tensor
 from .tokenization import SPECIAL_TOKENS
 
@@ -70,17 +69,6 @@ class EmbeddingTable:
             h.update(f"{tok}\x00{i}".encode())
         h.update(np.ascontiguousarray(self.vectors.data).tobytes())
         return h.hexdigest()
-
-
-def lookup(table: EmbeddingTable, token: str) -> Tensor:
-    """Embedding row for ``token``: exact match, lowercase fallback, else OOV."""
-    idx = table.index_of(token)
-    if idx is None:
-        if table.oov_policy == "trainable_unk" and table.unk_index is not None:
-            idx = table.unk_index
-        else:
-            return Tensor(np.zeros(table.dim))
-    return ad.reshape(ad.take(table.vectors, np.array([idx])), (table.dim,))
 
 
 def _parse_row(parts: list[str], dim: int, path: str, lineno: int) -> np.ndarray:

@@ -6,8 +6,9 @@ weighted sum.  Subword level: per-language projection, a shared transformer
 encoder over the word's subword positions, masked mean pooling, then the same
 cross-language attention with its own scorer.  Character level: one trainable
 table, an encoder, mean pooling.  The three outputs concatenate into the
-hierarchical representation.  CONCAT / LINEAR / random-table baselines live
-here too.
+hierarchical representation.  Each level has one batched implementation,
+which training, prediction and the tests all call.  The CONCAT and LINEAR
+baselines live here too.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from . import embeddings as emb
 from .autodiff import ShapeError, Tensor
 from .nn import Linear, TransformerEncoder, xavier_uniform
 
@@ -69,30 +69,19 @@ class MetaEmbeddingOutput:
     alpha_subword: Tensor | None
 
 
-def _flatten_leading(x: Tensor) -> tuple[Tensor, tuple[int, ...]]:
-    lead = x.shape[:-1]
-    n = int(np.prod(lead)) if lead else 1
-    return ad.reshape(x, (n, x.shape[-1])), lead
-
-
-def attend_languages(projected: list[Tensor], scorer,
-                     uniform: bool = False) -> tuple[Tensor, Tensor]:
+def attend_languages(projected: list[Tensor], scorer) -> tuple[Tensor, Tensor]:
     """Softmax-weighted combination of per-language vectors, all (N, d')."""
     n, dp = projected[0].shape
     L = len(projected)
-    if uniform:
-        alpha = Tensor(np.full((n, L), 1.0 / L))
-    else:
-        scores = ad.concat([scorer(x) for x in projected], axis=-1)
-        alpha = ad.softmax(scores, axis=-1)
+    scores = ad.concat([scorer(x) for x in projected], axis=-1)
+    alpha = ad.softmax(scores, axis=-1)
     stacked = ad.concat([ad.reshape(x, (n, 1, dp)) for x in projected], axis=1)
     u = ad.reshape(ad.matmul(ad.reshape(alpha, (n, 1, L)), stacked), (n, dp))
     return u, alpha
 
 
 def mme_word(embeddings_per_language: list[Tensor], proj: ProjectionSet,
-             scorer: AttentionScorer, uniform_attention: bool = False
-             ) -> tuple[Tensor, Tensor]:
+             scorer: AttentionScorer) -> tuple[Tensor, Tensor]:
     """Word-level meta-embedding.
 
     Each entry is (..., d_j) with identical leading shape; returns the
@@ -104,30 +93,13 @@ def mme_word(embeddings_per_language: list[Tensor], proj: ProjectionSet,
     for e in embeddings_per_language:
         if e.shape[:-1] != lead:
             raise ShapeError("language inputs disagree on token count")
-    flats = [_flatten_leading(e)[0] for e in embeddings_per_language]
-    projected = [proj.project(j, x) for j, x in enumerate(flats)]
-    u, alpha = attend_languages(projected, scorer, uniform_attention)
+    n = int(np.prod(lead))
+    projected = [proj.project(j, ad.reshape(e, (n, e.shape[-1])))
+                 for j, e in enumerate(embeddings_per_language)]
+    u, alpha = attend_languages(projected, scorer)
     L = len(projected)
     return (ad.reshape(u, lead + (proj.out_dim,)),
             ad.reshape(alpha, lead + (L,)))
-
-
-def pad_sequences(seqs: list[Tensor]) -> tuple[Tensor, np.ndarray]:
-    """Stack variable-length (m_i, d) tensors into (n, m_max, d) plus a mask."""
-    if not seqs:
-        raise ShapeError("no sequences to pad")
-    if any(s.shape[0] == 0 for s in seqs):
-        raise ShapeError("empty subunit sequence")
-    d = seqs[0].shape[1]
-    m_max = max(s.shape[0] for s in seqs)
-    rows = []
-    mask = np.zeros((len(seqs), m_max))
-    for i, s in enumerate(seqs):
-        mask[i, :s.shape[0]] = 1.0
-        if s.shape[0] < m_max:
-            s = ad.concat([s, Tensor(np.zeros((m_max - s.shape[0], d)))], axis=0)
-        rows.append(ad.reshape(s, (1, m_max, d)))
-    return ad.concat(rows, axis=0), mask
 
 
 def encode_and_pool(x: Tensor, mask: np.ndarray, encoder: TransformerEncoder,
@@ -139,35 +111,27 @@ def encode_and_pool(x: Tensor, mask: np.ndarray, encoder: TransformerEncoder,
     return ad.reshape(pooled, (x.shape[0], enc.shape[-1]))
 
 
-def mme_subword(subword_embeddings: list[list[Tensor]], proj: ProjectionSet,
-                encoder: TransformerEncoder, scorer: AttentionScorer,
-                train: bool = False, uniform_attention: bool = False
+def mme_subword(subword_embeddings: list[Tensor], masks: list[np.ndarray],
+                proj: ProjectionSet, encoder: TransformerEncoder,
+                scorer: AttentionScorer, train: bool = False
                 ) -> tuple[Tensor, Tensor]:
     """Subword-level meta-embedding.
 
-    ``subword_embeddings[j][i]`` holds word i's (m_ij, d_j) subword vectors in
-    language j.  Per language: project, encode with the shared transformer,
-    mean-pool to one vector per word; then combine across languages with
-    softmax attention.  Returns ((n, d'), (n, L)).
+    ``subword_embeddings[j]`` is language j's padded (N, m_j, d_j) subword
+    vectors and ``masks[j]`` its (N, m_j) mask, 1.0 at real subwords.  Per
+    language: project, encode with the shared transformer, mean-pool to one
+    vector per word; then combine across languages with softmax attention.
+    Returns ((N, d'), (N, L)).
     """
-    if not subword_embeddings:
-        raise ShapeError("mme_subword needs at least one language")
-    n = len(subword_embeddings[0])
-    if any(len(group) != n for group in subword_embeddings):
-        raise ShapeError("language inputs disagree on word count")
-    pooled = []
-    for j, group in enumerate(subword_embeddings):
-        padded, mask = pad_sequences(group)
-        projected = proj.project(j, padded)
-        pooled.append(encode_and_pool(projected, mask, encoder, train))
-    return attend_languages(pooled, scorer, uniform_attention)
-
-
-def char_encode(char_embeddings: list[Tensor], encoder: TransformerEncoder,
-                train: bool = False) -> Tensor:
-    """Encode each word's (p_i, d_c) character vectors into one (d') vector."""
-    padded, mask = pad_sequences(char_embeddings)
-    return encode_and_pool(padded, mask, encoder, train)
+    if not subword_embeddings or len(masks) != len(subword_embeddings):
+        raise ShapeError("mme_subword needs one mask per language, at least one")
+    n = subword_embeddings[0].shape[0]
+    for x, mask in zip(subword_embeddings, masks):
+        if x.shape[0] != n or mask.shape != x.shape[:2]:
+            raise ShapeError("language inputs disagree on word count or mask shape")
+    pooled = [encode_and_pool(proj.project(j, x), mask, encoder, train)
+              for j, (x, mask) in enumerate(zip(subword_embeddings, masks))]
+    return attend_languages(pooled, scorer)
 
 
 def hme_concat(u_word: Tensor, u_subword: Tensor, u_char: Tensor) -> Tensor:
@@ -198,11 +162,6 @@ def linear_baseline(embeddings_per_language: list[Tensor],
         x = proj.project(j, e)
         out = x if out is None else ad.add(out, x)
     return out
-
-
-def random_baseline(vocab_tokens, dim: int, seed: int) -> emb.EmbeddingTable:
-    """Trainable uniform(-0.1, 0.1) word table for the lower-bound baseline."""
-    return emb.init_random_word_table(vocab_tokens, dim, seed)
 
 
 ATTENTION_TSV_HEADER = "token_index\ttoken\tlevel\tlanguage_id\tweight"

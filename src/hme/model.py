@@ -4,6 +4,7 @@ glue, dataset featurization, and checkpoint serialization."""
 from __future__ import annotations
 
 import json
+import os
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 
@@ -72,7 +73,6 @@ class EncodedSentence:
     sub_valid: list[np.ndarray]
     char_idx: np.ndarray | None
     char_pos: np.ndarray | None
-    labels: list[str] | None
 
 
 class Featurizer:
@@ -145,8 +145,7 @@ class Featurizer:
 
         enc = EncodedSentence(n=n, word_idx=word_idx, word_valid=word_valid,
                               sub_idx=sub_idx, sub_pos=sub_pos, sub_valid=sub_valid,
-                              char_idx=char_idx, char_pos=char_pos,
-                              labels=sent.labels)
+                              char_idx=char_idx, char_pos=char_pos)
         self._cache[id(sent)] = (sent, enc)
         return enc
 
@@ -357,15 +356,15 @@ class SequenceTagger:
             u = u_w
 
         if self.config.variant == "hme":
-            pooled = []
+            sub_inputs, sub_masks = [], []
             for j, table in enumerate(self.resources.subword_tables):
                 m = batch.sub_idx[j].shape[-1]
-                x = _masked_lookup(table, batch.sub_idx[j].reshape(N, m),
-                                   batch.sub_valid[j].reshape(N, m))
-                x = self.subword_proj.project(j, x)
-                pooled.append(me.encode_and_pool(
-                    x, batch.sub_pos[j].reshape(N, m), self.subword_encoder, train))
-            u_s, alpha_s = me.attend_languages(pooled, self.subword_scorer)
+                sub_inputs.append(_masked_lookup(table, batch.sub_idx[j].reshape(N, m),
+                                                 batch.sub_valid[j].reshape(N, m)))
+                sub_masks.append(batch.sub_pos[j].reshape(N, m))
+            u_s, alpha_s = me.mme_subword(sub_inputs, sub_masks, self.subword_proj,
+                                          self.subword_encoder, self.subword_scorer,
+                                          train)
             p = batch.char_idx.shape[-1]
             cx = ad.take(self.resources.char_table.vectors, batch.char_idx.reshape(N, p))
             u_c = me.encode_and_pool(cx, batch.char_pos.reshape(N, p),
@@ -457,18 +456,26 @@ def save_checkpoint(path: str, model: SequenceTagger, run_config: dict) -> None:
         "seed": model.seed,
         "dtype": dtype.name,
         "char_alphabet": char_alphabet,
-        "char_dim": (model.resources.char_table.dim
-                     if model.resources.char_table else None),
         "random_vocab": random_vocab,
         "params": [{"name": n, "shape": list(p.shape)} for n, p in params.items()],
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(len(blob).to_bytes(8, "big"))
-        fh.write(blob)
-        for p in params.values():
-            fh.write(np.ascontiguousarray(p.data, dtype=dtype).tobytes())
+    # write beside the target and rename over it, so a crash mid-write never
+    # leaves a partial file under the checkpoint's name
+    tmp = f"{path}.tmp{os.getpid()}"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(len(blob).to_bytes(8, "big"))
+            fh.write(blob)
+            for p in params.values():
+                fh.write(np.ascontiguousarray(p.data, dtype=dtype).tobytes())
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
@@ -476,9 +483,17 @@ def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise CheckpointError(f"{path}: not a model checkpoint (bad magic)")
-        size = int.from_bytes(fh.read(8), "big")
-        header = json.loads(fh.read(size).decode("utf-8"))
-        if header.get("format_version") != 1:
+        size_field = fh.read(8)
+        size = int.from_bytes(size_field, "big")
+        # compare with the bytes left before reading, so a corrupt length
+        # cannot ask for a huge buffer
+        if len(size_field) != 8 or size > os.fstat(fh.fileno()).st_size - fh.tell():
+            raise CheckpointError(f"{path}: truncated checkpoint header")
+        try:
+            header = json.loads(fh.read(size).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise CheckpointError(f"{path}: corrupt checkpoint header ({exc})") from None
+        if not isinstance(header, dict) or header.get("format_version") != 1:
             raise CheckpointError(f"{path}: unsupported checkpoint version")
         dtype = np.dtype(header["dtype"])
         arrays = {}

@@ -129,17 +129,11 @@ def to_chars(word: str) -> list[str]:
 
 @dataclass
 class TokenizedSentence:
-    """A sentence with raw tokens, preprocessed words and optional IOB labels.
-
-    Subword lists (per language) and character lists are filled in by
-    ``segment_sentence`` once the BPE models are known.
-    """
+    """A sentence with raw tokens, preprocessed words and optional IOB labels."""
 
     raw_tokens: list[str]
     words: list[str]
     labels: list[str] | None = None
-    subwords: dict[str, list[list[str]]] | None = None
-    chars: list[list[str]] | None = None
     repairs: int = 0
 
     def __post_init__(self):
@@ -148,17 +142,6 @@ class TokenizedSentence:
 
     def __len__(self) -> int:
         return len(self.words)
-
-
-def segment_sentence(sentence: TokenizedSentence,
-                     bpe_models: dict[str, BpeModel]) -> TokenizedSentence:
-    """Populate per-language subwords and characters for every word."""
-    sentence.subwords = {
-        lang: [apply_bpe(model, w) for w in sentence.words]
-        for lang, model in bpe_models.items()
-    }
-    sentence.chars = [to_chars(w) for w in sentence.words]
-    return sentence
 
 
 def _validate_tag(tag: str, path: str, lineno: int) -> None:

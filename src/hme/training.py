@@ -26,7 +26,6 @@ class TrainConfig:
     eps: float = 1e-8
     patience: int = 15
     patience_unit: str = "epochs"        # "epochs" or "steps"
-    dropout: float = 0.1
     batch_size: int = 32
     max_epochs: int = 100
     seed: int = 0

@@ -46,6 +46,33 @@ def finite_difference_jacobian(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
     return jac
 
 
+def lookup(table, token: str) -> np.ndarray:
+    """Per-token embedding row: exact match, lowercase fallback, then the
+    shared unknown row under ``trainable_unk`` or zeros otherwise."""
+    idx = table.vocab.get(token)
+    if idx is None:
+        idx = table.vocab.get(token.lower())
+    if idx is None:
+        if table.oov_policy != "trainable_unk" or table.unk_index is None:
+            return np.zeros(table.dim)
+        idx = table.unk_index
+    return table.vectors.data[idx].copy()
+
+
+def pad_rows(seqs, rng=None):
+    """Stack variable-length (m_i, d) arrays into (n, m_max, d) plus the
+    (n, m_max) mask with 1.0 at real rows.  Padding cells are zero, or random
+    normal values when ``rng`` is given (they must not affect the result)."""
+    m = max(len(s) for s in seqs)
+    d = seqs[0].shape[1]
+    out = np.zeros((len(seqs), m, d)) if rng is None else rng.normal(size=(len(seqs), m, d))
+    mask = np.zeros((len(seqs), m))
+    for i, s in enumerate(seqs):
+        out[i, :len(s)] = s
+        mask[i, :len(s)] = 1.0
+    return out, mask
+
+
 def matmul_loops(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Triple-loop matrix product."""
     m, k = a.shape

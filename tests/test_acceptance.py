@@ -23,9 +23,10 @@ from hme import synth
 from hme import training as tr
 from hme.autodiff import Tape, Tensor
 from hme.labeler import CrfModel
-from hme.tokenization import BpeModel, apply_bpe, preprocess_token, read_conll
+from hme.tokenization import (BpeModel, apply_bpe, preprocess_token, read_conll,
+                             to_chars)
 
-from oracles import finite_difference
+from oracles import finite_difference, pad_rows
 
 RNG_CASES = 100
 
@@ -128,37 +129,34 @@ def _subword_path(rng):
     enc = nn.TransformerEncoder(4, 4, num_layers=1, heads=2, ff_dim=6,
                                 rng=np.random.default_rng(rng.integers(2 ** 31)))
     scorer = me.AttentionScorer(4, np.random.default_rng(rng.integers(2 ** 31)))
-    groups = [
-        [Tensor(rng.normal(size=(2, dims[0])), requires_grad=True),
-         Tensor(rng.normal(size=(1, dims[0])), requires_grad=True)],
-        [Tensor(rng.normal(size=(3, dims[1])), requires_grad=True),
-         Tensor(rng.normal(size=(2, dims[1])), requires_grad=True)],
-    ]
+    # two words per language, padded; the padding cells hold random values,
+    # so the sweep also checks that they get no gradient
+    padded = [pad_rows([rng.normal(size=(2, dims[0])), rng.normal(size=(1, dims[0]))], rng),
+              pad_rows([rng.normal(size=(3, dims[1])), rng.normal(size=(2, dims[1]))], rng)]
+    xs = [Tensor(x, requires_grad=True) for x, _ in padded]
+    masks = [mask for _, mask in padded]
 
     def build():
-        u, _ = me.mme_subword(groups, proj, enc, scorer)
+        u, _ = me.mme_subword(xs, masks, proj, enc, scorer)
         return ad.tensor_sum(ad.mul(u, ad.tanh(u)))
 
     params = dict(proj.parameters("proj"), **scorer.parameters("scorer"),
                   **enc.parameters("enc"))
-    for j, group in enumerate(groups):
-        for i, t in enumerate(group):
-            params[f"x{j}{i}"] = t
+    params.update({f"x{j}": x for j, x in enumerate(xs)})
     return build, params
 
 
 def _char_path(rng):
     enc = nn.TransformerEncoder(3, 4, num_layers=1, heads=2, ff_dim=6,
                                 rng=np.random.default_rng(rng.integers(2 ** 31)))
-    seqs = [Tensor(rng.normal(size=(3, 3)), requires_grad=True),
-            Tensor(rng.normal(size=(2, 3)), requires_grad=True)]
+    x, mask = pad_rows([rng.normal(size=(3, 3)), rng.normal(size=(2, 3))], rng)
+    chars = Tensor(x, requires_grad=True)
 
     def build():
-        u = me.char_encode(seqs, enc)
+        u = me.encode_and_pool(chars, mask, enc)
         return ad.tensor_sum(ad.mul(u, ad.tanh(u)))
 
-    params = dict(enc.parameters("enc"))
-    params.update({f"c{i}": s for i, s in enumerate(seqs)})
+    params = dict(enc.parameters("enc"), chars=chars)
     return build, params
 
 
@@ -328,9 +326,10 @@ def test_criterion_4_baseline_identities():
         n = int(rng.integers(1, 5))
         proj = me.ProjectionSet(dims, dp, np.random.default_rng(seed + 1))
         scorer = me.AttentionScorer(dp, np.random.default_rng(seed + 2))
+        scorer.v.data[:] = 0.0      # equal scores: every weight is exactly 1/L
         embeds = [Tensor(rng.normal(size=(n, d))) for d in dims]
         lin = me.linear_baseline(embeds, proj)
-        u, _ = me.mme_word(embeds, proj, scorer, uniform_attention=True)
+        u, _ = me.mme_word(embeds, proj, scorer)
         np.testing.assert_allclose(lin.data, L * u.data, atol=1e-9)
 
         cat = me.concat_baseline(embeds)
@@ -482,7 +481,9 @@ def test_criterion_8_determinism_and_freezing(toy_small):
     cfg = cli.load_run_config(paths["config"])
     train_set = read_conll(cfg.data["train"])
     dev_set = read_conll(cfg.data["dev"])
-    resources = cli._build_resources(cfg, train_set)
+    resources = cli._build_resources(
+        cfg.manifest, cfg.model, cli._label_vocabulary(train_set),
+        {c for s in train_set for w in s.words for c in to_chars(w)}, None, cfg.seed)
     frozen_before = [t.fingerprint()
                      for t in resources.word_tables + resources.subword_tables]
     char_before = resources.char_table.fingerprint()

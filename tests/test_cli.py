@@ -68,6 +68,16 @@ class TestTrain:
         bad2.write_text(json.dumps(cfg2))
         assert cli.main(["train", "--config", str(bad2)]) == 2
 
+    def test_train_dropout_rejected(self, toy, tmp_path, capsys):
+        # dropout is a model key; the train section has no such field
+        cfg = json.load(open(toy["paths"]["config"]))
+        cfg["train"]["dropout"] = 0.1
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        assert cli.main(["train", "--config", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "hme: error[input]:" in err and "dropout" in err
+
     def test_seed_recorded_in_checkpoint(self, toy):
         header, _ = mdl.load_checkpoint(toy["checkpoint"])
         assert header["seed"] == 11
@@ -96,6 +106,23 @@ class TestEval:
         junk = tmp_path / "junk.ckpt"
         junk.write_bytes(b"garbage")
         assert cli.main(["eval", str(junk), toy["paths"]["data"]["test"]]) == 2
+
+    @pytest.mark.parametrize("cut", [12, 40, 200, -8])
+    def test_truncated_checkpoint_exit_2(self, toy, tmp_path, capsys, cut):
+        blob = open(toy["checkpoint"], "rb").read()
+        cut_path = tmp_path / "cut.ckpt"
+        cut_path.write_bytes(blob[:cut])
+        assert cli.main(["eval", str(cut_path), toy["paths"]["data"]["test"]]) == 2
+        assert "hme: error[input]:" in capsys.readouterr().err
+
+    def test_dev_report_counts_dev_split_only(self, toy, tmp_path):
+        out = tmp_path / "dev.json"
+        assert cli.main(["eval", toy["checkpoint"], toy["paths"]["data"]["dev"],
+                         "--out", str(out)]) == 0
+        evaluated = json.loads(out.read_text())["counters"]
+        assert any(v > 0 for k, v in evaluated.items() if k.startswith("oov_word_"))
+        trained = json.load(open(os.path.join(toy["run_dir"], "dev_report.json")))
+        assert trained["counters"] == evaluated
 
 
 class TestPredict:

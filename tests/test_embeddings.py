@@ -2,7 +2,11 @@ import numpy as np
 import pytest
 
 from hme import embeddings as emb
+from hme import model as mdl
 from hme.autodiff import Tape, tensor_sum, take
+from hme.tokenization import TokenizedSentence
+
+from oracles import lookup
 
 
 def write(tmp_path, name, text):
@@ -64,29 +68,37 @@ class TestLoad:
         np.testing.assert_array_equal(t.vectors.data, [[1, 2]])
 
 
+def featurized_row(table, token):
+    """The row the model's batched featurize-and-gather path uses."""
+    enc = mdl.Featurizer([table]).encode(TokenizedSentence([token], [token]))
+    return mdl._masked_lookup(table, enc.word_idx[0], enc.word_valid[0]).data[0]
+
+
 class TestLookup:
+    """Per-token semantics, checked on the reference lookup and on the
+    featurizer path that the model runs."""
+
     def table(self, tmp_path):
         path = write(tmp_path, "t.vec", "2 2\nwalking 1 2\ndead 3 4\n")
         return emb.load_text_embeddings(path, "vec_with_header")
 
+    def check(self, table, token, expected):
+        np.testing.assert_array_equal(lookup(table, token), expected)
+        np.testing.assert_array_equal(featurized_row(table, token), expected)
+
     def test_exact_row(self, tmp_path):
-        t = self.table(tmp_path)
-        np.testing.assert_array_equal(emb.lookup(t, "dead").data, [3, 4])
+        self.check(self.table(tmp_path), "dead", [3, 4])
 
     def test_oov_zero_vector(self, tmp_path):
-        t = self.table(tmp_path)
-        np.testing.assert_array_equal(emb.lookup(t, "missing").data, [0, 0])
+        self.check(self.table(tmp_path), "missing", [0, 0])
 
     def test_lowercase_fallback(self, tmp_path):
-        t = self.table(tmp_path)
-        np.testing.assert_array_equal(emb.lookup(t, "Walking").data, [1, 2])
+        self.check(self.table(tmp_path), "Walking", [1, 2])
 
     def test_trainable_unk_shares_row(self):
         t = emb.init_char_table({"a", "b"}, dim=4, seed=0)
-        u1 = emb.lookup(t, "é")
-        u2 = emb.lookup(t, "ø")
-        np.testing.assert_array_equal(u1.data, u2.data)
-        np.testing.assert_array_equal(u1.data, t.vectors.data[t.unk_index])
+        self.check(t, "é", t.vectors.data[t.unk_index])
+        self.check(t, "ø", t.vectors.data[t.unk_index])
 
 
 class TestCharTable:
@@ -135,7 +147,7 @@ def test_frozen_table_gets_no_gradient(tmp_path):
     path = write(tmp_path, "t.vec", "2 2\na 1 2\nb 3 4\n")
     t = emb.load_text_embeddings(path, "vec_with_header")
     with Tape():
-        out = tensor_sum(emb.lookup(t, "a"))
+        out = tensor_sum(take(t.vectors, np.array([t.index_of("a")])))
         with pytest.raises(RuntimeError):
             out.backward()   # nothing trainable anywhere on this graph
     assert t.vectors.grad is None

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from hme import autodiff as ad
+from hme import embeddings as emb
 from hme import metaembed as me
 from hme import nn
 from hme.autodiff import Tape, Tensor
 
 from oracles import (finite_difference, layer_norm_loops, mme_word_loops,
-                     softmax_rows, transformer_layer_loops)
+                     pad_rows, softmax_rows, transformer_layer_loops)
 from test_nn import layer_weights
 
 
@@ -125,14 +126,17 @@ def test_mme_word_invariants(seed):
 
 
 def subword_oracle(groups, proj, encoder, scorer):
-    """Loop-based subword path: project, encode, mean-pool, attend."""
+    """Loop-based subword path: project, encode, mean-pool, attend.
+
+    ``groups[j][i]`` is word i's unpadded (m_ij, d_j) array in language j.
+    """
     L, n = len(groups), len(groups[0])
     dp = encoder.d_model
     pooled = np.zeros((L, n, dp))
     for j, group in enumerate(groups):
         w, b = proj.linears[j].weight.data, proj.linears[j].bias.data
         for i, seq in enumerate(group):
-            x = seq.data @ w + b
+            x = seq @ w + b
             m = x.shape[0]
             if encoder.num_layers > 0:
                 x = x + nn.sinusoidal_positions(m, dp)
@@ -151,15 +155,23 @@ def subword_oracle(groups, proj, encoder, scorer):
     return u, alpha
 
 
+def subword_inputs(groups, rng=None):
+    """Padded per-language tensors and their masks for ``mme_subword``."""
+    padded = [pad_rows(group, rng) for group in groups]
+    return [Tensor(x) for x, _ in padded], [mask for _, mask in padded]
+
+
 class TestMmeSubword:
     def test_single_subword_identity_encoder(self):
         rng = np.random.default_rng(0)
         proj = make_proj([5], 4)
         enc = nn.TransformerEncoder(4, 4, num_layers=0, heads=2, rng=rng)
         scorer = me.AttentionScorer(4, rng)
-        seq = Tensor(rng.normal(size=(1, 5)))
-        u, alpha = me.mme_subword([[seq]], proj, enc, scorer)
-        np.testing.assert_allclose(u.data[0], proj.project(0, seq).data[0], atol=1e-12)
+        seq = rng.normal(size=(1, 5))
+        u, alpha = me.mme_subword([Tensor(seq[None])], [np.ones((1, 1))],
+                                  proj, enc, scorer)
+        np.testing.assert_allclose(u.data[0], proj.project(0, Tensor(seq)).data[0],
+                                   atol=1e-12)
         np.testing.assert_array_equal(alpha.data, [[1.0]])
 
     def test_identical_pooled_vectors_uniform_attention(self):
@@ -169,14 +181,15 @@ class TestMmeSubword:
         enc = nn.TransformerEncoder(4, 4, num_layers=1, heads=2,
                                     rng=np.random.default_rng(2))
         scorer = me.AttentionScorer(4, np.random.default_rng(3))
-        group = [Tensor(rng.normal(size=(2, 5))), Tensor(rng.normal(size=(3, 5)))]
-        u, alpha = me.mme_subword([group, group], proj, enc, scorer)
+        group = [rng.normal(size=(2, 5)), rng.normal(size=(3, 5))]
+        xs, masks = subword_inputs([group, group])
+        u, alpha = me.mme_subword(xs, masks, proj, enc, scorer)
         np.testing.assert_allclose(alpha.data, 0.5, atol=1e-12)
         # single-language run with the same projection reproduces the shared case
         single = me.ProjectionSet([5], 4, np.random.default_rng(0))
         single.linears[0].weight.data[:] = proj.linears[0].weight.data
         single.linears[0].bias.data[:] = proj.linears[0].bias.data
-        u1, _ = me.mme_subword([group], single, enc, scorer)
+        u1, _ = me.mme_subword(xs[:1], masks[:1], single, enc, scorer)
         np.testing.assert_allclose(u.data, u1.data, atol=1e-12)
 
     def test_two_languages_match_layerwise_oracle(self):
@@ -187,35 +200,43 @@ class TestMmeSubword:
                                     rng=np.random.default_rng(7))
         scorer = me.AttentionScorer(4, np.random.default_rng(8))
         groups = [
-            [Tensor(rng.normal(size=(2, 5))), Tensor(rng.normal(size=(3, 5)))],
-            [Tensor(rng.normal(size=(3, 3))), Tensor(rng.normal(size=(1, 3)))],
+            [rng.normal(size=(2, 5)), rng.normal(size=(3, 5))],
+            [rng.normal(size=(3, 3)), rng.normal(size=(1, 3))],
         ]
-        u, alpha = me.mme_subword(groups, proj, enc, scorer)
+        # random values in the padding cells must not reach the output
+        xs, masks = subword_inputs(groups, rng=np.random.default_rng(9))
+        u, alpha = me.mme_subword(xs, masks, proj, enc, scorer)
         ref_u, ref_a = subword_oracle(groups, proj, enc, scorer)
         np.testing.assert_allclose(u.data, ref_u, atol=1e-8)
         np.testing.assert_allclose(alpha.data, ref_a, atol=1e-8)
 
-    def test_empty_subword_list_rejected(self):
+    def test_mask_shape_mismatch_rejected(self):
         proj = make_proj([3], 2)
         enc = nn.TransformerEncoder(2, 2, 0, 1, np.random.default_rng(0))
         scorer = me.AttentionScorer(2, np.random.default_rng(0))
         with pytest.raises(ad.ShapeError):
-            me.mme_subword([[Tensor(np.zeros((0, 3)))]], proj, enc, scorer)
+            me.mme_subword([Tensor(np.zeros((2, 3, 3)))], [np.ones((2, 2))],
+                           proj, enc, scorer)
+        with pytest.raises(ad.ShapeError):
+            me.mme_subword([], [], proj, enc, scorer)
 
 
 class TestCharEncode:
+    """The char level: ``encode_and_pool`` over padded character vectors."""
+
     def test_single_char_zero_layers_is_projection(self):
         rng = np.random.default_rng(0)
         enc = nn.TransformerEncoder(6, 4, num_layers=0, heads=2, rng=rng)
         seq = Tensor(rng.normal(size=(1, 6)))
-        out = me.char_encode([seq], enc)
+        out = me.encode_and_pool(ad.reshape(seq, (1, 1, 6)), np.ones((1, 1)), enc)
         np.testing.assert_allclose(out.data[0], enc.proj(seq).data[0], atol=1e-12)
 
     def test_identical_words_identical_rows(self):
         rng = np.random.default_rng(1)
         enc = nn.TransformerEncoder(6, 4, num_layers=1, heads=2, rng=rng)
         seq = rng.normal(size=(3, 6))
-        out = me.char_encode([Tensor(seq), Tensor(seq.copy())], enc)
+        out = me.encode_and_pool(Tensor(np.stack([seq, seq.copy()])),
+                                 np.ones((2, 3)), enc)
         np.testing.assert_array_equal(out.data[0], out.data[1])
 
     def test_one_layer_matches_oracle(self):
@@ -223,7 +244,9 @@ class TestCharEncode:
         enc = nn.TransformerEncoder(6, 4, num_layers=1, heads=2,
                                     rng=np.random.default_rng(3))
         seq = rng.normal(size=(4, 6))
-        out = me.char_encode([Tensor(seq)], enc)
+        # batched beside a shorter word whose padding cells hold random values
+        x, mask = pad_rows([seq, rng.normal(size=(2, 6))], rng)
+        out = me.encode_and_pool(Tensor(x), mask, enc)
 
         x = seq @ enc.proj.weight.data + enc.proj.bias.data
         x = x + nn.sinusoidal_positions(4, 4)
@@ -295,9 +318,10 @@ class TestBaselines:
         dims = [4, 3, 5]
         proj = make_proj(dims, 4, seed=3)
         scorer = me.AttentionScorer(4, np.random.default_rng(4))
+        scorer.v.data[:] = 0.0      # equal scores: every weight is exactly 1/L
         embeds = [Tensor(rng.normal(size=(6, d))) for d in dims]
         lin = me.linear_baseline(embeds, proj)
-        u, _ = me.mme_word(embeds, proj, scorer, uniform_attention=True)
+        u, _ = me.mme_word(embeds, proj, scorer)
         np.testing.assert_allclose(lin.data, len(dims) * u.data, atol=1e-9)
 
     def test_opposite_vectors_cancel(self):
@@ -309,9 +333,9 @@ class TestBaselines:
         np.testing.assert_allclose(out.data, 0.0, atol=1e-12)
 
     def test_random_baseline_deterministic(self):
-        a = me.random_baseline(["a", "b"], 8, seed=0)
-        b = me.random_baseline(["a", "b"], 8, seed=0)
-        c = me.random_baseline(["a", "b"], 8, seed=1)
+        a = emb.init_random_word_table(["a", "b"], 8, seed=0)
+        b = emb.init_random_word_table(["a", "b"], 8, seed=0)
+        c = emb.init_random_word_table(["a", "b"], 8, seed=1)
         assert a.fingerprint() == b.fingerprint() != c.fingerprint()
         assert a.trainable
 

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from hme import training as tr
 from hme.autodiff import Tape, Tensor
 from hme.tokenization import apply_bpe, to_chars
 
+from oracles import lookup, pad_rows
 from toyres import build_resources, build_sentences, tiny_model_config
 
 
@@ -64,17 +67,18 @@ class TestForward:
 
 
 class TestAgainstPublicOps:
-    """The batched featurizer path must agree with the per-word public ops."""
+    """The batched featurizer path must agree with per-word lookups fed
+    through the public ops."""
 
     def lookup_rows(self, table, tokens):
-        return Tensor(np.stack([emb.lookup(table, t).data for t in tokens]))
+        return np.stack([lookup(table, t) for t in tokens])
 
     def test_mme_word_variant(self):
         model = make_model("mme_word")
         sent = build_sentences()[1]
         got = model.forward([sent]).emissions.data[0]
 
-        word_inputs = [self.lookup_rows(t, sent.words)
+        word_inputs = [Tensor(self.lookup_rows(t, sent.words))
                        for t in model.resources.word_tables]
         u, _ = me.mme_word(word_inputs, model.word_proj, model.word_scorer)
         h = model.encoder(ad.reshape(u, (1, len(sent), u.shape[-1])))
@@ -87,18 +91,20 @@ class TestAgainstPublicOps:
         got = model.forward([sent]).emissions.data[0]
 
         res = model.resources
-        word_inputs = [self.lookup_rows(t, sent.words) for t in res.word_tables]
+        word_inputs = [Tensor(self.lookup_rows(t, sent.words)) for t in res.word_tables]
         u_w, _ = me.mme_word(word_inputs, model.word_proj, model.word_scorer)
-        nested = []
+        sub_inputs, sub_masks = [], []
         for table in res.subword_tables:
             bpe = res.bpe_models[table.language_id]
-            nested.append([self.lookup_rows(table, apply_bpe(bpe, w))
-                           for w in sent.words])
-        u_s, _ = me.mme_subword(nested, model.subword_proj,
+            x, mask = pad_rows([self.lookup_rows(table, apply_bpe(bpe, w))
+                                for w in sent.words])
+            sub_inputs.append(Tensor(x))
+            sub_masks.append(mask)
+        u_s, _ = me.mme_subword(sub_inputs, sub_masks, model.subword_proj,
                                 model.subword_encoder, model.subword_scorer)
-        char_seqs = [self.lookup_rows(res.char_table, to_chars(w))
-                     for w in sent.words]
-        u_c = me.char_encode(char_seqs, model.char_encoder)
+        x, mask = pad_rows([self.lookup_rows(res.char_table, to_chars(w))
+                            for w in sent.words])
+        u_c = me.encode_and_pool(Tensor(x), mask, model.char_encoder)
         u = me.hme_concat(u_w, u_s, u_c)
         h = model.encoder(ad.reshape(u, (1, len(sent), u.shape[-1])))
         ref = model.crf.emissions(h).data[0]
@@ -140,7 +146,7 @@ class TestTrainingIntegration:
     def test_random_variant_table_trains(self):
         resources = build_resources()
         vocab = {w for ws, _ in __import__("toyres").SENTENCES for w in ws}
-        table = me.random_baseline(vocab, 6, seed=1)
+        table = emb.init_random_word_table(vocab, 6, seed=1)
         resources.word_tables = [table]
         resources.subword_tables = []
         resources.bpe_models = {}
@@ -233,6 +239,44 @@ class TestStateAndCheckpoint:
         p.write_bytes(b"not a checkpoint")
         with pytest.raises(mdl.CheckpointError, match="magic"):
             mdl.load_checkpoint(str(p))
+
+    @pytest.mark.parametrize("cut", [12, 40, 200])
+    def test_checkpoint_truncated_header(self, tmp_path, cut):
+        path = tmp_path / "m.ckpt"
+        mdl.save_checkpoint(str(path), make_model(), run_config={})
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(mdl.CheckpointError, match="truncated"):
+            mdl.load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("header", [b"{not json", b"[1, 2]", b"\xff\xfe"])
+    def test_checkpoint_corrupt_header(self, tmp_path, header):
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(mdl.CHECKPOINT_MAGIC + len(header).to_bytes(8, "big") + header)
+        with pytest.raises(mdl.CheckpointError):
+            mdl.load_checkpoint(str(path))
+
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        model = make_model()
+        path = tmp_path / "model.ckpt"
+        mdl.save_checkpoint(str(path), model, run_config={})
+        saved = path.read_bytes()
+
+        class FailingParam:
+            shape = (1,)
+
+            @property
+            def data(self):
+                raise OSError("disk full")
+
+        params = model.parameters()
+        monkeypatch.setattr(model, "parameters",
+                            lambda: {**params, "zz.failing": FailingParam()})
+        with pytest.raises(OSError, match="disk full"):
+            mdl.save_checkpoint(str(path), model, run_config={"note": "second"})
+        assert path.read_bytes() == saved
+        assert os.listdir(tmp_path) == ["model.ckpt"]
+        header, _ = mdl.load_checkpoint(str(path))
+        assert header["run_config"] == {}
 
 
 def test_meta_embedding_output_invariants():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hme import tokenization as tok
-from hme.tokenization import BpeModel, TokenizedSentence
+from hme.tokenization import BpeModel
 
 
 class TestPreprocess:
@@ -182,14 +182,3 @@ class TestConll:
         assert sents[0].words == ["hola", "<USR>"]
         assert sents[1].raw_tokens == ["b"]
         assert sents[1].labels is None
-
-
-def test_segment_sentence_fills_all_levels():
-    sent = TokenizedSentence(raw_tokens=["@john", "low"], words=["<USR>", "low"],
-                             labels=["O", "O"])
-    models = {"en": BpeModel("en", [("l", "o")]), "es": BpeModel("es", [])}
-    tok.segment_sentence(sent, models)
-    assert sent.subwords["en"] == [["<USR>"], ["lo", "w"]]
-    assert sent.subwords["es"] == [["<USR>"], ["l", "o", "w"]]
-    assert sent.chars == [["<USR>"], ["l", "o", "w"]]
-    assert all(len(c) >= 1 for c in sent.chars)
