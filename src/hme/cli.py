@@ -172,21 +172,36 @@ def _build_resources(manifest: emb.EmbeddingManifest, model_cfg: mdl.ModelConfig
 
 def _restore_model(checkpoint_path: str) -> tuple[mdl.SequenceTagger, dict]:
     header, arrays = mdl.load_checkpoint(checkpoint_path)
-    model_cfg = mdl.ModelConfig(**header["model_config"])
-    entries = []
-    for e in header["run_config"].get("embeddings", []):
-        entry = emb.ManifestEntry(level=e["level"], language_id=e["language"],
-                                  path=e["path"], format=e["format"], dim=e.get("dim"),
-                                  limit=e.get("limit"), merges=e.get("merges"))
+    try:
+        model_cfg = mdl.ModelConfig(**header["model_config"])
+        entries = [
+            emb.ManifestEntry(level=e["level"], language_id=e["language"],
+                              path=e["path"], format=e["format"], dim=e.get("dim"),
+                              limit=e.get("limit"), merges=e.get("merges"))
+            for e in header["run_config"].get("embeddings", [])
+        ]
+        labels, seed = list(header["labels"]), header["seed"]
+        char_alphabet, random_vocab = header["char_alphabet"], header["random_vocab"]
+    except KeyError as exc:
+        raise mdl.CheckpointError(
+            f"{checkpoint_path}: checkpoint header lacks {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise mdl.CheckpointError(
+            f"{checkpoint_path}: invalid checkpoint header ({exc})") from None
+    for entry in entries:
         if not os.path.exists(entry.path):
             raise ConfigError(f"embedding file from checkpoint is missing: {entry.path}")
-        entries.append(entry)
-    # the generated tables' start values are overwritten by the stored state
-    resources = _build_resources(emb.EmbeddingManifest(entries), model_cfg,
-                                 list(header["labels"]), header["char_alphabet"],
-                                 header["random_vocab"], seed=0)
-    model = mdl.SequenceTagger(model_cfg, resources, seed=header["seed"])
-    model.load_state(arrays)
+    try:
+        # the generated tables' start values are overwritten by the stored state
+        resources = _build_resources(emb.EmbeddingManifest(entries), model_cfg,
+                                     labels, char_alphabet, random_vocab, seed=0)
+        model = mdl.SequenceTagger(model_cfg, resources, seed=seed)
+        model.load_state(arrays)
+    except emb.EmbeddingFormatError:
+        raise
+    except (TypeError, ValueError) as exc:
+        # header values of the wrong type or that disagree with each other
+        raise mdl.CheckpointError(f"{checkpoint_path}: {exc}") from None
     return model, header
 
 

@@ -1,7 +1,8 @@
 """Linear-chain CRF with IOB transition constraints.
 
 The log-partition comes from the forward algorithm run in log space with
-log-sum-exp; decoding uses Viterbi with lowest-tag-index tie-breaking.
+log-sum-exp, over a whole batch of sentences at once; decoding runs Viterbi
+per sentence with lowest-tag-index tie-breaking.
 Illegal IOB transitions (to I-x from anything but B-x/I-x, and I-x at the
 start) are additively masked to a large negative value so they never appear
 in decoded paths.
@@ -101,40 +102,63 @@ class CrfModel:
 
     # -- training objective -------------------------------------------------
 
-    def neg_log_likelihood(self, emissions: Tensor, gold) -> Tensor:
-        """log Z(emissions) minus the gold path score; non-negative."""
-        if emissions.ndim != 2 or emissions.shape[1] != self.num_tags:
-            raise ShapeError(f"emissions must be (n, {self.num_tags})")
-        n, T = emissions.shape
-        if len(gold) != n:
+    def neg_log_likelihood(self, emissions: Tensor, gold, lengths=None) -> Tensor:
+        """Summed log Z minus gold path score over a batch; non-negative.
+
+        ``emissions`` is (B, n_max, T), ``gold`` one tag sequence per
+        sentence and ``lengths`` the sentences' token counts (default: all
+        n_max); positions past a sentence's length are ignored.  An (n, T)
+        input with a single tag sequence is the batch of one.
+        """
+        if emissions.ndim == 2:
+            emissions = ad.reshape(emissions, (1,) + emissions.shape)
+            gold = [gold]
+        if emissions.ndim != 3 or emissions.shape[2] != self.num_tags:
+            raise ShapeError(f"emissions must be (n, {self.num_tags}) "
+                             f"or (B, n, {self.num_tags})")
+        B, n_max, T = emissions.shape
+        lengths = [n_max] * B if lengths is None else list(lengths)
+        if len(gold) != B or len(lengths) != B:
+            raise ShapeError("need one gold sequence and one length per sentence")
+        if any(len(g) != n or not 1 <= n <= n_max for g, n in zip(gold, lengths)):
             raise ShapeError("gold length does not match emissions")
-        idx = self._gold_indices(gold)
+        idx = [self._gold_indices(g) for g in gold]
         trans_eff, start_eff = self._effective()
 
-        # forward algorithm in log space
-        trans_t = ad.transpose(trans_eff, (1, 0))          # [cur, prev]
-        alpha = ad.add(start_eff, emissions[0])
-        for i in range(1, n):
-            alpha = ad.add(ad.logsumexp(ad.add(trans_t, alpha), axis=-1),
-                           emissions[i])
-        log_z = ad.logsumexp(ad.add(alpha, self.end), axis=-1)
+        # forward algorithm in log space over all sentences at once; alpha is
+        # (T, B), tag-major, so each step broadcasts it as a trailing suffix:
+        # scores[cur, prev, b] = trans[prev, cur] + alpha[prev, b]
+        steps = ad.transpose(emissions, (1, 2, 0))                 # (n_max, T, B)
+        tag_of = np.repeat(np.arange(T)[:, None], B, axis=1)       # (T, B) -> tag
+        pair_of = np.repeat(np.arange(T * T)[:, None], B, axis=1)
+        trans_b = ad.reshape(                                      # (cur, prev, B)
+            ad.take(ad.reshape(ad.transpose(trans_eff, (1, 0)), (T * T,)), pair_of),
+            (T, T, B))
+        # 1.0 while position i is inside sentence b; a finished sentence
+        # carries its alpha forward unchanged (exact for a 0/1 mask)
+        live = (np.arange(n_max)[:, None] < np.asarray(lengths)).astype(float)
+        alpha = ad.add(steps[0], ad.take(start_eff, tag_of))
+        for i in range(1, n_max):
+            new = ad.add(ad.logsumexp(ad.add(trans_b, alpha), axis=1), steps[i])
+            alpha = ad.add(ad.mul(new, Tensor(live[i])),
+                           ad.mul(alpha, Tensor(1.0 - live[i])))
+        log_z = ad.logsumexp(ad.add(alpha, ad.take(self.end, tag_of)), axis=0)
 
-        # gold path score via indicator sums
-        onehot = np.zeros((n, T))
-        onehot[np.arange(n), idx] = 1.0
-        score = ad.tensor_sum(ad.mul(emissions, Tensor(onehot)))
-        if n > 1:
-            pairs = np.zeros((T, T))
-            for a, b in zip(idx, idx[1:]):
-                pairs[a, b] += 1.0
-            score = ad.add(score, ad.tensor_sum(ad.mul(trans_eff, Tensor(pairs))))
+        # gold path scores via indicator counts summed over the batch
+        onehot = np.zeros((B, n_max, T))
+        pairs = np.zeros((T, T))
         first = np.zeros(T)
-        first[idx[0]] = 1.0
         last = np.zeros(T)
-        last[idx[-1]] = 1.0
+        for b, seq in enumerate(idx):
+            onehot[b, np.arange(len(seq)), seq] = 1.0
+            np.add.at(pairs, (seq[:-1], seq[1:]), 1.0)
+            first[seq[0]] += 1.0
+            last[seq[-1]] += 1.0
+        score = ad.tensor_sum(ad.mul(emissions, Tensor(onehot)))
+        score = ad.add(score, ad.tensor_sum(ad.mul(trans_eff, Tensor(pairs))))
         score = ad.add(score, ad.tensor_sum(ad.mul(start_eff, Tensor(first))))
         score = ad.add(score, ad.tensor_sum(ad.mul(self.end, Tensor(last))))
-        return ad.sub(log_z, score)
+        return ad.sub(ad.tensor_sum(log_z), score)
 
     def log_partition(self, emissions: np.ndarray) -> float:
         """log Z on plain arrays (no gradient), for diagnostics and tests."""

@@ -4,6 +4,7 @@ glue, dataset featurization, and checkpoint serialization."""
 from __future__ import annotations
 
 import json
+import math
 import os
 from collections import Counter
 from dataclasses import asdict, dataclass, field
@@ -152,55 +153,51 @@ class Featurizer:
 
 @dataclass
 class _Batch:
+    """A batch of sentences.  Only ``token_mask`` is (B, n_max); every
+    per-token array holds the R real tokens, packed in sentence order, so the
+    per-word levels never compute a padding row."""
+
     token_mask: np.ndarray                 # (B, n_max)
-    word_idx: np.ndarray                   # (L_w, B, n_max)
+    word_idx: np.ndarray                   # (L_w, R)
     word_valid: np.ndarray
-    sub_idx: list[np.ndarray]              # per language (B, n_max, m)
+    sub_idx: list[np.ndarray]              # per language (R, m)
     sub_pos: list[np.ndarray]
     sub_valid: list[np.ndarray]
-    char_idx: np.ndarray | None
+    char_idx: np.ndarray | None            # (R, p)
     char_pos: np.ndarray | None
     lengths: list[int]
 
 
+def _pack(arrays: list[np.ndarray], fill, dtype) -> np.ndarray:
+    """Stack per-sentence (n_b, m_b) arrays into (sum n_b, max m_b) rows."""
+    out = np.full((sum(a.shape[0] for a in arrays), max(a.shape[1] for a in arrays)),
+                  fill, dtype=dtype)
+    row = 0
+    for a in arrays:
+        out[row:row + a.shape[0], :a.shape[1]] = a
+        row += a.shape[0]
+    return out
+
+
 def _collate(encs: list[EncodedSentence]) -> _Batch:
-    B = len(encs)
-    n_max = max(e.n for e in encs)
-    L_w = encs[0].word_idx.shape[0]
-    token_mask = np.zeros((B, n_max))
-    word_idx = np.zeros((L_w, B, n_max), dtype=np.int64)
-    word_valid = np.zeros((L_w, B, n_max))
-    for b, e in enumerate(encs):
-        token_mask[b, :e.n] = 1.0
-        word_idx[:, b, :e.n] = e.word_idx
-        word_valid[:, b, :e.n] = e.word_valid
+    lengths = [e.n for e in encs]
+    token_mask = np.zeros((len(encs), max(lengths)))
+    for b, n in enumerate(lengths):
+        token_mask[b, :n] = 1.0
     sub_idx, sub_pos, sub_valid = [], [], []
     for j in range(len(encs[0].sub_idx)):
-        m = max(e.sub_idx[j].shape[1] for e in encs)
-        idx = np.zeros((B, n_max, m), dtype=np.int64)
-        pos = np.zeros((B, n_max, m))
-        valid = np.ones((B, n_max, m))
-        for b, e in enumerate(encs):
-            mj = e.sub_idx[j].shape[1]
-            idx[b, :e.n, :mj] = e.sub_idx[j]
-            pos[b, :e.n, :mj] = e.sub_pos[j]
-            valid[b, :e.n, :mj] = e.sub_valid[j]
-        sub_idx.append(idx)
-        sub_pos.append(pos)
-        sub_valid.append(valid)
+        sub_idx.append(_pack([e.sub_idx[j] for e in encs], 0, np.int64))
+        sub_pos.append(_pack([e.sub_pos[j] for e in encs], 0.0, np.float64))
+        sub_valid.append(_pack([e.sub_valid[j] for e in encs], 1.0, np.float64))
     char_idx = char_pos = None
     if encs[0].char_idx is not None:
-        p = max(e.char_idx.shape[1] for e in encs)
-        char_idx = np.zeros((B, n_max, p), dtype=np.int64)
-        char_pos = np.zeros((B, n_max, p))
-        for b, e in enumerate(encs):
-            pe = e.char_idx.shape[1]
-            char_idx[b, :e.n, :pe] = e.char_idx
-            char_pos[b, :e.n, :pe] = e.char_pos
-    return _Batch(token_mask=token_mask, word_idx=word_idx, word_valid=word_valid,
+        char_idx = _pack([e.char_idx for e in encs], 0, np.int64)
+        char_pos = _pack([e.char_pos for e in encs], 0.0, np.float64)
+    return _Batch(token_mask=token_mask,
+                  word_idx=np.concatenate([e.word_idx for e in encs], axis=1),
+                  word_valid=np.concatenate([e.word_valid for e in encs], axis=1),
                   sub_idx=sub_idx, sub_pos=sub_pos, sub_valid=sub_valid,
-                  char_idx=char_idx, char_pos=char_pos,
-                  lengths=[e.n for e in encs])
+                  char_idx=char_idx, char_pos=char_pos, lengths=lengths)
 
 
 def _masked_lookup(table: emb.EmbeddingTable, idx: np.ndarray,
@@ -217,7 +214,7 @@ def _masked_lookup(table: emb.EmbeddingTable, idx: np.ndarray,
 class ForwardResult:
     emissions: Tensor                      # (B, n_max, T)
     lengths: list[int]
-    meta: me.MetaEmbeddingOutput           # flattened to (B*n_max, ...) rows
+    meta: me.MetaEmbeddingOutput           # (R, ...): real tokens, sentence order
 
 
 class SequenceTagger:
@@ -338,12 +335,9 @@ class SequenceTagger:
                 train: bool = False) -> ForwardResult:
         encs = [self.featurizer.encode(s) for s in sentences]
         batch = _collate(encs)
-        B, n_max = batch.token_mask.shape
-        N = B * n_max
 
         word_inputs = [
-            _masked_lookup(table, batch.word_idx[j].reshape(N),
-                           batch.word_valid[j].reshape(N))
+            _masked_lookup(table, batch.word_idx[j], batch.word_valid[j])
             for j, table in enumerate(self.resources.word_tables)
         ]
         u_w = u_s = u_c = alpha_w = alpha_s = None
@@ -356,25 +350,26 @@ class SequenceTagger:
             u = u_w
 
         if self.config.variant == "hme":
-            sub_inputs, sub_masks = [], []
-            for j, table in enumerate(self.resources.subword_tables):
-                m = batch.sub_idx[j].shape[-1]
-                sub_inputs.append(_masked_lookup(table, batch.sub_idx[j].reshape(N, m),
-                                                 batch.sub_valid[j].reshape(N, m)))
-                sub_masks.append(batch.sub_pos[j].reshape(N, m))
-            u_s, alpha_s = me.mme_subword(sub_inputs, sub_masks, self.subword_proj,
+            sub_inputs = [
+                _masked_lookup(table, batch.sub_idx[j], batch.sub_valid[j])
+                for j, table in enumerate(self.resources.subword_tables)
+            ]
+            u_s, alpha_s = me.mme_subword(sub_inputs, batch.sub_pos, self.subword_proj,
                                           self.subword_encoder, self.subword_scorer,
                                           train)
-            p = batch.char_idx.shape[-1]
-            cx = ad.take(self.resources.char_table.vectors, batch.char_idx.reshape(N, p))
-            u_c = me.encode_and_pool(cx, batch.char_pos.reshape(N, p),
-                                     self.char_encoder, train)
+            cx = ad.take(self.resources.char_table.vectors, batch.char_idx)
+            u_c = me.encode_and_pool(cx, batch.char_pos, self.char_encoder, train)
             u = me.hme_concat(u_w, u_s, u_c)
 
         meta = me.MetaEmbeddingOutput(u_word=u_w, u_subword=u_s, u_char=u_c,
                                       u_hme=u, alpha_word=alpha_w,
                                       alpha_subword=alpha_s)
-        u3 = ad.reshape(u, (B, n_max, u.shape[-1]))
+        # scatter the R packed rows to (B, n_max); padding slots read the
+        # appended zero row
+        R = u.shape[0]
+        slot = np.full(batch.token_mask.shape, R)
+        slot[batch.token_mask == 1.0] = np.arange(R)
+        u3 = ad.take(ad.concat([u, Tensor(np.zeros((1, u.shape[-1])))], axis=0), slot)
         h = self.encoder(u3, mask=batch.token_mask, train=train)
         emissions = self.crf.emissions(h)
         return ForwardResult(emissions=emissions, lengths=batch.lengths, meta=meta)
@@ -383,13 +378,9 @@ class SequenceTagger:
                    train: bool = True) -> Tensor:
         """Mean per-sentence CRF negative log-likelihood."""
         result = self.forward(sentences, train=train)
-        total = None
-        for b, sent in enumerate(sentences):
-            n = result.lengths[b]
-            nll = self.crf.neg_log_likelihood(
-                result.emissions[b, :n], sent.labels)
-            total = nll if total is None else ad.add(total, nll)
-        return ad.scale(total, 1.0 / len(sentences))
+        nll = self.crf.neg_log_likelihood(
+            result.emissions, [s.labels for s in sentences], result.lengths)
+        return ad.scale(nll, 1.0 / len(sentences))
 
     def predict(self, sentences: list[TokenizedSentence],
                 batch_size: int = 64) -> list[list[str]]:
@@ -410,19 +401,16 @@ class SequenceTagger:
         for i in range(0, len(sentences), batch_size):
             chunk = sentences[i:i + batch_size]
             result = self.forward(chunk, train=False)
-            B, n_max, _ = result.emissions.shape
-            aw = (None if result.meta.alpha_word is None
-                  else result.meta.alpha_word.data.reshape(B, n_max, -1))
-            asw = (None if result.meta.alpha_subword is None
-                   else result.meta.alpha_subword.data.reshape(B, n_max, -1))
-            for b in range(len(chunk)):
-                n = result.lengths[b]
+            aw, asw = result.meta.alpha_word, result.meta.alpha_subword
+            start = 0
+            for b, n in enumerate(result.lengths):
                 tags, _ = self.crf.viterbi_decode(result.emissions.data[b, :n])
                 out.append((
                     tags,
-                    None if aw is None else aw[b, :n].copy(),
-                    None if asw is None else asw[b, :n].copy(),
+                    None if aw is None else aw.data[start:start + n].copy(),
+                    None if asw is None else asw.data[start:start + n].copy(),
                 ))
+                start += n
         return out
 
 
@@ -495,13 +483,24 @@ def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
             raise CheckpointError(f"{path}: corrupt checkpoint header ({exc})") from None
         if not isinstance(header, dict) or header.get("format_version") != 1:
             raise CheckpointError(f"{path}: unsupported checkpoint version")
+        if header.get("dtype") not in ("float32", "float64"):
+            raise CheckpointError(f"{path}: unsupported dtype {header.get('dtype')!r}")
         dtype = np.dtype(header["dtype"])
+        params = header.get("params")
+        if not isinstance(params, list) or not all(
+                isinstance(meta, dict) and isinstance(meta.get("name"), str)
+                and isinstance(meta.get("shape"), list)
+                and all(type(d) is int and d >= 0 for d in meta["shape"])
+                for meta in params):
+            raise CheckpointError(
+                f"{path}: checkpoint params must be named shapes of non-negative ints")
+        # like the header length: never ask for more bytes than the file holds
+        sizes = [math.prod(meta["shape"]) * dtype.itemsize for meta in params]
+        if sum(sizes) > os.fstat(fh.fileno()).st_size - fh.tell():
+            raise CheckpointError(f"{path}: truncated checkpoint")
         arrays = {}
-        for meta in header["params"]:
-            shape = tuple(meta["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            buf = fh.read(count * dtype.itemsize)
-            if len(buf) != count * dtype.itemsize:
-                raise CheckpointError(f"{path}: truncated checkpoint")
-            arrays[meta["name"]] = np.frombuffer(buf, dtype=dtype).reshape(shape).copy()
+        for meta, size in zip(params, sizes):
+            buf = fh.read(size)
+            arrays[meta["name"]] = np.frombuffer(buf, dtype=dtype).reshape(
+                meta["shape"]).copy()
     return header, arrays

@@ -173,6 +173,21 @@ def _crf_path(rng):
                    "start": crf.start, "end": crf.end}
 
 
+def _crf_batch_path(rng):
+    """Ragged batch of lengths 1, 3 and 4; the padding cells hold random
+    values, so the sweep also checks that they get no gradient."""
+    labels = ["O", "B-a", "I-a", "B-b"]
+    crf = CrfModel(labels, 3, np.random.default_rng(rng.integers(2 ** 31)))
+    em = Tensor(rng.normal(size=(3, 4, 4)), requires_grad=True)
+    gold = [["B-b"], ["B-a", "I-a", "O"], ["O", "B-a", "I-a", "B-b"]]
+
+    def build():
+        return crf.neg_log_likelihood(em, gold, [1, 3, 4])
+
+    return build, {"emissions": em, "transitions": crf.transitions,
+                   "start": crf.start, "end": crf.end}
+
+
 def test_criterion_1_gradient_suite():
     t0 = time.perf_counter()
     for seed in range(RNG_CASES):
@@ -185,7 +200,8 @@ def test_criterion_1_gradient_suite():
                 num = finite_difference(lambda: build().item(), p.data)
                 np.testing.assert_allclose(p.grad, num, rtol=1e-5, atol=1e-7,
                                            err_msg=f"{name}/{pname} seed {seed}")
-    for factory in (_word_path, _subword_path, _char_path, _crf_path):
+    for factory in (_word_path, _subword_path, _char_path, _crf_path,
+                    _crf_batch_path):
         for seed in range(3):
             build, params = factory(np.random.default_rng((seed, 55)))
             _check_full_sweep(build, params)

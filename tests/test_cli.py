@@ -8,6 +8,8 @@ from hme import cli
 from hme import model as mdl
 from hme.synth import generate_toy_task
 
+from toyres import BAD_MODEL_HEADERS, BAD_PARAM_HEADERS, rewrite_checkpoint_header
+
 
 @pytest.fixture(scope="session")
 def toy(tmp_path_factory):
@@ -113,6 +115,14 @@ class TestEval:
         cut_path = tmp_path / "cut.ckpt"
         cut_path.write_bytes(blob[:cut])
         assert cli.main(["eval", str(cut_path), toy["paths"]["data"]["test"]]) == 2
+        assert "hme: error[input]:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", sorted(BAD_PARAM_HEADERS) + sorted(BAD_MODEL_HEADERS))
+    def test_bad_checkpoint_header_exit_2(self, toy, tmp_path, capsys, case):
+        bad = tmp_path / "bad.ckpt"
+        rewrite_checkpoint_header(toy["checkpoint"], bad,
+                                  {**BAD_PARAM_HEADERS, **BAD_MODEL_HEADERS}[case])
+        assert cli.main(["eval", str(bad), toy["paths"]["data"]["test"]]) == 2
         assert "hme: error[input]:" in capsys.readouterr().err
 
     def test_dev_report_counts_dev_split_only(self, toy, tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hme import nn
-from hme.autodiff import Tape, Tensor
+from hme.autodiff import ShapeError, Tape, Tensor
 from hme.labeler import CrfModel, iob_transition_masks
 
 from oracles import crf_paths, finite_difference
@@ -221,3 +221,59 @@ def test_default_labeler_encoder_shape():
     enc = nn.TransformerEncoder(24, 200, num_layers=4, heads=4, rng=rng)
     out = enc(Tensor(rng.normal(size=(1, 24))))
     assert out.shape == (1, 200)
+
+
+class TestBatchedNll:
+    """A (B, n_max, T) batch is the sum of its (n, T) sentences."""
+
+    @staticmethod
+    def loss_and_grads(build, params):
+        for p in params:
+            p.zero_grad()
+        with Tape():
+            loss = build()
+            loss.backward()
+        return loss.item(), [p.grad.copy() for p in params]
+
+    @pytest.mark.parametrize("constrain", [False, True])
+    def test_ragged_batch_equals_sum_of_sentences(self, constrain):
+        rng = np.random.default_rng(11)
+        labels = IOB_LABELS_BY_T[5] if constrain else FREE_LABELS_BY_T[5]
+        for trial in range(20):
+            crf = make_crf(labels, seed=300 + trial, constrain=constrain)
+            lengths = [1] + [int(n) for n in rng.integers(1, 7, size=int(rng.integers(1, 5)))]
+            rng.shuffle(lengths)
+            # Viterbi paths are legal gold sequences under either mask
+            gold = [crf.viterbi_decode(rng.normal(size=(n, 5)) * 3)[0] for n in lengths]
+            # the cells past each length hold random values that must be ignored
+            em = Tensor(rng.normal(size=(len(lengths), max(lengths), 5)) * 2,
+                        requires_grad=True)
+            crf_params = [crf.transitions, crf.start, crf.end]
+            loss, grads = self.loss_and_grads(
+                lambda: crf.neg_log_likelihood(em, gold, lengths),
+                [em] + crf_params)
+
+            total, sums = 0.0, [np.zeros_like(p.data) for p in crf_params]
+            em_grad = np.zeros_like(em.data)
+            for b, n in enumerate(lengths):
+                single = Tensor(em.data[b, :n].copy(), requires_grad=True)
+                part, part_grads = self.loss_and_grads(
+                    lambda: crf.neg_log_likelihood(single, gold[b]),
+                    [single] + crf_params)
+                total += part
+                em_grad[b, :n] = part_grads[0]
+                sums = [s + g for s, g in zip(sums, part_grads[1:])]
+            assert loss == pytest.approx(total, abs=1e-10)
+            for name, got, want in zip(("emissions", "transitions", "start", "end"),
+                                       grads, [em_grad] + sums):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-10, err_msg=name)
+
+    def test_gold_and_length_mismatch_rejected(self):
+        crf = make_crf(["O", "B-a"], seed=1)
+        em = Tensor(np.zeros((2, 3, 2)))
+        with pytest.raises(ShapeError):
+            crf.neg_log_likelihood(em, [["O"], ["O", "O"]], [1, 3])
+        with pytest.raises(ShapeError):
+            crf.neg_log_likelihood(em, [["O"], []], [1, 0])
+        with pytest.raises(ShapeError):
+            crf.neg_log_likelihood(Tensor(np.zeros((2, 2))), ["O"])

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 
 import numpy as np
@@ -12,7 +13,8 @@ from hme.autodiff import Tape, Tensor
 from hme.tokenization import apply_bpe, to_chars
 
 from oracles import lookup, pad_rows
-from toyres import build_resources, build_sentences, tiny_model_config
+from toyres import (BAD_PARAM_HEADERS, build_resources, build_sentences,
+                    rewrite_checkpoint_header, tiny_model_config)
 
 
 def make_model(variant="hme", seed=0):
@@ -64,6 +66,43 @@ class TestForward:
             np.testing.assert_allclose(
                 batched.emissions.data[b, :len(sent)],
                 single.emissions.data[0], atol=1e-10)
+
+    @pytest.mark.parametrize("variant", mdl.VARIANTS[:4])
+    def test_batch_loss_and_gradients_are_sentence_means(self, variant, monkeypatch):
+        cfg = dataclasses.replace(tiny_model_config(variant), dropout=0.0)
+        model = mdl.SequenceTagger(cfg, build_resources(), seed=3)
+        params = model.parameters()
+        sents = build_sentences()
+        pool = me.encode_and_pool
+        masks = []
+
+        def spy(x, mask, encoder, train=False):
+            masks.append(mask)
+            return pool(x, mask, encoder, train)
+
+        monkeypatch.setattr(me, "encode_and_pool", spy)
+
+        def loss_and_grads(batch):
+            for p in params.values():
+                p.zero_grad()
+            with Tape():
+                loss = model.loss_batch(batch, train=True)
+                loss.backward()
+            return loss.item(), {k: p.grad for k, p in params.items()}
+
+        loss, grads = loss_and_grads(sents)
+        # packing: no per-word encoder sees a padding row
+        assert all(mask.any(axis=-1).all() for mask in masks)
+        assert len(masks) == (3 if variant == "hme" else 0)
+        singles = [loss_and_grads([s]) for s in sents]
+        assert loss == pytest.approx(np.mean([l for l, _ in singles]), abs=1e-10)
+        for name, g in grads.items():
+            parts = [gs[name] for _, gs in singles]
+            if g is None:
+                assert all(p is None for p in parts), name
+                continue
+            mean = sum(p if p is not None else 0.0 for p in parts) / len(sents)
+            np.testing.assert_allclose(g, mean, rtol=0, atol=1e-10, err_msg=name)
 
 
 class TestAgainstPublicOps:
@@ -254,6 +293,14 @@ class TestStateAndCheckpoint:
         path.write_bytes(mdl.CHECKPOINT_MAGIC + len(header).to_bytes(8, "big") + header)
         with pytest.raises(mdl.CheckpointError):
             mdl.load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("case", sorted(BAD_PARAM_HEADERS))
+    def test_checkpoint_bad_param_header(self, tmp_path, case):
+        good, bad = tmp_path / "good.ckpt", tmp_path / "bad.ckpt"
+        mdl.save_checkpoint(str(good), make_model(), run_config={})
+        rewrite_checkpoint_header(good, bad, BAD_PARAM_HEADERS[case])
+        with pytest.raises(mdl.CheckpointError):
+            mdl.load_checkpoint(str(bad))
 
     def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
         model = make_model()

@@ -1,5 +1,7 @@
 """Tiny shared fixtures: two toy languages with word/subword/char tables."""
 
+import json
+
 import numpy as np
 
 from hme import embeddings as emb
@@ -62,3 +64,43 @@ def tiny_model_config(variant="hme"):
         encoder_heads=2, subword_encoder_layers=1, subword_encoder_heads=2,
         char_encoder_layers=1, char_encoder_heads=2, char_dim=6,
         random_dim=6, dropout=0.1)
+
+
+def _with_first_shape(shape):
+    def edit(header):
+        params = [dict(header["params"][0], shape=shape)] + header["params"][1:]
+        return dict(header, params=params)
+    return edit
+
+
+# hand-edited checkpoint headers that load_checkpoint must reject before
+# reading any parameter data
+BAD_PARAM_HEADERS = {
+    "no_params": lambda header: {"format_version": 1, "dtype": "float64"},
+    "dtype_foo": lambda header: dict(header, dtype="foo"),
+    "float_dims": _with_first_shape([1e6, 1e6]),
+    "shape_beyond_file": _with_first_shape([1000000, 1000000]),
+    "negative_dim": _with_first_shape([-1, 2]),
+}
+# headers that load but cannot rebuild the model
+BAD_MODEL_HEADERS = {
+    "no_model_config": lambda header: {k: v for k, v in header.items()
+                                       if k != "model_config"},
+    "bad_variant": lambda header: dict(
+        header, model_config=dict(header["model_config"], variant="bogus")),
+    "params_missing_names": lambda header: dict(header, params=[]),
+    "char_alphabet_null": lambda header: dict(header, char_alphabet=None),
+}
+
+
+def rewrite_checkpoint_header(src, dst, edit):
+    """Copy checkpoint ``src`` to ``dst`` with ``edit`` applied to its header."""
+    with open(src, "rb") as fh:
+        blob = fh.read()
+    start = len(mdl.CHECKPOINT_MAGIC)
+    size = int.from_bytes(blob[start:start + 8], "big")
+    header = json.loads(blob[start + 8:start + 8 + size])
+    new = json.dumps(edit(header)).encode("utf-8")
+    with open(dst, "wb") as fh:
+        fh.write(mdl.CHECKPOINT_MAGIC + len(new).to_bytes(8, "big") + new
+                 + blob[start + 8 + size:])
