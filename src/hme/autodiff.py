@@ -1,9 +1,9 @@
 """Dense tensors with tape-based reverse-mode automatic differentiation.
 
 Everything downstream (projections, attention, transformer layers, CRF) is
-built from the operations in this module.  Design constraints:
+built from the operations in this module.  Design rules:
 
-* eager evaluation on numpy arrays, float64 by default (float32 optional),
+* eager evaluation on float64 numpy arrays,
 * an explicit ``Tape`` that records ops in execution order; ``backward``
   replays it in exact reverse order,
 * broadcasting is restricted to "suffix" shapes (a trailing bias vector or
@@ -18,7 +18,6 @@ import numpy as np
 
 __all__ = [
     "Tensor", "Tape", "ShapeError", "NumericsError",
-    "set_default_dtype", "get_default_dtype",
     "matmul", "add", "sub", "mul", "scale", "neg", "concat", "reshape",
     "transpose", "take", "tanh", "relu", "softmax", "logsumexp",
     "tensor_sum", "tensor_mean", "dropout", "layer_norm", "backward",
@@ -31,22 +30,6 @@ class ShapeError(ValueError):
 
 class NumericsError(FloatingPointError):
     """An operation produced NaN or Inf from finite inputs."""
-
-
-_DEFAULT_DTYPE = np.float64
-
-
-def set_default_dtype(dtype) -> None:
-    """Set the dtype used for new tensors (np.float64 or np.float32)."""
-    global _DEFAULT_DTYPE
-    dtype = np.dtype(dtype)
-    if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise ValueError(f"unsupported dtype {dtype}")
-    _DEFAULT_DTYPE = dtype.type
-
-
-def get_default_dtype():
-    return _DEFAULT_DTYPE
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
@@ -109,8 +92,8 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad", "_tape")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = _contig(np.asarray(data, dtype=dtype or _DEFAULT_DTYPE))
+    def __init__(self, data, requires_grad: bool = False):
+        arr = _contig(np.asarray(data, dtype=np.float64))
         _check_finite(arr, "tensor creation")
         self.data = arr
         self.requires_grad = requires_grad
@@ -140,27 +123,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    # operator sugar; elementwise * and @ for matrix product
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return scale(self, float(other))
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __getitem__(self, key):
         return _getitem(self, key)

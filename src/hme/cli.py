@@ -70,28 +70,42 @@ def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
     base = os.path.dirname(os.path.abspath(path))
 
     seed = seed_override if seed_override is not None else raw.get("seed", 0)
-    _require(isinstance(seed, int), "seed must be an integer")
+    _require(type(seed) is int and seed >= 0, "seed must be a non-negative integer")
 
     data_raw = raw.get("data", {})
     _require(isinstance(data_raw, dict) and data_raw, "config needs a data section")
+    _require(all(isinstance(v, str) for v in data_raw.values()),
+             "data paths must be strings")
     data = {k: _resolve(base, v) for k, v in data_raw.items()}
     for name, p in data.items():
-        _require(os.path.exists(p), f"data file for {name!r} does not exist: {p}")
+        _require(os.path.isfile(p),
+                 f"data file for {name!r} is missing or not a file: {p}")
 
+    model_raw = raw.get("model", {})
+    _require(isinstance(model_raw, dict), "model section must be an object")
     try:
-        model_cfg = mdl.ModelConfig(**raw.get("model", {}))
+        model_cfg = mdl.ModelConfig(**model_raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"model section: {exc}") from None
-    train_raw = dict(raw.get("train", {}))
-    train_raw["seed"] = seed
+    train_raw = raw.get("train", {})
+    _require(isinstance(train_raw, dict), "train section must be an object")
+    _require("seed" not in train_raw, "the seed is a top-level key, not a train key")
+    train_raw = dict(train_raw, seed=seed)
     try:
         train_cfg = tr.TrainConfig(**train_raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"train section: {exc}") from None
 
     entries = []
-    for i, e in enumerate(raw.get("embeddings", [])):
+    embeddings_raw = raw.get("embeddings", [])
+    _require(isinstance(embeddings_raw, list), "embeddings must be a list")
+    for i, e in enumerate(embeddings_raw):
         _require(isinstance(e, dict), f"embeddings[{i}] must be an object")
+        _require(all(isinstance(e.get(k, ""), str)
+                     for k in ("level", "language", "path", "format"))
+                 and isinstance(e.get("merges") or "", str),
+                 f"embeddings[{i}]: level, language, path, format and merges "
+                 "must be strings")
         try:
             entry = emb.ManifestEntry(
                 level=e.get("level", ""), language_id=e.get("language", ""),
@@ -100,12 +114,15 @@ def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
                 merges=_resolve(base, e["merges"]) if e.get("merges") else None)
         except ValueError as exc:
             raise ConfigError(f"embeddings[{i}]: {exc}") from None
-        _require(os.path.exists(entry.path),
-                 f"embedding file does not exist: {entry.path}")
+        _require(os.path.isfile(entry.path),
+                 f"embedding file is missing or not a file: {entry.path}")
         if entry.merges:
-            _require(os.path.exists(entry.merges),
-                     f"merges file does not exist: {entry.merges}")
+            _require(os.path.isfile(entry.merges),
+                     f"merges file is missing or not a file: {entry.merges}")
         entries.append(entry)
+    keys = [(e.level, e.language_id) for e in entries]
+    _require(len(set(keys)) == len(keys),
+             "embeddings: each level may list a language only once")
     manifest = emb.EmbeddingManifest(entries)
 
     n_word = len(manifest.by_level("word"))
@@ -121,7 +138,9 @@ def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
         _require(n_word >= 1, f"{variant} variant needs word embedding entries")
         _require(n_sub == 0, f"{variant} variant forbids subword embedding entries")
 
-    output_dir = _resolve(base, raw.get("output_dir", "run"))
+    output_dir = raw.get("output_dir", "run")
+    _require(isinstance(output_dir, str), "output_dir must be a string")
+    output_dir = _resolve(base, output_dir)
     echo = {
         "version": CONFIG_VERSION,
         "seed": seed,
@@ -182,6 +201,7 @@ def _restore_model(checkpoint_path: str) -> tuple[mdl.SequenceTagger, dict]:
         ]
         labels, seed = list(header["labels"]), header["seed"]
         char_alphabet, random_vocab = header["char_alphabet"], header["random_vocab"]
+        fingerprints = dict(header["table_fingerprints"])
     except KeyError as exc:
         raise mdl.CheckpointError(
             f"{checkpoint_path}: checkpoint header lacks {exc}") from None
@@ -189,7 +209,7 @@ def _restore_model(checkpoint_path: str) -> tuple[mdl.SequenceTagger, dict]:
         raise mdl.CheckpointError(
             f"{checkpoint_path}: invalid checkpoint header ({exc})") from None
     for entry in entries:
-        if not os.path.exists(entry.path):
+        if not os.path.isfile(entry.path):
             raise ConfigError(f"embedding file from checkpoint is missing: {entry.path}")
     try:
         # the generated tables' start values are overwritten by the stored state
@@ -202,6 +222,11 @@ def _restore_model(checkpoint_path: str) -> tuple[mdl.SequenceTagger, dict]:
     except (TypeError, ValueError) as exc:
         # header values of the wrong type or that disagree with each other
         raise mdl.CheckpointError(f"{checkpoint_path}: {exc}") from None
+    paths = {f"{e.level}/{e.language_id}": e.path for e in entries}
+    for key, value in mdl.table_fingerprints(resources).items():
+        if fingerprints.get(key) != value:
+            raise ConfigError(f"embedding file {paths[key]} ({key}) has changed "
+                              f"since {checkpoint_path} was saved")
     return model, header
 
 
@@ -226,7 +251,11 @@ def cmd_train(args) -> int:
     resources = _build_resources(cfg.manifest, cfg.model, _label_vocabulary(train_set),
                                  {c for w in words for c in to_chars(w)}, set(words),
                                  seed=cfg.seed)
-    model = mdl.SequenceTagger(cfg.model, resources, seed=cfg.seed)
+    try:
+        model = mdl.SequenceTagger(cfg.model, resources, seed=cfg.seed)
+    except ValueError as exc:
+        # model settings that disagree with each other or with the resources
+        raise ConfigError(str(exc)) from None
     # featurize dev before training: the featurizer caches these sentences,
     # so its counters now hold the dev split's OOV hits and no train hits
     for sent in dev_set:

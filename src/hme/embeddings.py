@@ -203,6 +203,10 @@ class ManifestEntry:
             raise ValueError(f"unknown embedding format {self.format!r}")
         if self.level == "subword" and not self.merges:
             raise ValueError(f"subword entry {self.language_id!r} needs a merges file")
+        for name in ("dim", "limit"):
+            value = getattr(self, name)
+            if value is not None and (type(value) is not int or value < 1):
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 @dataclass

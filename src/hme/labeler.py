@@ -1,4 +1,4 @@
-"""Linear-chain CRF with IOB transition constraints.
+"""Linear-chain CRF that allows only legal IOB transitions.
 
 The log-partition comes from the forward algorithm run in log space with
 log-sum-exp, over a whole batch of sentences at once; decoding runs Viterbi
@@ -14,24 +14,23 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ShapeError, Tensor
-from .nn import Linear, neg_large
+from .nn import NEG_LARGE, Linear
 
 
 def iob_transition_masks(labels: list[str]) -> tuple[np.ndarray, np.ndarray]:
     """(transition mask, start mask): 0 where allowed, a large negative
     penalty where the IOB scheme forbids the move."""
     T = len(labels)
-    bad = neg_large()
     trans = np.zeros((T, T))
     start = np.zeros(T)
     for c, cur in enumerate(labels):
         if not cur.startswith("I-"):
             continue
         etype = cur[2:]
-        start[c] = bad
+        start[c] = NEG_LARGE
         for p, prev in enumerate(labels):
             if prev not in (f"B-{etype}", f"I-{etype}"):
-                trans[p, c] = bad
+                trans[p, c] = NEG_LARGE
     return trans, start
 
 
@@ -39,19 +38,16 @@ class CrfModel:
     """Emission projection plus tag-pair transition scores.
 
     ``labels`` fixes tag indices for the whole model; Viterbi ties resolve to
-    the lowest index.  ``constrain=False`` drops the IOB mask (useful for
-    oracle checks against unconstrained enumeration).
+    the lowest index.
     """
 
-    def __init__(self, labels: list[str], d_model: int, rng: np.random.Generator,
-                 constrain: bool = True):
+    def __init__(self, labels: list[str], d_model: int, rng: np.random.Generator):
         if not labels:
             raise ValueError("empty label vocabulary")
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate labels")
         self.labels = list(labels)
         self.label_index = {tag: i for i, tag in enumerate(labels)}
-        self.constrain = constrain
         T = len(labels)
         self.emit = Linear(d_model, T, rng)
         self.transitions = Tensor(rng.uniform(-0.1, 0.1, (T, T)), requires_grad=True)
@@ -77,27 +73,22 @@ class CrfModel:
     # -- masked views -------------------------------------------------------
 
     def _effective(self) -> tuple[Tensor, Tensor]:
-        if not self.constrain:
-            return self.transitions, self.start
         return (ad.add(self.transitions, Tensor(self._trans_mask)),
                 ad.add(self.start, Tensor(self._start_mask)))
 
     def _effective_np(self) -> tuple[np.ndarray, np.ndarray]:
-        if not self.constrain:
-            return self.transitions.data, self.start.data
         return (self.transitions.data + self._trans_mask,
                 self.start.data + self._start_mask)
 
     def _gold_indices(self, gold) -> list[int]:
         idx = [g if isinstance(g, (int, np.integer)) else self.label_index[g]
                for g in gold]
-        if self.constrain:
-            if self._start_mask[idx[0]] != 0:
-                raise ValueError(f"illegal start tag {self.labels[idx[0]]!r}")
-            for a, b in zip(idx, idx[1:]):
-                if self._trans_mask[a, b] != 0:
-                    raise ValueError(
-                        f"illegal transition {self.labels[a]!r} -> {self.labels[b]!r}")
+        if self._start_mask[idx[0]] != 0:
+            raise ValueError(f"illegal start tag {self.labels[idx[0]]!r}")
+        for a, b in zip(idx, idx[1:]):
+            if self._trans_mask[a, b] != 0:
+                raise ValueError(
+                    f"illegal transition {self.labels[a]!r} -> {self.labels[b]!r}")
         return idx
 
     # -- training objective -------------------------------------------------

@@ -13,8 +13,6 @@ baselines live here too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
@@ -30,9 +28,6 @@ class ProjectionSet:
         self.out_dim = out_dim
         self.labels = labels or [str(j) for j in range(len(in_dims))]
         self.linears = [Linear(d, out_dim, rng) for d in in_dims]
-
-    def __len__(self) -> int:
-        return len(self.linears)
 
     def project(self, j: int, x: Tensor) -> Tensor:
         return self.linears[j](x)
@@ -55,18 +50,6 @@ class AttentionScorer:
 
     def parameters(self, prefix: str) -> dict[str, Tensor]:
         return {f"{prefix}.v": self.v}
-
-
-@dataclass
-class MetaEmbeddingOutput:
-    """Per-token combined vectors and the attention weights behind them."""
-
-    u_word: Tensor | None
-    u_subword: Tensor | None
-    u_char: Tensor | None
-    u_hme: Tensor
-    alpha_word: Tensor | None
-    alpha_subword: Tensor | None
 
 
 def attend_languages(projected: list[Tensor], scorer) -> tuple[Tensor, Tensor]:

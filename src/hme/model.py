@@ -41,11 +41,16 @@ class ModelConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        for name in ("projection_dim", "d_model", "char_dim", "random_dim"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError("dropout must be in [0, 1)")
+        for name, low in (("projection_dim", 1), ("d_model", 1), ("char_dim", 1),
+                          ("random_dim", 1), ("ff_multiplier", 1),
+                          ("encoder_heads", 1), ("subword_encoder_heads", 1),
+                          ("char_encoder_heads", 1), ("encoder_layers", 0),
+                          ("subword_encoder_layers", 0), ("char_encoder_layers", 0)):
+            value = getattr(self, name)
+            if type(value) is not int or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        if type(self.dropout) not in (int, float) or not 0.0 <= self.dropout < 1.0:
+            raise ValueError(f"dropout must be a number in [0, 1), got {self.dropout!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -214,7 +219,10 @@ def _masked_lookup(table: emb.EmbeddingTable, idx: np.ndarray,
 class ForwardResult:
     emissions: Tensor                      # (B, n_max, T)
     lengths: list[int]
-    meta: me.MetaEmbeddingOutput           # (R, ...): real tokens, sentence order
+    # attention weights (R, L) over real tokens in sentence order, or None
+    # for the variants without that level
+    alpha_word: Tensor | None
+    alpha_subword: Tensor | None
 
 
 class SequenceTagger:
@@ -340,14 +348,13 @@ class SequenceTagger:
             _masked_lookup(table, batch.word_idx[j], batch.word_valid[j])
             for j, table in enumerate(self.resources.word_tables)
         ]
-        u_w = u_s = u_c = alpha_w = alpha_s = None
+        alpha_w = alpha_s = None
         if self.config.variant == "concat":
             u = me.concat_baseline(word_inputs)
         elif self.config.variant == "linear":
             u = me.linear_baseline(word_inputs, self.word_proj)
         else:
-            u_w, alpha_w = me.mme_word(word_inputs, self.word_proj, self.word_scorer)
-            u = u_w
+            u, alpha_w = me.mme_word(word_inputs, self.word_proj, self.word_scorer)
 
         if self.config.variant == "hme":
             sub_inputs = [
@@ -359,11 +366,8 @@ class SequenceTagger:
                                           train)
             cx = ad.take(self.resources.char_table.vectors, batch.char_idx)
             u_c = me.encode_and_pool(cx, batch.char_pos, self.char_encoder, train)
-            u = me.hme_concat(u_w, u_s, u_c)
+            u = me.hme_concat(u, u_s, u_c)
 
-        meta = me.MetaEmbeddingOutput(u_word=u_w, u_subword=u_s, u_char=u_c,
-                                      u_hme=u, alpha_word=alpha_w,
-                                      alpha_subword=alpha_s)
         # scatter the R packed rows to (B, n_max); padding slots read the
         # appended zero row
         R = u.shape[0]
@@ -372,7 +376,8 @@ class SequenceTagger:
         u3 = ad.take(ad.concat([u, Tensor(np.zeros((1, u.shape[-1])))], axis=0), slot)
         h = self.encoder(u3, mask=batch.token_mask, train=train)
         emissions = self.crf.emissions(h)
-        return ForwardResult(emissions=emissions, lengths=batch.lengths, meta=meta)
+        return ForwardResult(emissions=emissions, lengths=batch.lengths,
+                             alpha_word=alpha_w, alpha_subword=alpha_s)
 
     def loss_batch(self, sentences: list[TokenizedSentence],
                    train: bool = True) -> Tensor:
@@ -390,25 +395,27 @@ class SequenceTagger:
                                batch_size: int = 64):
         """Predicted tags plus per-sentence word/subword attention matrices."""
         tags, alpha_w, alpha_s = [], [], []
-        for t, aw, asw in self._decode_all(sentences, batch_size, want_attention=True):
+        for t, aw, asw in self._decode_all(sentences, batch_size):
             tags.append(t)
             alpha_w.append(aw)
             alpha_s.append(asw)
         return tags, alpha_w, alpha_s
 
-    def _decode_all(self, sentences, batch_size, want_attention=False):
+    def _decode_all(self, sentences, batch_size):
+        """(tags, word attention rows, subword attention rows) per sentence;
+        the rows are views into the batch's attention arrays."""
         out = []
         for i in range(0, len(sentences), batch_size):
             chunk = sentences[i:i + batch_size]
             result = self.forward(chunk, train=False)
-            aw, asw = result.meta.alpha_word, result.meta.alpha_subword
+            aw, asw = result.alpha_word, result.alpha_subword
             start = 0
             for b, n in enumerate(result.lengths):
                 tags, _ = self.crf.viterbi_decode(result.emissions.data[b, :n])
                 out.append((
                     tags,
-                    None if aw is None else aw.data[start:start + n].copy(),
-                    None if asw is None else asw.data[start:start + n].copy(),
+                    None if aw is None else aw.data[start:start + n],
+                    None if asw is None else asw.data[start:start + n],
                 ))
                 start += n
         return out
@@ -425,9 +432,16 @@ class CheckpointError(ValueError):
     pass
 
 
+def table_fingerprints(resources: Resources) -> dict[str, str]:
+    """``fingerprint()`` of each frozen word and subword table, keyed by
+    "level/language"; a checkpoint is valid only with these exact tables."""
+    return {f"{t.level}/{t.language_id}": t.fingerprint()
+            for t in resources.word_tables + resources.subword_tables
+            if not t.trainable}
+
+
 def save_checkpoint(path: str, model: SequenceTagger, run_config: dict) -> None:
     params = model.parameters()
-    dtype = np.dtype(ad.get_default_dtype())
     char_alphabet = None
     if model.resources.char_table is not None:
         char_alphabet = sorted(set(model.resources.char_table.vocab)
@@ -442,9 +456,10 @@ def save_checkpoint(path: str, model: SequenceTagger, run_config: dict) -> None:
         "model_config": model.config.to_dict(),
         "labels": model.crf.labels,
         "seed": model.seed,
-        "dtype": dtype.name,
+        "dtype": "float64",
         "char_alphabet": char_alphabet,
         "random_vocab": random_vocab,
+        "table_fingerprints": table_fingerprints(model.resources),
         "params": [{"name": n, "shape": list(p.shape)} for n, p in params.items()],
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -457,7 +472,7 @@ def save_checkpoint(path: str, model: SequenceTagger, run_config: dict) -> None:
             fh.write(len(blob).to_bytes(8, "big"))
             fh.write(blob)
             for p in params.values():
-                fh.write(np.ascontiguousarray(p.data, dtype=dtype).tobytes())
+                fh.write(np.ascontiguousarray(p.data, dtype=np.float64).tobytes())
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)

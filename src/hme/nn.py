@@ -14,12 +14,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 
-NEG_LARGE = {np.dtype(np.float64): -1e9, np.dtype(np.float32): -1e4}
-
-
-def neg_large() -> float:
-    """Additive mask value standing in for -inf at the current precision."""
-    return NEG_LARGE[np.dtype(ad.get_default_dtype())]
+# additive mask value standing in for -inf
+NEG_LARGE = -1e9
 
 
 def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -178,31 +174,28 @@ class TransformerEncoder:
         self.final_ln = LayerNorm(d_model) if num_layers > 0 else None
         self._pe_cache = sinusoidal_positions(64, d_model)
 
-    def _pe(self, position_ids: np.ndarray) -> np.ndarray:
-        top = int(position_ids.max()) + 1
-        if top > self._pe_cache.shape[0]:
-            self._pe_cache = sinusoidal_positions(top, self.d_model)
-        return self._pe_cache[position_ids]
+    def _pe(self, n: int) -> np.ndarray:
+        if n > self._pe_cache.shape[0]:
+            self._pe_cache = sinusoidal_positions(n, self.d_model)
+        return self._pe_cache[:n]
 
     def __call__(self, x: Tensor, mask: np.ndarray | None = None,
-                 train: bool = False, position_ids: np.ndarray | None = None) -> Tensor:
+                 train: bool = False) -> Tensor:
         squeeze = x.ndim == 2
         if squeeze:
             x = ad.reshape(x, (1,) + x.shape)
         batch, n, _ = x.shape
         if mask is None:
             mask = np.ones((batch, n))
-        mask = np.asarray(mask, dtype=ad.get_default_dtype())
+        mask = np.asarray(mask, dtype=np.float64)
         if mask.ndim == 1:
             mask = mask[None, :]
 
         if self.proj is not None:
             x = self.proj(x)
         if self.num_layers > 0:
-            if position_ids is None:
-                position_ids = np.arange(n)
-            x = ad.add(x, Tensor(self._pe(position_ids)))
-            bias_row = (1.0 - mask) * neg_large()            # (batch, n) over keys
+            x = ad.add(x, Tensor(self._pe(n)))
+            bias_row = (1.0 - mask) * NEG_LARGE              # (batch, n) over keys
             heads = self.layers[0].heads
             attn_bias = Tensor(np.ascontiguousarray(np.broadcast_to(
                 bias_row[:, None, None, :], (batch, heads, n, n))))

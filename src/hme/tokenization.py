@@ -13,8 +13,8 @@ SPECIAL_TOKENS = ("<USR>", "<EMOJI>", "<URL>")
 
 END_OF_WORD = "</w>"
 
-# Codepoint ranges treated as emoji; callers may pass their own list.
-DEFAULT_EMOJI_RANGES = (
+# Codepoint ranges treated as emoji.
+EMOJI_RANGES = (
     (0x1F300, 0x1F5FF),   # misc symbols and pictographs
     (0x1F600, 0x1F64F),   # emoticons
     (0x1F680, 0x1F6FF),   # transport and map symbols
@@ -35,19 +35,19 @@ class ConllFormatError(ValueError):
     """Malformed CoNLL line or tag; the message names the line."""
 
 
-def _is_emoji_token(token: str, ranges) -> bool:
+def _is_emoji_token(token: str) -> bool:
     if not token:
         return False
-    return all(any(lo <= ord(ch) <= hi for lo, hi in ranges) for ch in token)
+    return all(any(lo <= ord(ch) <= hi for lo, hi in EMOJI_RANGES) for ch in token)
 
 
-def preprocess_token(token: str, emoji_ranges=DEFAULT_EMOJI_RANGES) -> str:
+def preprocess_token(token: str) -> str:
     """Replace mentions/hashtags, URLs and emoji with placeholder tokens."""
     if token.startswith("@") or token.startswith("#"):
         return "<USR>"
     if _URL_RE.match(token):
         return "<URL>"
-    if _is_emoji_token(token, emoji_ranges):
+    if _is_emoji_token(token):
         return "<EMOJI>"
     return token
 

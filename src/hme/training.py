@@ -24,23 +24,26 @@ class TrainConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    patience: int = 15
-    patience_unit: str = "epochs"        # "epochs" or "steps"
+    patience: int = 15                   # dev-F1 epochs without improvement
     batch_size: int = 32
     max_epochs: int = 100
     seed: int = 0
     clip_norm: float = 5.0
-    lr_decay: float | None = None        # multiply lr on no-improvement epochs
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
-        if self.patience_unit not in ("epochs", "steps"):
-            raise ValueError("patience_unit must be 'epochs' or 'steps'")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        for name, low in (("patience", 1), ("batch_size", 1), ("max_epochs", 1),
+                          ("seed", 0)):
+            value = getattr(self, name)
+            if type(value) is not int or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        for name in ("learning_rate", "beta1", "beta2", "eps", "clip_norm"):
+            value = getattr(self, name)
+            if type(value) not in (int, float):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+        if min(self.learning_rate, self.eps, self.clip_norm) <= 0:
+            raise ValueError("learning_rate, eps and clip_norm must be positive")
+        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
+            raise ValueError("beta1 and beta2 must be in [0, 1)")
 
 
 class Adam:
@@ -75,7 +78,7 @@ class Adam:
             if p.grad is not None:
                 total += float((p.grad ** 2).sum())
         norm = float(np.sqrt(total))
-        if self.clip_norm is not None and norm > self.clip_norm > 0:
+        if norm > self.clip_norm:
             factor = self.clip_norm / norm
             for p in self.params.values():
                 if p.grad is not None:
@@ -198,33 +201,22 @@ def entity_f1(gold: list[list[str]], pred: list[list[str]],
 # ---------------------------------------------------------------------------
 # ensembling and attention aggregation
 
-def majority_vote(predictions: list[list[str]],
-                  model_scores: list[float] | None = None) -> list[str]:
+def majority_vote(predictions: list[list[str]]) -> list[str]:
     """Per-token plurality over K aligned tag sequences.
 
-    Ties go to the tag predicted by the model with the highest score (list
-    order when scores are missing); the voted sequence is IOB-repaired.
+    Ties go to the tag of the earliest sequence in list order among the tied
+    ones; the voted sequence is IOB-repaired.
     """
     if not predictions:
         raise ValueError("no predictions to vote over")
     n = len(predictions[0])
     if any(len(p) != n for p in predictions):
         raise ValueError("prediction lengths differ across models")
-    k = len(predictions)
-    scores = model_scores if model_scores is not None else [0.0] * k
-    if len(scores) != k:
-        raise ValueError("one score per model required")
-    ranked = sorted(range(k), key=lambda i: -scores[i])
     voted = []
     for i in range(n):
         counts = Counter(p[i] for p in predictions)
         top = max(counts.values())
-        tied = {tag for tag, c in counts.items() if c == top}
-        if len(tied) == 1:
-            voted.append(next(iter(tied)))
-        else:
-            choice = next(predictions[m][i] for m in ranked if predictions[m][i] in tied)
-            voted.append(choice)
+        voted.append(next(p[i] for p in predictions if counts[p[i]] == top))
     repaired, _ = repair_iob(voted)
     return repaired
 
@@ -270,7 +262,6 @@ class TrainResult:
     best_state: dict[str, np.ndarray]
     epochs_run: int
     log: list[dict]
-    dev_report: EvalReport
 
 
 def _batches(order: np.ndarray, size: int):
@@ -292,10 +283,8 @@ def train(model, train_set, dev_set, config: TrainConfig,
         raise ValueError("training requires labeled sentences")
     opt = Adam(model.parameters(), config)
     best_f1, best_epoch, best_state = -1.0, -1, model.state()
-    best_report = None
     stale_epochs = 0
     step = 0
-    last_improvement_step = 0
     log: list[dict] = []
     log_fh = open(log_path, "w", encoding="utf-8") if log_path else None
     try:
@@ -339,22 +328,14 @@ def train(model, train_set, dev_set, config: TrainConfig,
             if report.f1 > best_f1:
                 best_f1, best_epoch = report.f1, epoch
                 best_state = model.state()
-                best_report = report
                 stale_epochs = 0
-                last_improvement_step = step
             else:
                 stale_epochs += 1
-                if config.lr_decay is not None:
-                    opt.lr *= config.lr_decay
-            if config.patience_unit == "epochs":
-                if stale_epochs >= config.patience:
-                    break
-            else:
-                if step - last_improvement_step >= config.patience:
-                    break
+            if stale_epochs >= config.patience:
+                break
     finally:
         if log_fh:
             log_fh.close()
     model.load_state(best_state)
     return TrainResult(best_f1=best_f1, best_epoch=best_epoch, best_state=best_state,
-                       epochs_run=len(log), log=log, dev_report=best_report)
+                       epochs_run=len(log), log=log)

@@ -197,6 +197,17 @@ def transformer_layer_loops(x, mask, layer, eps=1e-5):
     return x + f
 
 
+# CRF label sets with no I- tag: the IOB transition mask is all zero for
+# them, so enumeration with the raw transition scores is the exact reference
+FREE_LABELS_BY_T = {
+    1: ["O"],
+    2: ["O", "B-a"],
+    3: ["O", "B-a", "B-b"],
+    4: ["O", "B-a", "B-b", "B-c"],
+    5: ["O", "B-a", "B-b", "B-c", "B-d"],
+}
+
+
 def crf_paths(emissions, transitions, start, end):
     """Enumerate all T^n paths; return (log Z, best path, best score).
 

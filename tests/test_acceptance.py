@@ -26,7 +26,7 @@ from hme.labeler import CrfModel
 from hme.tokenization import (BpeModel, apply_bpe, preprocess_token, read_conll,
                              to_chars)
 
-from oracles import finite_difference, pad_rows
+from oracles import FREE_LABELS_BY_T, finite_difference, pad_rows
 
 RNG_CASES = 100
 
@@ -237,17 +237,13 @@ def _enumerate_paths(e, trans, start, end):
 
 def test_criterion_2_crf_oracle():
     t0 = time.perf_counter()
-    labels_by_t = {1: ["O"], 2: ["O", "B-a"], 3: ["O", "B-a", "B-b"],
-                   4: ["O", "B-a", "B-b", "B-c"],
-                   5: ["O", "B-a", "B-b", "B-c", "B-d"]}
     instances = 0
     for n in range(1, 7):
         for T in range(1, 6):
             for trial in range(7):
                 rng = np.random.default_rng((n, T, trial))
-                crf = CrfModel(labels_by_t[T], 3,
-                               np.random.default_rng((n, T, trial, 9)),
-                               constrain=False)
+                crf = CrfModel(FREE_LABELS_BY_T[T], 3,
+                               np.random.default_rng((n, T, trial, 9)))
                 e = rng.normal(scale=1.5, size=(n, T))
                 ref_logz, ref_path, ref_score = _enumerate_paths(
                     e, crf.transitions.data, crf.start.data, crf.end.data)
@@ -255,7 +251,7 @@ def test_criterion_2_crf_oracle():
                 assert abs(math.exp(logz - ref_logz) - 1.0) <= 1e-9, \
                     f"exp(logZ) off at n={n} T={T} trial={trial}"
                 # the graph-building path must agree with the same oracle
-                gold = [labels_by_t[T][int(i)] for i in rng.integers(0, T, size=n)]
+                gold = [FREE_LABELS_BY_T[T][int(i)] for i in rng.integers(0, T, size=n)]
                 with Tape():
                     nll = crf.neg_log_likelihood(Tensor(e), gold).item()
                 gold_idx = [crf.label_index[g] for g in gold]
@@ -266,11 +262,11 @@ def test_criterion_2_crf_oracle():
                 gold_score += crf.end.data[gold_idx[-1]]
                 assert abs(math.exp((nll + gold_score) - ref_logz) - 1.0) <= 1e-9
                 tags, score = crf.viterbi_decode(e)
-                assert tags == [labels_by_t[T][i] for i in ref_path]
+                assert tags == [FREE_LABELS_BY_T[T][i] for i in ref_path]
                 assert abs(score - ref_score) <= 1e-9
                 instances += 1
     # exact-tie fixture: all-zero scores resolve to the first tag everywhere
-    crf = CrfModel(["O", "B-a", "B-b"], 3, np.random.default_rng(0), constrain=False)
+    crf = CrfModel(["O", "B-a", "B-b"], 3, np.random.default_rng(0))
     crf.transitions.data[:] = 0
     crf.start.data[:] = 0
     crf.end.data[:] = 0

@@ -239,23 +239,6 @@ def test_finite_violation_raises():
             ad.mul(big, big)
 
 
-def test_float32_mode():
-    ad.set_default_dtype(np.float32)
-    try:
-        x = Tensor(np.ones(3))
-        assert x.data.dtype == np.float32
-        with Tape():
-            y = ad.tensor_sum(ad.mul(x, x))
-        assert y.data.dtype == np.float32
-        from hme.nn import neg_large
-        assert neg_large() == -1e4
-    finally:
-        ad.set_default_dtype(np.float64)
-    assert Tensor(np.ones(2)).data.dtype == np.float64
-    from hme.nn import neg_large
-    assert neg_large() == -1e9
-
-
 def test_backward_after_tape_exit_rejected():
     x = Tensor(np.ones(2), requires_grad=True)
     with Tape():

@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shutil
 
 import numpy as np
 import pytest
@@ -80,6 +82,64 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "hme: error[input]:" in err and "dropout" in err
 
+    # (keys into the config, value): malformed values that must be rejected
+    # before training starts
+    BAD_VALUES = {
+        "train_not_object": (["train"], "x"),
+        "zero_heads": (["model", "encoder_heads"], 0),
+        "heads_not_dividing_d_model": (["model", "encoder_heads"], 3),
+        "negative_layers": (["model", "encoder_layers"], -1),
+        "zero_ff_multiplier": (["model", "ff_multiplier"], 0),
+        "float_char_dim": (["model", "char_dim"], 2.5),
+        "float_batch_size": (["train", "batch_size"], 1.5),
+        "string_max_epochs": (["train", "max_epochs"], "2"),
+        "removed_lr_decay": (["train", "lr_decay"], 0.5),
+        "removed_patience_unit": (["train", "patience_unit"], "steps"),
+        "numeric_data_path": (["data", "dev"], 5),
+        "list_output_dir": (["output_dir"], ["run"]),
+        "empty_embedding_path": (["embeddings", 0, "path"], ""),
+        "string_limit": (["embeddings", 0, "limit"], "abc"),
+        "repeated_language": (["embeddings", 1, "language"], "L1"),
+        "negative_seed": (["seed"], -1),
+        "train_seed_ignored_by_training": (["train", "seed"], 5),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_VALUES))
+    def test_malformed_value_exit_2(self, toy, tmp_path, capsys, case):
+        cfg = json.load(open(toy["paths"]["config"]))
+        cfg["output_dir"] = str(tmp_path / "run")
+        keys, value = self.BAD_VALUES[case]
+        node = cfg
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        assert cli.main(["train", "--config", str(bad), "--quiet"]) == 2
+        assert "hme: error[input]:" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "model.ckpt").exists()
+
+    def test_readme_config_example_loads(self, tmp_path):
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            block = re.search(r"```json\n(.*?)```", fh.read(), re.S).group(1)
+        example = json.loads(block)
+        # the example's files only need to exist for the config to load
+        for entry in example["embeddings"]:
+            for key in ("path", "merges"):
+                if key in entry:
+                    (tmp_path / entry[key]).touch()
+        for path in example["data"].values():
+            (tmp_path / path).touch()
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(example))
+        cfg = cli.load_run_config(str(cfg_path))
+        assert cfg.model.to_dict() == dict(mdl.ModelConfig().to_dict(),
+                                           **example["model"])
+        assert {k: getattr(cfg.train, k) for k in example["train"]} == example["train"]
+        assert [e.language_id for e in cfg.manifest.entries] == [
+            e["language"] for e in example["embeddings"]]
+
     def test_seed_recorded_in_checkpoint(self, toy):
         header, _ = mdl.load_checkpoint(toy["checkpoint"])
         assert header["seed"] == 11
@@ -124,6 +184,29 @@ class TestEval:
                                   {**BAD_PARAM_HEADERS, **BAD_MODEL_HEADERS}[case])
         assert cli.main(["eval", str(bad), toy["paths"]["data"]["test"]]) == 2
         assert "hme: error[input]:" in capsys.readouterr().err
+
+    def test_changed_embedding_file_exit_2(self, toy, tmp_path, capsys):
+        header, _ = mdl.load_checkpoint(toy["checkpoint"])
+        copy = tmp_path / "word.vec"
+        shutil.copy(header["run_config"]["embeddings"][0]["path"], copy)
+
+        def repoint(h):
+            run_config = json.loads(json.dumps(h["run_config"]))
+            run_config["embeddings"][0]["path"] = str(copy)
+            return dict(h, run_config=run_config)
+
+        ckpt = tmp_path / "model.ckpt"
+        rewrite_checkpoint_header(toy["checkpoint"], ckpt, repoint)
+        test_data = toy["paths"]["data"]["test"]
+        assert cli.main(["eval", str(ckpt), test_data]) == 0
+        lines = copy.read_text().splitlines()
+        token, first, *rest = lines[1].split(" ")
+        lines[1] = " ".join([token, repr(float(first) + 0.5)] + rest)
+        copy.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert cli.main(["eval", str(ckpt), test_data]) == 2
+        err = capsys.readouterr().err
+        assert "hme: error[input]:" in err and "word/L1" in err
 
     def test_dev_report_counts_dev_split_only(self, toy, tmp_path):
         out = tmp_path / "dev.json"

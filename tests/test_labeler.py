@@ -7,15 +7,8 @@ from hme import nn
 from hme.autodiff import ShapeError, Tape, Tensor
 from hme.labeler import CrfModel, iob_transition_masks
 
-from oracles import crf_paths, finite_difference
+from oracles import FREE_LABELS_BY_T, crf_paths, finite_difference
 
-FREE_LABELS_BY_T = {
-    1: ["O"],
-    2: ["O", "B-a"],
-    3: ["O", "B-a", "B-b"],
-    4: ["O", "B-a", "B-b", "B-c"],
-    5: ["O", "B-a", "B-b", "B-c", "B-d"],
-}
 IOB_LABELS_BY_T = {
     1: ["O"],
     2: ["O", "B-a"],
@@ -25,8 +18,8 @@ IOB_LABELS_BY_T = {
 }
 
 
-def make_crf(labels, d_model=4, seed=0, constrain=True):
-    return CrfModel(labels, d_model, np.random.default_rng(seed), constrain=constrain)
+def make_crf(labels, d_model=4, seed=0):
+    return CrfModel(labels, d_model, np.random.default_rng(seed))
 
 
 def effective_by_hand(crf):
@@ -35,13 +28,12 @@ def effective_by_hand(crf):
     T = len(crf.labels)
     trans = crf.transitions.data.copy()
     start = crf.start.data.copy()
-    if crf.constrain:
-        for c, cur in enumerate(crf.labels):
-            if cur.startswith("I-"):
-                start[c] += -1e9
-                for p, prev in enumerate(crf.labels):
-                    if prev not in (f"B-{cur[2:]}", f"I-{cur[2:]}"):
-                        trans[p, c] += -1e9
+    for c, cur in enumerate(crf.labels):
+        if cur.startswith("I-"):
+            start[c] += -1e9
+            for p, prev in enumerate(crf.labels):
+                if prev not in (f"B-{cur[2:]}", f"I-{cur[2:]}"):
+                    trans[p, c] += -1e9
     return trans, start
 
 
@@ -57,6 +49,13 @@ class TestMasks:
         assert trans[labels.index("I-per"), labels.index("I-per")] == 0
         assert start[labels.index("B-per")] == 0
         assert trans[labels.index("I-per"), labels.index("O")] == 0
+
+    def test_free_label_sets_have_no_mask(self):
+        # the label sets of the enumeration oracles here and in criterion 2:
+        # with no I- tag the CRF scores are the raw transition scores
+        for labels in FREE_LABELS_BY_T.values():
+            trans, start = iob_transition_masks(labels)
+            assert not trans.any() and not start.any(), labels
 
 
 class TestNll:
@@ -93,11 +92,11 @@ class TestNll:
         with pytest.raises(ValueError, match="illegal start"):
             crf.neg_log_likelihood(em, ["I-a", "I-a"])
 
-    @pytest.mark.parametrize("constrain", [False, True])
-    def test_logz_matches_enumeration(self, constrain):
+    @pytest.mark.parametrize("iob", [False, True])
+    def test_logz_matches_enumeration(self, iob):
         rng = np.random.default_rng(4)
-        labels = IOB_LABELS_BY_T[4] if constrain else FREE_LABELS_BY_T[4]
-        crf = make_crf(labels, seed=5, constrain=constrain)
+        labels = IOB_LABELS_BY_T[4] if iob else FREE_LABELS_BY_T[4]
+        crf = make_crf(labels, seed=5)
         em = Tensor(rng.normal(size=(3, 4)))
         with Tape():
             nll = crf.neg_log_likelihood(em, ["O", "B-a", "O"])
@@ -137,7 +136,7 @@ class TestViterbi:
         assert tags == ["O"] * 4
 
     def test_all_zero_ties_resolve_to_first_tag(self):
-        crf = make_crf(["O", "B-a", "B-b"], seed=1, constrain=True)
+        crf = make_crf(["O", "B-a", "B-b"], seed=1)
         crf.transitions.data[:] = 0.0
         crf.start.data[:] = 0.0
         crf.end.data[:] = 0.0
@@ -145,14 +144,14 @@ class TestViterbi:
         assert tags == ["O", "O", "O"]
         assert score == 0.0
 
-    @pytest.mark.parametrize("constrain", [False, True])
-    def test_matches_enumeration(self, constrain):
+    @pytest.mark.parametrize("iob", [False, True])
+    def test_matches_enumeration(self, iob):
         rng = np.random.default_rng(2)
         for trial in range(60):
             n = int(rng.integers(1, 6))
             T = int(rng.integers(1, 6))
-            labels = (IOB_LABELS_BY_T if constrain else FREE_LABELS_BY_T)[T]
-            crf = make_crf(labels, seed=100 + trial, constrain=constrain)
+            labels = (IOB_LABELS_BY_T if iob else FREE_LABELS_BY_T)[T]
+            crf = make_crf(labels, seed=100 + trial)
             em = rng.normal(size=(n, T))
             tags, score = crf.viterbi_decode(em)
             trans, start = effective_by_hand(crf)
@@ -235,15 +234,15 @@ class TestBatchedNll:
             loss.backward()
         return loss.item(), [p.grad.copy() for p in params]
 
-    @pytest.mark.parametrize("constrain", [False, True])
-    def test_ragged_batch_equals_sum_of_sentences(self, constrain):
+    @pytest.mark.parametrize("iob", [False, True])
+    def test_ragged_batch_equals_sum_of_sentences(self, iob):
         rng = np.random.default_rng(11)
-        labels = IOB_LABELS_BY_T[5] if constrain else FREE_LABELS_BY_T[5]
+        labels = IOB_LABELS_BY_T[5] if iob else FREE_LABELS_BY_T[5]
         for trial in range(20):
-            crf = make_crf(labels, seed=300 + trial, constrain=constrain)
+            crf = make_crf(labels, seed=300 + trial)
             lengths = [1] + [int(n) for n in rng.integers(1, 7, size=int(rng.integers(1, 5)))]
             rng.shuffle(lengths)
-            # Viterbi paths are legal gold sequences under either mask
+            # Viterbi paths are legal gold sequences
             gold = [crf.viterbi_decode(rng.normal(size=(n, 5)) * 3)[0] for n in lengths]
             # the cells past each length hold random values that must be ignored
             em = Tensor(rng.normal(size=(len(lengths), max(lengths), 5)) * 2,

@@ -29,9 +29,6 @@ class TestPreprocess:
     def test_mixed_emoji_text_unchanged(self):
         assert tok.preprocess_token("hi\U0001F600") == "hi\U0001F600"
 
-    def test_custom_ranges(self):
-        assert tok.preprocess_token("z", emoji_ranges=((ord("z"), ord("z")),)) == "<EMOJI>"
-
 
 class TestBpe:
     def test_no_merges_splits_chars(self):

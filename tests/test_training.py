@@ -125,9 +125,10 @@ class TestMajorityVote:
         assert tr.majority_vote(seqs) == ["B-a"]
 
     def test_three_way_tie_uses_best_model(self):
-        seqs = [["B-a"], ["B-b"], ["B-c"]]
-        assert tr.majority_vote(seqs, model_scores=[0.7, 0.6, 0.5]) == ["B-a"]
-        assert tr.majority_vote(seqs, model_scores=[0.5, 0.9, 0.6]) == ["B-b"]
+        # a tie goes to the earliest-listed model among the tied tags
+        assert tr.majority_vote([["B-a"], ["B-b"], ["B-c"]]) == ["B-a"]
+        assert tr.majority_vote([["B-c"], ["B-b"], ["B-a"]]) == ["B-c"]
+        assert tr.majority_vote([["B-c"], ["B-a"], ["B-b"], ["B-a"], ["B-b"]]) == ["B-a"]
 
     def test_vote_result_is_repaired(self):
         seqs = [
@@ -250,13 +251,6 @@ class TestTrainLoop:
         assert res.epochs_run == 5
         assert res.best_epoch == 3
 
-    def test_step_patience_unit(self):
-        model = ScheduleModel([1.0, 0.9, 0.8, 0.7])
-        # 2 steps per epoch; patience of 2 steps expires after one stale epoch
-        res = tr.train(model, dev_sentences(4), dev_sentences(10),
-                       cfg(patience=2, patience_unit="steps", max_epochs=10))
-        assert res.epochs_run == 2
-
     def test_metrics_log_deterministic_modulo_elapsed(self, tmp_path):
         def run(path):
             model = ScheduleModel([0.5, 0.6, 0.7])
@@ -276,30 +270,8 @@ class TestTrainLoop:
         with pytest.raises(ValueError):
             tr.train(ScheduleModel([1.0]), [], dev_sentences(1), cfg())
 
-    def test_lr_decays_on_plateau(self):
-        model = ScheduleModel([0.9, 0.5, 0.5, 0.5])
-        lrs = []
-
-        orig_step = tr.Adam.step
-
-        def spy(self):
-            lrs.append(self.lr)
-            orig_step(self)
-
-        tr.Adam.step = spy
-        try:
-            tr.train(model, dev_sentences(4), dev_sentences(10),
-                     cfg(max_epochs=3, lr_decay=0.5, learning_rate=0.2))
-        finally:
-            tr.Adam.step = orig_step
-        # 2 batches/epoch: epoch 1 at 0.2; epoch 2 still 0.2 (decay applies
-        # after its stale evaluation); epoch 3 at 0.1
-        assert lrs == [0.2, 0.2, 0.2, 0.2, 0.1, 0.1]
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             tr.TrainConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
             tr.TrainConfig(patience=0)
-        with pytest.raises(ValueError):
-            tr.TrainConfig(patience_unit="minutes")

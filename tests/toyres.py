@@ -90,6 +90,8 @@ BAD_MODEL_HEADERS = {
         header, model_config=dict(header["model_config"], variant="bogus")),
     "params_missing_names": lambda header: dict(header, params=[]),
     "char_alphabet_null": lambda header: dict(header, char_alphabet=None),
+    "no_table_fingerprints": lambda header: {k: v for k, v in header.items()
+                                             if k != "table_fingerprints"},
 }
 
 
