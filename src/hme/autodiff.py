@@ -359,9 +359,14 @@ def take(a: Tensor, indices) -> Tensor:
     a_shape = a.shape
 
     def vjp(g):
+        flat_idx = idx.reshape(-1)
+        if np.bincount(flat_idx, minlength=a_shape[0]).max(initial=0) <= 1:
+            # each row gathered at most once: a plain scatter
+            ga = np.zeros(a_shape, dtype=g.dtype)
+            ga[flat_idx] = g.reshape((flat_idx.size,) + a_shape[1:])
+            return (ga,)
         # scatter-add via one bincount pass; much faster than np.add.at
         d = int(np.prod(a_shape[1:])) if len(a_shape) > 1 else 1
-        flat_idx = idx.reshape(-1)
         keys = (flat_idx[:, None] * d + np.arange(d)).ravel()
         ga = np.bincount(keys, weights=g.reshape(-1), minlength=a_shape[0] * d)
         return (ga.reshape(a_shape).astype(g.dtype, copy=False),)

@@ -256,10 +256,10 @@ def cmd_train(args) -> int:
     except ValueError as exc:
         # model settings that disagree with each other or with the resources
         raise ConfigError(str(exc)) from None
-    # featurize dev before training: the featurizer caches these sentences,
-    # so its counters now hold the dev split's OOV hits and no train hits
+    # featurize and store dev before training, so the counters now hold the
+    # dev split's OOV hits and no train hits, and every dev evaluation hits
     for sent in dev_set:
-        model.featurizer.encode(sent)
+        model.featurizer.store(sent)
     dev_counters = dict(model.featurizer.counters)
     os.makedirs(cfg.output_dir, exist_ok=True)
     result = tr.train(model, train_set, dev_set, cfg.train,

@@ -16,7 +16,7 @@ from . import embeddings as emb
 from . import metaembed as me
 from .autodiff import Tensor
 from .labeler import CrfModel
-from .nn import TransformerEncoder, assign_dropout_keys
+from .nn import TransformerEncoder, assign_dropout_keys, pack_slots, unpack
 from .tokenization import BpeModel, TokenizedSentence, apply_bpe, to_chars
 
 VARIANTS = ("hme", "mme_word", "concat", "linear", "random")
@@ -82,7 +82,12 @@ class EncodedSentence:
 
 
 class Featurizer:
-    """Turns tokenized sentences into table indices, counting OOV hits."""
+    """Turns tokenized sentences into table indices, counting OOV hits.
+
+    ``encode`` reads the cache but never adds to it; ``store`` encodes and
+    keeps the result.  Only training and dev sentences are stored, so
+    prediction over any number of new sentences leaves the cache as it is.
+    """
 
     def __init__(self, word_tables, subword_tables=(), bpe_models=None,
                  char_table=None):
@@ -94,6 +99,11 @@ class Featurizer:
         self.char_table = char_table
         self.counters: Counter = Counter()
         self._cache: dict[int, tuple[TokenizedSentence, EncodedSentence]] = {}
+
+    def store(self, sent: TokenizedSentence) -> EncodedSentence:
+        enc = self.encode(sent)
+        self._cache[id(sent)] = (sent, enc)
+        return enc
 
     def encode(self, sent: TokenizedSentence) -> EncodedSentence:
         hit = self._cache.get(id(sent))
@@ -149,11 +159,9 @@ class Featurizer:
                         self.counters["oov_char"] += 1
                     char_idx[i, k] = row
 
-        enc = EncodedSentence(n=n, word_idx=word_idx, word_valid=word_valid,
-                              sub_idx=sub_idx, sub_pos=sub_pos, sub_valid=sub_valid,
-                              char_idx=char_idx, char_pos=char_pos)
-        self._cache[id(sent)] = (sent, enc)
-        return enc
+        return EncodedSentence(n=n, word_idx=word_idx, word_valid=word_valid,
+                               sub_idx=sub_idx, sub_pos=sub_pos, sub_valid=sub_valid,
+                               char_idx=char_idx, char_pos=char_pos)
 
 
 @dataclass
@@ -341,7 +349,8 @@ class SequenceTagger:
 
     def forward(self, sentences: list[TokenizedSentence],
                 train: bool = False) -> ForwardResult:
-        encs = [self.featurizer.encode(s) for s in sentences]
+        featurize = self.featurizer.store if train else self.featurizer.encode
+        encs = [featurize(s) for s in sentences]
         batch = _collate(encs)
 
         word_inputs = [
@@ -368,12 +377,8 @@ class SequenceTagger:
             u_c = me.encode_and_pool(cx, batch.char_pos, self.char_encoder, train)
             u = me.hme_concat(u, u_s, u_c)
 
-        # scatter the R packed rows to (B, n_max); padding slots read the
-        # appended zero row
-        R = u.shape[0]
-        slot = np.full(batch.token_mask.shape, R)
-        slot[batch.token_mask == 1.0] = np.arange(R)
-        u3 = ad.take(ad.concat([u, Tensor(np.zeros((1, u.shape[-1])))], axis=0), slot)
+        # the R packed rows, scattered to (B, n_max) with zeros at padding
+        u3 = unpack(u, pack_slots(batch.token_mask)[1])
         h = self.encoder(u3, mask=batch.token_mask, train=train)
         emissions = self.crf.emissions(h)
         return ForwardResult(emissions=emissions, lengths=batch.lengths,

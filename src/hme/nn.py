@@ -96,12 +96,39 @@ def sinusoidal_positions(length: int, dim: int) -> np.ndarray:
     return pe
 
 
+def pack_slots(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pack the C nonzero cells of ``mask`` in row-major order.
+
+    Returns their flat indices and ``slot``, shaped like ``mask``: the packed
+    row of each real cell, and C, C + 1, ... for the padding cells in the
+    same order, so that ``unpack`` is a permutation and its gradient a plain
+    scatter.
+    """
+    flat = mask.reshape(-1)
+    real = np.flatnonzero(flat)
+    slot = np.empty(flat.size, dtype=np.int64)
+    slot[real] = np.arange(real.size)
+    slot[flat == 0.0] = np.arange(real.size, flat.size)
+    return real, slot.reshape(mask.shape)
+
+
+def unpack(x: Tensor, slot: np.ndarray) -> Tensor:
+    """Scatter packed (C, d) rows to ``slot.shape + (d,)``, zeros at padding."""
+    pad = Tensor(np.zeros((slot.size - x.shape[0], x.shape[-1])))
+    return ad.take(ad.concat([x, pad], axis=0), slot)
+
+
 class EncoderLayer:
     """Pre-norm transformer block: self-attention then feed-forward.
 
         a = LN1(x);  attn = softmax(q kT / sqrt(dk) + mask) v
         x = x + Drop(Wo(attn))
         f = LN2(x);  x = x + Drop(W2(Drop(relu(W1(f)))))
+
+    ``x`` holds only the C real positions, packed as (C, d) rows, and every
+    per-position op runs on them.  Only the attention scores use the padded
+    (batch, heads, n, n) layout: q, k and v are gathered into it with zero
+    vectors at padding, and the context is gathered back to the packed rows.
     """
 
     def __init__(self, d_model: int, heads: int, ff_dim: int, p_drop: float,
@@ -123,18 +150,28 @@ class EncoderLayer:
         self.drop_ff_mid = Dropout(p_drop)
         self.drop_ff_out = Dropout(p_drop)
 
-    def __call__(self, x: Tensor, attn_bias: Tensor, train: bool) -> Tensor:
-        batch, n, d = x.shape
-        h, dk = self.heads, self.d_model // self.heads
+    def __call__(self, x: Tensor, attn_bias: Tensor, head_rows: np.ndarray,
+                 ctx_rows: np.ndarray, train: bool) -> Tensor:
+        """``x`` is (C, d).  ``head_rows`` (batch, heads, n) gathers the C rows
+        plus one zero row per padding position, split into heads of dk
+        values, into the padded layout; ``ctx_rows`` (C, heads) gathers the
+        real positions' heads back out of the (batch, heads, n, dk) context."""
+        c, d = x.shape
+        batch, h, n = head_rows.shape
+        dk = d // h
+        zeros = Tensor(np.zeros((batch * n - c, d)))
+
+        def to_heads(t: Tensor) -> Tensor:
+            rows = ad.reshape(ad.concat([t, zeros], axis=0), (batch * n * h, dk))
+            return ad.take(rows, head_rows)             # (batch, h, n, dk)
 
         a = self.ln1(x)
-        q = ad.transpose(ad.reshape(self.wq(a), (batch, n, h, dk)), (0, 2, 1, 3))
-        k = ad.transpose(ad.reshape(self.wk(a), (batch, n, h, dk)), (0, 2, 1, 3))
-        v = ad.transpose(ad.reshape(self.wv(a), (batch, n, h, dk)), (0, 2, 1, 3))
+        q, k, v = to_heads(self.wq(a)), to_heads(self.wk(a)), to_heads(self.wv(a))
         scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dk))
         scores = ad.add(scores, attn_bias)
         weights = self.drop_attn(ad.softmax(scores, axis=-1), train)
-        ctx = ad.reshape(ad.transpose(ad.matmul(weights, v), (0, 2, 1, 3)), (batch, n, d))
+        ctx = ad.matmul(weights, v)
+        ctx = ad.reshape(ad.take(ad.reshape(ctx, (-1, dk)), ctx_rows), (c, d))
         x = ad.add(x, self.drop_attn_out(self.wo(ctx), train))
 
         f = ad.relu(self.ff1(self.ln2(x)))
@@ -156,8 +193,9 @@ class TransformerEncoder:
 
     An input projection maps ``input_dim`` to ``d_model`` when they differ.
     With ``num_layers == 0`` the stack reduces to that projection (or the
-    identity), with no position encodings added.  Padded positions receive
-    zero attention weight and are zeroed in the output.
+    identity), with no position encodings added.  Otherwise every
+    per-position op runs on the real positions only; padded positions receive
+    zero attention weight and come out as zero vectors.
     """
 
     def __init__(self, input_dim: int, d_model: int, num_layers: int, heads: int,
@@ -184,26 +222,31 @@ class TransformerEncoder:
         squeeze = x.ndim == 2
         if squeeze:
             x = ad.reshape(x, (1,) + x.shape)
-        batch, n, _ = x.shape
+        batch, n, d_in = x.shape
+        if self.num_layers == 0:
+            if self.proj is not None:
+                x = self.proj(x)
+            return ad.reshape(x, x.shape[1:]) if squeeze else x
         if mask is None:
             mask = np.ones((batch, n))
         mask = np.asarray(mask, dtype=np.float64)
         if mask.ndim == 1:
             mask = mask[None, :]
 
+        real, slot = pack_slots(mask)
+        heads = self.layers[0].heads
+        head_rows = slot[:, None, :] * heads + np.arange(heads)[None, :, None]
+        ctx_rows = ((real // n)[:, None] * heads + np.arange(heads)) * n + (real % n)[:, None]
+        attn_bias = Tensor(np.ascontiguousarray(np.broadcast_to(
+            ((1.0 - mask) * NEG_LARGE)[:, None, None, :], (batch, heads, n, n))))
+
+        x = ad.take(ad.reshape(x, (batch * n, d_in)), real)
         if self.proj is not None:
             x = self.proj(x)
-        if self.num_layers > 0:
-            x = ad.add(x, Tensor(self._pe(n)))
-            bias_row = (1.0 - mask) * NEG_LARGE              # (batch, n) over keys
-            heads = self.layers[0].heads
-            attn_bias = Tensor(np.ascontiguousarray(np.broadcast_to(
-                bias_row[:, None, None, :], (batch, heads, n, n))))
-            for layer in self.layers:
-                x = layer(x, attn_bias, train)
-            x = self.final_ln(x)
-            x = ad.mul(x, Tensor(np.ascontiguousarray(
-                np.broadcast_to(mask[:, :, None], x.shape))))
+        x = ad.add(x, Tensor(self._pe(n)[real % n]))
+        for layer in self.layers:
+            x = layer(x, attn_bias, head_rows, ctx_rows, train)
+        x = unpack(self.final_ln(x), slot)
         return ad.reshape(x, x.shape[1:]) if squeeze else x
 
     def parameters(self, prefix: str) -> dict[str, Tensor]:

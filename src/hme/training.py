@@ -4,6 +4,7 @@ attention-weight aggregation."""
 from __future__ import annotations
 
 import json
+import math
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -269,13 +270,23 @@ def _batches(order: np.ndarray, size: int):
         yield order[i:i + size]
 
 
+def _nearest_rank(values: list[float], q: float) -> float:
+    """The q-th percentile by the nearest-rank rule: the smallest value with
+    at least q% of the values at or below it."""
+    ranked = sorted(values)
+    return ranked[max(math.ceil(q / 100.0 * len(ranked)), 1) - 1]
+
+
 def train(model, train_set, dev_set, config: TrainConfig,
           log_path: str | None = None, quiet: bool = True) -> TrainResult:
     """Run Adam with per-epoch dev evaluation and patience-based early stop.
 
     The model ends up loaded with the best-dev-F1 parameter state, which is
     also returned in the result.  One JSON record per epoch goes to ``log``
-    (and to ``log_path`` as JSON lines when given).
+    (and to ``log_path`` as JSON lines when given): the mean train NLL, dev
+    precision/recall/F1, the mean and max pre-clip gradient norm, the
+    fraction of steps clipped, step-time p50/p90 in ms (nearest rank), tokens
+    per second over the training loop and the epoch's elapsed seconds.
     """
     if not train_set or not dev_set:
         raise ValueError("train and dev sets must be non-empty")
@@ -292,8 +303,10 @@ def train(model, train_set, dev_set, config: TrainConfig,
             t0 = time.perf_counter()
             rng = np.random.default_rng((config.seed, 7919, epoch))
             order = rng.permutation(len(train_set))
-            nll_total, sent_total = 0.0, 0
+            nll_total, sent_total, tokens = 0.0, 0, 0
+            grad_norms, step_s = [], []
             for batch_idx in _batches(order, config.batch_size):
+                step_start = time.perf_counter()
                 batch = [train_set[i] for i in batch_idx]
                 model.set_step(step)
                 opt.zero_grad()
@@ -302,11 +315,14 @@ def train(model, train_set, dev_set, config: TrainConfig,
                     loss.backward()
                 if not np.isfinite(loss.item()):
                     raise DivergenceError("training loss is not finite")
-                opt.clip_gradients()
+                grad_norms.append(opt.clip_gradients())
                 opt.step()
+                step_s.append(time.perf_counter() - step_start)
                 step += 1
                 nll_total += loss.item() * len(batch)
                 sent_total += len(batch)
+                tokens += sum(len(s) for s in batch)
+            loop_s = time.perf_counter() - t0
             preds = model.predict(dev_set)
             report = entity_f1([s.labels for s in dev_set], preds)
             elapsed = time.perf_counter() - t0
@@ -316,6 +332,12 @@ def train(model, train_set, dev_set, config: TrainConfig,
                 "dev_precision": report.precision,
                 "dev_recall": report.recall,
                 "dev_f1": report.f1,
+                "grad_norm_mean": sum(grad_norms) / len(grad_norms),
+                "grad_norm_max": max(grad_norms),
+                "clipped_frac": sum(g > opt.clip_norm for g in grad_norms) / len(grad_norms),
+                "step_ms_p50": round(_nearest_rank(step_s, 50) * 1e3, 3),
+                "step_ms_p90": round(_nearest_rank(step_s, 90) * 1e3, 3),
+                "tokens_per_s": round(tokens / loop_s, 1),
                 "elapsed_sec": round(elapsed, 3),
             }
             log.append(record)

@@ -360,3 +360,24 @@ def test_oov_counters_increment():
     counters = model.featurizer.counters
     assert counters["oov_word_A"] == 1
     assert counters["oov_word_B"] == 1
+
+
+def test_prediction_does_not_grow_the_featurizer_cache():
+    from hme.tokenization import TokenizedSentence
+    from toyres import WORDS_A, WORDS_B
+    model = make_model("hme")
+    train_sents = build_sentences()
+    with Tape():
+        model.loss_batch(train_sents, train=True).backward()
+    cached = len(model.featurizer._cache)
+    assert cached == len(train_sents)
+    rng = np.random.default_rng(0)
+    vocab = WORDS_A + WORDS_B + ["qqqq"]
+    fresh = [TokenizedSentence(ws, ws) for ws in
+             ([str(w) for w in rng.choice(vocab, size=int(rng.integers(1, 7)))]
+              for _ in range(500))]
+    tags = model.predict(fresh)
+    assert [len(t) for t in tags] == [len(s) for s in fresh]
+    assert len(model.featurizer._cache) == cached
+    # stored training sentences are still read from the cache
+    assert model.featurizer.encode(train_sents[0]) is model.featurizer.store(train_sents[0])

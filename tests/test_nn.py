@@ -125,31 +125,69 @@ class TestTransformerEncoder:
 
     def test_masked_positions_do_not_leak(self):
         rng = np.random.default_rng(7)
-        enc = nn.TransformerEncoder(8, 8, num_layers=2, heads=2, rng=rng)
+        enc = nn.TransformerEncoder(8, 8, num_layers=2, heads=2, rng=rng, p_drop=0.5)
+        nn.assign_dropout_keys(enc.dropouts(), seed=5)
         mask = np.array([[1.0, 1.0, 0.0]])
         x = rng.normal(size=(1, 3, 8))
-        out1 = enc(Tensor(x), mask=mask).data
         x2 = x.copy()
         x2[0, 2] = 100.0  # pad content must not influence real positions
-        out2 = enc(Tensor(x2), mask=mask).data
-        np.testing.assert_allclose(out1[0, :2], out2[0, :2], atol=1e-12)
-        assert np.all(out1[0, 2] == 0.0) and np.all(out2[0, 2] == 0.0)
+        for train in (False, True):
+            outs = []
+            for inp in (x, x2):
+                for d in enc.dropouts():
+                    d.begin_step(4)     # the same dropout masks for both inputs
+                outs.append(enc(Tensor(inp), mask=mask, train=train).data)
+            out1, out2 = outs
+            np.testing.assert_allclose(out1[0, :2], out2[0, :2], atol=1e-12,
+                                       err_msg=f"train={train}")
+            assert np.all(out1[0, 2] == 0.0) and np.all(out2[0, 2] == 0.0)
+
+    def test_per_position_ops_see_only_real_positions(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        enc = nn.TransformerEncoder(6, 8, num_layers=2, heads=2, rng=rng)
+        mask = np.zeros((3, 5))
+        for b, length in enumerate((1, 3, 5)):
+            mask[b, :length] = 1.0
+        rows = []
+        linear_call = nn.Linear.__call__
+
+        def spy(lin, x):
+            rows.append(int(np.prod(x.shape[:-1])))
+            return linear_call(lin, x)
+
+        monkeypatch.setattr(nn.Linear, "__call__", spy)
+        out = enc(Tensor(rng.normal(size=(3, 5, 6))), mask=mask)
+        # the input projection, then q, k, v, o and two feed-forward maps per layer
+        assert len(rows) == 1 + 2 * 6
+        assert rows == [int(mask.sum())] * len(rows)
+        assert np.all(out.data[mask == 0.0] == 0.0)
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(9)
         enc = nn.TransformerEncoder(4, 4, num_layers=1, heads=2, rng=rng, ff_dim=6)
-        x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        params = dict(enc.parameters("enc"), x=x)
+        # an unmasked sentence, then a ragged batch of lengths 1, 3 and 4
+        # whose padding cells hold random values
+        ragged = np.zeros((3, 4))
+        for b, length in enumerate((1, 3, 4)):
+            ragged[b, :length] = 1.0
+        for shape, mask in (((3, 4), None), ((3, 4, 4), ragged)):
+            x = Tensor(rng.normal(size=shape), requires_grad=True)
+            params = dict(enc.parameters("enc"), x=x)
 
-        def build():
-            return ad.tensor_sum(ad.tanh(enc(x)))
+            def build():
+                return ad.tensor_sum(ad.tanh(enc(x, mask=mask)))
 
-        with Tape():
-            build().backward()
-        for name, p in params.items():
-            assert p.grad is not None, name
-            num = finite_difference(lambda: build().item(), p.data)
-            np.testing.assert_allclose(p.grad, num, rtol=1e-5, atol=1e-7, err_msg=name)
+            for p in params.values():
+                p.zero_grad()
+            with Tape():
+                build().backward()
+            for name, p in params.items():
+                assert p.grad is not None, name
+                num = finite_difference(lambda: build().item(), p.data)
+                np.testing.assert_allclose(p.grad, num, rtol=1e-5, atol=1e-7,
+                                           err_msg=f"{name} {shape}")
+            if mask is not None:
+                assert np.all(x.grad[mask == 0.0] == 0.0)
 
     def test_eval_deterministic_train_stochastic(self):
         rng = np.random.default_rng(10)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -259,12 +261,37 @@ class TestTrainLoop:
 
         r1 = run(tmp_path / "a.jsonl")
         r2 = run(tmp_path / "b.jsonl")
-        strip = lambda recs: [{k: v for k, v in r.items() if k != "elapsed_sec"}
+        timings = {"elapsed_sec", "step_ms_p50", "step_ms_p90", "tokens_per_s"}
+        strip = lambda recs: [{k: v for k, v in r.items() if k not in timings}
                               for r in recs]
         assert strip(r1.log) == strip(r2.log)
         assert len(r1.log) == 3
         assert set(r1.log[0]) == {"epoch", "train_nll", "dev_precision",
-                                  "dev_recall", "dev_f1", "elapsed_sec"}
+                                  "dev_recall", "dev_f1", "grad_norm_mean",
+                                  "grad_norm_max", "clipped_frac", "step_ms_p50",
+                                  "step_ms_p90", "tokens_per_s", "elapsed_sec"}
+        with open(tmp_path / "a.jsonl") as fh:
+            assert [json.loads(line) for line in fh] == r1.log
+
+    @pytest.mark.parametrize("clip_norm, frac", [(1e-9, 1.0), (1e9, 0.0)])
+    def test_metrics_log_gradient_and_step_stats(self, clip_norm, frac):
+        model = ScheduleModel([0.5, 0.6])
+        res = tr.train(model, dev_sentences(5), dev_sentences(10),
+                       cfg(max_epochs=2, clip_norm=clip_norm))
+        for rec in res.log:
+            assert rec["clipped_frac"] == frac
+            assert rec["grad_norm_max"] >= rec["grad_norm_mean"] > 0
+            assert rec["step_ms_p90"] >= rec["step_ms_p50"] >= 0
+            assert rec["tokens_per_s"] > 0
+        # the first step's gradient of w*w at w = 1 has norm 2
+        assert res.log[0]["grad_norm_max"] == pytest.approx(2.0)
+
+    def test_nearest_rank_percentiles(self):
+        values = [float(v) for v in range(10, 0, -1)]
+        assert tr._nearest_rank(values, 50) == 5.0
+        assert tr._nearest_rank(values, 90) == 9.0
+        assert tr._nearest_rank(values, 100) == 10.0
+        assert tr._nearest_rank([3.0], 90) == 3.0
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
