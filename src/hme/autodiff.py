@@ -18,9 +18,9 @@ import numpy as np
 
 __all__ = [
     "Tensor", "Tape", "ShapeError", "NumericsError",
-    "matmul", "add", "sub", "mul", "scale", "neg", "concat", "reshape",
+    "matmul", "add", "sub", "mul", "scale", "concat", "reshape",
     "transpose", "take", "tanh", "relu", "softmax", "logsumexp",
-    "tensor_sum", "tensor_mean", "dropout", "layer_norm", "backward",
+    "tensor_sum", "dropout", "layer_norm", "backward",
 ]
 
 
@@ -311,10 +311,6 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _record(out, (a,), vjp, "scale")
 
 
-def neg(a: Tensor) -> Tensor:
-    return scale(a, -1.0)
-
-
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
     if not tensors:
         raise ShapeError("concat of empty list")
@@ -445,11 +441,6 @@ def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         return (np.broadcast_to(gg, in_shape).copy(),)
 
     return _record(_contig(out), (a,), vjp, "sum")
-
-
-def tensor_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    count = a.size if axis is None else a.shape[axis]
-    return scale(tensor_sum(a, axis=axis, keepdims=keepdims), 1.0 / count)
 
 
 def dropout(a: Tensor, p: float, train: bool, rng: np.random.Generator | None = None) -> Tensor:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ShapeError, Tensor
-from .nn import Linear, TransformerEncoder, xavier_uniform
+from .nn import Linear, TransformerEncoder, pack_slots, unpack, xavier_uniform
 
 
 class ProjectionSet:
@@ -87,11 +87,12 @@ def mme_word(embeddings_per_language: list[Tensor], proj: ProjectionSet,
 
 def encode_and_pool(x: Tensor, mask: np.ndarray, encoder: TransformerEncoder,
                     train: bool = False) -> Tensor:
-    """Run the encoder over (N, m, d) and mean-pool the unmasked positions."""
-    enc = encoder(x, mask=mask, train=train)
+    """Encode the packed rows of the (N, m) ``mask``'s real cells and
+    mean-pool each of its N sequences to one (N, d) row."""
+    enc = unpack(encoder(x, mask, train), pack_slots(mask)[1])
     weights = mask / np.maximum(mask.sum(axis=-1, keepdims=True), 1.0)
     pooled = ad.matmul(Tensor(weights[:, None, :]), enc)
-    return ad.reshape(pooled, (x.shape[0], enc.shape[-1]))
+    return ad.reshape(pooled, (mask.shape[0], enc.shape[-1]))
 
 
 def mme_subword(subword_embeddings: list[Tensor], masks: list[np.ndarray],
@@ -100,18 +101,18 @@ def mme_subword(subword_embeddings: list[Tensor], masks: list[np.ndarray],
                 ) -> tuple[Tensor, Tensor]:
     """Subword-level meta-embedding.
 
-    ``subword_embeddings[j]`` is language j's padded (N, m_j, d_j) subword
-    vectors and ``masks[j]`` its (N, m_j) mask, 1.0 at real subwords.  Per
-    language: project, encode with the shared transformer, mean-pool to one
-    vector per word; then combine across languages with softmax attention.
-    Returns ((N, d'), (N, L)).
+    ``masks[j]`` is language j's (N, m_j) mask, 1.0 at real subwords, and
+    ``subword_embeddings[j]`` its packed (C_j, d_j) rows, one per real cell.
+    Per language: project, encode with the shared transformer, mean-pool to
+    one vector per word; then combine across languages with softmax
+    attention.  Returns ((N, d'), (N, L)).
     """
     if not subword_embeddings or len(masks) != len(subword_embeddings):
         raise ShapeError("mme_subword needs one mask per language, at least one")
-    n = subword_embeddings[0].shape[0]
+    n = masks[0].shape[0]
     for x, mask in zip(subword_embeddings, masks):
-        if x.shape[0] != n or mask.shape != x.shape[:2]:
-            raise ShapeError("language inputs disagree on word count or mask shape")
+        if mask.ndim != 2 or mask.shape[0] != n or x.shape[0] != mask.sum():
+            raise ShapeError("language inputs disagree on word count or real cells")
     pooled = [encode_and_pool(proj.project(j, x), mask, encoder, train)
               for j, (x, mask) in enumerate(zip(subword_embeddings, masks))]
     return attend_languages(pooled, scorer)

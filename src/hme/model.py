@@ -69,16 +69,18 @@ class Resources:
 
 @dataclass
 class EncodedSentence:
-    """Index arrays for one sentence; built once and cached."""
+    """Index arrays for one sentence; built once and cached.  The subword and
+    char levels keep only their real cells, word by word, plus the number of
+    cells of each word."""
 
     n: int
     word_idx: np.ndarray        # (L_w, n) rows into each word table
     word_valid: np.ndarray      # (L_w, n) 0.0 where out of vocabulary
-    sub_idx: list[np.ndarray]   # per language: (n, m_lang)
-    sub_pos: list[np.ndarray]   # 1.0 at real subword positions
-    sub_valid: list[np.ndarray]
-    char_idx: np.ndarray | None
-    char_pos: np.ndarray | None
+    sub_idx: list[np.ndarray]   # per language: (C,) rows of its real subwords
+    sub_valid: list[np.ndarray]  # (C,) 0.0 where out of vocabulary
+    sub_len: list[np.ndarray]   # (n,) subwords per word
+    char_idx: np.ndarray | None  # (C,)
+    char_len: np.ndarray | None  # (n,) characters per word
 
 
 class Featurizer:
@@ -124,108 +126,96 @@ class Featurizer:
                 else:
                     word_idx[j, i] = idx
 
-        sub_idx, sub_pos, sub_valid = [], [], []
+        sub_idx, sub_valid, sub_len = [], [], []
         for table, model in zip(self.subword_tables, self.bpe_models):
             pieces = [apply_bpe(model, w) for w in sent.words]
-            m = max(len(p) for p in pieces)
-            idx = np.zeros((n, m), dtype=np.int64)
-            pos = np.zeros((n, m))
-            valid = np.ones((n, m))
-            for i, word_pieces in enumerate(pieces):
-                for k, piece in enumerate(word_pieces):
-                    pos[i, k] = 1.0
-                    row = table.index_of(piece)
-                    if row is None:
-                        valid[i, k] = 0.0
-                        self.counters[f"oov_subword_{table.language_id}"] += 1
-                    else:
-                        idx[i, k] = row
-            sub_idx.append(idx)
-            sub_pos.append(pos)
-            sub_valid.append(valid)
+            idx, valid = [], []
+            for piece in (p for word_pieces in pieces for p in word_pieces):
+                row = table.index_of(piece)
+                if row is None:
+                    self.counters[f"oov_subword_{table.language_id}"] += 1
+                idx.append(0 if row is None else row)
+                valid.append(0.0 if row is None else 1.0)
+            sub_idx.append(np.array(idx, dtype=np.int64))
+            sub_valid.append(np.array(valid))
+            sub_len.append(np.array([len(p) for p in pieces], dtype=np.int64))
 
-        char_idx = char_pos = None
+        char_idx = char_len = None
         if self.char_table is not None:
             chars = [to_chars(w) for w in sent.words]
-            p = max(len(c) for c in chars)
-            char_idx = np.full((n, p), self.char_table.pad_index, dtype=np.int64)
-            char_pos = np.zeros((n, p))
-            for i, word_chars in enumerate(chars):
-                for k, ch in enumerate(word_chars):
-                    char_pos[i, k] = 1.0
-                    row = self.char_table.index_of(ch)
-                    if row is None:
-                        row = self.char_table.unk_index
-                        self.counters["oov_char"] += 1
-                    char_idx[i, k] = row
+            idx = []
+            for ch in (c for word_chars in chars for c in word_chars):
+                row = self.char_table.index_of(ch)
+                if row is None:
+                    row = self.char_table.unk_index
+                    self.counters["oov_char"] += 1
+                idx.append(row)
+            char_idx = np.array(idx, dtype=np.int64)
+            char_len = np.array([len(c) for c in chars], dtype=np.int64)
 
         return EncodedSentence(n=n, word_idx=word_idx, word_valid=word_valid,
-                               sub_idx=sub_idx, sub_pos=sub_pos, sub_valid=sub_valid,
-                               char_idx=char_idx, char_pos=char_pos)
+                               sub_idx=sub_idx, sub_valid=sub_valid, sub_len=sub_len,
+                               char_idx=char_idx, char_len=char_len)
 
 
 @dataclass
 class _Batch:
-    """A batch of sentences.  Only ``token_mask`` is (B, n_max); every
-    per-token array holds the R real tokens, packed in sentence order, so the
-    per-word levels never compute a padding row."""
+    """A batch of sentences as masks plus the indices of their real cells.
+
+    ``token_mask`` is (B, n_max) over the R real tokens, and each per-word
+    level has an (R, m) mask over its C real cells.  Every index array holds
+    real cells only, in the row-major order of its mask, so no level computes
+    a padding cell."""
 
     token_mask: np.ndarray                 # (B, n_max)
     word_idx: np.ndarray                   # (L_w, R)
     word_valid: np.ndarray
-    sub_idx: list[np.ndarray]              # per language (R, m)
-    sub_pos: list[np.ndarray]
+    sub_idx: list[np.ndarray]              # per language (C,)
     sub_valid: list[np.ndarray]
-    char_idx: np.ndarray | None            # (R, p)
-    char_pos: np.ndarray | None
+    sub_mask: list[np.ndarray]             # per language (R, m)
+    char_idx: np.ndarray | None            # (C,)
+    char_mask: np.ndarray | None           # (R, p)
     lengths: list[int]
 
 
-def _pack(arrays: list[np.ndarray], fill, dtype) -> np.ndarray:
-    """Stack per-sentence (n_b, m_b) arrays into (sum n_b, max m_b) rows."""
-    out = np.full((sum(a.shape[0] for a in arrays), max(a.shape[1] for a in arrays)),
-                  fill, dtype=dtype)
-    row = 0
-    for a in arrays:
-        out[row:row + a.shape[0], :a.shape[1]] = a
-        row += a.shape[0]
-    return out
+def _length_mask(lengths) -> np.ndarray:
+    """(len(lengths), max length) mask, 1.0 at each row's first length cells."""
+    lengths = np.asarray(lengths)
+    return (np.arange(lengths.max()) < lengths[:, None]).astype(np.float64)
 
 
 def _collate(encs: list[EncodedSentence]) -> _Batch:
+    def cat(arrays):
+        return np.concatenate(list(arrays))
+
     lengths = [e.n for e in encs]
-    token_mask = np.zeros((len(encs), max(lengths)))
-    for b, n in enumerate(lengths):
-        token_mask[b, :n] = 1.0
-    sub_idx, sub_pos, sub_valid = [], [], []
-    for j in range(len(encs[0].sub_idx)):
-        sub_idx.append(_pack([e.sub_idx[j] for e in encs], 0, np.int64))
-        sub_pos.append(_pack([e.sub_pos[j] for e in encs], 0.0, np.float64))
-        sub_valid.append(_pack([e.sub_valid[j] for e in encs], 1.0, np.float64))
-    char_idx = char_pos = None
-    if encs[0].char_idx is not None:
-        char_idx = _pack([e.char_idx for e in encs], 0, np.int64)
-        char_pos = _pack([e.char_pos for e in encs], 0.0, np.float64)
-    return _Batch(token_mask=token_mask,
-                  word_idx=np.concatenate([e.word_idx for e in encs], axis=1),
-                  word_valid=np.concatenate([e.word_valid for e in encs], axis=1),
-                  sub_idx=sub_idx, sub_pos=sub_pos, sub_valid=sub_valid,
-                  char_idx=char_idx, char_pos=char_pos, lengths=lengths)
+    langs = range(len(encs[0].sub_idx))
+    chars = encs[0].char_idx is not None
+    return _Batch(
+        token_mask=_length_mask(lengths),
+        word_idx=np.concatenate([e.word_idx for e in encs], axis=1),
+        word_valid=np.concatenate([e.word_valid for e in encs], axis=1),
+        sub_idx=[cat(e.sub_idx[j] for e in encs) for j in langs],
+        sub_valid=[cat(e.sub_valid[j] for e in encs) for j in langs],
+        sub_mask=[_length_mask(cat(e.sub_len[j] for e in encs)) for j in langs],
+        char_idx=cat(e.char_idx for e in encs) if chars else None,
+        char_mask=_length_mask(cat(e.char_len for e in encs)) if chars else None,
+        lengths=lengths)
 
 
 def _masked_lookup(table: emb.EmbeddingTable, idx: np.ndarray,
                    valid: np.ndarray) -> Tensor:
-    """Gather rows and zero the out-of-vocabulary positions."""
+    """Gather (len(idx), d) rows and zero the out-of-vocabulary ones."""
     x = ad.take(table.vectors, idx)
     if not np.all(valid == 1.0):
-        mask = np.broadcast_to(valid[..., None], x.shape)
+        mask = np.broadcast_to(valid[:, None], x.shape)
         x = ad.mul(x, Tensor(np.ascontiguousarray(mask)))
     return x
 
 
 @dataclass
 class ForwardResult:
-    emissions: Tensor                      # (B, n_max, T)
+    emissions: Tensor                      # (B, n_max, T), zeros at padding
     lengths: list[int]
     # attention weights (R, L) over real tokens in sentence order, or None
     # for the variants without that level
@@ -370,17 +360,16 @@ class SequenceTagger:
                 _masked_lookup(table, batch.sub_idx[j], batch.sub_valid[j])
                 for j, table in enumerate(self.resources.subword_tables)
             ]
-            u_s, alpha_s = me.mme_subword(sub_inputs, batch.sub_pos, self.subword_proj,
+            u_s, alpha_s = me.mme_subword(sub_inputs, batch.sub_mask, self.subword_proj,
                                           self.subword_encoder, self.subword_scorer,
                                           train)
             cx = ad.take(self.resources.char_table.vectors, batch.char_idx)
-            u_c = me.encode_and_pool(cx, batch.char_pos, self.char_encoder, train)
+            u_c = me.encode_and_pool(cx, batch.char_mask, self.char_encoder, train)
             u = me.hme_concat(u, u_s, u_c)
 
-        # the R packed rows, scattered to (B, n_max) with zeros at padding
-        u3 = unpack(u, pack_slots(batch.token_mask)[1])
-        h = self.encoder(u3, mask=batch.token_mask, train=train)
-        emissions = self.crf.emissions(h)
+        h = self.encoder(u, batch.token_mask, train)
+        # only the tag scores leave the packed rows: (B, n_max, T), zeros at padding
+        emissions = unpack(self.crf.emissions(h), pack_slots(batch.token_mask)[1])
         return ForwardResult(emissions=emissions, lengths=batch.lengths,
                              alpha_word=alpha_w, alpha_subword=alpha_s)
 

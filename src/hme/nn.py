@@ -1,8 +1,9 @@
 """Trainable layers built on the autodiff core.
 
-Shapes are batched as (N, seq, dim); a 2-D (seq, dim) input is promoted to a
-batch of one.  All parameters are initialized from the generator passed at
-construction time, so construction order fixes the initialization.
+Sequence batches travel packed: the C real cells of a (batch, n) mask, in
+row-major order, as (C, dim) rows.  All parameters are initialized from the
+generator passed at construction time, so construction order fixes the
+initialization.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import math
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import ShapeError, Tensor
 
 # additive mask value standing in for -inf
 NEG_LARGE = -1e9
@@ -191,11 +192,11 @@ class EncoderLayer:
 class TransformerEncoder:
     """Stack of pre-norm encoder layers with sinusoidal position encodings.
 
-    An input projection maps ``input_dim`` to ``d_model`` when they differ.
-    With ``num_layers == 0`` the stack reduces to that projection (or the
-    identity), with no position encodings added.  Otherwise every
-    per-position op runs on the real positions only; padded positions receive
-    zero attention weight and come out as zero vectors.
+    ``x`` holds the C real cells of the (batch, n) ``mask`` as packed
+    (C, input_dim) rows in row-major order, and the output is the matching
+    (C, d_model) rows.  An input projection maps ``input_dim`` to ``d_model``
+    when they differ.  With ``num_layers == 0`` the stack reduces to that
+    projection (or the identity), with no position encodings added.
     """
 
     def __init__(self, input_dim: int, d_model: int, num_layers: int, heads: int,
@@ -217,22 +218,16 @@ class TransformerEncoder:
             self._pe_cache = sinusoidal_positions(n, self.d_model)
         return self._pe_cache[:n]
 
-    def __call__(self, x: Tensor, mask: np.ndarray | None = None,
-                 train: bool = False) -> Tensor:
-        squeeze = x.ndim == 2
-        if squeeze:
-            x = ad.reshape(x, (1,) + x.shape)
-        batch, n, d_in = x.shape
+    def __call__(self, x: Tensor, mask: np.ndarray, train: bool = False) -> Tensor:
+        if x.ndim != 2 or mask.ndim != 2 or x.shape[0] != mask.sum():
+            raise ShapeError(f"encoder input {x.shape} is not one row per real "
+                             f"cell of a (batch, n) mask with {mask.sum():g}")
+        if self.proj is not None:
+            x = self.proj(x)
         if self.num_layers == 0:
-            if self.proj is not None:
-                x = self.proj(x)
-            return ad.reshape(x, x.shape[1:]) if squeeze else x
-        if mask is None:
-            mask = np.ones((batch, n))
-        mask = np.asarray(mask, dtype=np.float64)
-        if mask.ndim == 1:
-            mask = mask[None, :]
+            return x
 
+        batch, n = mask.shape
         real, slot = pack_slots(mask)
         heads = self.layers[0].heads
         head_rows = slot[:, None, :] * heads + np.arange(heads)[None, :, None]
@@ -240,14 +235,10 @@ class TransformerEncoder:
         attn_bias = Tensor(np.ascontiguousarray(np.broadcast_to(
             ((1.0 - mask) * NEG_LARGE)[:, None, None, :], (batch, heads, n, n))))
 
-        x = ad.take(ad.reshape(x, (batch * n, d_in)), real)
-        if self.proj is not None:
-            x = self.proj(x)
         x = ad.add(x, Tensor(self._pe(n)[real % n]))
         for layer in self.layers:
             x = layer(x, attn_bias, head_rows, ctx_rows, train)
-        x = unpack(self.final_ln(x), slot)
-        return ad.reshape(x, x.shape[1:]) if squeeze else x
+        return self.final_ln(x)
 
     def parameters(self, prefix: str) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}

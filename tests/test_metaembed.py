@@ -10,7 +10,7 @@ from hme import nn
 from hme.autodiff import Tape, Tensor
 
 from oracles import (finite_difference, layer_norm_loops, mme_word_loops,
-                     pad_rows, softmax_rows, transformer_layer_loops)
+                     pack_rows, softmax_rows, transformer_layer_loops)
 from test_nn import layer_weights
 
 
@@ -155,10 +155,10 @@ def subword_oracle(groups, proj, encoder, scorer):
     return u, alpha
 
 
-def subword_inputs(groups, rng=None):
-    """Padded per-language tensors and their masks for ``mme_subword``."""
-    padded = [pad_rows(group, rng) for group in groups]
-    return [Tensor(x) for x, _ in padded], [mask for _, mask in padded]
+def subword_inputs(groups):
+    """Packed per-language rows and their masks for ``mme_subword``."""
+    packed = [pack_rows(group) for group in groups]
+    return [Tensor(x) for x, _ in packed], [mask for _, mask in packed]
 
 
 class TestMmeSubword:
@@ -168,7 +168,7 @@ class TestMmeSubword:
         enc = nn.TransformerEncoder(4, 4, num_layers=0, heads=2, rng=rng)
         scorer = me.AttentionScorer(4, rng)
         seq = rng.normal(size=(1, 5))
-        u, alpha = me.mme_subword([Tensor(seq[None])], [np.ones((1, 1))],
+        u, alpha = me.mme_subword([Tensor(seq)], [np.ones((1, 1))],
                                   proj, enc, scorer)
         np.testing.assert_allclose(u.data[0], proj.project(0, Tensor(seq)).data[0],
                                    atol=1e-12)
@@ -203,56 +203,61 @@ class TestMmeSubword:
             [rng.normal(size=(2, 5)), rng.normal(size=(3, 5))],
             [rng.normal(size=(3, 3)), rng.normal(size=(1, 3))],
         ]
-        # random values in the padding cells must not reach the output
-        xs, masks = subword_inputs(groups, rng=np.random.default_rng(9))
+        xs, masks = subword_inputs(groups)
         u, alpha = me.mme_subword(xs, masks, proj, enc, scorer)
         ref_u, ref_a = subword_oracle(groups, proj, enc, scorer)
         np.testing.assert_allclose(u.data, ref_u, atol=1e-8)
         np.testing.assert_allclose(alpha.data, ref_a, atol=1e-8)
 
     def test_mask_shape_mismatch_rejected(self):
-        proj = make_proj([3], 2)
+        proj = make_proj([3, 3], 2)
         enc = nn.TransformerEncoder(2, 2, 0, 1, np.random.default_rng(0))
         scorer = me.AttentionScorer(2, np.random.default_rng(0))
+        x = Tensor(np.zeros((4, 3)))
+        # the languages' masks disagree on the word count
         with pytest.raises(ad.ShapeError):
-            me.mme_subword([Tensor(np.zeros((2, 3, 3)))], [np.ones((2, 2))],
+            me.mme_subword([x, x], [np.ones((2, 2)), np.ones((1, 4))],
                            proj, enc, scorer)
+        with pytest.raises(ad.ShapeError):
+            me.mme_subword([x], [np.ones(4)], proj, enc, scorer)
         with pytest.raises(ad.ShapeError):
             me.mme_subword([], [], proj, enc, scorer)
 
 
 class TestCharEncode:
-    """The char level: ``encode_and_pool`` over padded character vectors."""
+    """The char level: ``encode_and_pool`` over packed character vectors."""
 
     def test_single_char_zero_layers_is_projection(self):
         rng = np.random.default_rng(0)
         enc = nn.TransformerEncoder(6, 4, num_layers=0, heads=2, rng=rng)
         seq = Tensor(rng.normal(size=(1, 6)))
-        out = me.encode_and_pool(ad.reshape(seq, (1, 1, 6)), np.ones((1, 1)), enc)
+        out = me.encode_and_pool(seq, np.ones((1, 1)), enc)
         np.testing.assert_allclose(out.data[0], enc.proj(seq).data[0], atol=1e-12)
 
     def test_identical_words_identical_rows(self):
         rng = np.random.default_rng(1)
         enc = nn.TransformerEncoder(6, 4, num_layers=1, heads=2, rng=rng)
         seq = rng.normal(size=(3, 6))
-        out = me.encode_and_pool(Tensor(np.stack([seq, seq.copy()])),
-                                 np.ones((2, 3)), enc)
+        x, mask = pack_rows([seq, seq.copy()])
+        out = me.encode_and_pool(Tensor(x), mask, enc)
         np.testing.assert_array_equal(out.data[0], out.data[1])
 
     def test_one_layer_matches_oracle(self):
         rng = np.random.default_rng(2)
         enc = nn.TransformerEncoder(6, 4, num_layers=1, heads=2,
                                     rng=np.random.default_rng(3))
-        seq = rng.normal(size=(4, 6))
-        # batched beside a shorter word whose padding cells hold random values
-        x, mask = pad_rows([seq, rng.normal(size=(2, 6))], rng)
+        # a word batched before a shorter one
+        words = [rng.normal(size=(4, 6)), rng.normal(size=(2, 6))]
+        x, mask = pack_rows(words)
         out = me.encode_and_pool(Tensor(x), mask, enc)
 
-        x = seq @ enc.proj.weight.data + enc.proj.bias.data
-        x = x + nn.sinusoidal_positions(4, 4)
-        x = transformer_layer_loops(x, np.ones(4), layer_weights(enc.layers[0]))
-        x = layer_norm_loops(x, enc.final_ln.gain.data, enc.final_ln.bias.data)
-        np.testing.assert_allclose(out.data[0], x.mean(axis=0), atol=1e-8)
+        for i, seq in enumerate(words):
+            m = len(seq)
+            x = seq @ enc.proj.weight.data + enc.proj.bias.data
+            x = x + nn.sinusoidal_positions(m, 4)
+            x = transformer_layer_loops(x, np.ones(m), layer_weights(enc.layers[0]))
+            x = layer_norm_loops(x, enc.final_ln.gain.data, enc.final_ln.bias.data)
+            np.testing.assert_allclose(out.data[i], x.mean(axis=0), atol=1e-8)
 
 
 class TestHmeConcat:

@@ -4,7 +4,6 @@ import os
 import numpy as np
 import pytest
 
-from hme import autodiff as ad
 from hme import embeddings as emb
 from hme import metaembed as me
 from hme import model as mdl
@@ -12,7 +11,7 @@ from hme import training as tr
 from hme.autodiff import Tape, Tensor
 from hme.tokenization import apply_bpe, to_chars
 
-from oracles import lookup, pad_rows
+from oracles import lookup, pack_rows
 from toyres import (BAD_PARAM_HEADERS, build_resources, build_sentences,
                     rewrite_checkpoint_header, tiny_model_config)
 
@@ -120,8 +119,8 @@ class TestAgainstPublicOps:
         word_inputs = [Tensor(self.lookup_rows(t, sent.words))
                        for t in model.resources.word_tables]
         u, _ = me.mme_word(word_inputs, model.word_proj, model.word_scorer)
-        h = model.encoder(ad.reshape(u, (1, len(sent), u.shape[-1])))
-        ref = model.crf.emissions(h).data[0]
+        h = model.encoder(u, np.ones((1, len(sent))))
+        ref = model.crf.emissions(h).data
         np.testing.assert_allclose(got, ref, atol=1e-10)
 
     def test_hme_variant(self):
@@ -135,18 +134,18 @@ class TestAgainstPublicOps:
         sub_inputs, sub_masks = [], []
         for table in res.subword_tables:
             bpe = res.bpe_models[table.language_id]
-            x, mask = pad_rows([self.lookup_rows(table, apply_bpe(bpe, w))
-                                for w in sent.words])
+            x, mask = pack_rows([self.lookup_rows(table, apply_bpe(bpe, w))
+                                 for w in sent.words])
             sub_inputs.append(Tensor(x))
             sub_masks.append(mask)
         u_s, _ = me.mme_subword(sub_inputs, sub_masks, model.subword_proj,
                                 model.subword_encoder, model.subword_scorer)
-        x, mask = pad_rows([self.lookup_rows(res.char_table, to_chars(w))
-                            for w in sent.words])
+        x, mask = pack_rows([self.lookup_rows(res.char_table, to_chars(w))
+                             for w in sent.words])
         u_c = me.encode_and_pool(Tensor(x), mask, model.char_encoder)
         u = me.hme_concat(u_w, u_s, u_c)
-        h = model.encoder(ad.reshape(u, (1, len(sent), u.shape[-1])))
-        ref = model.crf.emissions(h).data[0]
+        h = model.encoder(u, np.ones((1, len(sent))))
+        ref = model.crf.emissions(h).data
         np.testing.assert_allclose(got, ref, atol=1e-8)
 
 

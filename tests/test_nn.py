@@ -1,10 +1,13 @@
 import numpy as np
+import pytest
 
 from hme import autodiff as ad
+from hme import metaembed as me
 from hme import nn
 from hme.autodiff import Tape, Tensor
 
-from oracles import finite_difference, layer_norm_loops, transformer_layer_loops
+from oracles import (finite_difference, layer_norm_loops, pack_rows,
+                     transformer_layer_loops)
 
 
 def layer_weights(layer: nn.EncoderLayer) -> dict:
@@ -75,26 +78,33 @@ class TestDropout:
         assert not np.array_equal(a, b)
 
 
+def ragged_mask(lengths) -> np.ndarray:
+    mask = np.zeros((len(lengths), max(lengths)))
+    for b, length in enumerate(lengths):
+        mask[b, :length] = 1.0
+    return mask
+
+
 class TestTransformerEncoder:
     def test_zero_layers_identity(self):
         rng = np.random.default_rng(2)
         enc = nn.TransformerEncoder(8, 8, num_layers=0, heads=2, rng=rng)
         x = Tensor(rng.normal(size=(3, 8)))
-        out = enc(x)
+        out = enc(x, np.ones((1, 3)))
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_zero_layers_projection_only(self):
         rng = np.random.default_rng(3)
         enc = nn.TransformerEncoder(5, 8, num_layers=0, heads=2, rng=rng)
         x = rng.normal(size=(3, 5))
-        out = enc(Tensor(x))
+        out = enc(Tensor(x), ragged_mask([1, 2]))
         np.testing.assert_allclose(out.data, x @ enc.proj.weight.data + enc.proj.bias.data)
 
     def test_output_shape(self):
         rng = np.random.default_rng(4)
         enc = nn.TransformerEncoder(6, 8, num_layers=2, heads=2, rng=rng)
-        out = enc(Tensor(rng.normal(size=(2, 5, 6))))
-        assert out.shape == (2, 5, 8)
+        out = enc(Tensor(rng.normal(size=(7, 6))), ragged_mask([5, 2]))
+        assert out.shape == (7, 8)
 
     def test_one_layer_matches_loop_oracle(self):
         rng = np.random.default_rng(5)
@@ -102,7 +112,7 @@ class TestTransformerEncoder:
         n = 4
         x = rng.normal(size=(n, 8))
         mask = np.ones(n)
-        got = enc(Tensor(x)).data
+        got = enc(Tensor(x), mask[None, :]).data
 
         pe = nn.sinusoidal_positions(n, 8)
         ref = transformer_layer_loops(x + pe, mask, layer_weights(enc.layers[0]))
@@ -112,42 +122,63 @@ class TestTransformerEncoder:
     def test_one_layer_masked_matches_loop_oracle(self):
         rng = np.random.default_rng(6)
         enc = nn.TransformerEncoder(8, 8, num_layers=1, heads=2, rng=rng)
-        n = 5
-        x = rng.normal(size=(n, 8))
-        mask = np.array([1.0, 1.0, 1.0, 0.0, 0.0])
-        got = enc(Tensor(x), mask=mask[None, :]).data
+        short, full = rng.normal(size=(3, 8)), rng.normal(size=(5, 8))
+        x, mask = pack_rows([short, full])
+        got = enc(Tensor(x), mask).data
 
+        # the short sequence through the loop oracle at the batch width, its
+        # last two positions masked out and holding random values
+        n = 5
+        padded = np.concatenate([short, rng.normal(size=(2, 8))])
         pe = nn.sinusoidal_positions(n, 8)
-        ref = transformer_layer_loops(x + pe, mask, layer_weights(enc.layers[0]))
+        ref = transformer_layer_loops(padded + pe, mask[0], layer_weights(enc.layers[0]))
         ref = layer_norm_loops(ref, enc.final_ln.gain.data, enc.final_ln.bias.data)
-        ref = ref * mask[:, None]
-        np.testing.assert_allclose(got, ref, atol=1e-8)
+        np.testing.assert_allclose(got[:3], ref[:3], atol=1e-8)
 
     def test_masked_positions_do_not_leak(self):
+        """One sequence's cells are masked out of every other sequence's
+        attention, so changing them leaves the other outputs as they were."""
         rng = np.random.default_rng(7)
         enc = nn.TransformerEncoder(8, 8, num_layers=2, heads=2, rng=rng, p_drop=0.5)
         nn.assign_dropout_keys(enc.dropouts(), seed=5)
-        mask = np.array([[1.0, 1.0, 0.0]])
-        x = rng.normal(size=(1, 3, 8))
+        x, mask = pack_rows([rng.normal(size=(2, 8)), rng.normal(size=(3, 8))])
         x2 = x.copy()
-        x2[0, 2] = 100.0  # pad content must not influence real positions
+        x2[2:] = 100.0 * rng.normal(size=(3, 8))     # the second sequence's rows
         for train in (False, True):
             outs = []
             for inp in (x, x2):
                 for d in enc.dropouts():
                     d.begin_step(4)     # the same dropout masks for both inputs
-                outs.append(enc(Tensor(inp), mask=mask, train=train).data)
+                outs.append(enc(Tensor(inp), mask, train=train).data)
             out1, out2 = outs
-            np.testing.assert_allclose(out1[0, :2], out2[0, :2], atol=1e-12,
+            np.testing.assert_allclose(out1[:2], out2[:2], atol=1e-12,
                                        err_msg=f"train={train}")
-            assert np.all(out1[0, 2] == 0.0) and np.all(out2[0, 2] == 0.0)
+            assert not np.allclose(out1[2:], out2[2:])
+
+    def test_rows_must_match_real_cells(self):
+        rng = np.random.default_rng(11)
+        mask = ragged_mask([1, 3])
+        for layers in (0, 1):
+            enc = nn.TransformerEncoder(6, 8, num_layers=layers, heads=2, rng=rng)
+            for rows in (3, 5):
+                with pytest.raises(ad.ShapeError):
+                    enc(Tensor(rng.normal(size=(rows, 6))), mask)
+            with pytest.raises(ad.ShapeError):
+                enc(Tensor(rng.normal(size=(4, 6))), mask.reshape(-1))
+        enc = nn.TransformerEncoder(8, 8, num_layers=1, heads=2, rng=rng)
+        proj = me.ProjectionSet([3, 2], 8, rng)
+        scorer = me.AttentionScorer(8, rng)
+        xs = [Tensor(rng.normal(size=(4, 3))), Tensor(rng.normal(size=(4, 2)))]
+        assert me.mme_subword(xs, [mask, mask], proj, enc, scorer)[0].shape == (2, 8)
+        for rows in (3, 5):
+            with pytest.raises(ad.ShapeError):
+                me.mme_subword([xs[0], Tensor(rng.normal(size=(rows, 2)))],
+                               [mask, mask], proj, enc, scorer)
 
     def test_per_position_ops_see_only_real_positions(self, monkeypatch):
         rng = np.random.default_rng(8)
         enc = nn.TransformerEncoder(6, 8, num_layers=2, heads=2, rng=rng)
-        mask = np.zeros((3, 5))
-        for b, length in enumerate((1, 3, 5)):
-            mask[b, :length] = 1.0
+        mask = ragged_mask([1, 3, 5])
         rows = []
         linear_call = nn.Linear.__call__
 
@@ -156,26 +187,22 @@ class TestTransformerEncoder:
             return linear_call(lin, x)
 
         monkeypatch.setattr(nn.Linear, "__call__", spy)
-        out = enc(Tensor(rng.normal(size=(3, 5, 6))), mask=mask)
+        out = enc(Tensor(rng.normal(size=(9, 6))), mask)
         # the input projection, then q, k, v, o and two feed-forward maps per layer
         assert len(rows) == 1 + 2 * 6
         assert rows == [int(mask.sum())] * len(rows)
-        assert np.all(out.data[mask == 0.0] == 0.0)
+        assert out.shape == (9, 8)
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(9)
         enc = nn.TransformerEncoder(4, 4, num_layers=1, heads=2, rng=rng, ff_dim=6)
-        # an unmasked sentence, then a ragged batch of lengths 1, 3 and 4
-        # whose padding cells hold random values
-        ragged = np.zeros((3, 4))
-        for b, length in enumerate((1, 3, 4)):
-            ragged[b, :length] = 1.0
-        for shape, mask in (((3, 4), None), ((3, 4, 4), ragged)):
-            x = Tensor(rng.normal(size=shape), requires_grad=True)
+        # one unmasked sentence, then a ragged batch of lengths 1, 3 and 4
+        for mask in (np.ones((1, 3)), ragged_mask([1, 3, 4])):
+            x = Tensor(rng.normal(size=(int(mask.sum()), 4)), requires_grad=True)
             params = dict(enc.parameters("enc"), x=x)
 
             def build():
-                return ad.tensor_sum(ad.tanh(enc(x, mask=mask)))
+                return ad.tensor_sum(ad.tanh(enc(x, mask)))
 
             for p in params.values():
                 p.zero_grad()
@@ -185,24 +212,23 @@ class TestTransformerEncoder:
                 assert p.grad is not None, name
                 num = finite_difference(lambda: build().item(), p.data)
                 np.testing.assert_allclose(p.grad, num, rtol=1e-5, atol=1e-7,
-                                           err_msg=f"{name} {shape}")
-            if mask is not None:
-                assert np.all(x.grad[mask == 0.0] == 0.0)
+                                           err_msg=f"{name} {mask.shape}")
 
     def test_eval_deterministic_train_stochastic(self):
         rng = np.random.default_rng(10)
         enc = nn.TransformerEncoder(8, 8, num_layers=1, heads=2, rng=rng, p_drop=0.5)
         nn.assign_dropout_keys(enc.dropouts(), seed=3)
-        x = Tensor(np.random.default_rng(0).normal(size=(2, 3, 8)))
-        np.testing.assert_array_equal(enc(x).data, enc(x).data)
+        x = Tensor(np.random.default_rng(0).normal(size=(6, 8)))
+        mask = np.ones((2, 3))
+        np.testing.assert_array_equal(enc(x, mask).data, enc(x, mask).data)
         for d in enc.dropouts():
             d.begin_step(0)
-        t0 = enc(x, train=True).data
+        t0 = enc(x, mask, train=True).data
         for d in enc.dropouts():
             d.begin_step(0)
-        t0b = enc(x, train=True).data
+        t0b = enc(x, mask, train=True).data
         np.testing.assert_array_equal(t0, t0b)
         for d in enc.dropouts():
             d.begin_step(1)
-        t1 = enc(x, train=True).data
+        t1 = enc(x, mask, train=True).data
         assert not np.array_equal(t0, t1)
