@@ -16,6 +16,8 @@ import os
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import embeddings as emb
 from . import metaembed as me
 from . import model as mdl
@@ -403,7 +405,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # the ops' own finiteness checks report overflow as error[numeric],
+        # so numpy's warnings would only repeat it as raw stderr noise
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except (ConfigError, ConllFormatError, emb.EmbeddingFormatError,
             mdl.CheckpointError, FileNotFoundError) as exc:
         print(f"hme: error[input]: {exc}", file=sys.stderr)

@@ -1,9 +1,12 @@
 """Loading, indexing and serving embedding lookup tables.
 
 Word- and subword-level tables are loaded from text files and stay frozen for
-the whole training run; the character table is created here and is trainable.
-Out-of-vocabulary handling is per-table: ``zero_vector`` (contributes nothing
-downstream) or ``trainable_unk`` (a shared learned row).
+the whole training run; the character table (and the ``random`` variant's word
+table) is generated here and is trainable.  Every table follows one rule for
+an out-of-vocabulary token: it reads the table's ``unk_index`` row when the
+table has one, and a zero vector otherwise.  Generated tables keep row
+``PAD_INDEX`` zeroed and row ``UNK_INDEX`` as their shared unknown row; loaded
+tables hold exactly the file's rows and have no unknown row.
 """
 
 from __future__ import annotations
@@ -41,9 +44,7 @@ class EmbeddingTable:
     vocab: dict[str, int]
     vectors: Tensor
     trainable: bool
-    oov_policy: str = "zero_vector"   # or "trainable_unk"
-    pad_index: int | None = None      # row pinned to the zero vector
-    unk_index: int | None = None      # shared row for trainable_unk lookups
+    unk_index: int | None = None      # row every OOV token reads; None: zeros
 
     def __post_init__(self):
         if self.level not in LEVELS:
@@ -133,7 +134,7 @@ def load_text_embeddings(path: str, fmt: str, language_id: str = "", level: str 
             f"{path}: dimension {dim} does not match manifest dimension {expected_dim}")
     return EmbeddingTable(
         language_id=language_id, level=level, dim=dim, vocab=vocab,
-        vectors=Tensor(np.vstack(rows)), trainable=False, oov_policy="zero_vector")
+        vectors=Tensor(np.vstack(rows)), trainable=False)
 
 
 def save_text_embeddings(table: EmbeddingTable, path: str) -> None:
@@ -165,8 +166,7 @@ def init_char_table(alphabet, dim: int, seed: int) -> EmbeddingTable:
     vocab = {sym: i + 2 for i, sym in enumerate(entries)}
     return EmbeddingTable(
         language_id="*", level="char", dim=dim, vocab=vocab,
-        vectors=Tensor(rows, requires_grad=True), trainable=True,
-        oov_policy="trainable_unk", pad_index=PAD_INDEX, unk_index=UNK_INDEX)
+        vectors=Tensor(rows, requires_grad=True), trainable=True, unk_index=UNK_INDEX)
 
 
 def init_random_word_table(vocab_tokens, dim: int, seed: int) -> EmbeddingTable:
@@ -180,8 +180,7 @@ def init_random_word_table(vocab_tokens, dim: int, seed: int) -> EmbeddingTable:
     vocab = {tok: i + 2 for i, tok in enumerate(tokens)}
     return EmbeddingTable(
         language_id="random", level="word", dim=dim, vocab=vocab,
-        vectors=Tensor(rows, requires_grad=True), trainable=True,
-        oov_policy="trainable_unk", pad_index=PAD_INDEX, unk_index=UNK_INDEX)
+        vectors=Tensor(rows, requires_grad=True), trainable=True, unk_index=UNK_INDEX)
 
 
 @dataclass

@@ -65,24 +65,16 @@ def attend_languages(projected: list[Tensor], scorer) -> tuple[Tensor, Tensor]:
 
 def mme_word(embeddings_per_language: list[Tensor], proj: ProjectionSet,
              scorer: AttentionScorer) -> tuple[Tensor, Tensor]:
-    """Word-level meta-embedding.
-
-    Each entry is (..., d_j) with identical leading shape; returns the
-    combined (..., d') vectors and the (..., L) attention weights.
-    """
+    """Word-level meta-embedding of each language's packed (N, d_j) rows;
+    returns the combined (N, d') vectors and the (N, L) attention weights."""
     if not embeddings_per_language:
         raise ShapeError("mme_word needs at least one language")
-    lead = embeddings_per_language[0].shape[:-1]
+    n = embeddings_per_language[0].shape[0]
     for e in embeddings_per_language:
-        if e.shape[:-1] != lead:
+        if e.ndim != 2 or e.shape[0] != n:
             raise ShapeError("language inputs disagree on token count")
-    n = int(np.prod(lead))
-    projected = [proj.project(j, ad.reshape(e, (n, e.shape[-1])))
-                 for j, e in enumerate(embeddings_per_language)]
-    u, alpha = attend_languages(projected, scorer)
-    L = len(projected)
-    return (ad.reshape(u, lead + (proj.out_dim,)),
-            ad.reshape(alpha, lead + (L,)))
+    projected = [proj.project(j, e) for j, e in enumerate(embeddings_per_language)]
+    return attend_languages(projected, scorer)
 
 
 def encode_and_pool(x: Tensor, mask: np.ndarray, encoder: TransformerEncoder,

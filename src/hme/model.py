@@ -8,6 +8,7 @@ import math
 import os
 from collections import Counter
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,115 +68,84 @@ class Resources:
     char_table: emb.EmbeddingTable | None = None
 
 
-@dataclass
-class EncodedSentence:
-    """Index arrays for one sentence; built once and cached.  The subword and
-    char levels keep only their real cells, word by word, plus the number of
-    cells of each word."""
+class Lookup(NamedTuple):
+    """One table's rows for a run of words: ``idx`` (C,) holds the row of
+    every piece, word by word; ``valid`` (C,) is 0.0 where a piece reads a
+    zero vector; ``count`` (R,) holds the pieces of each word."""
 
-    n: int
-    word_idx: np.ndarray        # (L_w, n) rows into each word table
-    word_valid: np.ndarray      # (L_w, n) 0.0 where out of vocabulary
-    sub_idx: list[np.ndarray]   # per language: (C,) rows of its real subwords
-    sub_valid: list[np.ndarray]  # (C,) 0.0 where out of vocabulary
-    sub_len: list[np.ndarray]   # (n,) subwords per word
-    char_idx: np.ndarray | None  # (C,)
-    char_len: np.ndarray | None  # (n,) characters per word
+    idx: np.ndarray
+    valid: np.ndarray
+    count: np.ndarray
+
+
+@dataclass
+class Indices:
+    """Table rows for a batch of sentences; one sentence is a batch of one.
+
+    ``lengths`` (B,) holds the words of each sentence, and ``tables`` one
+    Lookup per featurizer table over the R = sum(lengths) words in sentence
+    order.  Every index array holds real cells only, so no level computes a
+    padding cell."""
+
+    lengths: np.ndarray
+    tables: list[Lookup]
 
 
 class Featurizer:
     """Turns tokenized sentences into table indices, counting OOV hits.
+
+    The tables come in the order the model reads them: word tables, subword
+    tables, then the char table.  Each word splits into the table's pieces
+    (the word itself, its BPE subwords or its characters), and every table
+    applies one rule to a piece it does not hold: read the table's unknown
+    row if it has one, else a zero vector.
 
     ``encode`` reads the cache but never adds to it; ``store`` encodes and
     keeps the result.  Only training and dev sentences are stored, so
     prediction over any number of new sentences leaves the cache as it is.
     """
 
-    def __init__(self, word_tables, subword_tables=(), bpe_models=None,
-                 char_table=None):
-        self.word_tables = list(word_tables)
-        self.subword_tables = list(subword_tables)
-        self.bpe_models = [
-            bpe_models[t.language_id] for t in self.subword_tables
-        ] if self.subword_tables else []
-        self.char_table = char_table
+    def __init__(self, tables, bpe_models=None):
+        self.tables = list(tables)
+        self.bpe_models = bpe_models or {}
         self.counters: Counter = Counter()
-        self._cache: dict[int, tuple[TokenizedSentence, EncodedSentence]] = {}
+        self._cache: dict[int, tuple[TokenizedSentence, Indices]] = {}
 
-    def store(self, sent: TokenizedSentence) -> EncodedSentence:
+    def store(self, sent: TokenizedSentence) -> Indices:
         enc = self.encode(sent)
         self._cache[id(sent)] = (sent, enc)
         return enc
 
-    def encode(self, sent: TokenizedSentence) -> EncodedSentence:
+    def _split(self, table: emb.EmbeddingTable, words: list[str]) -> list[list[str]]:
+        if table.level == "subword":
+            bpe = self.bpe_models[table.language_id]
+            return [apply_bpe(bpe, w) for w in words]
+        if table.level == "char":
+            return [to_chars(w) for w in words]
+        return [[w] for w in words]
+
+    def encode(self, sent: TokenizedSentence) -> Indices:
         hit = self._cache.get(id(sent))
         if hit is not None and hit[0] is sent:
             return hit[1]
-        n = len(sent)
-        word_idx = np.zeros((len(self.word_tables), n), dtype=np.int64)
-        word_valid = np.ones((len(self.word_tables), n))
-        for j, table in enumerate(self.word_tables):
-            for i, w in enumerate(sent.words):
-                idx = table.index_of(w)
-                if idx is None:
-                    if table.oov_policy == "trainable_unk" and table.unk_index is not None:
-                        word_idx[j, i] = table.unk_index
-                    else:
-                        word_valid[j, i] = 0.0
-                    self.counters[f"oov_word_{table.language_id}"] += 1
-                else:
-                    word_idx[j, i] = idx
-
-        sub_idx, sub_valid, sub_len = [], [], []
-        for table, model in zip(self.subword_tables, self.bpe_models):
-            pieces = [apply_bpe(model, w) for w in sent.words]
-            idx, valid = [], []
-            for piece in (p for word_pieces in pieces for p in word_pieces):
-                row = table.index_of(piece)
-                if row is None:
-                    self.counters[f"oov_subword_{table.language_id}"] += 1
-                idx.append(0 if row is None else row)
-                valid.append(0.0 if row is None else 1.0)
-            sub_idx.append(np.array(idx, dtype=np.int64))
-            sub_valid.append(np.array(valid))
-            sub_len.append(np.array([len(p) for p in pieces], dtype=np.int64))
-
-        char_idx = char_len = None
-        if self.char_table is not None:
-            chars = [to_chars(w) for w in sent.words]
-            idx = []
-            for ch in (c for word_chars in chars for c in word_chars):
-                row = self.char_table.index_of(ch)
-                if row is None:
-                    row = self.char_table.unk_index
-                    self.counters["oov_char"] += 1
-                idx.append(row)
-            char_idx = np.array(idx, dtype=np.int64)
-            char_len = np.array([len(c) for c in chars], dtype=np.int64)
-
-        return EncodedSentence(n=n, word_idx=word_idx, word_valid=word_valid,
-                               sub_idx=sub_idx, sub_valid=sub_valid, sub_len=sub_len,
-                               char_idx=char_idx, char_len=char_len)
-
-
-@dataclass
-class _Batch:
-    """A batch of sentences as masks plus the indices of their real cells.
-
-    ``token_mask`` is (B, n_max) over the R real tokens, and each per-word
-    level has an (R, m) mask over its C real cells.  Every index array holds
-    real cells only, in the row-major order of its mask, so no level computes
-    a padding cell."""
-
-    token_mask: np.ndarray                 # (B, n_max)
-    word_idx: np.ndarray                   # (L_w, R)
-    word_valid: np.ndarray
-    sub_idx: list[np.ndarray]              # per language (C,)
-    sub_valid: list[np.ndarray]
-    sub_mask: list[np.ndarray]             # per language (R, m)
-    char_idx: np.ndarray | None            # (C,)
-    char_mask: np.ndarray | None           # (R, p)
-    lengths: list[int]
+        lookups = []
+        for table in self.tables:
+            pieces = self._split(table, sent.words)
+            rows = [table.index_of(p) for word in pieces for p in word]
+            valid = np.ones(len(rows))
+            if None in rows:
+                misses = [i for i, row in enumerate(rows) if row is None]
+                lang = "" if table.level == "char" else f"_{table.language_id}"
+                self.counters[f"oov_{table.level}{lang}"] += len(misses)
+                fill = table.unk_index
+                if fill is None:
+                    fill = 0
+                    valid[misses] = 0.0
+                for i in misses:
+                    rows[i] = fill
+            lookups.append(Lookup(np.array(rows, dtype=np.int64), valid,
+                                  np.array([len(p) for p in pieces], dtype=np.int64)))
+        return Indices(np.array([len(sent)]), lookups)
 
 
 def _length_mask(lengths) -> np.ndarray:
@@ -184,23 +154,11 @@ def _length_mask(lengths) -> np.ndarray:
     return (np.arange(lengths.max()) < lengths[:, None]).astype(np.float64)
 
 
-def _collate(encs: list[EncodedSentence]) -> _Batch:
-    def cat(arrays):
-        return np.concatenate(list(arrays))
-
-    lengths = [e.n for e in encs]
-    langs = range(len(encs[0].sub_idx))
-    chars = encs[0].char_idx is not None
-    return _Batch(
-        token_mask=_length_mask(lengths),
-        word_idx=np.concatenate([e.word_idx for e in encs], axis=1),
-        word_valid=np.concatenate([e.word_valid for e in encs], axis=1),
-        sub_idx=[cat(e.sub_idx[j] for e in encs) for j in langs],
-        sub_valid=[cat(e.sub_valid[j] for e in encs) for j in langs],
-        sub_mask=[_length_mask(cat(e.sub_len[j] for e in encs)) for j in langs],
-        char_idx=cat(e.char_idx for e in encs) if chars else None,
-        char_mask=_length_mask(cat(e.char_len for e in encs)) if chars else None,
-        lengths=lengths)
+def _collate(encs: list[Indices]) -> Indices:
+    """Concatenate the sentences' arrays field by field."""
+    return Indices(np.concatenate([e.lengths for e in encs]),
+                   [Lookup(*map(np.concatenate, zip(*per_sentence)))
+                    for per_sentence in zip(*(e.tables for e in encs))])
 
 
 def _masked_lookup(table: emb.EmbeddingTable, idx: np.ndarray,
@@ -279,9 +237,9 @@ class SequenceTagger:
             encoder_in, config.d_model, config.encoder_layers, config.encoder_heads,
             rng, ff_dim=config.ff_multiplier * config.d_model, p_drop=config.dropout)
         self.crf = CrfModel(resources.labels, config.d_model, rng)
+        char = [resources.char_table] if config.variant == "hme" else []
         self.featurizer = Featurizer(
-            resources.word_tables, resources.subword_tables, resources.bpe_models,
-            resources.char_table if config.variant == "hme" else None)
+            resources.word_tables + resources.subword_tables + char, resources.bpe_models)
         assign_dropout_keys(self.dropouts(), seed)
 
     # -- bookkeeping ---------------------------------------------------------
@@ -340,13 +298,12 @@ class SequenceTagger:
     def forward(self, sentences: list[TokenizedSentence],
                 train: bool = False) -> ForwardResult:
         featurize = self.featurizer.store if train else self.featurizer.encode
-        encs = [featurize(s) for s in sentences]
-        batch = _collate(encs)
+        batch = _collate([featurize(s) for s in sentences])
+        inputs = [_masked_lookup(table, lookup.idx, lookup.valid)
+                  for table, lookup in zip(self.featurizer.tables, batch.tables)]
+        n_word = len(self.resources.word_tables)
 
-        word_inputs = [
-            _masked_lookup(table, batch.word_idx[j], batch.word_valid[j])
-            for j, table in enumerate(self.resources.word_tables)
-        ]
+        word_inputs = inputs[:n_word]
         alpha_w = alpha_s = None
         if self.config.variant == "concat":
             u = me.concat_baseline(word_inputs)
@@ -356,21 +313,20 @@ class SequenceTagger:
             u, alpha_w = me.mme_word(word_inputs, self.word_proj, self.word_scorer)
 
         if self.config.variant == "hme":
-            sub_inputs = [
-                _masked_lookup(table, batch.sub_idx[j], batch.sub_valid[j])
-                for j, table in enumerate(self.resources.subword_tables)
-            ]
-            u_s, alpha_s = me.mme_subword(sub_inputs, batch.sub_mask, self.subword_proj,
+            subwords = slice(n_word, -1)
+            sub_masks = [_length_mask(lookup.count) for lookup in batch.tables[subwords]]
+            u_s, alpha_s = me.mme_subword(inputs[subwords], sub_masks, self.subword_proj,
                                           self.subword_encoder, self.subword_scorer,
                                           train)
-            cx = ad.take(self.resources.char_table.vectors, batch.char_idx)
-            u_c = me.encode_and_pool(cx, batch.char_mask, self.char_encoder, train)
+            u_c = me.encode_and_pool(inputs[-1], _length_mask(batch.tables[-1].count),
+                                     self.char_encoder, train)
             u = me.hme_concat(u, u_s, u_c)
 
-        h = self.encoder(u, batch.token_mask, train)
+        token_mask = _length_mask(batch.lengths)
+        h = self.encoder(u, token_mask, train)
         # only the tag scores leave the packed rows: (B, n_max, T), zeros at padding
-        emissions = unpack(self.crf.emissions(h), pack_slots(batch.token_mask)[1])
-        return ForwardResult(emissions=emissions, lengths=batch.lengths,
+        emissions = unpack(self.crf.emissions(h), pack_slots(token_mask)[1])
+        return ForwardResult(emissions=emissions, lengths=batch.lengths.tolist(),
                              alpha_word=alpha_w, alpha_subword=alpha_s)
 
     def loss_batch(self, sentences: list[TokenizedSentence],
@@ -492,9 +448,8 @@ def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
             raise CheckpointError(f"{path}: corrupt checkpoint header ({exc})") from None
         if not isinstance(header, dict) or header.get("format_version") != 1:
             raise CheckpointError(f"{path}: unsupported checkpoint version")
-        if header.get("dtype") not in ("float32", "float64"):
+        if header.get("dtype") != "float64":
             raise CheckpointError(f"{path}: unsupported dtype {header.get('dtype')!r}")
-        dtype = np.dtype(header["dtype"])
         params = header.get("params")
         if not isinstance(params, list) or not all(
                 isinstance(meta, dict) and isinstance(meta.get("name"), str)
@@ -503,13 +458,16 @@ def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
                 for meta in params):
             raise CheckpointError(
                 f"{path}: checkpoint params must be named shapes of non-negative ints")
-        # like the header length: never ask for more bytes than the file holds
-        sizes = [math.prod(meta["shape"]) * dtype.itemsize for meta in params]
-        if sum(sizes) > os.fstat(fh.fileno()).st_size - fh.tell():
-            raise CheckpointError(f"{path}: truncated checkpoint")
+        # like the header length: never ask for more bytes than the file
+        # holds, and refuse bytes that no parameter accounts for
+        sizes = [math.prod(meta["shape"]) * np.dtype(np.float64).itemsize for meta in params]
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if sum(sizes) != left:
+            raise CheckpointError(f"{path}: parameters need {sum(sizes)} bytes, "
+                                  f"{left} follow the header")
         arrays = {}
         for meta, size in zip(params, sizes):
             buf = fh.read(size)
-            arrays[meta["name"]] = np.frombuffer(buf, dtype=dtype).reshape(
+            arrays[meta["name"]] = np.frombuffer(buf, dtype=np.float64).reshape(
                 meta["shape"]).copy()
     return header, arrays

@@ -48,12 +48,12 @@ def finite_difference_jacobian(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
 
 def lookup(table, token: str) -> np.ndarray:
     """Per-token embedding row: exact match, lowercase fallback, then the
-    shared unknown row under ``trainable_unk`` or zeros otherwise."""
+    table's unknown row if it has one, or zeros otherwise."""
     idx = table.vocab.get(token)
     if idx is None:
         idx = table.vocab.get(token.lower())
     if idx is None:
-        if table.oov_policy != "trainable_unk" or table.unk_index is None:
+        if table.unk_index is None:
             return np.zeros(table.dim)
         idx = table.unk_index
     return table.vectors.data[idx].copy()

@@ -251,6 +251,29 @@ class TestPredict:
         out_tokens = [l.split("\t")[0] for l in out.read_text().splitlines() if l]
         assert in_tokens == out_tokens
 
+    def predict_exit(self, toy, tmp_path, checkpoint):
+        out = tmp_path / "out.conll"
+        return cli.main(["predict", str(checkpoint), toy["paths"]["data"]["test"],
+                         "--out", str(out)])
+
+    def test_bytes_after_the_parameters_exit_2(self, toy, tmp_path, capsys):
+        padded = tmp_path / "padded.ckpt"
+        padded.write_bytes(open(toy["checkpoint"], "rb").read() + bytes(42))
+        assert self.predict_exit(toy, tmp_path, padded) == 2
+        assert "hme: error[input]:" in capsys.readouterr().err
+
+    def test_float32_checkpoint_exit_2(self, toy, tmp_path, capsys):
+        # a complete, self-consistent float32 file: only the dtype is refused
+        header, arrays = mdl.load_checkpoint(toy["checkpoint"])
+        blob = json.dumps(dict(header, dtype="float32")).encode("utf-8")
+        f32 = tmp_path / "f32.ckpt"
+        f32.write_bytes(mdl.CHECKPOINT_MAGIC + len(blob).to_bytes(8, "big") + blob
+                        + b"".join(arrays[meta["name"]].astype(np.float32).tobytes()
+                                   for meta in header["params"]))
+        assert self.predict_exit(toy, tmp_path, f32) == 2
+        err = capsys.readouterr().err
+        assert "hme: error[input]:" in err and "float32" in err
+
 
 class TestEnsemble:
     def write_pred(self, path, rows):
@@ -365,8 +388,8 @@ def test_divergence_maps_to_exit_3(toy, monkeypatch, capsys):
     assert "hme: error[numeric]:" in capsys.readouterr().err
 
 
-# the overflow is the point of the test; numpy warns as it happens
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+# the overflow is reported once, as error[numeric], never as a numpy warning
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_training_exits_3_without_a_checkpoint(toy, tmp_path, capsys):
     cfg = json.load(open(toy["paths"]["config"]))
     cfg["train"]["learning_rate"] = 1e150

@@ -4,9 +4,10 @@ import pytest
 from hme import embeddings as emb
 from hme import model as mdl
 from hme.autodiff import Tape, tensor_sum, take
-from hme.tokenization import TokenizedSentence
+from hme.tokenization import TokenizedSentence, apply_bpe, to_chars
 
 from oracles import lookup
+from toyres import WORDS_A, build_resources
 
 
 def write(tmp_path, name, text):
@@ -70,8 +71,8 @@ class TestLoad:
 
 def featurized_row(table, token):
     """The row the model's batched featurize-and-gather path uses."""
-    enc = mdl.Featurizer([table]).encode(TokenizedSentence([token], [token]))
-    return mdl._masked_lookup(table, enc.word_idx[0], enc.word_valid[0]).data[0]
+    (found,) = mdl.Featurizer([table]).encode(TokenizedSentence([token], [token])).tables
+    return mdl._masked_lookup(table, found.idx, found.valid).data[0]
 
 
 class TestLookup:
@@ -101,6 +102,30 @@ class TestLookup:
         self.check(t, "ø", t.vectors.data[t.unk_index])
 
 
+@pytest.mark.parametrize("level", ["frozen_word", "random_word", "subword", "char"])
+def test_one_oov_rule_at_every_level(level):
+    """Each table gives every piece of a word the reference row, OOV pieces
+    included, and counts its misses under the level's counter name."""
+    res = build_resources()
+    table, split, counter = {
+        "frozen_word": (res.word_tables[0], lambda w: [w], "oov_word_A"),
+        "random_word": (emb.init_random_word_table(WORDS_A, 4, seed=0), lambda w: [w],
+                        "oov_word_random"),
+        "subword": (res.subword_tables[0], lambda w: apply_bpe(res.bpe_models["A"], w),
+                    "oov_subword_A"),
+        "char": (res.char_table, to_chars, "oov_char"),
+    }[level]
+    words = ["walka", "qqqé", "Hola"]
+    featurizer = mdl.Featurizer([table], res.bpe_models)
+    (found,) = featurizer.encode(TokenizedSentence(words, words)).tables
+    pieces = [p for w in words for p in split(w)]
+    np.testing.assert_array_equal(mdl._masked_lookup(table, found.idx, found.valid).data,
+                                  np.stack([lookup(table, p) for p in pieces]))
+    assert found.count.tolist() == [len(split(w)) for w in words]
+    misses = [p for p in pieces if p not in table.vocab and p.lower() not in table.vocab]
+    assert misses and dict(featurizer.counters) == {counter: len(misses)}
+
+
 class TestCharTable:
     def test_deterministic(self):
         a = emb.init_char_table("abc", 8, seed=1)
@@ -111,7 +136,7 @@ class TestCharTable:
 
     def test_padding_row_zero(self):
         t = emb.init_char_table("abc", 8, seed=1)
-        np.testing.assert_array_equal(t.vectors.data[t.pad_index], np.zeros(8))
+        np.testing.assert_array_equal(t.vectors.data[emb.PAD_INDEX], np.zeros(8))
 
     def test_special_tokens_have_rows(self):
         t = emb.init_char_table("abc", 8, seed=1)

@@ -59,18 +59,6 @@ class TestMmeWord:
         np.testing.assert_allclose(u.data, ref_u, atol=1e-10)
         np.testing.assert_allclose(alpha.data, ref_a, atol=1e-10)
 
-    def test_batched_input_matches_flat(self):
-        rng = np.random.default_rng(5)
-        dims = [4, 3]
-        proj = make_proj(dims, 4, seed=6)
-        scorer = me.AttentionScorer(4, np.random.default_rng(7))
-        embeds3d = [Tensor(rng.normal(size=(2, 3, d))) for d in dims]
-        u3, a3 = me.mme_word(embeds3d, proj, scorer)
-        u2, a2 = me.mme_word([Tensor(e.data.reshape(6, -1)) for e in embeds3d],
-                             proj, scorer)
-        np.testing.assert_allclose(u3.data.reshape(6, -1), u2.data, atol=1e-14)
-        np.testing.assert_allclose(a3.data.reshape(6, -1), a2.data, atol=1e-14)
-
     def test_empty_language_list_rejected(self):
         with pytest.raises(ad.ShapeError):
             me.mme_word([], make_proj([3], 2), me.AttentionScorer(2, np.random.default_rng(0)))

@@ -177,9 +177,8 @@ class TestTrainingIntegration:
     def test_char_pad_row_stays_zero(self):
         model = make_model("hme")
         self.train_steps(model, build_sentences())
-        pad = model.resources.char_table.pad_index
         np.testing.assert_array_equal(
-            model.resources.char_table.vectors.data[pad], 0.0)
+            model.resources.char_table.vectors.data[emb.PAD_INDEX], 0.0)
 
     def test_random_variant_table_trains(self):
         resources = build_resources()

@@ -88,7 +88,9 @@ BAD_MODEL_HEADERS = {
                                        if k != "model_config"},
     "bad_variant": lambda header: dict(
         header, model_config=dict(header["model_config"], variant="bogus")),
-    "params_missing_names": lambda header: dict(header, params=[]),
+    # same sizes, so the file loads; the model's first parameter is missing
+    "params_missing_names": lambda header: dict(
+        header, params=[dict(header["params"][0], name="bogus")] + header["params"][1:]),
     "char_alphabet_null": lambda header: dict(header, char_alphabet=None),
     "no_table_fingerprints": lambda header: {k: v for k, v in header.items()
                                              if k != "table_fingerprints"},
