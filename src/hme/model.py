@@ -82,13 +82,16 @@ class Lookup(NamedTuple):
 class Indices:
     """Table rows for a batch of sentences; one sentence is a batch of one.
 
-    ``lengths`` (B,) holds the words of each sentence, and ``tables`` one
-    Lookup per featurizer table over the R = sum(lengths) words in sentence
-    order.  Every index array holds real cells only, so no level computes a
-    padding cell."""
+    ``lengths`` (B,) holds the words of each sentence, ``tables`` one Lookup
+    per featurizer table over U words, and ``word_of`` (R,) the row among
+    those U of each of the R = sum(lengths) tokens in sentence order.  The
+    featurizer gives every token its own row; ``_collate`` keeps each
+    distinct word once.  Every index array holds real cells only, so no
+    level computes a padding cell."""
 
     lengths: np.ndarray
     tables: list[Lookup]
+    word_of: np.ndarray
 
 
 class Featurizer:
@@ -145,7 +148,7 @@ class Featurizer:
                     rows[i] = fill
             lookups.append(Lookup(np.array(rows, dtype=np.int64), valid,
                                   np.array([len(p) for p in pieces], dtype=np.int64)))
-        return Indices(np.array([len(sent)]), lookups)
+        return Indices(np.array([len(sent)]), lookups, np.arange(len(sent)))
 
 
 def _length_mask(lengths) -> np.ndarray:
@@ -154,11 +157,25 @@ def _length_mask(lengths) -> np.ndarray:
     return (np.arange(lengths.max()) < lengths[:, None]).astype(np.float64)
 
 
-def _collate(encs: list[Indices]) -> Indices:
-    """Concatenate the sentences' arrays field by field."""
+def _take_words(lookup: Lookup, keep: np.ndarray) -> Lookup:
+    """The cells of the words at positions ``keep``, in that order."""
+    count = lookup.count[keep]
+    start = np.cumsum(lookup.count)[keep] - count
+    cells = np.repeat(start - (np.cumsum(count) - count), count) + np.arange(count.sum())
+    return Lookup(lookup.idx[cells], lookup.valid[cells], count)
+
+
+def _collate(sentences: list[TokenizedSentence], encs: list[Indices]) -> Indices:
+    """Concatenate the sentences' per-token featurizer rows and keep each
+    distinct word once, at its first occurrence in batch order."""
+    rows: dict[str, int] = {}
+    word_of = np.array([rows.setdefault(w, len(rows))
+                        for sent in sentences for w in sent.words], dtype=np.int64)
+    first = np.unique(word_of, return_index=True)[1]
     return Indices(np.concatenate([e.lengths for e in encs]),
-                   [Lookup(*map(np.concatenate, zip(*per_sentence)))
-                    for per_sentence in zip(*(e.tables for e in encs))])
+                   [_take_words(Lookup(*map(np.concatenate, zip(*per_sentence))), first)
+                    for per_sentence in zip(*(e.tables for e in encs))],
+                   word_of)
 
 
 def _masked_lookup(table: emb.EmbeddingTable, idx: np.ndarray,
@@ -176,7 +193,7 @@ class ForwardResult:
     emissions: Tensor                      # (B, n_max, T), zeros at padding
     lengths: list[int]
     # attention weights (R, L) over real tokens in sentence order, or None
-    # for the variants without that level
+    # for the variants without that level; read only, never differentiated
     alpha_word: Tensor | None
     alpha_subword: Tensor | None
 
@@ -237,9 +254,10 @@ class SequenceTagger:
             encoder_in, config.d_model, config.encoder_layers, config.encoder_heads,
             rng, ff_dim=config.ff_multiplier * config.d_model, p_drop=config.dropout)
         self.crf = CrfModel(resources.labels, config.d_model, rng)
-        char = [resources.char_table] if config.variant == "hme" else []
-        self.featurizer = Featurizer(
-            resources.word_tables + resources.subword_tables + char, resources.bpe_models)
+        # only hme reads the subword and char tables
+        deeper = (resources.subword_tables + [resources.char_table]
+                  if config.variant == "hme" else [])
+        self.featurizer = Featurizer(resources.word_tables + deeper, resources.bpe_models)
         assign_dropout_keys(self.dropouts(), seed)
 
     # -- bookkeeping ---------------------------------------------------------
@@ -298,7 +316,9 @@ class SequenceTagger:
     def forward(self, sentences: list[TokenizedSentence],
                 train: bool = False) -> ForwardResult:
         featurize = self.featurizer.store if train else self.featurizer.encode
-        batch = _collate([featurize(s) for s in sentences])
+        # every per-word level runs once per distinct word (U rows); one
+        # gather expands the result to the R tokens for the sentence encoder
+        batch = _collate(sentences, [featurize(s) for s in sentences])
         inputs = [_masked_lookup(table, lookup.idx, lookup.valid)
                   for table, lookup in zip(self.featurizer.tables, batch.tables)]
         n_word = len(self.resources.word_tables)
@@ -323,9 +343,11 @@ class SequenceTagger:
             u = me.hme_concat(u, u_s, u_c)
 
         token_mask = _length_mask(batch.lengths)
-        h = self.encoder(u, token_mask, train)
+        h = self.encoder(ad.take(u, batch.word_of), token_mask, train)
         # only the tag scores leave the packed rows: (B, n_max, T), zeros at padding
         emissions = unpack(self.crf.emissions(h), pack_slots(token_mask)[1])
+        alpha_w, alpha_s = (None if a is None else Tensor(a.data[batch.word_of])
+                            for a in (alpha_w, alpha_s))
         return ForwardResult(emissions=emissions, lengths=batch.lengths.tolist(),
                              alpha_word=alpha_w, alpha_subword=alpha_s)
 

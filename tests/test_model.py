@@ -9,7 +9,7 @@ from hme import metaembed as me
 from hme import model as mdl
 from hme import training as tr
 from hme.autodiff import Tape, Tensor
-from hme.tokenization import apply_bpe, to_chars
+from hme.tokenization import TokenizedSentence, apply_bpe, to_chars
 
 from oracles import lookup, pack_rows
 from toyres import (BAD_PARAM_HEADERS, build_resources, build_sentences,
@@ -19,6 +19,24 @@ from toyres import (BAD_PARAM_HEADERS, build_resources, build_sentences,
 def make_model(variant="hme", seed=0):
     resources = build_resources()
     return mdl.SequenceTagger(tiny_model_config(variant), resources, seed=seed)
+
+
+# the toy sentences repeat words across sentences only; this one repeats a
+# known word and an out-of-vocabulary one inside itself
+REPEATS = ["walka", "qqqq", "zozo", "walka", "qqqq"]
+
+
+def repeating_batch():
+    return build_sentences() + [
+        TokenizedSentence(list(REPEATS), list(REPEATS), labels=["B-a", "O", "O", "B-a", "O"])]
+
+
+def positions_by_word(sents):
+    """Token positions in batch order, grouped by word."""
+    out = {}
+    for i, w in enumerate(w for s in sents for w in s.words):
+        out.setdefault(w, []).append(i)
+    return out
 
 
 class TestForward:
@@ -58,7 +76,7 @@ class TestForward:
 
     def test_batched_emissions_match_single(self):
         model = make_model()
-        sents = build_sentences()
+        sents = repeating_batch()
         batched = model.forward(sents)
         for b, sent in enumerate(sents):
             single = model.forward([sent])
@@ -103,6 +121,82 @@ class TestForward:
             mean = sum(p if p is not None else 0.0 for p in parts) / len(sents)
             np.testing.assert_allclose(g, mean, rtol=0, atol=1e-10, err_msg=name)
 
+    @pytest.mark.parametrize("variant", mdl.VARIANTS[:4])
+    @pytest.mark.parametrize("train", [False, True])
+    def test_per_word_levels_run_once_per_distinct_word(self, variant, train, monkeypatch):
+        model = make_model(variant)
+        sents = repeating_batch()
+        seen = []
+        rows_of = {"mme_word": lambda inputs, *_: inputs[0].shape[0],
+                   "concat_baseline": lambda inputs, *_: inputs[0].shape[0],
+                   "linear_baseline": lambda inputs, *_: inputs[0].shape[0],
+                   "encode_and_pool": lambda x, mask, *_: mask.shape[0]}
+        for name, rows in rows_of.items():
+            def spy(*args, _name=name, _rows=rows, _level=getattr(me, name)):
+                seen.append((_name, _rows(*args)))
+                return _level(*args)
+            monkeypatch.setattr(me, name, spy)
+        with Tape():
+            model.forward(sents, train=train)
+        expected = {"hme": ["mme_word"] + ["encode_and_pool"] * 3,
+                    "mme_word": ["mme_word"], "concat": ["concat_baseline"],
+                    "linear": ["linear_baseline"]}[variant]
+        n_distinct = len(positions_by_word(sents))
+        assert n_distinct < sum(len(s) for s in sents)
+        assert seen == [(name, n_distinct) for name in expected]
+
+    def test_dropout_masks_are_shared_by_every_occurrence_of_a_word(self, monkeypatch):
+        """In training the per-word encoders run once per distinct word, so
+        every occurrence of a word reaches the sentence encoder with the same
+        row, dropout included; reruns with the same seed stay identical."""
+        sents = repeating_batch()
+
+        def run():
+            model = make_model("hme", seed=5)
+            assert model.config.dropout == 0.1
+            model.set_step(4)
+            params = model.parameters()
+            encoder, inputs = model.encoder, []
+
+            def spy(u, mask, train=False):
+                inputs.append(u.data.copy())
+                return encoder(u, mask, train)
+
+            monkeypatch.setattr(model, "encoder", spy)
+            with Tape():
+                loss = model.loss_batch(sents, train=True)
+                loss.backward()
+            return loss.item(), {k: p.grad for k, p in params.items()}, inputs
+
+        loss, grads, (u,) = run()
+        for positions in positions_by_word(sents).values():
+            np.testing.assert_array_equal(u[positions], u[positions[:1]].repeat(
+                len(positions), axis=0))
+        loss_again, grads_again, _ = run()
+        assert loss == loss_again
+        for name, g in grads.items():
+            np.testing.assert_array_equal(g, grads_again[name], err_msg=name)
+
+    @pytest.mark.parametrize("variant", mdl.VARIANTS[:4])
+    def test_featurizer_holds_only_the_tables_the_variant_reads(self, variant,
+                                                                monkeypatch):
+        model = make_model(variant)
+        assert model.resources.subword_tables
+        levels = ["word", "word"] + (["subword", "subword", "char"]
+                                     if variant == "hme" else [])
+        assert [t.level for t in model.featurizer.tables] == levels
+        calls = []
+
+        def counting_bpe(*args):
+            calls.append(args)
+            return apply_bpe(*args)
+
+        monkeypatch.setattr(mdl, "apply_bpe", counting_bpe)
+        model.predict(repeating_batch())
+        assert bool(calls) == (variant == "hme")
+        assert any(k.startswith("oov_subword") for k in model.featurizer.counters) \
+            == (variant == "hme")
+
 
 class TestAgainstPublicOps:
     """The batched featurizer path must agree with per-word lookups fed
@@ -125,7 +219,10 @@ class TestAgainstPublicOps:
 
     def test_hme_variant(self):
         model = make_model("hme")
-        sent = build_sentences()[1]
+        for sent in (build_sentences()[1], repeating_batch()[-1]):
+            self.check_hme_sentence(model, sent)
+
+    def check_hme_sentence(self, model, sent):
         got = model.forward([sent]).emissions.data[0]
 
         res = model.resources
@@ -340,7 +437,7 @@ def test_meta_embedding_output_invariants():
 
 def test_attention_rows_sum_to_one():
     model = make_model("hme")
-    sents = build_sentences()
+    sents = repeating_batch()
     tags, alpha_w, alpha_s = model.predict_with_attention(sents)
     assert len(tags) == len(sents)
     for s, sent in enumerate(sents):
@@ -348,6 +445,11 @@ def test_attention_rows_sum_to_one():
         assert alpha_s[s].shape == (len(sent), 2)
         np.testing.assert_allclose(alpha_w[s].sum(axis=1), 1.0, atol=1e-6)
         np.testing.assert_allclose(alpha_s[s].sum(axis=1), 1.0, atol=1e-6)
+    # every occurrence of a word gets its word's rows
+    for rows in (np.concatenate(alpha_w), np.concatenate(alpha_s)):
+        for positions in positions_by_word(sents).values():
+            np.testing.assert_array_equal(rows[positions],
+                                          rows[positions[:1]].repeat(len(positions), axis=0))
 
 
 def test_oov_counters_increment():
