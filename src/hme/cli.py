@@ -260,8 +260,7 @@ def cmd_train(args) -> int:
         raise ConfigError(str(exc)) from None
     # featurize and store dev before training, so the counters now hold the
     # dev split's OOV hits and no train hits, and every dev evaluation hits
-    for sent in dev_set:
-        model.featurizer.store(sent)
+    model.featurizer.store(dev_set)
     dev_counters = dict(model.featurizer.counters)
     os.makedirs(cfg.output_dir, exist_ok=True)
     result = tr.train(model, train_set, dev_set, cfg.train,

@@ -1,8 +1,8 @@
 """Linear-chain CRF that allows only legal IOB transitions.
 
 The log-partition comes from the forward algorithm run in log space with
-log-sum-exp, over a whole batch of sentences at once; decoding runs Viterbi
-per sentence with lowest-tag-index tie-breaking.
+log-sum-exp, and decoding from Viterbi with lowest-tag-index tie-breaking;
+each runs one recursion over a whole batch of sentences at once.
 Illegal IOB transitions (to I-x from anything but B-x/I-x, and I-x at the
 start) are additively masked to a large negative value so they never appear
 in decoded paths.
@@ -166,25 +166,43 @@ class CrfModel:
 
     # -- decoding -----------------------------------------------------------
 
-    def viterbi_decode(self, emissions) -> tuple[list[str], float]:
-        """Highest-scoring legal tag sequence and its score."""
+    def viterbi_decode(self, emissions, lengths=None):
+        """Highest-scoring legal tag sequence and its score per sentence.
+
+        ``emissions`` is (B, n_max, T) with ``lengths`` as in
+        ``neg_log_likelihood``, and the result one (tags, score) per
+        sentence.  An (n, T) input is the batch of one and gives its
+        (tags, score).
+        """
         e = emissions.data if isinstance(emissions, Tensor) else np.asarray(emissions)
-        if e.ndim != 2 or e.shape[1] != self.num_tags:
-            raise ShapeError(f"emissions must be (n, {self.num_tags})")
-        n, T = e.shape
+        single = e.ndim == 2
+        if single:
+            e = e[None]
+        if e.ndim != 3 or e.shape[2] != self.num_tags:
+            raise ShapeError(f"emissions must be (n, {self.num_tags}) "
+                             f"or (B, n, {self.num_tags})")
+        B, n_max, T = e.shape
+        lengths = [n_max] * B if lengths is None else [int(n) for n in lengths]
+        if len(lengths) != B or not all(1 <= n <= n_max for n in lengths):
+            raise ShapeError("need one length in [1, n_max] per sentence")
         trans, start = self._effective_np()
-        delta = start + e[0]
-        back = np.zeros((n, T), dtype=np.int64)
-        for i in range(1, n):
-            scores = delta[:, None] + trans          # [prev, cur]
-            back[i] = np.argmax(scores, axis=0)      # first max = lowest index
-            delta = scores[back[i], np.arange(T)] + e[i]
+        shortest, ends = min(lengths), np.array(lengths)[:, None]
+        delta = start + e[:, 0]                                 # (B, T)
+        back = np.empty((n_max, B, T), dtype=np.int64)
+        for i in range(1, n_max):
+            scores = delta[:, :, None] + trans                  # [b, prev, cur]
+            back[i] = scores.argmax(axis=1)                     # first max = lowest index
+            new = scores.max(axis=1) + e[:, i]
+            # a finished sentence keeps its delta
+            delta = new if i < shortest else np.where(i < ends, new, delta)
         final = delta + self.end.data
-        tag = int(np.argmax(final))
-        best_score = float(final[tag])
-        path = [tag]
-        for i in range(n - 1, 0, -1):
-            tag = int(back[i, tag])
-            path.append(tag)
-        path.reverse()
-        return [self.labels[t] for t in path], best_score
+        back = back.tolist()
+        out = []
+        for b, (n, tag, score) in enumerate(zip(lengths, final.argmax(axis=1).tolist(),
+                                                final.max(axis=1).tolist())):
+            path = [tag]
+            for i in range(n - 1, 0, -1):
+                tag = back[i][b][tag]
+                path.append(tag)
+            out.append(([self.labels[t] for t in reversed(path)], score))
+        return out[0] if single else out

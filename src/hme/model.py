@@ -8,6 +8,7 @@ import math
 import os
 from collections import Counter
 from dataclasses import asdict, dataclass, field
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -83,11 +84,10 @@ class Indices:
     """Table rows for a batch of sentences; one sentence is a batch of one.
 
     ``lengths`` (B,) holds the words of each sentence, ``tables`` one Lookup
-    per featurizer table over U words, and ``word_of`` (R,) the row among
-    those U of each of the R = sum(lengths) tokens in sentence order.  The
-    featurizer gives every token its own row; ``_collate`` keeps each
-    distinct word once.  Every index array holds real cells only, so no
-    level computes a padding cell."""
+    per featurizer table over the batch's U distinct words in order of first
+    occurrence, and ``word_of`` (R,) the row among those U of each of the
+    R = sum(lengths) tokens in sentence order.  Every index array holds real
+    cells only, so no level computes a padding cell."""
 
     lengths: np.ndarray
     tables: list[Lookup]
@@ -95,87 +95,84 @@ class Indices:
 
 
 class Featurizer:
-    """Turns tokenized sentences into table indices, counting OOV hits.
+    """Turns a batch of tokenized sentences into table indices, counting OOV
+    hits.
 
     The tables come in the order the model reads them: word tables, subword
     tables, then the char table.  Each word splits into the table's pieces
     (the word itself, its BPE subwords or its characters), and every table
     applies one rule to a piece it does not hold: read the table's unknown
-    row if it has one, else a zero vector.
+    row if it has one, else a zero vector.  Each distinct word of a batch is
+    split and indexed once, but the OOV counters count tokens: every
+    occurrence of a word in an encoded batch adds the word's misses, whether
+    its rows were indexed now or read from the cache.
 
-    ``encode`` reads the cache but never adds to it; ``store`` encodes and
-    keeps the result.  Only training and dev sentences are stored, so
-    prediction over any number of new sentences leaves the cache as it is.
+    ``encode`` reads the per-word cache but never adds to it; ``store``
+    encodes and keeps the batch's new words.  Only training and dev batches
+    are stored, so the cache is bounded by their vocabulary and prediction
+    over any number of new sentences leaves it as it is.
     """
 
     def __init__(self, tables, bpe_models=None):
         self.tables = list(tables)
         self.bpe_models = bpe_models or {}
         self.counters: Counter = Counter()
-        self._cache: dict[int, tuple[TokenizedSentence, Indices]] = {}
+        # word -> its rows per table, one per piece, -1 where the table misses
+        self._cache: dict[str, list[list[int]]] = {}
+        self._fresh: dict[str, list[list[int]]] = {}   # the last batch's new words
 
-    def store(self, sent: TokenizedSentence) -> Indices:
-        enc = self.encode(sent)
-        self._cache[id(sent)] = (sent, enc)
+    def store(self, sentences: list[TokenizedSentence]) -> Indices:
+        """``encode``, then keep the rows of the batch's new words."""
+        enc = self.encode(sentences)
+        self._cache.update(self._fresh)
         return enc
 
-    def _split(self, table: emb.EmbeddingTable, words: list[str]) -> list[list[str]]:
+    def _pieces(self, table: emb.EmbeddingTable, word: str) -> list[str]:
         if table.level == "subword":
-            bpe = self.bpe_models[table.language_id]
-            return [apply_bpe(bpe, w) for w in words]
+            return apply_bpe(self.bpe_models[table.language_id], word)
         if table.level == "char":
-            return [to_chars(w) for w in words]
-        return [[w] for w in words]
+            return to_chars(word)
+        return [word]
 
-    def encode(self, sent: TokenizedSentence) -> Indices:
-        hit = self._cache.get(id(sent))
-        if hit is not None and hit[0] is sent:
-            return hit[1]
-        lookups = []
+    def _rows(self, word: str) -> list[list[int]]:
+        out = []
         for table in self.tables:
-            pieces = self._split(table, sent.words)
-            rows = [table.index_of(p) for word in pieces for p in word]
-            valid = np.ones(len(rows))
-            if None in rows:
-                misses = [i for i, row in enumerate(rows) if row is None]
+            rows = [table.index_of(p) for p in self._pieces(table, word)]
+            out.append([-1 if row is None else row for row in rows] if None in rows else rows)
+        return out
+
+    def encode(self, sentences: list[TokenizedSentence]) -> Indices:
+        types: dict[str, int] = {}
+        word_of = np.array([types.setdefault(w, len(types))
+                            for sent in sentences for w in sent.words], dtype=np.int64)
+        self._fresh = {w: self._rows(w) for w in types if w not in self._cache}
+        entries = [self._fresh.get(w) or self._cache[w] for w in types]
+        occurrences = np.bincount(word_of, minlength=len(types))
+        lookups = []
+        for t, table in enumerate(self.tables):
+            count = np.array([len(e[t]) for e in entries], dtype=np.int64)
+            idx = np.fromiter(chain.from_iterable(e[t] for e in entries),
+                              dtype=np.int64, count=int(count.sum()))
+            valid = np.ones(len(idx))
+            miss = idx < 0
+            if miss.any():
                 lang = "" if table.level == "char" else f"_{table.language_id}"
-                self.counters[f"oov_{table.level}{lang}"] += len(misses)
-                fill = table.unk_index
-                if fill is None:
-                    fill = 0
-                    valid[misses] = 0.0
-                for i in misses:
-                    rows[i] = fill
-            lookups.append(Lookup(np.array(rows, dtype=np.int64), valid,
-                                  np.array([len(p) for p in pieces], dtype=np.int64)))
-        return Indices(np.array([len(sent)]), lookups, np.arange(len(sent)))
+                self.counters[f"oov_{table.level}{lang}"] += int(
+                    occurrences.repeat(count)[miss].sum())
+                if table.unk_index is None:
+                    idx[miss] = 0
+                    valid[miss] = 0.0
+                else:
+                    idx[miss] = table.unk_index
+            lookups.append(Lookup(idx, valid, count))
+        return Indices(np.array([len(sent) for sent in sentences], dtype=np.int64),
+                       lookups, word_of)
 
 
 def _length_mask(lengths) -> np.ndarray:
     """(len(lengths), max length) mask, 1.0 at each row's first length cells."""
     lengths = np.asarray(lengths)
     return (np.arange(lengths.max()) < lengths[:, None]).astype(np.float64)
-
-
-def _take_words(lookup: Lookup, keep: np.ndarray) -> Lookup:
-    """The cells of the words at positions ``keep``, in that order."""
-    count = lookup.count[keep]
-    start = np.cumsum(lookup.count)[keep] - count
-    cells = np.repeat(start - (np.cumsum(count) - count), count) + np.arange(count.sum())
-    return Lookup(lookup.idx[cells], lookup.valid[cells], count)
-
-
-def _collate(sentences: list[TokenizedSentence], encs: list[Indices]) -> Indices:
-    """Concatenate the sentences' per-token featurizer rows and keep each
-    distinct word once, at its first occurrence in batch order."""
-    rows: dict[str, int] = {}
-    word_of = np.array([rows.setdefault(w, len(rows))
-                        for sent in sentences for w in sent.words], dtype=np.int64)
-    first = np.unique(word_of, return_index=True)[1]
-    return Indices(np.concatenate([e.lengths for e in encs]),
-                   [_take_words(Lookup(*map(np.concatenate, zip(*per_sentence))), first)
-                    for per_sentence in zip(*(e.tables for e in encs))],
-                   word_of)
 
 
 def _masked_lookup(table: emb.EmbeddingTable, idx: np.ndarray,
@@ -318,7 +315,7 @@ class SequenceTagger:
         featurize = self.featurizer.store if train else self.featurizer.encode
         # every per-word level runs once per distinct word (U rows); one
         # gather expands the result to the R tokens for the sentence encoder
-        batch = _collate(sentences, [featurize(s) for s in sentences])
+        batch = featurize(sentences)
         inputs = [_masked_lookup(table, lookup.idx, lookup.valid)
                   for table, lookup in zip(self.featurizer.tables, batch.tables)]
         n_word = len(self.resources.word_tables)

@@ -228,6 +228,68 @@ def crf_paths(emissions, transitions, start, end):
     return total, best_path, best_score
 
 
+def viterbi_loops(emissions, transitions, start, end):
+    """Per-sentence Viterbi in scalar loops: (best path, its score).
+
+    Takes the same float adds as the recursion it checks, so scores compare
+    exactly; ties keep the lowest previous tag and the lowest final tag.
+    """
+    n, t = emissions.shape
+    delta = [start[c] + emissions[0, c] for c in range(t)]
+    back = []
+    for i in range(1, n):
+        new, ptr = [], []
+        for c in range(t):
+            best = 0
+            for p in range(1, t):
+                if delta[p] + transitions[p, c] > delta[best] + transitions[best, c]:
+                    best = p
+            ptr.append(best)
+            new.append(delta[best] + transitions[best, c] + emissions[i, c])
+        delta = new
+        back.append(ptr)
+    final = [delta[c] + end[c] for c in range(t)]
+    tag = max(range(t), key=lambda c: (final[c], -c))
+    path = [tag]
+    for ptr in reversed(back):
+        path.append(ptr[path[-1]])
+    return path[::-1], final[tag]
+
+
+def featurize_by_token(tables, split, sentences):
+    """Batch table indices built token by token: every token of every
+    sentence gets its own rows, the sentences' rows are concatenated, and
+    then each distinct word keeps the cells of its first occurrence.
+
+    ``split(table, word)`` gives the word's pieces for a table.  A piece
+    reads its exact row, then its lowercase row, then the table's unknown
+    row, else row 0 with validity 0.0.  Returns (lengths, [(idx, valid,
+    count)] per table, word_of) like the model's batch ``Indices``.
+    """
+    words = [w for sent in sentences for w in sent.words]
+    rows_of = {}
+    word_of = [rows_of.setdefault(w, len(rows_of)) for w in words]
+    first = [words.index(w) for w in rows_of]
+    per_table = []
+    for table in tables:
+        idx, valid, count = [], [], []
+        for w in words:
+            pieces = split(table, w)
+            count.append(len(pieces))
+            for p in pieces:
+                row = table.vocab.get(p, table.vocab.get(p.lower()))
+                if row is None:
+                    row = table.unk_index
+                valid.append(0.0 if row is None else 1.0)
+                idx.append(0 if row is None else row)
+        starts = np.cumsum([0] + count)
+        cells = [c for i in first for c in range(starts[i], starts[i + 1])]
+        per_table.append((np.array(idx, dtype=np.int64)[cells], np.array(valid)[cells],
+                          np.array(count, dtype=np.int64)[first]))
+    return (np.array([len(sent) for sent in sentences], dtype=np.int64), per_table,
+            np.array(word_of, dtype=np.int64))
+
+
 def entity_spans_by_hand(tags):
     """Reference IOB span extraction: list of (start, end_exclusive, type)."""
     spans = []

@@ -7,7 +7,7 @@ from hme import nn
 from hme.autodiff import ShapeError, Tape, Tensor
 from hme.labeler import CrfModel, iob_transition_masks
 
-from oracles import FREE_LABELS_BY_T, crf_paths, finite_difference
+from oracles import FREE_LABELS_BY_T, crf_paths, finite_difference, viterbi_loops
 
 IOB_LABELS_BY_T = {
     1: ["O"],
@@ -179,6 +179,63 @@ class TestViterbi:
                 if t.startswith("I-"):
                     assert prev in (f"B-{t[2:]}", f"I-{t[2:]}")
                 prev = t
+
+
+class TestBatchedViterbi:
+    """A (B, n_max, T) batch decodes each sentence exactly as it decodes alone."""
+
+    @staticmethod
+    def ragged(rng, T, size):
+        n_max = int(rng.integers(1, 6))
+        lengths = list(range(1, n_max + 1)) + [int(n) for n in
+                                               rng.integers(1, n_max + 1, size=size)]
+        rng.shuffle(lengths)
+        # the cells past each length hold random values that must be ignored
+        return rng.normal(size=(len(lengths), n_max, T)) * 3, lengths
+
+    @pytest.mark.parametrize("iob", [False, True])
+    def test_ragged_batch_equals_single_calls_and_enumeration(self, iob):
+        rng = np.random.default_rng(12)
+        for trial in range(40):
+            T = int(rng.integers(1, 6))
+            crf = make_crf((IOB_LABELS_BY_T if iob else FREE_LABELS_BY_T)[T],
+                           seed=400 + trial)
+            em, lengths = self.ragged(rng, T, size=int(rng.integers(0, 4)))
+            decoded = crf.viterbi_decode(Tensor(em), lengths)
+            assert len(decoded) == len(lengths)
+            trans, start = effective_by_hand(crf)
+            for b, n in enumerate(lengths):
+                tags, score = decoded[b]
+                assert (tags, score) == crf.viterbi_decode(em[b, :n])
+                path, loop_score = viterbi_loops(em[b, :n], trans, start, crf.end.data)
+                assert tags == [crf.labels[t] for t in path]
+                assert score == loop_score
+                _, ref_path, ref_score = crf_paths(em[b, :n], trans, start, crf.end.data)
+                assert tags == [crf.labels[t] for t in ref_path]
+                assert score == pytest.approx(ref_score, abs=1e-9)
+
+    def test_all_zero_sentence_in_a_batch_decodes_to_first_tag(self):
+        rng = np.random.default_rng(13)
+        crf = make_crf(["O", "B-a", "B-b"], seed=1)
+        crf.transitions.data[:] = 0.0
+        crf.start.data[:] = 0.0
+        crf.end.data[:] = 0.0
+        em, lengths = self.ragged(rng, 3, size=3)
+        em[0] = 0.0
+        decoded = crf.viterbi_decode(em, lengths)
+        assert decoded[0] == (["O"] * lengths[0], 0.0)
+        for b, n in enumerate(lengths):
+            assert decoded[b] == crf.viterbi_decode(em[b, :n])
+
+    def test_default_lengths_and_bad_lengths(self):
+        crf = make_crf(["O", "B-a"], seed=1)
+        em = np.random.default_rng(14).normal(size=(3, 4, 2))
+        assert crf.viterbi_decode(em) == crf.viterbi_decode(em, [4, 4, 4])
+        for lengths in ([1, 2], [0, 2, 4], [1, 2, 5]):
+            with pytest.raises(ShapeError):
+                crf.viterbi_decode(em, lengths)
+        with pytest.raises(ShapeError):
+            crf.viterbi_decode(np.zeros((2, 3)))
 
 
 def test_emission_shift_leaves_nll_and_path_unchanged():

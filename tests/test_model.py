@@ -11,7 +11,7 @@ from hme import training as tr
 from hme.autodiff import Tape, Tensor
 from hme.tokenization import TokenizedSentence, apply_bpe, to_chars
 
-from oracles import lookup, pack_rows
+from oracles import featurize_by_token, lookup, pack_rows
 from toyres import (BAD_PARAM_HEADERS, build_resources, build_sentences,
                     rewrite_checkpoint_header, tiny_model_config)
 
@@ -462,22 +462,128 @@ def test_oov_counters_increment():
     assert counters["oov_word_B"] == 1
 
 
-def test_prediction_does_not_grow_the_featurizer_cache():
-    from hme.tokenization import TokenizedSentence
+def test_prediction_does_not_grow_the_featurizer_cache(monkeypatch):
+    """The per-word cache holds the words of stored (training) batches only:
+    prediction over any number of fresh sentences leaves it as it is, and a
+    stored word is never split or looked up again."""
     from toyres import WORDS_A, WORDS_B
     model = make_model("hme")
     train_sents = build_sentences()
     with Tape():
         model.loss_batch(train_sents, train=True).backward()
-    cached = len(model.featurizer._cache)
-    assert cached == len(train_sents)
+    cache = model.featurizer._cache
+    assert list(cache) == list(positions_by_word(train_sents))
+    stored = dict(cache)
     rng = np.random.default_rng(0)
-    vocab = WORDS_A + WORDS_B + ["qqqq"]
+    vocab = WORDS_A + WORDS_B + ["qqqq"] + [f"new{k}" for k in range(300)]
     fresh = [TokenizedSentence(ws, ws) for ws in
              ([str(w) for w in rng.choice(vocab, size=int(rng.integers(1, 7)))]
               for _ in range(500))]
     tags = model.predict(fresh)
     assert [len(t) for t in tags] == [len(s) for s in fresh]
-    assert len(model.featurizer._cache) == cached
-    # stored training sentences are still read from the cache
-    assert model.featurizer.encode(train_sents[0]) is model.featurizer.store(train_sents[0])
+    assert model.featurizer._cache == stored
+    # re-encoding stored words reads the cache: no split and no table lookup
+    calls = []
+
+    def counting(fn):
+        def wrapper(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(emb.EmbeddingTable, "index_of",
+                        counting(emb.EmbeddingTable.index_of))
+    monkeypatch.setattr(mdl, "apply_bpe", counting(apply_bpe))
+    model.featurizer.encode(train_sents[:1])
+    model.featurizer.store(train_sents)
+    assert calls == []
+    assert model.featurizer._cache == stored
+
+
+class TestBatchFeaturizer:
+    """``Featurizer.encode`` on a batch equals the token-by-token reference:
+    featurize every token, concatenate, keep each word's first occurrence."""
+
+    @staticmethod
+    def featurizer(variant):
+        if variant != "random":
+            return make_model(variant).featurizer
+        resources = build_resources()
+        vocab = {w for s in build_sentences() for w in s.words}
+        resources.word_tables = [emb.init_random_word_table(vocab, 6, seed=1)]
+        return mdl.SequenceTagger(tiny_model_config("random"), resources, seed=0).featurizer
+
+    @staticmethod
+    def assert_matches_reference(featurizer, sentences):
+        def split(table, word):
+            if table.level == "subword":
+                return apply_bpe(featurizer.bpe_models[table.language_id], word)
+            return to_chars(word) if table.level == "char" else [word]
+
+        got = featurizer.encode(sentences)
+        lengths, tables, word_of = featurize_by_token(featurizer.tables, split, sentences)
+        pairs = [(got.lengths, lengths), (got.word_of, word_of)]
+        assert len(got.tables) == len(tables)
+        for lookup_, ref in zip(got.tables, tables):
+            pairs += list(zip(lookup_, ref))
+        for a, b in pairs:
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("variant", mdl.VARIANTS)
+    def test_repeating_batch(self, variant):
+        featurizer = self.featurizer(variant)
+        self.assert_matches_reference(featurizer, repeating_batch())
+        # the same batch read back from the cache
+        featurizer.store(repeating_batch())
+        self.assert_matches_reference(featurizer, repeating_batch())
+
+    def test_random_batches_with_oov_words(self):
+        from toyres import WORDS_A, WORDS_B
+        rng = np.random.default_rng(21)
+        oov = ["qqqq", "Walka", "HOLA", "zoqé", "kkb", "Runna"]
+        vocab = WORDS_A + WORDS_B + oov
+        featurizer = self.featurizer("hme")
+        for trial in range(20):
+            batch = [TokenizedSentence(ws, ws) for ws in
+                     ([str(w) for w in rng.choice(vocab, size=int(rng.integers(1, 8)))]
+                      for _ in range(int(rng.integers(1, 6))))]
+            word = oov[trial % len(oov)]
+            batch.append(TokenizedSentence([word, "hola", word], [word, "hola", word]))
+            self.assert_matches_reference(featurizer, batch)
+            if trial % 2:
+                featurizer.store(batch)
+
+
+def test_oov_counters_count_every_occurrence():
+    """One OOV word three times across two sentences adds its misses three
+    times to every counter, cached or not."""
+    res = build_resources()
+    batch = [TokenizedSentence(["qqqq", "walka", "qqqq"], ["qqqq", "walka", "qqqq"]),
+             TokenizedSentence(["zozo", "qqqq"], ["zozo", "qqqq"])]
+    without = [TokenizedSentence(["walka"], ["walka"]), TokenizedSentence(["zozo"], ["zozo"])]
+
+    def counts(sentences):
+        featurizer = make_model("hme").featurizer
+        featurizer.encode(sentences)
+        return featurizer.counters
+
+    rise = counts(batch)
+    rise.subtract(counts(without))
+
+    def misses(table, pieces):
+        return sum(p not in table.vocab and p.lower() not in table.vocab for p in pieces)
+
+    expected = {f"oov_word_{t.language_id}": 3 for t in res.word_tables}
+    for t in res.subword_tables:
+        expected[f"oov_subword_{t.language_id}"] = 3 * misses(
+            t, apply_bpe(res.bpe_models[t.language_id], "qqqq"))
+    expected["oov_char"] = 3 * misses(res.char_table, to_chars("qqqq"))
+    assert all(v > 0 for v in expected.values())
+    assert {k: v for k, v in rise.items() if v} == expected
+    # a stored batch counts its tokens again when it is encoded again
+    featurizer = make_model("hme").featurizer
+    featurizer.store(batch)
+    once = dict(featurizer.counters)
+    featurizer.encode(batch)
+    assert dict(featurizer.counters) == {k: 2 * v for k, v in once.items()}
