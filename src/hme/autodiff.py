@@ -20,7 +20,8 @@ __all__ = [
     "Tensor", "Tape", "ShapeError", "NumericsError",
     "matmul", "add", "sub", "mul", "scale", "concat", "reshape",
     "transpose", "take", "tanh", "relu", "softmax", "logsumexp",
-    "tensor_sum", "dropout", "layer_norm", "backward",
+    "tensor_sum", "dropout", "keep_mask", "layer_norm", "linear", "attention",
+    "backward",
 ]
 
 
@@ -130,7 +131,7 @@ class Tensor:
 
 _BOUNDED_OPS = frozenset({
     "reshape", "transpose", "take", "slice", "concat", "dropout",
-    "tanh", "softmax", "relu", "logsumexp", "layer_norm",
+    "tanh", "softmax", "relu", "logsumexp",
 })
 
 
@@ -233,21 +234,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
     a_data, b_data = a.data, b.data
-
-    if b_data.ndim == 2 and a_data.ndim > 2:
-        # stacked activations times one weight matrix: run flattened 2-D GEMMs
-        # instead of strided batched products
-        k, n = b_data.shape
-        lead = a_data.shape[:-1]
-        a2 = a_data.reshape(-1, k)
-        out = (a2 @ b_data).reshape(lead + (n,))
-
-        def vjp(g):
-            g2 = g.reshape(-1, n)
-            return (g2 @ b_data.T).reshape(a_data.shape), a2.T @ g2
-
-        return _record(out, (a, b), vjp, "matmul")
-
     out = np.matmul(a_data, b_data)
 
     def vjp(g):
@@ -256,6 +242,22 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return ga, gb
 
     return _record(out, (a, b), vjp, "matmul")
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Affine map ``x @ w + b`` of packed (N, k) rows as one op."""
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ShapeError(f"linear needs (N, k) @ (k, n) + (n,), got "
+                         f"{x.shape} @ {w.shape} + {b.shape}")
+    x_data, w_data = x.data, w.data
+    out = x_data @ w_data
+    out += b.data
+
+    def vjp(g):
+        gx = g @ w_data.T if x.requires_grad else None
+        return gx, x_data.T @ g, g.sum(axis=0)
+
+    return _record(out, (x, w, b), vjp, "linear")
 
 
 def _binary_shapes(a: Tensor, b: Tensor, op: str):
@@ -443,8 +445,28 @@ def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _record(_contig(out), (a,), vjp, "sum")
 
 
+def keep_mask(shape, p: float, rng: np.random.Generator) -> np.ndarray:
+    """Boolean dropout keep-mask: one little-endian uint16 word per cell from
+    ``rng.bytes``, kept where it is at least ``round(p * 2**16)``.
+
+    The drop probability is therefore realised as ``round(p * 65536) / 65536``
+    (0.1 becomes 0.1000061).
+    """
+    size = int(np.prod(shape))
+    words = np.frombuffer(rng.bytes(2 * size), dtype="<u2")
+    return (words >= round(p * 65536)).reshape(shape)
+
+
+def _drop(x: np.ndarray, keep: np.ndarray, p: float) -> np.ndarray:
+    """The one rule that applies a keep-mask: ``x * keep * 1/(1-p)``."""
+    out = x * keep
+    out *= 1.0 / (1.0 - p)
+    return out
+
+
 def dropout(a: Tensor, p: float, train: bool, rng: np.random.Generator | None = None) -> Tensor:
-    """Inverted dropout: eval mode is the identity, train mode scales by 1/(1-p).
+    """Inverted dropout: eval mode is the identity, train mode keeps each cell
+    of ``keep_mask`` and scales it by 1/(1-p).
 
     ``rng`` supplies the mask and is required in train mode so callers control
     reproducibility.
@@ -455,25 +477,90 @@ def dropout(a: Tensor, p: float, train: bool, rng: np.random.Generator | None = 
         return a
     if rng is None:
         raise ValueError("dropout in train mode requires an rng")
-    mask = (rng.random(a.shape) >= p).astype(a.data.dtype) / (1.0 - p)
-    out = a.data * mask
+    keep = keep_mask(a.shape, p, rng)
 
     def vjp(g):
-        return (g * mask,)
+        return (_drop(g, keep, p),)
 
-    return _record(out, (a,), vjp, "dropout")
+    return _record(_drop(a.data, keep, p), (a,), vjp, "dropout")
 
 
-def layer_norm(a: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance (no affine part)."""
+def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance, then scale by
+    ``gain`` and shift by ``bias`` (both shaped like that axis)."""
+    if gain.shape != a.shape[-1:] or bias.shape != a.shape[-1:]:
+        raise ShapeError(f"layer_norm of {a.shape} needs gain and bias of "
+                         f"{a.shape[-1:]}, got {gain.shape} and {bias.shape}")
     mu = a.data.mean(axis=-1, keepdims=True)
     var = a.data.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (a.data - mu) * inv
+    gain_data, shape = gain.data, gain.shape
+    out = xhat * gain_data
+    out += bias.data
 
     def vjp(g):
-        g_mean = g.mean(axis=-1, keepdims=True)
-        gx_mean = (g * xhat).mean(axis=-1, keepdims=True)
-        return (inv * (g - g_mean - xhat * gx_mean),)
+        gx = g * gain_data
+        g_mean = gx.mean(axis=-1, keepdims=True)
+        gx_mean = (gx * xhat).mean(axis=-1, keepdims=True)
+        return (inv * (gx - g_mean - xhat * gx_mean),
+                _reduce_to_suffix(g * xhat, shape), _reduce_to_suffix(g, shape))
 
-    return _record(xhat, (a,), vjp, "layer_norm")
+    return _record(out, (a, gain, bias), vjp, "layer_norm")
+
+
+# additive score for a padding key, standing in for -inf
+NEG_LARGE = -1e9
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, head_rows: np.ndarray,
+              key_mask: np.ndarray, scale: float,
+              keep: tuple[np.ndarray, float] | None = None) -> Tensor:
+    """Masked multi-head self-attention over packed rows, as one op.
+
+    ``q``, ``k`` and ``v`` are (C, d): the C real cells of the (batch, n)
+    ``key_mask``, in row-major order.  ``head_rows`` (C, heads) holds the
+    flat position of each cell's heads, d / heads values each, in the padded
+    (batch, heads, n, dk) layout; padding cells are zero vectors there.  In
+    that layout the scores ``scale * q kT`` get NEG_LARGE at padding keys
+    through a (batch, 1, 1, n) bias, a softmax over the keys and, when
+    ``keep`` holds a (batch, heads, n, n) keep-mask and its p, dropout on the
+    weights.  The real cells' heads of the weighted values are gathered back
+    into the packed (C, d) result.
+    """
+    c, d = q.shape
+    batch, n = key_mask.shape
+    h = head_rows.shape[-1]
+    if k.shape != q.shape or v.shape != q.shape or head_rows.shape != (c, h) or d % h:
+        raise ShapeError(f"attention: packed rows {q.shape}, {k.shape}, {v.shape} "
+                         f"do not match head rows {head_rows.shape}")
+    dk = d // h
+    rows = head_rows.reshape(-1)
+
+    def to_heads(t: np.ndarray) -> np.ndarray:
+        out = np.zeros((batch * h * n, dk))
+        out[rows] = t.reshape(-1, dk)
+        return out.reshape(batch, h, n, dk)
+
+    def to_rows(t: np.ndarray) -> np.ndarray:
+        return t.reshape(-1, dk)[rows].reshape(c, d)
+
+    qh, kh, vh = to_heads(q.data), to_heads(k.data), to_heads(v.data)
+    scores = qh @ np.swapaxes(kh, -1, -2)
+    scores *= scale
+    scores += ((1.0 - key_mask) * NEG_LARGE)[:, None, None, :]
+    _check_finite(scores, "attention")
+    weights = _softmax_data(scores, -1)
+    dropped = weights if keep is None else _drop(weights, *keep)
+
+    def vjp(g):
+        g_ctx = to_heads(g)
+        g_w = g_ctx @ np.swapaxes(vh, -1, -2)
+        if keep is not None:
+            g_w = _drop(g_w, *keep)
+        g_s = weights * (g_w - (g_w * weights).sum(axis=-1, keepdims=True))
+        g_s *= scale
+        return (to_rows(g_s @ kh), to_rows(np.swapaxes(g_s, -1, -2) @ qh),
+                to_rows(np.swapaxes(dropped, -1, -2) @ g_ctx))
+
+    return _record(to_rows(dropped @ vh), (q, k, v), vjp, "attention")

@@ -13,8 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import ShapeError, Tensor
-from .nn import NEG_LARGE, Linear
+from .autodiff import NEG_LARGE, ShapeError, Tensor
+from .nn import Linear
 
 
 def iob_transition_masks(labels: list[str]) -> tuple[np.ndarray, np.ndarray]:

@@ -81,7 +81,7 @@ def encode_and_pool(x: Tensor, mask: np.ndarray, encoder: TransformerEncoder,
                     train: bool = False) -> Tensor:
     """Encode the packed rows of the (N, m) ``mask``'s real cells and
     mean-pool each of its N sequences to one (N, d) row."""
-    enc = unpack(encoder(x, mask, train), pack_slots(mask)[1])
+    enc = unpack(encoder(x, mask, train), pack_slots(mask))
     weights = mask / np.maximum(mask.sum(axis=-1, keepdims=True), 1.0)
     pooled = ad.matmul(Tensor(weights[:, None, :]), enc)
     return ad.reshape(pooled, (mask.shape[0], enc.shape[-1]))

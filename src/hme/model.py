@@ -342,7 +342,7 @@ class SequenceTagger:
         token_mask = _length_mask(batch.lengths)
         h = self.encoder(ad.take(u, batch.word_of), token_mask, train)
         # only the tag scores leave the packed rows: (B, n_max, T), zeros at padding
-        emissions = unpack(self.crf.emissions(h), pack_slots(token_mask)[1])
+        emissions = unpack(self.crf.emissions(h), pack_slots(token_mask))
         alpha_w, alpha_s = (None if a is None else Tensor(a.data[batch.word_of])
                             for a in (alpha_w, alpha_s))
         return ForwardResult(emissions=emissions, lengths=batch.lengths.tolist(),

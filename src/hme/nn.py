@@ -15,9 +15,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ShapeError, Tensor
 
-# additive mask value standing in for -inf
-NEG_LARGE = -1e9
-
 
 def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     limit = math.sqrt(6.0 / (fan_in + fan_out))
@@ -32,7 +29,7 @@ class Linear:
         self.bias = Tensor(np.zeros(out_dim), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ad.add(ad.matmul(x, self.weight), self.bias)
+        return ad.linear(x, self.weight, self.bias)
 
     def parameters(self, prefix: str) -> dict[str, Tensor]:
         return {f"{prefix}.weight": self.weight, f"{prefix}.bias": self.bias}
@@ -47,7 +44,7 @@ class LayerNorm:
         self.eps = eps
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ad.add(ad.mul(ad.layer_norm(x, self.eps), self.gain), self.bias)
+        return ad.layer_norm(x, self.gain, self.bias, self.eps)
 
     def parameters(self, prefix: str) -> dict[str, Tensor]:
         return {f"{prefix}.gain": self.gain, f"{prefix}.bias": self.bias}
@@ -58,6 +55,9 @@ class Dropout:
 
     The owning model assigns ``seed`` and ``instance`` once and advances
     ``step`` every optimizer step, which makes training runs replayable.
+    Each call draws its mask from a Philox generator on that key, as one
+    uint16 word per cell kept when it is at least ``round(p * 2**16)``, so p
+    is realised as ``round(p * 65536) / 65536`` (0.1 becomes 0.1000061).
     """
 
     def __init__(self, p: float):
@@ -73,13 +73,22 @@ class Dropout:
         self.step = step
         self._calls = 0
 
+    def _rng(self) -> np.random.Generator:
+        key = np.random.SeedSequence((self.seed, self.instance, self.step, self._calls))
+        self._calls += 1
+        return np.random.Generator(np.random.Philox(key))
+
     def __call__(self, x: Tensor, train: bool) -> Tensor:
         if not train or self.p == 0.0:
             return x
-        key = np.random.SeedSequence((self.seed, self.instance, self.step, self._calls))
-        self._calls += 1
-        rng = np.random.Generator(np.random.Philox(key))
-        return ad.dropout(x, self.p, True, rng)
+        return ad.dropout(x, self.p, True, self._rng())
+
+    def keep(self, shape, train: bool) -> tuple[np.ndarray, float] | None:
+        """This call's keep-mask and p, for an op that applies dropout
+        itself; None when dropout is off."""
+        if not train or self.p == 0.0:
+            return None
+        return ad.keep_mask(shape, self.p, self._rng()), self.p
 
 
 def assign_dropout_keys(dropouts: list[Dropout], seed: int) -> None:
@@ -97,20 +106,19 @@ def sinusoidal_positions(length: int, dim: int) -> np.ndarray:
     return pe
 
 
-def pack_slots(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pack the C nonzero cells of ``mask`` in row-major order.
+def pack_slots(mask: np.ndarray) -> np.ndarray:
+    """Slots of the C nonzero cells of ``mask`` packed in row-major order.
 
-    Returns their flat indices and ``slot``, shaped like ``mask``: the packed
-    row of each real cell, and C, C + 1, ... for the padding cells in the
-    same order, so that ``unpack`` is a permutation and its gradient a plain
-    scatter.
+    Shaped like ``mask``: the packed row of each real cell, and C, C + 1, ...
+    for the padding cells in the same order, so that ``unpack`` is a
+    permutation and its gradient a plain scatter.
     """
     flat = mask.reshape(-1)
     real = np.flatnonzero(flat)
     slot = np.empty(flat.size, dtype=np.int64)
     slot[real] = np.arange(real.size)
     slot[flat == 0.0] = np.arange(real.size, flat.size)
-    return real, slot.reshape(mask.shape)
+    return slot.reshape(mask.shape)
 
 
 def unpack(x: Tensor, slot: np.ndarray) -> Tensor:
@@ -127,9 +135,8 @@ class EncoderLayer:
         f = LN2(x);  x = x + Drop(W2(Drop(relu(W1(f)))))
 
     ``x`` holds only the C real positions, packed as (C, d) rows, and every
-    per-position op runs on them.  Only the attention scores use the padded
-    (batch, heads, n, n) layout: q, k and v are gathered into it with zero
-    vectors at padding, and the context is gathered back to the packed rows.
+    per-position op runs on them.  Only ``ad.attention`` uses the padded
+    (batch, heads, n, n) layout, inside the one op.
     """
 
     def __init__(self, d_model: int, heads: int, ff_dim: int, p_drop: float,
@@ -151,28 +158,16 @@ class EncoderLayer:
         self.drop_ff_mid = Dropout(p_drop)
         self.drop_ff_out = Dropout(p_drop)
 
-    def __call__(self, x: Tensor, attn_bias: Tensor, head_rows: np.ndarray,
-                 ctx_rows: np.ndarray, train: bool) -> Tensor:
-        """``x`` is (C, d).  ``head_rows`` (batch, heads, n) gathers the C rows
-        plus one zero row per padding position, split into heads of dk
-        values, into the padded layout; ``ctx_rows`` (C, heads) gathers the
-        real positions' heads back out of the (batch, heads, n, dk) context."""
-        c, d = x.shape
-        batch, h, n = head_rows.shape
-        dk = d // h
-        zeros = Tensor(np.zeros((batch * n - c, d)))
-
-        def to_heads(t: Tensor) -> Tensor:
-            rows = ad.reshape(ad.concat([t, zeros], axis=0), (batch * n * h, dk))
-            return ad.take(rows, head_rows)             # (batch, h, n, dk)
-
+    def __call__(self, x: Tensor, mask: np.ndarray, head_rows: np.ndarray,
+                 train: bool) -> Tensor:
+        """``x`` is (C, d), the real cells of the (batch, n) ``mask``;
+        ``head_rows`` (C, heads) places their heads in the padded layout
+        (see ``ad.attention``)."""
+        batch, n = mask.shape
         a = self.ln1(x)
-        q, k, v = to_heads(self.wq(a)), to_heads(self.wk(a)), to_heads(self.wv(a))
-        scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dk))
-        scores = ad.add(scores, attn_bias)
-        weights = self.drop_attn(ad.softmax(scores, axis=-1), train)
-        ctx = ad.matmul(weights, v)
-        ctx = ad.reshape(ad.take(ad.reshape(ctx, (-1, dk)), ctx_rows), (c, d))
+        keep = self.drop_attn.keep((batch, self.heads, n, n), train)
+        ctx = ad.attention(self.wq(a), self.wk(a), self.wv(a), head_rows, mask,
+                           1.0 / math.sqrt(self.d_model // self.heads), keep)
         x = ad.add(x, self.drop_attn_out(self.wo(ctx), train))
 
         f = ad.relu(self.ff1(self.ln2(x)))
@@ -227,17 +222,14 @@ class TransformerEncoder:
         if self.num_layers == 0:
             return x
 
-        batch, n = mask.shape
-        real, slot = pack_slots(mask)
+        n = mask.shape[1]
+        real = np.flatnonzero(mask)
         heads = self.layers[0].heads
-        head_rows = slot[:, None, :] * heads + np.arange(heads)[None, :, None]
-        ctx_rows = ((real // n)[:, None] * heads + np.arange(heads)) * n + (real % n)[:, None]
-        attn_bias = Tensor(np.ascontiguousarray(np.broadcast_to(
-            ((1.0 - mask) * NEG_LARGE)[:, None, None, :], (batch, heads, n, n))))
+        head_rows = ((real // n)[:, None] * heads + np.arange(heads)) * n + (real % n)[:, None]
 
         x = ad.add(x, Tensor(self._pe(n)[real % n]))
         for layer in self.layers:
-            x = layer(x, attn_bias, head_rows, ctx_rows, train)
+            x = layer(x, mask, head_rows, train)
         return self.final_ln(x)
 
     def parameters(self, prefix: str) -> dict[str, Tensor]:

@@ -70,6 +70,15 @@ def pack_rows(seqs):
     return np.concatenate(seqs, axis=0), mask
 
 
+def head_rows(mask: np.ndarray, heads: int) -> np.ndarray:
+    """(C, heads): for each real cell of the (batch, n) mask, in row-major
+    order, the flat (batch, heads, n) position of each of its heads."""
+    batch, n = mask.shape
+    return np.array([[(b * heads + j) * n + i for j in range(heads)]
+                     for b in range(batch) for i in range(n) if mask[b, i]],
+                    dtype=np.int64)
+
+
 def matmul_loops(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Triple-loop matrix product."""
     m, k = a.shape

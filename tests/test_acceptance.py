@@ -26,7 +26,7 @@ from hme.labeler import CrfModel
 from hme.tokenization import (BpeModel, apply_bpe, preprocess_token, read_conll,
                              to_chars)
 
-from oracles import FREE_LABELS_BY_T, finite_difference, pack_rows
+from oracles import FREE_LABELS_BY_T, finite_difference, head_rows, pack_rows
 
 RNG_CASES = 100
 
@@ -82,8 +82,19 @@ def _op_cases(rng):
     a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     b = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
     c = Tensor(rng.normal(size=(3,)), requires_grad=True)
-    params = {"a": a, "b": b, "c": c}
+    gain = Tensor(rng.normal(size=(4,)), requires_grad=True)
+    bias = Tensor(rng.normal(size=(4,)), requires_grad=True)
+    # packed rows of a ragged batch with a length-1 sequence, two heads
+    mask = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+    q, k, v = (Tensor(rng.normal(size=(3, 4)), requires_grad=True) for _ in range(3))
+    params = {"a": a, "b": b, "c": c, "gain": gain, "bias": bias, "q": q, "k": k, "v": v}
     mask_rng_seed = int(rng.integers(0, 2 ** 31))
+    keep = (ad.keep_mask((2, 2, 3, 3), 0.4, np.random.default_rng(mask_rng_seed)), 0.4)
+
+    def attend(keep=None):
+        ctx = ad.attention(q, k, v, head_rows(mask, 2), mask, 0.5, keep)
+        return ad.tensor_sum(ad.mul(ctx, a))
+
     cases = {
         "matmul": lambda: ad.tensor_sum(ad.tanh(ad.matmul(a, b))),
         "add": lambda: ad.tensor_sum(ad.mul(ad.add(ad.matmul(a, b), c), c)),
@@ -94,7 +105,10 @@ def _op_cases(rng):
         "logsumexp": lambda: ad.tensor_sum(ad.logsumexp(a, axis=-1)),
         "tanh": lambda: ad.tensor_sum(ad.tanh(a)),
         "relu": lambda: ad.tensor_sum(ad.relu(ad.matmul(a, b))),
-        "layer_norm": lambda: ad.tensor_sum(ad.mul(ad.layer_norm(a), a)),
+        "layer_norm": lambda: ad.tensor_sum(ad.mul(ad.layer_norm(a, gain, bias), a)),
+        "linear": lambda: ad.tensor_sum(ad.tanh(ad.linear(a, b, c))),
+        "attention": attend,
+        "attention_keep": lambda: attend(keep),
         "concat_reshape_transpose": lambda: ad.tensor_sum(ad.tanh(
             ad.reshape(ad.concat([a, ad.transpose(b, (1, 0))], axis=1), (2, 12)))),
         "take_slice": lambda: ad.tensor_sum(ad.tanh(

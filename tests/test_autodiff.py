@@ -4,7 +4,8 @@ import pytest
 from hme import autodiff as ad
 from hme.autodiff import Tape, Tensor
 
-from oracles import finite_difference, finite_difference_jacobian, matmul_loops
+from oracles import (finite_difference, finite_difference_jacobian, head_rows,
+                     matmul_loops)
 
 GRAD_SEEDS = 100
 
@@ -114,10 +115,14 @@ class TestElementwise:
     def test_layer_norm_normalizes(self):
         rng = np.random.default_rng(3)
         x = Tensor(rng.normal(size=(8,)), requires_grad=True)
-        out = ad.layer_norm(x)
+        gain = Tensor(np.ones(8), requires_grad=True)
+        bias = Tensor(np.zeros(8), requires_grad=True)
+        out = ad.layer_norm(x, gain, bias)
         assert abs(out.data.mean()) < 1e-6
         assert abs(out.data.var() - 1.0) < 1e-4
-        grad_check(lambda: ad.tensor_sum(ad.mul(ad.layer_norm(x), ad.layer_norm(x))), [x], rng)
+        grad_check(lambda: ad.tensor_sum(ad.mul(ad.layer_norm(x, gain, bias),
+                                                ad.layer_norm(x, gain, bias))),
+                   [x, gain, bias], rng)
 
     def test_add_bias_broadcast(self):
         x = Tensor(np.zeros((2, 3)), requires_grad=True)
@@ -189,6 +194,17 @@ def test_gradients_all_ops(seed):
     a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     b = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
     c = Tensor(rng.normal(size=(3,)), requires_grad=True)
+    gain = Tensor(rng.normal(size=(4,)), requires_grad=True)
+    bias = Tensor(rng.normal(size=(4,)), requires_grad=True)
+    # a ragged batch with a length-1 sequence, two heads of two values
+    mask = np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 1.0], [1.0, 1.0, 0.0]])
+    q, k, v = (Tensor(rng.normal(size=(6, 4)), requires_grad=True) for _ in range(3))
+    keep = (ad.keep_mask((3, 2, 3, 3), 0.4, np.random.default_rng(seed)), 0.4)
+    params = (a, b, c, gain, bias, q, k, v)
+
+    def attend(keep=None):
+        return ad.tensor_sum(ad.tanh(ad.attention(q, k, v, head_rows(mask, 2), mask,
+                                                  0.7, keep)))
 
     cases = {
         "matmul": lambda: ad.tensor_sum(ad.tanh(ad.matmul(a, b))),
@@ -198,7 +214,10 @@ def test_gradients_all_ops(seed):
         "softmax": lambda: ad.tensor_sum(ad.mul(ad.softmax(a, axis=-1), a)),
         "logsumexp": lambda: ad.tensor_sum(ad.logsumexp(a, axis=-1)),
         "relu": lambda: ad.tensor_sum(ad.relu(ad.matmul(a, b))),
-        "layer_norm": lambda: ad.tensor_sum(ad.mul(ad.layer_norm(a), a)),
+        "layer_norm": lambda: ad.tensor_sum(ad.mul(ad.layer_norm(a, gain, bias), a)),
+        "linear": lambda: ad.tensor_sum(ad.tanh(ad.linear(a, b, c))),
+        "attention": attend,
+        "attention_keep": lambda: attend(keep),
         "concat": lambda: ad.tensor_sum(ad.tanh(ad.concat([a, ad.transpose(b, (1, 0))], axis=1))),
         "reshape_transpose": lambda: ad.tensor_sum(ad.tanh(ad.reshape(ad.transpose(a, (1, 0)), (2, 6)))),
         "take": lambda: ad.tensor_sum(ad.tanh(ad.take(a, np.array([0, 2, 0])))),
@@ -207,11 +226,11 @@ def test_gradients_all_ops(seed):
         "sum_axis": lambda: ad.tensor_sum(ad.tanh(ad.tensor_sum(a, axis=0))),
     }
     for name, build in cases.items():
-        for p in (a, b, c):
+        for p in params:
             p.zero_grad()
         with Tape():
             build().backward()
-        for p in (a, b, c):
+        for p in params:
             if p.grad is None:
                 continue
             num = finite_difference(lambda: build().item(), p.data)
@@ -228,8 +247,17 @@ def test_dropout_gradient():
         out = ad.dropout(x, 0.3, train=True, rng=mask_rng_state)
         loss = ad.tensor_sum(ad.mul(out, out))
         loss.backward()
-    mask = (np.random.default_rng(42).random(x.shape) >= 0.3) / 0.7
+    words = np.frombuffer(np.random.default_rng(42).bytes(2 * x.size), dtype="<u2")
+    mask = (words >= round(0.3 * 65536)).reshape(x.shape) / 0.7
     np.testing.assert_allclose(x.grad, 2 * x.data * mask * mask)
+
+
+@pytest.mark.parametrize("p", [0.1, 0.5])
+def test_dropout_rate_is_p_quantized_to_16_bits(p):
+    n = 1 << 18
+    dropped = 1.0 - ad.keep_mask((n,), p, np.random.default_rng(3)).mean()
+    realised = round(p * 65536) / 65536
+    assert abs(dropped - realised) <= 5.0 * np.sqrt(realised * (1.0 - realised) / n)
 
 
 def test_finite_violation_raises():
@@ -237,6 +265,26 @@ def test_finite_violation_raises():
     with np.errstate(over="ignore"):
         with pytest.raises(ad.NumericsError):
             ad.mul(big, big)
+
+
+def test_fused_ops_raise_on_overflow():
+    big = Tensor(np.full((2, 2), 1e200))
+    mask = np.ones((1, 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ad.NumericsError, match="linear"):
+            ad.linear(big, big, Tensor(np.zeros(2)))
+        with pytest.raises(ad.NumericsError, match="attention"):
+            ad.attention(big, big, big, head_rows(mask, 1), mask, 1.0)
+
+
+def test_fused_ops_reject_bad_shapes():
+    w, b = Tensor(np.zeros((3, 2))), Tensor(np.zeros(2))
+    with pytest.raises(ad.ShapeError):
+        ad.linear(Tensor(np.zeros((4, 5, 3))), w, b)
+    mask = np.array([[1.0, 1.0, 0.0]])
+    x = Tensor(np.zeros((3, 4)))
+    with pytest.raises(ad.ShapeError):
+        ad.attention(x, x, x, head_rows(mask, 2), mask, 1.0)
 
 
 def test_backward_after_tape_exit_rejected():

@@ -399,5 +399,5 @@ def test_overflowing_training_exits_3_without_a_checkpoint(toy, tmp_path, capsys
     rc = cli.main(["train", "--config", str(path), "--quiet"])
     assert rc == 3
     err = capsys.readouterr().err
-    assert "hme: error[numeric]: matmul produced non-finite values" in err
+    assert "hme: error[numeric]: attention produced non-finite values" in err
     assert not (tmp_path / "run" / "model.ckpt").exists()
