@@ -1,7 +1,8 @@
 """Dense tensors with tape-based reverse-mode automatic differentiation.
 
-Everything downstream (projections, attention, transformer layers, CRF) is
-built from the operations in this module.  Design rules:
+Everything downstream (projections, attention, transformer layers) is built
+from the operations in this module; the CRF records its log-likelihood as one
+op of its own through ``_record``.  Design rules:
 
 * eager evaluation on float64 numpy arrays,
 * an explicit ``Tape`` that records ops in execution order; ``backward``
@@ -18,10 +19,9 @@ import numpy as np
 
 __all__ = [
     "Tensor", "Tape", "ShapeError", "NumericsError",
-    "matmul", "add", "sub", "mul", "scale", "concat", "reshape",
-    "transpose", "take", "tanh", "relu", "softmax", "logsumexp",
-    "tensor_sum", "dropout", "keep_mask", "layer_norm", "linear", "attention",
-    "backward",
+    "matmul", "add", "mul", "scale", "concat", "reshape", "take",
+    "tanh", "relu", "softmax", "tensor_sum", "dropout", "keep_mask",
+    "layer_norm", "linear", "attention", "backward",
 ]
 
 
@@ -125,13 +125,9 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    def __getitem__(self, key):
-        return _getitem(self, key)
-
 
 _BOUNDED_OPS = frozenset({
-    "reshape", "transpose", "take", "slice", "concat", "dropout",
-    "tanh", "softmax", "relu", "logsumexp",
+    "reshape", "take", "concat", "dropout", "tanh", "softmax", "relu",
 })
 
 
@@ -280,17 +276,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), vjp, "add")
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _binary_shapes(a, b, "sub")
-    out = a.data - b.data
-    b_shape = b.shape
-
-    def vjp(g):
-        return g, -_reduce_to_suffix(g, b_shape)
-
-    return _record(out, (a, b), vjp, "sub")
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise (Hadamard) product; b may be a trailing-suffix shape."""
     _binary_shapes(a, b, "mul")
@@ -337,17 +322,6 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _record(_contig(out), (a,), vjp, "reshape")
 
 
-def transpose(a: Tensor, axes) -> Tensor:
-    axes = tuple(axes)
-    out = np.ascontiguousarray(np.transpose(a.data, axes))
-    inverse = tuple(np.argsort(axes))
-
-    def vjp(g):
-        return (np.ascontiguousarray(np.transpose(g, inverse)),)
-
-    return _record(out, (a,), vjp, "transpose")
-
-
 def take(a: Tensor, indices) -> Tensor:
     """Gather rows along axis 0; repeated indices accumulate gradient."""
     idx = np.asarray(indices, dtype=np.int64)
@@ -370,18 +344,6 @@ def take(a: Tensor, indices) -> Tensor:
         return (ga.reshape(a_shape).astype(g.dtype, copy=False),)
 
     return _record(_contig(out), (a,), vjp, "take")
-
-
-def _getitem(a: Tensor, key) -> Tensor:
-    out = _contig(a.data[key])
-    a_shape = a.shape
-
-    def vjp(g):
-        ga = np.zeros(a_shape, dtype=g.dtype)
-        ga[key] += g
-        return (ga,)
-
-    return _record(out, (a,), vjp, "slice")
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -418,18 +380,6 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
         return (out * (g - inner),)
 
     return _record(out, (a,), vjp, "softmax")
-
-
-def logsumexp(a: Tensor, axis: int = -1) -> Tensor:
-    """Stable log-sum-exp reduction along ``axis`` (axis removed)."""
-    m = np.max(a.data, axis=axis, keepdims=True)
-    out = np.squeeze(m, axis=axis) + np.log(np.exp(a.data - m).sum(axis=axis))
-    soft = _softmax_data(a.data, axis)
-
-    def vjp(g):
-        return (soft * np.expand_dims(g, axis),)
-
-    return _record(_contig(out), (a,), vjp, "logsumexp")
 
 
 def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:

@@ -57,6 +57,38 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _embedding_entries(raw, base: str) -> list[emb.ManifestEntry]:
+    """Validated manifest entries from the ``embeddings`` list of a config or
+    a checkpoint header; relative paths resolve against ``base``."""
+    _require(isinstance(raw, list), "embeddings must be a list")
+    entries = []
+    for i, e in enumerate(raw):
+        _require(isinstance(e, dict), f"embeddings[{i}] must be an object")
+        _require(all(isinstance(e.get(k, ""), str)
+                     for k in ("level", "language", "path", "format"))
+                 and isinstance(e.get("merges") or "", str),
+                 f"embeddings[{i}]: level, language, path, format and merges "
+                 "must be strings")
+        try:
+            entry = emb.ManifestEntry(
+                level=e.get("level", ""), language_id=e.get("language", ""),
+                path=_resolve(base, e.get("path", "")), format=e.get("format", ""),
+                dim=e.get("dim"), limit=e.get("limit"),
+                merges=_resolve(base, e["merges"]) if e.get("merges") else None)
+        except ValueError as exc:
+            raise ConfigError(f"embeddings[{i}]: {exc}") from None
+        _require(os.path.isfile(entry.path),
+                 f"embedding file is missing or not a file: {entry.path}")
+        if entry.merges:
+            _require(os.path.isfile(entry.merges),
+                     f"merges file is missing or not a file: {entry.merges}")
+        entries.append(entry)
+    keys = [(e.level, e.language_id) for e in entries]
+    _require(len(set(keys)) == len(keys),
+             "embeddings: each level may list a language only once")
+    return entries
+
+
 def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
     """Parse, resolve and validate a JSON run config."""
     try:
@@ -98,33 +130,7 @@ def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"train section: {exc}") from None
 
-    entries = []
-    embeddings_raw = raw.get("embeddings", [])
-    _require(isinstance(embeddings_raw, list), "embeddings must be a list")
-    for i, e in enumerate(embeddings_raw):
-        _require(isinstance(e, dict), f"embeddings[{i}] must be an object")
-        _require(all(isinstance(e.get(k, ""), str)
-                     for k in ("level", "language", "path", "format"))
-                 and isinstance(e.get("merges") or "", str),
-                 f"embeddings[{i}]: level, language, path, format and merges "
-                 "must be strings")
-        try:
-            entry = emb.ManifestEntry(
-                level=e.get("level", ""), language_id=e.get("language", ""),
-                path=_resolve(base, e.get("path", "")), format=e.get("format", ""),
-                dim=e.get("dim"), limit=e.get("limit"),
-                merges=_resolve(base, e["merges"]) if e.get("merges") else None)
-        except ValueError as exc:
-            raise ConfigError(f"embeddings[{i}]: {exc}") from None
-        _require(os.path.isfile(entry.path),
-                 f"embedding file is missing or not a file: {entry.path}")
-        if entry.merges:
-            _require(os.path.isfile(entry.merges),
-                     f"merges file is missing or not a file: {entry.merges}")
-        entries.append(entry)
-    keys = [(e.level, e.language_id) for e in entries]
-    _require(len(set(keys)) == len(keys),
-             "embeddings: each level may list a language only once")
+    entries = _embedding_entries(raw.get("embeddings", []), base)
     manifest = emb.EmbeddingManifest(entries)
 
     n_word = len(manifest.by_level("word"))
@@ -180,8 +186,12 @@ def _build_resources(manifest: emb.EmbeddingManifest, model_cfg: mdl.ModelConfig
     if model_cfg.variant == "hme":
         subword_tables = manifest.load_tables("subword")
         for entry in manifest.by_level("subword"):
-            bpe_models[entry.language_id] = load_bpe_merges(
-                entry.merges, entry.language_id)
+            try:
+                bpe_models[entry.language_id] = load_bpe_merges(
+                    entry.merges, entry.language_id)
+            except ValueError as exc:
+                # a malformed line or a repeated merge
+                raise ConfigError(str(exc)) from None
         char_table = emb.init_char_table(char_alphabet, model_cfg.char_dim, seed=seed)
     if model_cfg.variant == "random":
         word_tables = [emb.init_random_word_table(random_vocab, model_cfg.random_dim,
@@ -195,12 +205,7 @@ def _restore_model(checkpoint_path: str) -> tuple[mdl.SequenceTagger, dict]:
     header, arrays = mdl.load_checkpoint(checkpoint_path)
     try:
         model_cfg = mdl.ModelConfig(**header["model_config"])
-        entries = [
-            emb.ManifestEntry(level=e["level"], language_id=e["language"],
-                              path=e["path"], format=e["format"], dim=e.get("dim"),
-                              limit=e.get("limit"), merges=e.get("merges"))
-            for e in header["run_config"].get("embeddings", [])
-        ]
+        entries_raw = header["run_config"].get("embeddings", [])
         labels, seed = list(header["labels"]), header["seed"]
         char_alphabet, random_vocab = header["char_alphabet"], header["random_vocab"]
         fingerprints = dict(header["table_fingerprints"])
@@ -210,9 +215,8 @@ def _restore_model(checkpoint_path: str) -> tuple[mdl.SequenceTagger, dict]:
     except (AttributeError, TypeError, ValueError) as exc:
         raise mdl.CheckpointError(
             f"{checkpoint_path}: invalid checkpoint header ({exc})") from None
-    for entry in entries:
-        if not os.path.isfile(entry.path):
-            raise ConfigError(f"embedding file from checkpoint is missing: {entry.path}")
+    # the stored paths are already resolved
+    entries = _embedding_entries(entries_raw, os.getcwd())
     try:
         # the generated tables' start values are overwritten by the stored state
         resources = _build_resources(emb.EmbeddingManifest(entries), model_cfg,
@@ -225,6 +229,7 @@ def _restore_model(checkpoint_path: str) -> tuple[mdl.SequenceTagger, dict]:
         # header values of the wrong type or that disagree with each other
         raise mdl.CheckpointError(f"{checkpoint_path}: {exc}") from None
     paths = {f"{e.level}/{e.language_id}": e.path for e in entries}
+    paths.update((f"merges/{e.language_id}", e.merges) for e in entries if e.merges)
     for key, value in mdl.table_fingerprints(resources).items():
         if fingerprints.get(key) != value:
             raise ConfigError(f"embedding file {paths[key]} ({key}) has changed "

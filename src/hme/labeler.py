@@ -2,7 +2,9 @@
 
 The log-partition comes from the forward algorithm run in log space with
 log-sum-exp, and decoding from Viterbi with lowest-tag-index tie-breaking;
-each runs one recursion over a whole batch of sentences at once.
+each runs one recursion over a whole batch of sentences at once.  The
+negative log-likelihood is one tape op whose gradient comes from one
+backward recursion: the forward-backward marginals minus the gold counts.
 Illegal IOB transitions (to I-x from anything but B-x/I-x, and I-x at the
 start) are additively masked to a large negative value so they never appear
 in decoded paths.
@@ -32,6 +34,30 @@ def iob_transition_masks(labels: list[str]) -> tuple[np.ndarray, np.ndarray]:
             if prev not in (f"B-{etype}", f"I-{etype}"):
                 trans[p, c] = NEG_LARGE
     return trans, start
+
+
+def _log_sum_exp(x: np.ndarray, axis: int) -> np.ndarray:
+    m = x.max(axis=axis, keepdims=True)
+    return np.squeeze(m, axis) + np.log(np.exp(x - m).sum(axis=axis))
+
+
+def _forward(e: np.ndarray, live: np.ndarray, trans: np.ndarray, start: np.ndarray,
+             end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The forward algorithm in log space over a (B, n_max, T) batch.
+
+    ``live`` (n_max, B) is True while position i is inside sentence b.
+    Returns the alphas (n_max, B, T) and log Z per sentence (B,).  A
+    finished sentence carries its last alpha forward unchanged, so
+    ``alpha[-1]`` is every sentence's final alpha.
+    """
+    B, n_max, T = e.shape
+    alpha = np.empty((n_max, B, T))
+    alpha[0] = start + e[:, 0]
+    for i in range(1, n_max):
+        # scores[b, prev, cur] = alpha[b, prev] + trans[prev, cur]
+        new = _log_sum_exp(alpha[i - 1][:, :, None] + trans, 1) + e[:, i]
+        alpha[i] = np.where(live[i][:, None], new, alpha[i - 1])
+    return alpha, _log_sum_exp(alpha[-1] + end, 1)
 
 
 class CrfModel:
@@ -72,10 +98,6 @@ class CrfModel:
 
     # -- masked views -------------------------------------------------------
 
-    def _effective(self) -> tuple[Tensor, Tensor]:
-        return (ad.add(self.transitions, Tensor(self._trans_mask)),
-                ad.add(self.start, Tensor(self._start_mask)))
-
     def _effective_np(self) -> tuple[np.ndarray, np.ndarray]:
         return (self.transitions.data + self._trans_mask,
                 self.start.data + self._start_mask)
@@ -100,40 +122,28 @@ class CrfModel:
         sentence and ``lengths`` the sentences' token counts (default: all
         n_max); positions past a sentence's length are ignored.  An (n, T)
         input with a single tag sequence is the batch of one.
+
+        One tape op: its gradient is the forward-backward marginals minus
+        the gold counts, for the emissions, transitions, start and end.
         """
-        if emissions.ndim == 2:
-            emissions = ad.reshape(emissions, (1,) + emissions.shape)
+        e = emissions.data
+        if e.ndim == 2:
+            e = e[None]
             gold = [gold]
-        if emissions.ndim != 3 or emissions.shape[2] != self.num_tags:
+        if e.ndim != 3 or e.shape[2] != self.num_tags:
             raise ShapeError(f"emissions must be (n, {self.num_tags}) "
                              f"or (B, n, {self.num_tags})")
-        B, n_max, T = emissions.shape
+        B, n_max, T = e.shape
         lengths = [n_max] * B if lengths is None else list(lengths)
         if len(gold) != B or len(lengths) != B:
             raise ShapeError("need one gold sequence and one length per sentence")
         if any(len(g) != n or not 1 <= n <= n_max for g, n in zip(gold, lengths)):
             raise ShapeError("gold length does not match emissions")
         idx = [self._gold_indices(g) for g in gold]
-        trans_eff, start_eff = self._effective()
-
-        # forward algorithm in log space over all sentences at once; alpha is
-        # (T, B), tag-major, so each step broadcasts it as a trailing suffix:
-        # scores[cur, prev, b] = trans[prev, cur] + alpha[prev, b]
-        steps = ad.transpose(emissions, (1, 2, 0))                 # (n_max, T, B)
-        tag_of = np.repeat(np.arange(T)[:, None], B, axis=1)       # (T, B) -> tag
-        pair_of = np.repeat(np.arange(T * T)[:, None], B, axis=1)
-        trans_b = ad.reshape(                                      # (cur, prev, B)
-            ad.take(ad.reshape(ad.transpose(trans_eff, (1, 0)), (T * T,)), pair_of),
-            (T, T, B))
-        # 1.0 while position i is inside sentence b; a finished sentence
-        # carries its alpha forward unchanged (exact for a 0/1 mask)
-        live = (np.arange(n_max)[:, None] < np.asarray(lengths)).astype(float)
-        alpha = ad.add(steps[0], ad.take(start_eff, tag_of))
-        for i in range(1, n_max):
-            new = ad.add(ad.logsumexp(ad.add(trans_b, alpha), axis=1), steps[i])
-            alpha = ad.add(ad.mul(new, Tensor(live[i])),
-                           ad.mul(alpha, Tensor(1.0 - live[i])))
-        log_z = ad.logsumexp(ad.add(alpha, ad.take(self.end, tag_of)), axis=0)
+        trans, start = self._effective_np()
+        end = self.end.data
+        live = np.arange(n_max)[:, None] < np.asarray(lengths)      # (n_max, B)
+        alpha, log_z = _forward(e, live, trans, start, end)
 
         # gold path scores via indicator counts summed over the batch
         onehot = np.zeros((B, n_max, T))
@@ -145,24 +155,39 @@ class CrfModel:
             np.add.at(pairs, (seq[:-1], seq[1:]), 1.0)
             first[seq[0]] += 1.0
             last[seq[-1]] += 1.0
-        score = ad.tensor_sum(ad.mul(emissions, Tensor(onehot)))
-        score = ad.add(score, ad.tensor_sum(ad.mul(trans_eff, Tensor(pairs))))
-        score = ad.add(score, ad.tensor_sum(ad.mul(start_eff, Tensor(first))))
-        score = ad.add(score, ad.tensor_sum(ad.mul(self.end, Tensor(last))))
-        return ad.sub(ad.tensor_sum(log_z), score)
+        score = ((e * onehot).sum() + (trans * pairs).sum()
+                 + (start * first).sum() + (end * last).sum())
+
+        def vjp(g):
+            # beta[i] scores the tags after position i.  From a sentence's
+            # last position on it holds the end scores, and ``live`` zeroes
+            # the marginals past that position
+            e_t = np.swapaxes(e, 0, 1)                               # (n_max, B, T)
+            beta = np.empty_like(alpha)
+            beta[-1] = end
+            for i in range(n_max - 2, -1, -1):
+                new = _log_sum_exp(trans + (e_t[i + 1] + beta[i + 1])[:, None, :], 2)
+                beta[i] = np.where(live[i + 1][:, None], new, beta[i + 1])
+            node = np.exp(alpha + beta - log_z[:, None]) * live[:, :, None]
+            # pair[i, b, prev, cur] for the move into position i + 1
+            pair = np.exp(alpha[:-1, :, :, None] + trans
+                          + (e_t[1:] + beta[1:])[:, :, None, :]
+                          - log_z[:, None, None]) * live[1:, :, None, None]
+            g_end = np.exp(alpha[-1] + end - log_z[:, None]).sum(axis=0) - last
+            g_e = (np.swapaxes(node, 0, 1) - onehot).reshape(emissions.shape)
+            return (g * g_e, g * (pair.sum(axis=(0, 1)) - pairs),
+                    g * (node[0].sum(axis=0) - first), g * g_end)
+
+        return ad._record(np.asarray(log_z.sum() - score),
+                          (emissions, self.transitions, self.start, self.end),
+                          vjp, "crf_nll")
 
     def log_partition(self, emissions: np.ndarray) -> float:
-        """log Z on plain arrays (no gradient), for diagnostics and tests."""
+        """log Z of one (n, T) sentence on plain arrays (no gradient)."""
         e = emissions.data if isinstance(emissions, Tensor) else np.asarray(emissions)
         trans, start = self._effective_np()
-        alpha = start + e[0]
-        for i in range(1, e.shape[0]):
-            scores = alpha[:, None] + trans
-            m = scores.max(axis=0, keepdims=True)
-            alpha = m[0] + np.log(np.exp(scores - m).sum(axis=0)) + e[i]
-        final = alpha + self.end.data
-        m = final.max()
-        return float(m + np.log(np.exp(final - m).sum()))
+        live = np.ones((e.shape[0], 1), dtype=bool)
+        return float(_forward(e[None], live, trans, start, self.end.data)[1][0])
 
     # -- decoding -----------------------------------------------------------
 

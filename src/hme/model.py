@@ -403,10 +403,14 @@ class CheckpointError(ValueError):
 
 def table_fingerprints(resources: Resources) -> dict[str, str]:
     """``fingerprint()`` of each frozen word and subword table, keyed by
-    "level/language"; a checkpoint is valid only with these exact tables."""
-    return {f"{t.level}/{t.language_id}": t.fingerprint()
-            for t in resources.word_tables + resources.subword_tables
-            if not t.trainable}
+    "level/language", and of each BPE merge list, keyed by "merges/language";
+    a checkpoint is valid only with these exact tables and merges."""
+    out = {f"{t.level}/{t.language_id}": t.fingerprint()
+           for t in resources.word_tables + resources.subword_tables
+           if not t.trainable}
+    out.update((f"merges/{lang}", bpe.fingerprint())
+               for lang, bpe in resources.bpe_models.items())
+    return out
 
 
 def save_checkpoint(path: str, model: SequenceTagger, run_config: dict) -> None:

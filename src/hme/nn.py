@@ -147,7 +147,9 @@ class EncoderLayer:
         self.heads = heads
         self.ln1 = LayerNorm(d_model)
         self.wq = Linear(d_model, d_model, rng)
-        self.wk = Linear(d_model, d_model, rng)
+        # keys need no bias: it adds the same q . b to every score of a
+        # query, which the softmax ignores
+        self.wk = Tensor(xavier_uniform(rng, d_model, d_model), requires_grad=True)
         self.wv = Linear(d_model, d_model, rng)
         self.wo = Linear(d_model, d_model, rng)
         self.ln2 = LayerNorm(d_model)
@@ -166,8 +168,8 @@ class EncoderLayer:
         batch, n = mask.shape
         a = self.ln1(x)
         keep = self.drop_attn.keep((batch, self.heads, n, n), train)
-        ctx = ad.attention(self.wq(a), self.wk(a), self.wv(a), head_rows, mask,
-                           1.0 / math.sqrt(self.d_model // self.heads), keep)
+        ctx = ad.attention(self.wq(a), ad.matmul(a, self.wk), self.wv(a), head_rows,
+                           mask, 1.0 / math.sqrt(self.d_model // self.heads), keep)
         x = ad.add(x, self.drop_attn_out(self.wo(ctx), train))
 
         f = ad.relu(self.ff1(self.ln2(x)))
@@ -175,8 +177,10 @@ class EncoderLayer:
         return ad.add(x, self.drop_ff_out(f, train))
 
     def parameters(self, prefix: str) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for name in ("ln1", "wq", "wk", "wv", "wo", "ln2", "ff1", "ff2"):
+        out = self.ln1.parameters(f"{prefix}.ln1")
+        out.update(self.wq.parameters(f"{prefix}.wq"))
+        out[f"{prefix}.wk.weight"] = self.wk
+        for name in ("wv", "wo", "ln2", "ff1", "ff2"):
             out.update(getattr(self, name).parameters(f"{prefix}.{name}"))
         return out
 

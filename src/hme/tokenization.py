@@ -6,6 +6,7 @@ are never BPE-split and count as single pseudo-characters.
 
 from __future__ import annotations
 
+import hashlib
 import re
 from dataclasses import dataclass
 
@@ -70,6 +71,13 @@ class BpeModel:
             if pair in self._ranks:
                 raise ValueError(f"duplicate merge {pair}")
             self._ranks[pair] = rank
+
+    def fingerprint(self) -> str:
+        """Content hash of the ordered merge list."""
+        h = hashlib.sha256()
+        for left, right in self.merges:
+            h.update(f"{left} {right}\n".encode())
+        return h.hexdigest()
 
     def segment(self, word: str) -> list[tuple[str, bool]]:
         """Subwords as (text, is_word_final) with the end marker stripped."""

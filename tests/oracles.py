@@ -166,7 +166,7 @@ def transformer_layer_loops(x, mask, layer, eps=1e-5):
     """One pre-norm encoder layer evaluated with explicit loops (eval mode).
 
     x: (n, d); mask: (n,) with 1 for real positions; ``layer`` carries numpy
-    weights with keys ln1_g, ln1_b, wq, bq, wk, bk, wv, bv, wo, bo, ln2_g,
+    weights with keys ln1_g, ln1_b, wq, bq, wk, wv, bv, wo, bo, ln2_g,
     ln2_b, w1, b1, w2, b2 and the head count in "heads".
     """
     n, d = x.shape
@@ -174,7 +174,7 @@ def transformer_layer_loops(x, mask, layer, eps=1e-5):
     dk = d // heads
     a = layer_norm_loops(x, layer["ln1_g"], layer["ln1_b"], eps)
     q = a @ layer["wq"] + layer["bq"]
-    k = a @ layer["wk"] + layer["bk"]
+    k = a @ layer["wk"]
     v = a @ layer["wv"] + layer["bv"]
     ctx = np.zeros((n, d))
     for h in range(heads):

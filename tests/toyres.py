@@ -1,6 +1,7 @@
 """Tiny shared fixtures: two toy languages with word/subword/char tables."""
 
 import json
+import os
 
 import numpy as np
 
@@ -82,6 +83,17 @@ BAD_PARAM_HEADERS = {
     "shape_beyond_file": _with_first_shape([1000000, 1000000]),
     "negative_dim": _with_first_shape([-1, 2]),
 }
+
+
+def _merges_at_directory(header):
+    """Point every subword entry's merges path at the directory holding it."""
+    run_config = json.loads(json.dumps(header["run_config"]))
+    for entry in run_config["embeddings"]:
+        if entry.get("merges"):
+            entry["merges"] = os.path.dirname(entry["merges"])
+    return dict(header, run_config=run_config)
+
+
 # headers that load but cannot rebuild the model
 BAD_MODEL_HEADERS = {
     "no_model_config": lambda header: {k: v for k, v in header.items()
@@ -94,6 +106,7 @@ BAD_MODEL_HEADERS = {
     "char_alphabet_null": lambda header: dict(header, char_alphabet=None),
     "no_table_fingerprints": lambda header: {k: v for k, v in header.items()
                                              if k != "table_fingerprints"},
+    "merges_is_a_directory": _merges_at_directory,
 }
 
 
