@@ -20,7 +20,7 @@ import numpy as np
 __all__ = [
     "Tensor", "Tape", "ShapeError", "NumericsError",
     "matmul", "add", "mul", "scale", "concat", "reshape", "take",
-    "tanh", "relu", "softmax", "tensor_sum", "dropout", "keep_mask",
+    "segment_mean", "tanh", "relu", "softmax", "tensor_sum", "dropout", "keep_mask",
     "layer_norm", "linear", "attention", "backward",
 ]
 
@@ -331,19 +331,29 @@ def take(a: Tensor, indices) -> Tensor:
     a_shape = a.shape
 
     def vjp(g):
-        flat_idx = idx.reshape(-1)
-        if np.bincount(flat_idx, minlength=a_shape[0]).max(initial=0) <= 1:
-            # each row gathered at most once: a plain scatter
-            ga = np.zeros(a_shape, dtype=g.dtype)
-            ga[flat_idx] = g.reshape((flat_idx.size,) + a_shape[1:])
-            return (ga,)
         # scatter-add via one bincount pass; much faster than np.add.at
         d = int(np.prod(a_shape[1:])) if len(a_shape) > 1 else 1
-        keys = (flat_idx[:, None] * d + np.arange(d)).ravel()
+        keys = (idx.reshape(-1)[:, None] * d + np.arange(d)).ravel()
         ga = np.bincount(keys, weights=g.reshape(-1), minlength=a_shape[0] * d)
         return (ga.reshape(a_shape).astype(g.dtype, copy=False),)
 
     return _record(_contig(out), (a,), vjp, "take")
+
+
+def segment_mean(x: Tensor, counts) -> Tensor:
+    """Mean of each run of ``counts[i]`` consecutive rows of packed (C, d)
+    rows, as (len(counts), d); every count is at least 1 and they sum to C."""
+    n = np.asarray(counts, dtype=np.int64)
+    if x.ndim != 2 or n.ndim != 1 or not n.size or n.min() < 1 or n.sum() != x.shape[0]:
+        raise ShapeError(f"segment_mean: counts must be positive and tile the rows "
+                         f"of {x.shape}, got {n.size} summing to {n.sum()}")
+    starts = np.cumsum(n) - n
+    out = np.add.reduceat(x.data, starts, axis=0) / n[:, None]
+
+    def vjp(g):
+        return (np.repeat(g / n[:, None], n, axis=0),)
+
+    return _record(out, (x,), vjp, "segment_mean")
 
 
 def tanh(a: Tensor) -> Tensor:

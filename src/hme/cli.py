@@ -337,9 +337,9 @@ def cmd_ensemble(args) -> int:
         seqs = []
         for r_idx, run in enumerate(runs):
             other = run[s_idx]
-            if len(other) != len(sent):
+            if other.raw_tokens != sent.raw_tokens:
                 raise ConfigError(
-                    f"sentence {s_idx}: length mismatch between "
+                    f"sentence {s_idx}: token mismatch between "
                     f"{args.predictions[0]} and {args.predictions[r_idx]}")
             seqs.append(other.labels)
         voted.append(tr.majority_vote(seqs))

@@ -87,9 +87,11 @@ def load_text_embeddings(path: str, fmt: str, language_id: str = "", level: str 
                          expected_dim: int | None = None) -> EmbeddingTable:
     """Load a frozen table from a text embedding file.
 
-    ``vec_with_header`` expects a "count dim" first line; ``glove_no_header``
-    infers the dimension from the first row.  Duplicate tokens keep the first
-    occurrence.  CRLF line endings are tolerated.
+    ``vec_with_header`` expects a "count dim" first line, whose count must
+    equal the non-blank data lines (duplicates included) unless ``limit``
+    stops the read early; ``glove_no_header`` infers the dimension from the
+    first row.  Duplicate tokens keep the first occurrence.  CRLF line
+    endings are tolerated.
     """
     if fmt not in FORMATS:
         raise ValueError(f"unknown embedding format {fmt!r}")
@@ -106,14 +108,18 @@ def load_text_embeddings(path: str, fmt: str, language_id: str = "", level: str 
             if len(parts) != 2:
                 raise EmbeddingFormatError(f"{path}:1: header must be 'count dim'")
             try:
-                dim = int(parts[1])
+                count, dim = int(parts[0]), int(parts[1])
             except ValueError:
                 raise EmbeddingFormatError(f"{path}:1: header must be 'count dim'") from None
+            if count < 0:
+                raise EmbeddingFormatError(f"{path}:1: negative row count {count}")
             first_data_line = 2
+        data_lines, stopped = 0, False
         for lineno, line in enumerate(fh, start=first_data_line):
             line = line.rstrip("\r\n")
             if not line:
                 continue
+            data_lines += 1
             parts = line.split()
             if len(parts) < 2:
                 raise EmbeddingFormatError(f"{path}:{lineno}: malformed row")
@@ -124,9 +130,13 @@ def load_text_embeddings(path: str, fmt: str, language_id: str = "", level: str 
             if token in vocab:
                 continue
             if limit is not None and len(rows) >= limit:
+                stopped = True
                 break
             vocab[token] = len(rows)
             rows.append(vec)
+    if fmt == "vec_with_header" and not stopped and data_lines != count:
+        raise EmbeddingFormatError(
+            f"{path}: header announces {count} rows, the file holds {data_lines}")
     if dim is None or not rows:
         raise EmbeddingFormatError(f"{path}: no embedding rows found")
     if expected_dim is not None and dim != expected_dim:

@@ -113,49 +113,58 @@ class CrfModel:
                     f"illegal transition {self.labels[a]!r} -> {self.labels[b]!r}")
         return idx
 
+    def _batch(self, rows: np.ndarray,
+               lengths) -> tuple[np.ndarray, np.ndarray, list[int]]:
+        """Scatter packed (R, T) rows of sentences of ``lengths`` tokens (one
+        sentence when None) into a zero-padded (B, n_max, T) batch; returns
+        it, the (B, n_max) mask of its real cells and the lengths."""
+        if rows.ndim != 2 or rows.shape[1] != self.num_tags:
+            raise ShapeError(f"emissions must be packed (R, {self.num_tags}) rows, "
+                             f"got {rows.shape}")
+        n = [len(rows)] if lengths is None else [int(k) for k in lengths]
+        if not n or min(n) < 1 or sum(n) != len(rows):
+            raise ShapeError(f"sentence lengths must be positive and sum to the "
+                             f"{len(rows)} rows")
+        real = np.arange(max(n)) < np.array(n)[:, None]
+        batch = np.zeros(real.shape + (self.num_tags,))
+        batch[real] = rows
+        return batch, real, n
+
     # -- training objective -------------------------------------------------
 
     def neg_log_likelihood(self, emissions: Tensor, gold, lengths=None) -> Tensor:
         """Summed log Z minus gold path score over a batch; non-negative.
 
-        ``emissions`` is (B, n_max, T), ``gold`` one tag sequence per
-        sentence and ``lengths`` the sentences' token counts (default: all
-        n_max); positions past a sentence's length are ignored.  An (n, T)
-        input with a single tag sequence is the batch of one.
+        ``emissions`` holds packed (R, T) rows, the tokens of the batch's
+        sentences in order, ``lengths`` tokens each, and ``gold`` one tag
+        sequence per sentence.  Without ``lengths`` the rows are one sentence
+        and ``gold`` its tag sequence.
 
         One tape op: its gradient is the forward-backward marginals minus
         the gold counts, for the emissions, transitions, start and end.
         """
-        e = emissions.data
-        if e.ndim == 2:
-            e = e[None]
-            gold = [gold]
-        if e.ndim != 3 or e.shape[2] != self.num_tags:
-            raise ShapeError(f"emissions must be (n, {self.num_tags}) "
-                             f"or (B, n, {self.num_tags})")
-        B, n_max, T = e.shape
-        lengths = [n_max] * B if lengths is None else list(lengths)
-        if len(gold) != B or len(lengths) != B:
-            raise ShapeError("need one gold sequence and one length per sentence")
-        if any(len(g) != n or not 1 <= n <= n_max for g, n in zip(gold, lengths)):
-            raise ShapeError("gold length does not match emissions")
+        e, real, sizes = self._batch(emissions.data, lengths)
+        gold = [gold] if lengths is None else list(gold)
+        if [len(g) for g in gold] != sizes:
+            raise ShapeError("need one gold sequence of each sentence's length")
         idx = [self._gold_indices(g) for g in gold]
         trans, start = self._effective_np()
         end = self.end.data
-        live = np.arange(n_max)[:, None] < np.asarray(lengths)      # (n_max, B)
+        live = real.T                                               # (n_max, B)
         alpha, log_z = _forward(e, live, trans, start, end)
 
         # gold path scores via indicator counts summed over the batch
-        onehot = np.zeros((B, n_max, T))
+        T = self.num_tags
+        onehot = np.zeros(emissions.shape)
+        onehot[np.arange(len(onehot)), np.concatenate(idx)] = 1.0
         pairs = np.zeros((T, T))
         first = np.zeros(T)
         last = np.zeros(T)
-        for b, seq in enumerate(idx):
-            onehot[b, np.arange(len(seq)), seq] = 1.0
+        for seq in idx:
             np.add.at(pairs, (seq[:-1], seq[1:]), 1.0)
             first[seq[0]] += 1.0
             last[seq[-1]] += 1.0
-        score = ((e * onehot).sum() + (trans * pairs).sum()
+        score = ((emissions.data * onehot).sum() + (trans * pairs).sum()
                  + (start * first).sum() + (end * last).sum())
 
         def vjp(g):
@@ -165,7 +174,7 @@ class CrfModel:
             e_t = np.swapaxes(e, 0, 1)                               # (n_max, B, T)
             beta = np.empty_like(alpha)
             beta[-1] = end
-            for i in range(n_max - 2, -1, -1):
+            for i in range(len(beta) - 2, -1, -1):
                 new = _log_sum_exp(trans + (e_t[i + 1] + beta[i + 1])[:, None, :], 2)
                 beta[i] = np.where(live[i + 1][:, None], new, beta[i + 1])
             node = np.exp(alpha + beta - log_z[:, None]) * live[:, :, None]
@@ -174,7 +183,7 @@ class CrfModel:
                           + (e_t[1:] + beta[1:])[:, :, None, :]
                           - log_z[:, None, None]) * live[1:, :, None, None]
             g_end = np.exp(alpha[-1] + end - log_z[:, None]).sum(axis=0) - last
-            g_e = (np.swapaxes(node, 0, 1) - onehot).reshape(emissions.shape)
+            g_e = np.swapaxes(node, 0, 1)[real] - onehot
             return (g * g_e, g * (pair.sum(axis=(0, 1)) - pairs),
                     g * (node[0].sum(axis=0) - first), g * g_end)
 
@@ -194,24 +203,15 @@ class CrfModel:
     def viterbi_decode(self, emissions, lengths=None):
         """Highest-scoring legal tag sequence and its score per sentence.
 
-        ``emissions`` is (B, n_max, T) with ``lengths`` as in
-        ``neg_log_likelihood``, and the result one (tags, score) per
-        sentence.  An (n, T) input is the batch of one and gives its
-        (tags, score).
+        ``emissions`` and ``lengths`` are as in ``neg_log_likelihood``, and
+        the result one (tags, score) per sentence; without ``lengths`` the
+        rows are one sentence and the result its (tags, score).
         """
-        e = emissions.data if isinstance(emissions, Tensor) else np.asarray(emissions)
-        single = e.ndim == 2
-        if single:
-            e = e[None]
-        if e.ndim != 3 or e.shape[2] != self.num_tags:
-            raise ShapeError(f"emissions must be (n, {self.num_tags}) "
-                             f"or (B, n, {self.num_tags})")
+        rows = emissions.data if isinstance(emissions, Tensor) else np.asarray(emissions)
+        e, _, sizes = self._batch(rows, lengths)
         B, n_max, T = e.shape
-        lengths = [n_max] * B if lengths is None else [int(n) for n in lengths]
-        if len(lengths) != B or not all(1 <= n <= n_max for n in lengths):
-            raise ShapeError("need one length in [1, n_max] per sentence")
         trans, start = self._effective_np()
-        shortest, ends = min(lengths), np.array(lengths)[:, None]
+        shortest, ends = min(sizes), np.array(sizes)[:, None]
         delta = start + e[:, 0]                                 # (B, T)
         back = np.empty((n_max, B, T), dtype=np.int64)
         for i in range(1, n_max):
@@ -223,11 +223,11 @@ class CrfModel:
         final = delta + self.end.data
         back = back.tolist()
         out = []
-        for b, (n, tag, score) in enumerate(zip(lengths, final.argmax(axis=1).tolist(),
+        for b, (n, tag, score) in enumerate(zip(sizes, final.argmax(axis=1).tolist(),
                                                 final.max(axis=1).tolist())):
             path = [tag]
             for i in range(n - 1, 0, -1):
                 tag = back[i][b][tag]
                 path.append(tag)
             out.append(([self.labels[t] for t in reversed(path)], score))
-        return out[0] if single else out
+        return out[0] if lengths is None else out

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ShapeError, Tensor
-from .nn import Linear, TransformerEncoder, pack_slots, unpack, xavier_uniform
+from .nn import Linear, TransformerEncoder, xavier_uniform
 
 
 class ProjectionSet:
@@ -80,11 +80,9 @@ def mme_word(embeddings_per_language: list[Tensor], proj: ProjectionSet,
 def encode_and_pool(x: Tensor, mask: np.ndarray, encoder: TransformerEncoder,
                     train: bool = False) -> Tensor:
     """Encode the packed rows of the (N, m) ``mask``'s real cells and
-    mean-pool each of its N sequences to one (N, d) row."""
-    enc = unpack(encoder(x, mask, train), pack_slots(mask))
-    weights = mask / np.maximum(mask.sum(axis=-1, keepdims=True), 1.0)
-    pooled = ad.matmul(Tensor(weights[:, None, :]), enc)
-    return ad.reshape(pooled, (mask.shape[0], enc.shape[-1]))
+    mean-pool each of its N sequences, at least one cell each, to one (N, d)
+    row."""
+    return ad.segment_mean(encoder(x, mask, train), mask.sum(axis=-1))
 
 
 def mme_subword(subword_embeddings: list[Tensor], masks: list[np.ndarray],

@@ -18,7 +18,7 @@ from . import embeddings as emb
 from . import metaembed as me
 from .autodiff import Tensor
 from .labeler import CrfModel
-from .nn import TransformerEncoder, assign_dropout_keys, pack_slots, unpack
+from .nn import TransformerEncoder, assign_dropout_keys
 from .tokenization import BpeModel, TokenizedSentence, apply_bpe, to_chars
 
 VARIANTS = ("hme", "mme_word", "concat", "linear", "random")
@@ -187,10 +187,11 @@ def _masked_lookup(table: emb.EmbeddingTable, idx: np.ndarray,
 
 @dataclass
 class ForwardResult:
-    emissions: Tensor                      # (B, n_max, T), zeros at padding
+    # the R real tokens' rows in sentence order: tag scores (R, T), and the
+    # attention weights (R, L), or None for the variants without that level
+    # (read only, never differentiated)
+    emissions: Tensor
     lengths: list[int]
-    # attention weights (R, L) over real tokens in sentence order, or None
-    # for the variants without that level; read only, never differentiated
     alpha_word: Tensor | None
     alpha_subword: Tensor | None
 
@@ -339,10 +340,8 @@ class SequenceTagger:
                                      self.char_encoder, train)
             u = me.hme_concat(u, u_s, u_c)
 
-        token_mask = _length_mask(batch.lengths)
-        h = self.encoder(ad.take(u, batch.word_of), token_mask, train)
-        # only the tag scores leave the packed rows: (B, n_max, T), zeros at padding
-        emissions = unpack(self.crf.emissions(h), pack_slots(token_mask))
+        h = self.encoder(ad.take(u, batch.word_of), _length_mask(batch.lengths), train)
+        emissions = self.crf.emissions(h)
         alpha_w, alpha_s = (None if a is None else Tensor(a.data[batch.word_of])
                             for a in (alpha_w, alpha_s))
         return ForwardResult(emissions=emissions, lengths=batch.lengths.tolist(),
@@ -377,15 +376,11 @@ class SequenceTagger:
         for i in range(0, len(sentences), batch_size):
             chunk = sentences[i:i + batch_size]
             result = self.forward(chunk, train=False)
-            aw, asw = result.alpha_word, result.alpha_subword
+            rows = [result.emissions, result.alpha_word, result.alpha_subword]
             start = 0
-            for b, n in enumerate(result.lengths):
-                tags, _ = self.crf.viterbi_decode(result.emissions.data[b, :n])
-                out.append((
-                    tags,
-                    None if aw is None else aw.data[start:start + n],
-                    None if asw is None else asw.data[start:start + n],
-                ))
+            for n in result.lengths:
+                e, aw, asw = (None if r is None else r.data[start:start + n] for r in rows)
+                out.append((self.crf.viterbi_decode(e)[0], aw, asw))
                 start += n
         return out
 

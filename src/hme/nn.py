@@ -106,27 +106,6 @@ def sinusoidal_positions(length: int, dim: int) -> np.ndarray:
     return pe
 
 
-def pack_slots(mask: np.ndarray) -> np.ndarray:
-    """Slots of the C nonzero cells of ``mask`` packed in row-major order.
-
-    Shaped like ``mask``: the packed row of each real cell, and C, C + 1, ...
-    for the padding cells in the same order, so that ``unpack`` is a
-    permutation and its gradient a plain scatter.
-    """
-    flat = mask.reshape(-1)
-    real = np.flatnonzero(flat)
-    slot = np.empty(flat.size, dtype=np.int64)
-    slot[real] = np.arange(real.size)
-    slot[flat == 0.0] = np.arange(real.size, flat.size)
-    return slot.reshape(mask.shape)
-
-
-def unpack(x: Tensor, slot: np.ndarray) -> Tensor:
-    """Scatter packed (C, d) rows to ``slot.shape + (d,)``, zeros at padding."""
-    pad = Tensor(np.zeros((slot.size - x.shape[0], x.shape[-1])))
-    return ad.take(ad.concat([x, pad], axis=0), slot)
-
-
 class EncoderLayer:
     """Pre-norm transformer block: self-attention then feed-forward.
 

@@ -213,25 +213,29 @@ def read_conll(path: str) -> list[TokenizedSentence]:
 def read_tokens(path: str) -> list[TokenizedSentence]:
     """Read unlabeled input: one token per line, blank line ends a sentence.
 
-    Lines containing a tab are treated as CoNLL rows and the tag is ignored.
+    Lines containing a tab are treated as CoNLL rows and the tag is ignored;
+    a line that starts with a tab has an empty token and is rejected.
     """
     sentences: list[TokenizedSentence] = []
     tokens: list[str] = []
+
+    def flush():
+        if tokens:
+            sentences.append(TokenizedSentence(
+                raw_tokens=list(tokens), words=[preprocess_token(t) for t in tokens]))
+            tokens.clear()
+
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\r\n")
             if not line:
-                if tokens:
-                    sentences.append(TokenizedSentence(
-                        raw_tokens=list(tokens),
-                        words=[preprocess_token(t) for t in tokens]))
-                    tokens.clear()
+                flush()
                 continue
-            tokens.append(line.split("\t")[0])
-    if tokens:
-        sentences.append(TokenizedSentence(
-            raw_tokens=list(tokens),
-            words=[preprocess_token(t) for t in tokens]))
+            token = line.split("\t")[0]
+            if not token:
+                raise ConllFormatError(f"{path}:{lineno}: empty token")
+            tokens.append(token)
+    flush()
     return sentences
 
 

@@ -112,6 +112,9 @@ def _op_cases(rng):
             ad.reshape(ad.concat([a, ad.reshape(b, (3, 4))], axis=1), (2, 12)))),
         "take": lambda: ad.tensor_sum(ad.tanh(
             ad.take(ad.take(a, np.array([0, 2, 1, 0])), np.array([1, 2, 3])))),
+        "segment_mean": lambda: ad.tensor_sum(ad.tanh(
+            ad.mul(ad.segment_mean(a, [1, 2]),
+                   ad.segment_mean(ad.reshape(b, (3, 4)), [2, 1])))),
         "mean_sum": lambda: ad.scale(
             ad.tensor_sum(ad.mul(ad.tensor_sum(a, axis=1), c)), 1.0 / c.size),
         "dropout": lambda: ad.tensor_sum(ad.dropout(
@@ -187,11 +190,10 @@ def _crf_path(rng):
 
 
 def _crf_batch_path(rng):
-    """Ragged batch of lengths 1, 3 and 4; the padding cells hold random
-    values, so the sweep also checks that they get no gradient."""
+    """Ragged batch of lengths 1, 3 and 4 as packed rows."""
     labels = ["O", "B-a", "I-a", "B-b"]
     crf = CrfModel(labels, 3, np.random.default_rng(rng.integers(2 ** 31)))
-    em = Tensor(rng.normal(size=(3, 4, 4)), requires_grad=True)
+    em = Tensor(rng.normal(size=(8, 4)), requires_grad=True)
     gold = [["B-b"], ["B-a", "I-a", "O"], ["O", "B-a", "I-a", "B-b"]]
 
     def build():

@@ -222,6 +222,7 @@ def test_gradients_all_ops(seed):
         "reshape": lambda: ad.tensor_sum(ad.tanh(
             ad.mul(ad.reshape(a, (2, 6)), ad.reshape(b, (2, 6))))),
         "take": lambda: ad.tensor_sum(ad.tanh(ad.take(a, np.array([0, 2, 0])))),
+        "segment_mean": lambda: ad.tensor_sum(ad.tanh(ad.segment_mean(b, [1, 3]))),
         "mean": lambda: ad.scale(ad.tensor_sum(ad.mul(a, a)), 1.0 / a.size),
         "sum_axis": lambda: ad.tensor_sum(ad.tanh(ad.tensor_sum(a, axis=0))),
     }
@@ -285,6 +286,16 @@ def test_fused_ops_reject_bad_shapes():
     x = Tensor(np.zeros((3, 4)))
     with pytest.raises(ad.ShapeError):
         ad.attention(x, x, x, head_rows(mask, 2), mask, 1.0)
+
+
+def test_segment_mean_counts_must_tile_the_rows():
+    x = Tensor(np.arange(12.0).reshape(4, 3))
+    np.testing.assert_array_equal(ad.segment_mean(x, [1, 3]).data,
+                                  [x.data[0], x.data[1:].mean(axis=0)])
+    # too few rows, too many, a zero count, no count
+    for counts in ([1, 2], [2, 3], [0, 4], [4, 0], []):
+        with pytest.raises(ad.ShapeError):
+            ad.segment_mean(x, counts)
 
 
 def test_backward_after_tape_exit_rejected():

@@ -287,6 +287,15 @@ class TestPredict:
         out_tokens = [l.split("\t")[0] for l in out.read_text().splitlines() if l]
         assert in_tokens == out_tokens
 
+    def test_empty_token_exit_2(self, toy, tmp_path, capsys):
+        inp = tmp_path / "in.txt"
+        inp.write_text("walka\n\tO\n", encoding="utf-8")
+        out = tmp_path / "out.conll"
+        assert cli.main(["predict", toy["checkpoint"], str(inp), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("hme: error[input]:")
+        assert "in.txt:2" in err[0]
+
     def predict_exit(self, toy, tmp_path, checkpoint):
         out = tmp_path / "out.conll"
         return cli.main(["predict", str(checkpoint), toy["paths"]["data"]["test"],
@@ -350,6 +359,18 @@ class TestEnsemble:
         self.write_pred(b, [[("x", "O"), ("y", "O")]])
         out = tmp_path / "v.conll"
         assert cli.main(["ensemble", str(a), str(b), "--out", str(out)]) == 2
+
+    def test_token_mismatch_exit_2(self, tmp_path, capsys):
+        # equal shapes, different data: sentence 1 holds other tokens
+        a, b = tmp_path / "a.conll", tmp_path / "b.conll"
+        self.write_pred(a, [[("x", "O")], [("y", "O"), ("z", "O")]])
+        self.write_pred(b, [[("x", "O")], [("y", "O"), ("w", "O")]])
+        out = tmp_path / "v.conll"
+        assert cli.main(["ensemble", str(a), str(b), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "hme: error[input]: sentence 1: token mismatch" in err
+        assert str(a) in err and str(b) in err
+        assert not out.exists()
 
 
 class TestExportAttention:

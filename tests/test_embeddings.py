@@ -62,6 +62,25 @@ class TestLoad:
         t = emb.load_text_embeddings(path, "glove_no_header", limit=2)
         assert set(t.vocab) == {"a", "b"}
 
+    @pytest.mark.parametrize("header", ["x 2", "-1 2", "1.5 2"])
+    def test_header_count_must_be_a_non_negative_integer(self, tmp_path, header):
+        path = write(tmp_path, "bad.vec", f"{header}\na 1 2\n")
+        with pytest.raises(emb.EmbeddingFormatError, match=r"bad\.vec"):
+            emb.load_text_embeddings(path, "vec_with_header")
+
+    def test_header_count_must_match_the_rows(self, tmp_path):
+        # a truncated file, and a duplicate line that the count includes
+        short = write(tmp_path, "short.vec", "3 1\na 1\n\nb 2\n")
+        with pytest.raises(emb.EmbeddingFormatError, match=r"short\.vec.*3.*2"):
+            emb.load_text_embeddings(short, "vec_with_header")
+        dup = write(tmp_path, "dup.vec", "2 1\na 1\na 2\n")
+        assert emb.load_text_embeddings(dup, "vec_with_header").vocab == {"a": 0}
+        # a limit that stops the read early leaves the rest unchecked
+        t = emb.load_text_embeddings(short, "vec_with_header", limit=1)
+        assert t.vocab == {"a": 0}
+        with pytest.raises(emb.EmbeddingFormatError, match="short"):
+            emb.load_text_embeddings(short, "vec_with_header", limit=2)
+
     def test_crlf_tolerated(self, tmp_path):
         p = tmp_path / "crlf.vec"
         p.write_bytes(b"1 2\r\na 1 2\r\n")

@@ -181,8 +181,14 @@ class TestViterbi:
                 prev = t
 
 
+def starts(lengths):
+    """Row offset of each sentence in a batch's packed rows."""
+    return np.cumsum([0] + list(lengths))[:-1].tolist()
+
+
 class TestBatchedViterbi:
-    """A (B, n_max, T) batch decodes each sentence exactly as it decodes alone."""
+    """A batch's packed (R, T) rows decode each sentence exactly as it
+    decodes alone."""
 
     @staticmethod
     def ragged(rng, T, size):
@@ -190,8 +196,7 @@ class TestBatchedViterbi:
         lengths = list(range(1, n_max + 1)) + [int(n) for n in
                                                rng.integers(1, n_max + 1, size=size)]
         rng.shuffle(lengths)
-        # the cells past each length hold random values that must be ignored
-        return rng.normal(size=(len(lengths), n_max, T)) * 3, lengths
+        return rng.normal(size=(sum(lengths), T)) * 3, lengths
 
     @pytest.mark.parametrize("iob", [False, True])
     def test_ragged_batch_equals_single_calls_and_enumeration(self, iob):
@@ -204,13 +209,14 @@ class TestBatchedViterbi:
             decoded = crf.viterbi_decode(Tensor(em), lengths)
             assert len(decoded) == len(lengths)
             trans, start = effective_by_hand(crf)
-            for b, n in enumerate(lengths):
+            for b, (at, n) in enumerate(zip(starts(lengths), lengths)):
+                rows = em[at:at + n]
                 tags, score = decoded[b]
-                assert (tags, score) == crf.viterbi_decode(em[b, :n])
-                path, loop_score = viterbi_loops(em[b, :n], trans, start, crf.end.data)
+                assert (tags, score) == crf.viterbi_decode(rows)
+                path, loop_score = viterbi_loops(rows, trans, start, crf.end.data)
                 assert tags == [crf.labels[t] for t in path]
                 assert score == loop_score
-                _, ref_path, ref_score = crf_paths(em[b, :n], trans, start, crf.end.data)
+                _, ref_path, ref_score = crf_paths(rows, trans, start, crf.end.data)
                 assert tags == [crf.labels[t] for t in ref_path]
                 assert score == pytest.approx(ref_score, abs=1e-9)
 
@@ -221,21 +227,24 @@ class TestBatchedViterbi:
         crf.start.data[:] = 0.0
         crf.end.data[:] = 0.0
         em, lengths = self.ragged(rng, 3, size=3)
-        em[0] = 0.0
+        em[:lengths[0]] = 0.0
         decoded = crf.viterbi_decode(em, lengths)
         assert decoded[0] == (["O"] * lengths[0], 0.0)
-        for b, n in enumerate(lengths):
-            assert decoded[b] == crf.viterbi_decode(em[b, :n])
+        for b, (at, n) in enumerate(zip(starts(lengths), lengths)):
+            assert decoded[b] == crf.viterbi_decode(em[at:at + n])
 
     def test_default_lengths_and_bad_lengths(self):
         crf = make_crf(["O", "B-a"], seed=1)
-        em = np.random.default_rng(14).normal(size=(3, 4, 2))
-        assert crf.viterbi_decode(em) == crf.viterbi_decode(em, [4, 4, 4])
-        for lengths in ([1, 2], [0, 2, 4], [1, 2, 5]):
+        em = np.random.default_rng(14).normal(size=(12, 2))
+        assert [crf.viterbi_decode(em)] == crf.viterbi_decode(em, [12])
+        # lengths that do not sum to the 12 rows, a zero length, no sentence
+        for lengths in ([1, 2], [4, 4, 5], [0, 8, 4], []):
             with pytest.raises(ShapeError):
                 crf.viterbi_decode(em, lengths)
         with pytest.raises(ShapeError):
             crf.viterbi_decode(np.zeros((2, 3)))
+        with pytest.raises(ShapeError):
+            crf.viterbi_decode(em.reshape(3, 4, 2), [4, 4, 4])
 
 
 def test_emission_shift_leaves_nll_and_path_unchanged():
@@ -280,7 +289,7 @@ def test_default_labeler_encoder_shape():
 
 
 class TestBatchedNll:
-    """A (B, n_max, T) batch is the sum of its (n, T) sentences."""
+    """A batch's packed (R, T) rows score the sum of its sentences."""
 
     @staticmethod
     def loss_and_grads(build, params):
@@ -301,9 +310,7 @@ class TestBatchedNll:
             rng.shuffle(lengths)
             # Viterbi paths are legal gold sequences
             gold = [crf.viterbi_decode(rng.normal(size=(n, 5)) * 3)[0] for n in lengths]
-            # the cells past each length hold random values that must be ignored
-            em = Tensor(rng.normal(size=(len(lengths), max(lengths), 5)) * 2,
-                        requires_grad=True)
+            em = Tensor(rng.normal(size=(sum(lengths), 5)) * 2, requires_grad=True)
             crf_params = [crf.transitions, crf.start, crf.end]
             loss, grads = self.loss_and_grads(
                 lambda: crf.neg_log_likelihood(em, gold, lengths),
@@ -311,13 +318,13 @@ class TestBatchedNll:
 
             total, sums = 0.0, [np.zeros_like(p.data) for p in crf_params]
             em_grad = np.zeros_like(em.data)
-            for b, n in enumerate(lengths):
-                single = Tensor(em.data[b, :n].copy(), requires_grad=True)
+            for b, (at, n) in enumerate(zip(starts(lengths), lengths)):
+                single = Tensor(em.data[at:at + n].copy(), requires_grad=True)
                 part, part_grads = self.loss_and_grads(
                     lambda: crf.neg_log_likelihood(single, gold[b]),
                     [single] + crf_params)
                 total += part
-                em_grad[b, :n] = part_grads[0]
+                em_grad[at:at + n] = part_grads[0]
                 sums = [s + g for s, g in zip(sums, part_grads[1:])]
             assert loss == pytest.approx(total, abs=1e-10)
             for name, got, want in zip(("emissions", "transitions", "start", "end"),
@@ -327,7 +334,7 @@ class TestBatchedNll:
     def test_ragged_batch_is_one_tape_record(self):
         rng = np.random.default_rng(15)
         crf = make_crf(IOB_LABELS_BY_T[5], seed=16)
-        em = Tensor(rng.normal(size=(3, 4, 5)), requires_grad=True)
+        em = Tensor(rng.normal(size=(8, 5)), requires_grad=True)
         gold = [["O"], ["B-a", "I-a", "O"], ["B-b", "I-b", "O", "O"]]
         with Tape() as tape:
             crf.neg_log_likelihood(em, gold, [1, 3, 4])
@@ -335,17 +342,27 @@ class TestBatchedNll:
 
     def test_overflow_raises(self):
         crf = make_crf(["O", "B-a"], seed=1)
-        em = Tensor(np.full((1, 3, 2), 1e308), requires_grad=True)
+        em = Tensor(np.full((3, 2), 1e308), requires_grad=True)
         with np.errstate(over="ignore", invalid="ignore"), Tape():
             with pytest.raises(NumericsError, match="crf_nll"):
-                crf.neg_log_likelihood(em, [["O", "O", "O"]])
+                crf.neg_log_likelihood(em, [["O", "O", "O"]], [3])
 
     def test_gold_and_length_mismatch_rejected(self):
         crf = make_crf(["O", "B-a"], seed=1)
-        em = Tensor(np.zeros((2, 3, 2)))
+        em = Tensor(np.zeros((3, 2)))
         with pytest.raises(ShapeError):
-            crf.neg_log_likelihood(em, [["O"], ["O", "O"]], [1, 3])
+            crf.neg_log_likelihood(em, [["O"], ["O"]], [1, 2])
         with pytest.raises(ShapeError):
-            crf.neg_log_likelihood(em, [["O"], []], [1, 0])
+            crf.neg_log_likelihood(em, [["O"] * 3, []], [3, 0])
         with pytest.raises(ShapeError):
             crf.neg_log_likelihood(Tensor(np.zeros((2, 2))), ["O"])
+
+    def test_lengths_must_tile_the_rows(self):
+        crf = make_crf(["O", "B-a"], seed=1)
+        em = Tensor(np.zeros((4, 2)))
+        for lengths in ([1, 2], [2, 3], []):
+            gold = [["O"] * n for n in lengths]
+            with pytest.raises(ShapeError):
+                crf.neg_log_likelihood(em, gold, lengths)
+        with pytest.raises(ShapeError):
+            crf.neg_log_likelihood(Tensor(np.zeros((2, 2, 2))), [["O"] * 2] * 2, [2, 2])
