@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from collections import Counter
+from collections import Counter, OrderedDict
 from dataclasses import asdict, dataclass, field
 from itertools import chain
 from typing import NamedTuple
@@ -22,6 +22,8 @@ from .nn import TransformerEncoder, assign_dropout_keys
 from .tokenization import BpeModel, TokenizedSentence, apply_bpe, to_chars
 
 VARIANTS = ("hme", "mme_word", "concat", "linear", "random")
+# words kept by a tagger's prediction cache; the least recently used go first
+PREDICTION_CACHE_WORDS = 2 ** 14
 
 
 @dataclass
@@ -83,15 +85,15 @@ class Lookup(NamedTuple):
 class Indices:
     """Table rows for a batch of sentences; one sentence is a batch of one.
 
-    ``lengths`` (B,) holds the words of each sentence, ``tables`` one Lookup
-    per featurizer table over the batch's U distinct words in order of first
-    occurrence, and ``word_of`` (R,) the row among those U of each of the
-    R = sum(lengths) tokens in sentence order.  Every index array holds real
-    cells only, so no level computes a padding cell."""
+    ``tables`` holds one Lookup per featurizer table over the batch's U
+    distinct words in order of first occurrence, and ``word_of`` (R,) the
+    row among those U of each of the batch's R tokens in sentence order.
+    Every index array holds real cells only, so no level computes a padding
+    cell."""
 
-    lengths: np.ndarray
     tables: list[Lookup]
     word_of: np.ndarray
+    misses: np.ndarray      # (U, tables) pieces of each word the table lacks
 
 
 class Featurizer:
@@ -105,7 +107,8 @@ class Featurizer:
     row if it has one, else a zero vector.  Each distinct word of a batch is
     split and indexed once, but the OOV counters count tokens: every
     occurrence of a word in an encoded batch adds the word's misses, whether
-    its rows were indexed now or read from the cache.
+    its rows were indexed now or read from the cache.  ``count`` adds misses
+    of words indexed earlier.
 
     ``encode`` reads the per-word cache but never adds to it; ``store``
     encodes and keeps the batch's new words.  Only training and dev batches
@@ -117,6 +120,8 @@ class Featurizer:
         self.tables = list(tables)
         self.bpe_models = bpe_models or {}
         self.counters: Counter = Counter()
+        self.keys = [f"oov_{t.level}" + ("" if t.level == "char" else f"_{t.language_id}")
+                     for t in self.tables]      # the counter of each table
         # word -> its rows per table, one per piece, -1 where the table misses
         self._cache: dict[str, list[list[int]]] = {}
         self._fresh: dict[str, list[list[int]]] = {}   # the last batch's new words
@@ -147,7 +152,7 @@ class Featurizer:
                             for sent in sentences for w in sent.words], dtype=np.int64)
         self._fresh = {w: self._rows(w) for w in types if w not in self._cache}
         entries = [self._fresh.get(w) or self._cache[w] for w in types]
-        occurrences = np.bincount(word_of, minlength=len(types))
+        misses = np.zeros((len(types), len(self.tables)), dtype=np.int64)
         lookups = []
         for t, table in enumerate(self.tables):
             count = np.array([len(e[t]) for e in entries], dtype=np.int64)
@@ -156,17 +161,23 @@ class Featurizer:
             valid = np.ones(len(idx))
             miss = idx < 0
             if miss.any():
-                lang = "" if table.level == "char" else f"_{table.language_id}"
-                self.counters[f"oov_{table.level}{lang}"] += int(
-                    occurrences.repeat(count)[miss].sum())
+                misses[:, t] = np.bincount(np.arange(len(types)).repeat(count)[miss],
+                                           minlength=len(types))
                 if table.unk_index is None:
                     idx[miss] = 0
                     valid[miss] = 0.0
                 else:
                     idx[miss] = table.unk_index
             lookups.append(Lookup(idx, valid, count))
-        return Indices(np.array([len(sent) for sent in sentences], dtype=np.int64),
-                       lookups, word_of)
+        self.count(misses, np.bincount(word_of, minlength=len(types)))
+        return Indices(lookups, word_of, misses)
+
+    def count(self, misses: np.ndarray, occurrences: np.ndarray) -> None:
+        """Add each word's (tables,) ``misses``, times its occurrences, to the
+        counters; a counter appears once it is above zero."""
+        for key, n in zip(self.keys, occurrences @ misses):
+            if n:
+                self.counters[key] += int(n)
 
 
 def _length_mask(lengths) -> np.ndarray:
@@ -183,6 +194,69 @@ def _masked_lookup(table: emb.EmbeddingTable, idx: np.ndarray,
         mask = np.broadcast_to(valid[:, None], x.shape)
         x = ad.mul(x, Tensor(np.ascontiguousarray(mask)))
     return x
+
+
+class WordCache:
+    """What the per-word levels gave each word in eval mode, for prediction.
+
+    A word's row ``u``, its attention rows and its misses per featurizer
+    table depend only on the word and the parameters the per-word levels
+    read.  The cache keeps a copy of those parameters (``watch``) and empties
+    itself when they differ, and it holds at most PREDICTION_CACHE_WORDS
+    words, dropping the least recently used first.  Each field is one
+    (capacity, width) array, or None for a level the variant lacks, and
+    ``slots`` maps each word to its row in them.
+    """
+
+    def __init__(self):
+        self.slots: OrderedDict[str, int] = OrderedDict()
+        self.fields: list[np.ndarray | None] = []
+        self._watched: list[np.ndarray] = []
+
+    def __contains__(self, word: str) -> bool:
+        return word in self.slots
+
+    def __len__(self) -> int:
+        return len(self.slots)
+
+    def watch(self, params: list[np.ndarray]) -> None:
+        """Empty the cache unless ``params`` equal those its rows came from."""
+        if len(params) == len(self._watched) and all(map(np.array_equal, params,
+                                                         self._watched)):
+            return
+        self.slots.clear()
+        self.fields = []
+        self._watched = [p.copy() for p in params]
+
+    def get(self, words: list[str]) -> list[np.ndarray | None]:
+        """Each field's rows for ``words``, all cached; marks them used."""
+        for w in words:
+            self.slots.move_to_end(w)
+        slots = [self.slots[w] for w in words]
+        return [None if f is None else f[slots] for f in self.fields]
+
+    def put(self, words: list[str], rows: list[np.ndarray | None]) -> None:
+        """Keep each field's rows for ``words``, none of them cached."""
+        cap = PREDICTION_CACHE_WORDS
+        words = words[-cap:]
+        rows = [None if r is None else r[len(r) - len(words):] for r in rows]
+        if not self.fields:
+            self.fields = [None if r is None else r[:0] for r in rows]
+        have = next(len(f) for f in self.fields if f is not None)
+        need = min(cap, len(self.slots) + len(words))
+        if need > have:
+            grow = min(cap, max(need, 2 * have)) - have
+            self.fields = [None if f is None else
+                           np.concatenate([f, np.empty((grow,) + f.shape[1:], f.dtype)])
+                           for f in self.fields]
+        slots = []
+        for w in words:
+            full = len(self.slots) >= cap
+            self.slots[w] = self.slots.popitem(last=False)[1] if full else len(self.slots)
+            slots.append(self.slots[w])
+        for f, r in zip(self.fields, rows):
+            if f is not None:
+                f[slots] = r
 
 
 @dataclass
@@ -256,6 +330,7 @@ class SequenceTagger:
         deeper = (resources.subword_tables + [resources.char_table]
                   if config.variant == "hme" else [])
         self.featurizer = Featurizer(resources.word_tables + deeper, resources.bpe_models)
+        self._word_cache = WordCache()
         assign_dropout_keys(self.dropouts(), seed)
 
     # -- bookkeeping ---------------------------------------------------------
@@ -311,14 +386,38 @@ class SequenceTagger:
 
     # -- forward passes ------------------------------------------------------
 
-    def forward(self, sentences: list[TokenizedSentence],
-                train: bool = False) -> ForwardResult:
-        featurize = self.featurizer.store if train else self.featurizer.encode
+    def forward(self, sentences: list[TokenizedSentence], train: bool = False,
+                cached: bool = False) -> ForwardResult:
+        """Emissions and attention rows of a batch.  With ``cached`` (eval
+        mode only; prediction passes it) each word's per-word rows come from
+        the prediction cache, and only the words it lacks are featurized and
+        run through the per-word levels."""
         # every per-word level runs once per distinct word (U rows); one
         # gather expands the result to the R tokens for the sentence encoder
-        batch = featurize(sentences)
+        if cached:
+            if train:
+                raise ValueError("the prediction cache serves eval mode only")
+            u, alpha_w, alpha_s, word_of = self._cached_word_rows(sentences)
+        else:
+            featurize = self.featurizer.store if train else self.featurizer.encode
+            batch = featurize(sentences)
+            u, alpha_w, alpha_s = self._word_rows(batch.tables, train)
+            alpha_w, alpha_s = (None if a is None else a.data for a in (alpha_w, alpha_s))
+            word_of = batch.word_of
+        lengths = [len(sent) for sent in sentences]
+        h = self.encoder(ad.take(u, word_of), _length_mask(lengths), train)
+        emissions = self.crf.emissions(h)
+        alpha_w, alpha_s = (None if a is None else Tensor(a[word_of])
+                            for a in (alpha_w, alpha_s))
+        return ForwardResult(emissions=emissions, lengths=lengths,
+                             alpha_word=alpha_w, alpha_subword=alpha_s)
+
+    def _word_rows(self, tables: list[Lookup], train: bool):
+        """The per-word levels on one batch's U distinct words: the (U, ·)
+        rows ``u`` and the (U, L) word and subword attention weights, None
+        for a level the variant lacks."""
         inputs = [_masked_lookup(table, lookup.idx, lookup.valid)
-                  for table, lookup in zip(self.featurizer.tables, batch.tables)]
+                  for table, lookup in zip(self.featurizer.tables, tables)]
         n_word = len(self.resources.word_tables)
 
         word_inputs = inputs[:n_word]
@@ -332,20 +431,43 @@ class SequenceTagger:
 
         if self.config.variant == "hme":
             subwords = slice(n_word, -1)
-            sub_masks = [_length_mask(lookup.count) for lookup in batch.tables[subwords]]
+            sub_masks = [_length_mask(lookup.count) for lookup in tables[subwords]]
             u_s, alpha_s = me.mme_subword(inputs[subwords], sub_masks, self.subword_proj,
                                           self.subword_encoder, self.subword_scorer,
                                           train)
-            u_c = me.encode_and_pool(inputs[-1], _length_mask(batch.tables[-1].count),
+            u_c = me.encode_and_pool(inputs[-1], _length_mask(tables[-1].count),
                                      self.char_encoder, train)
             u = me.hme_concat(u, u_s, u_c)
+        return u, alpha_w, alpha_s
 
-        h = self.encoder(ad.take(u, batch.word_of), _length_mask(batch.lengths), train)
-        emissions = self.crf.emissions(h)
-        alpha_w, alpha_s = (None if a is None else Tensor(a.data[batch.word_of])
-                            for a in (alpha_w, alpha_s))
-        return ForwardResult(emissions=emissions, lengths=batch.lengths.tolist(),
-                             alpha_word=alpha_w, alpha_subword=alpha_s)
+    def _cached_word_rows(self, sentences: list[TokenizedSentence]):
+        """``_word_rows`` in eval mode through the prediction cache, plus the
+        (R,) token-to-row map.  Rows run cached words first, then the new
+        ones; the OOV counters still count every token."""
+        cache = self._word_cache
+        cache.watch([p.data for name, p in self.parameters().items()
+                     if not name.startswith(("encoder.", "crf."))])
+        rows = dict.fromkeys(w for sent in sentences for w in sent.words)
+        old = [w for w in rows if w in cache]
+        new = [w for w in rows if w not in cache]
+        parts = [cache.get(old)] if old else []
+        if new:
+            # the featurizer counts each new word once here
+            batch = self.featurizer.encode([TokenizedSentence(new, new)])
+            fresh = [None if a is None else a.data
+                     for a in self._word_rows(batch.tables, train=False)]
+            fresh.append(batch.misses)
+            cache.put(new, fresh)
+            parts.append(fresh)
+        u, alpha_w, alpha_s, misses = (None if f[0] is None else np.concatenate(f)
+                                       for f in zip(*parts))
+        rows.update(zip(chain(old, new), range(len(rows))))
+        word_of = np.fromiter((rows[w] for sent in sentences for w in sent.words),
+                              dtype=np.int64)
+        occurrences = np.bincount(word_of, minlength=len(rows))
+        occurrences[len(old):] -= 1
+        self.featurizer.count(misses, occurrences)
+        return Tensor(u), alpha_w, alpha_s, word_of
 
     def loss_batch(self, sentences: list[TokenizedSentence],
                    train: bool = True) -> Tensor:
@@ -371,11 +493,21 @@ class SequenceTagger:
 
     def _decode_all(self, sentences, batch_size):
         """(tags, word attention rows, subword attention rows) per sentence;
-        the rows are views into the batch's attention arrays."""
+        the rows are views into the batch's attention arrays.
+
+        Decoding reads the prediction cache (``WordCache``): a word whose
+        per-word rows were computed by an earlier batch or call, at the same
+        parameters, is neither featurized nor encoded again.  Training and
+        ``loss_batch`` never read it."""
+        if type(batch_size) is not int or batch_size < 1:
+            raise ValueError(f"batch_size must be an integer >= 1, got {batch_size!r}")
+        for i, sent in enumerate(sentences):
+            if not len(sent):
+                raise ValueError(f"sentence {i} has no words")
         out = []
         for i in range(0, len(sentences), batch_size):
             chunk = sentences[i:i + batch_size]
-            result = self.forward(chunk, train=False)
+            result = self.forward(chunk, cached=True)
             rows = [result.emissions, result.alpha_word, result.alpha_subword]
             start = 0
             for n in result.lengths:

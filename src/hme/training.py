@@ -245,6 +245,19 @@ def attention_summary(alphas: list[np.ndarray],
     return {tag: sums[tag] / counts[tag] for tag in sums}
 
 
+def attention_stats(alphas: list[np.ndarray | None], languages: list[str],
+                    level: str) -> dict:
+    """``alpha_<level>_mean`` ({language: mean weight}) and
+    ``alpha_<level>_entropy`` (mean nats per token) over the (n_s, L) weight
+    rows of every sentence; empty when the variant has no such level."""
+    if not alphas or alphas[0] is None:
+        return {}
+    rows = np.concatenate(alphas)
+    entropy = -(rows * np.log(np.where(rows > 0, rows, 1.0))).sum(axis=1)
+    return {f"alpha_{level}_mean": dict(zip(languages, rows.mean(axis=0).tolist())),
+            f"alpha_{level}_entropy": float(entropy.mean())}
+
+
 def write_attention_summary_tsv(path: str, summary: dict[str, np.ndarray],
                                 languages: list[str]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
@@ -286,13 +299,17 @@ def train(model, train_set, dev_set, config: TrainConfig,
     (and to ``log_path`` as JSON lines when given): the mean train NLL, dev
     precision/recall/F1, the mean and max pre-clip gradient norm, the
     fraction of steps clipped, step-time p50/p90 in ms (nearest rank), tokens
-    per second over the training loop and the epoch's elapsed seconds.
+    per second over the training loop and the epoch's elapsed seconds, then
+    the dev attention stats of ``attention_stats`` for each level the variant
+    has.
     """
     if not train_set or not dev_set:
         raise ValueError("train and dev sets must be non-empty")
     if any(s.labels is None for s in train_set) or any(s.labels is None for s in dev_set):
         raise ValueError("training requires labeled sentences")
     opt = Adam(model.parameters(), config)
+    word_langs = [t.language_id for t in model.resources.word_tables]
+    subword_langs = [t.language_id for t in model.resources.subword_tables]
     best_f1, best_epoch, best_state = -1.0, -1, model.state()
     stale_epochs = 0
     step = 0
@@ -323,7 +340,7 @@ def train(model, train_set, dev_set, config: TrainConfig,
                 sent_total += len(batch)
                 tokens += sum(len(s) for s in batch)
             loop_s = time.perf_counter() - t0
-            preds = model.predict(dev_set)
+            preds, alpha_w, alpha_s = model.predict_with_attention(dev_set)
             report = entity_f1([s.labels for s in dev_set], preds)
             elapsed = time.perf_counter() - t0
             record = {
@@ -339,6 +356,8 @@ def train(model, train_set, dev_set, config: TrainConfig,
                 "step_ms_p90": round(_nearest_rank(step_s, 90) * 1e3, 3),
                 "tokens_per_s": round(tokens / loop_s, 1),
                 "elapsed_sec": round(elapsed, 3),
+                **attention_stats(alpha_w, word_langs, "word"),
+                **attention_stats(alpha_s, subword_langs, "subword"),
             }
             log.append(record)
             if log_fh:

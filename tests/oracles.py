@@ -272,8 +272,8 @@ def featurize_by_token(tables, split, sentences):
 
     ``split(table, word)`` gives the word's pieces for a table.  A piece
     reads its exact row, then its lowercase row, then the table's unknown
-    row, else row 0 with validity 0.0.  Returns (lengths, [(idx, valid,
-    count)] per table, word_of) like the model's batch ``Indices``.
+    row, else row 0 with validity 0.0.  Returns ([(idx, valid, count)] per
+    table, word_of) like the model's batch ``Indices``.
     """
     words = [w for sent in sentences for w in sent.words]
     rows_of = {}
@@ -295,8 +295,7 @@ def featurize_by_token(tables, split, sentences):
         cells = [c for i in first for c in range(starts[i], starts[i + 1])]
         per_table.append((np.array(idx, dtype=np.int64)[cells], np.array(valid)[cells],
                           np.array(count, dtype=np.int64)[first]))
-    return (np.array([len(sent) for sent in sentences], dtype=np.int64), per_table,
-            np.array(word_of, dtype=np.int64))
+    return per_table, np.array(word_of, dtype=np.int64)
 
 
 def entity_spans_by_hand(tags):

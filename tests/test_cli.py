@@ -254,6 +254,24 @@ class TestEval:
         assert trained["counters"] == evaluated
 
 
+    def test_eval_counters_match_the_uncached_code(self, toy, capsys):
+        """Prediction reuses each word's rows across batches, yet the OOV
+        counters still count every token: ``hme eval`` prints the counter
+        lines that featurizing every batch in full printed."""
+        expected = {
+            "train": [1227, 615, 393, 414], "dev": [429, 216, 128, 135],
+            "test": [323, 143, 95, 97]}
+        for split, (sub1, sub2, word1, word2) in expected.items():
+            capsys.readouterr()
+            assert cli.main(["eval", toy["checkpoint"], toy["paths"]["data"][split]]) == 0
+            lines = [line for line in capsys.readouterr().out.splitlines()
+                     if line.startswith("counter:")]
+            assert lines == ["counter:iob_repairs\t0", f"counter:oov_subword_L1\t{sub1}",
+                             f"counter:oov_subword_L2\t{sub2}",
+                             f"counter:oov_word_L1\t{word1}",
+                             f"counter:oov_word_L2\t{word2}"], split
+
+
 class TestPredict:
     def test_line_counts_and_tokens_preserved(self, toy, tmp_path):
         inp = tmp_path / "in.txt"

@@ -523,8 +523,8 @@ class TestBatchFeaturizer:
             return to_chars(word) if table.level == "char" else [word]
 
         got = featurizer.encode(sentences)
-        lengths, tables, word_of = featurize_by_token(featurizer.tables, split, sentences)
-        pairs = [(got.lengths, lengths), (got.word_of, word_of)]
+        tables, word_of = featurize_by_token(featurizer.tables, split, sentences)
+        pairs = [(got.word_of, word_of)]
         assert len(got.tables) == len(tables)
         for lookup_, ref in zip(got.tables, tables):
             pairs += list(zip(lookup_, ref))
@@ -589,3 +589,142 @@ def test_oov_counters_count_every_occurrence():
     once = dict(featurizer.counters)
     featurizer.encode(batch)
     assert dict(featurizer.counters) == {k: 2 * v for k, v in once.items()}
+
+
+# -- the prediction cache ------------------------------------------------------------
+
+def variant_model(variant, seed=0):
+    if variant != "random":
+        return make_model(variant, seed)
+    resources = build_resources()
+    vocab = {w for s in build_sentences() for w in s.words}
+    resources.word_tables = [emb.init_random_word_table(vocab, 6, seed=1)]
+    return mdl.SequenceTagger(tiny_model_config("random"), resources, seed=seed)
+
+
+def fresh_stream(count, seed=0, new_words=300):
+    """Sentences over the toy vocabulary, an OOV word and ``new_words`` words
+    no table holds."""
+    from toyres import WORDS_A, WORDS_B
+    rng = np.random.default_rng(seed)
+    vocab = WORDS_A + WORDS_B + ["qqqq"] + [f"new{k}" for k in range(new_words)]
+    return [TokenizedSentence(ws, ws) for ws in
+            ([str(w) for w in rng.choice(vocab, size=int(rng.integers(1, 7)))]
+             for _ in range(count))]
+
+
+def assert_rows_close(got, want, rtol=1e-12):
+    for a, b in zip((got.emissions, got.alpha_word, got.alpha_subword),
+                    (want.emissions, want.alpha_word, want.alpha_subword)):
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert np.abs(a.data - b.data).max() <= rtol * np.abs(b.data).max()
+
+
+class TestPredictionCache:
+    @pytest.mark.parametrize("variant", mdl.VARIANTS)
+    def test_cached_rows_equal_cold_ones(self, variant):
+        """Calls after the first featurize and encode only the words no
+        earlier call saw, and still give a cold model's rows and tags."""
+        model, cold = variant_model(variant), variant_model(variant)
+        encoded = []
+        encode = model.featurizer.encode
+        model.featurizer.encode = lambda sents: encoded.append(
+            sum(len(s) for s in sents)) or encode(sents)
+        stream = fresh_stream(300)
+        for k in range(0, len(stream), 60):
+            chunk = stream[k:k + 60]
+            encoded.clear()
+            assert_rows_close(model.forward(chunk, cached=True), cold.forward(chunk))
+            assert model.predict(chunk, batch_size=16) == variant_model(variant).predict(chunk)
+            if k:
+                assert sum(encoded) < len({w for s in chunk for w in s.words})
+        assert 0 < len(model._word_cache) <= mdl.PREDICTION_CACHE_WORDS
+
+    @pytest.mark.parametrize("change", ["in_place", "load_state"])
+    def test_a_parameter_change_empties_the_cache(self, change):
+        model = make_model("hme")
+        sents = fresh_stream(40)
+        before = model.forward(sents, cached=True)
+        model.predict(sents)
+        if change == "in_place":
+            rng = np.random.default_rng(3)
+            for name, p in model.parameters().items():
+                if not name.startswith(("encoder.", "crf.")):
+                    p.data += 0.3 * rng.normal(size=p.shape)
+        else:
+            model.load_state(make_model("hme", seed=4).state())
+        rebuilt = make_model("hme")
+        rebuilt.load_state(model.state())
+        after = model.forward(sents, cached=True)
+        assert np.abs(after.emissions.data - before.emissions.data).max() > 1e-3
+        assert_rows_close(after, rebuilt.forward(sents))
+        assert model.predict(sents) == rebuilt.predict(sents)
+
+    def test_loss_gradients_ignore_the_cache(self):
+        """A cached row is a constant: ``loss_batch`` must never read one,
+        or the per-word parameters would lose their gradient."""
+        sents = build_sentences()
+
+        def grads(model):
+            params = model.parameters()
+            with Tape():
+                model.loss_batch(sents, train=False).backward()
+            return {k: p.grad for k, p in params.items()}
+
+        warm = make_model("hme")
+        warm.predict(sents)
+        assert len(warm._word_cache) > 0
+        got, want = grads(warm), grads(make_model("hme"))
+        assert set(got) == set(want)
+        for name, g in want.items():
+            assert g is not None and got[name] is not None, name
+            np.testing.assert_array_equal(got[name], g, err_msg=name)
+
+    def test_cache_keeps_the_most_recently_used_words(self, monkeypatch):
+        monkeypatch.setattr(mdl, "PREDICTION_CACHE_WORDS", 8)
+        model, cold = make_model("hme"), make_model("hme")
+        cache = model._word_cache
+
+        def tag(words):
+            sents = [TokenizedSentence([w], [w]) for w in words]
+            assert_rows_close(model.forward(sents, cached=True), cold.forward(sents))
+
+        words = [f"new{k}" for k in range(200)]
+        for k in range(0, len(words), 3):
+            tag(words[k:k + 3])
+            assert len(cache) == min(k + 3, 8)
+        assert list(cache.slots) == words[-8:]
+        tag([words[-8]])                    # a hit makes the oldest word the newest
+        tag(["walka"])                      # so the second oldest goes
+        assert list(cache.slots) == words[-6:] + [words[-8], "walka"]
+        tag(words[:20])                     # one batch of more words than the cap
+        assert list(cache.slots) == words[12:20]
+        assert all(len(f) == 8 for f in cache.fields if f is not None)
+
+    @pytest.mark.parametrize("variant", mdl.VARIANTS)
+    def test_counters_count_every_token_of_every_call(self, variant):
+        sents = repeating_batch() + fresh_stream(50)
+        model = variant_model(variant)
+        model.predict(sents, batch_size=16)
+        once = dict(model.featurizer.counters)
+        model.predict(sents, batch_size=16)
+        assert dict(model.featurizer.counters) == {k: 2 * v for k, v in once.items()}
+        reference = variant_model(variant).featurizer
+        for k in range(0, len(sents), 16):
+            reference.encode(sents[k:k + 16])
+        assert once == dict(reference.counters) and once
+
+    @pytest.mark.parametrize("sents, batch_size, message", [
+        ([TokenizedSentence([], [])], 64, "sentence 0 has no words"),
+        (build_sentences() + [TokenizedSentence([], [])], 64, "sentence 4 has no words"),
+        (build_sentences(), 0, "batch_size"),
+        (build_sentences(), -2, "batch_size"),
+        (build_sentences(), 1.0, "batch_size"),
+    ])
+    def test_bad_input_fails_before_any_work(self, sents, batch_size, message):
+        model = make_model("hme")
+        for call in (model.predict, model.predict_with_attention):
+            with pytest.raises(ValueError, match=message):
+                call(sents, batch_size=batch_size)
+        assert not model.featurizer.counters and len(model._word_cache) == 0

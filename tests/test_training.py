@@ -1,14 +1,18 @@
 import json
+import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from hme import autodiff as ad
+from hme import model as mdl
 from hme import training as tr
 from hme.autodiff import Tape, Tensor
 from hme.tokenization import TokenizedSentence
 
 from oracles import entity_spans_by_hand
+from toyres import build_resources, build_sentences, tiny_model_config
 
 
 def cfg(**kw):
@@ -176,7 +180,10 @@ class TestAttentionSummary:
 
 
 class ScheduleModel:
-    """Minimal training-protocol stub: dev F1 follows a fixed schedule."""
+    """Minimal training-protocol stub: dev F1 follows a fixed schedule, and
+    the stub has no attention level."""
+
+    resources = SimpleNamespace(word_tables=[], subword_tables=[])
 
     def __init__(self, schedule):
         self.w = Tensor(np.array([1.0]), requires_grad=True)
@@ -198,7 +205,7 @@ class ScheduleModel:
     def loss_batch(self, batch, train):
         return ad.tensor_sum(ad.mul(self.w, self.w))
 
-    def predict(self, sentences):
+    def predict_with_attention(self, sentences):
         # hit rate follows the schedule: first k sentences perfect, rest wrong
         f1 = self.schedule[min(self.evals, len(self.schedule) - 1)]
         self.evals += 1
@@ -206,7 +213,7 @@ class ScheduleModel:
         out = []
         for i, s in enumerate(sentences):
             out.append(list(s.labels) if i < k else ["O"] * len(s))
-        return out
+        return out, [None] * len(out), [None] * len(out)
 
 
 def dev_sentences(count=10):
@@ -302,3 +309,38 @@ class TestTrainLoop:
             tr.TrainConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
             tr.TrainConfig(patience=0)
+
+
+class TestAttentionStats:
+    def test_hand_values(self):
+        one_hot = [np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([[1.0, 0.0]])]
+        assert tr.attention_stats(one_hot, ["A", "B"], "word") == {
+            "alpha_word_mean": {"A": 2 / 3, "B": 1 / 3}, "alpha_word_entropy": 0.0}
+        uniform = tr.attention_stats([np.full((3, 2), 0.5)], ["A", "B"], "subword")
+        assert uniform["alpha_subword_entropy"] == pytest.approx(math.log(2))
+        assert tr.attention_stats([None, None], ["A"], "subword") == {}
+
+    @pytest.mark.parametrize("variant, levels", [("hme", ["word", "subword"]),
+                                                 ("mme_word", ["word"]),
+                                                 ("concat", [])])
+    def test_each_epoch_logs_the_dev_attention(self, variant, levels):
+        resources = build_resources()
+        model = mdl.SequenceTagger(tiny_model_config(variant), resources, seed=0)
+        sents = build_sentences()
+        (record,) = tr.train(model, sents, sents, cfg(max_epochs=1)).log
+        # one epoch: the model now holds the parameters the dev pass ran with
+        tags, alpha_w, alpha_s = model.predict_with_attention(sents)
+        assert record["dev_f1"] == tr.entity_f1([s.labels for s in sents], tags).f1
+        assert sorted(k for k in record if k.startswith("alpha_")) == sorted(
+            f"alpha_{level}_{stat}" for level in levels for stat in ("mean", "entropy"))
+        for level in levels:
+            alphas, tables = {"word": (alpha_w, resources.word_tables),
+                              "subword": (alpha_s, resources.subword_tables)}[level]
+            rows = [row for a in alphas for row in a.tolist()]
+            mean = record[f"alpha_{level}_mean"]
+            assert list(mean) == [t.language_id for t in tables]
+            for j, weight in enumerate(mean.values()):
+                assert weight == pytest.approx(sum(r[j] for r in rows) / len(rows), rel=1e-12)
+            entropy = sum(-sum(p * math.log(p) for p in r) for r in rows) / len(rows)
+            assert record[f"alpha_{level}_entropy"] == pytest.approx(entropy, rel=1e-12)
+            assert 0 < entropy < math.log(len(tables))
