@@ -4,8 +4,9 @@ Configuration is a JSON file (version 1).  Relative paths inside it resolve
 against the config file's directory; the validated config with resolved paths
 is echoed into every checkpoint so the other commands can rebuild the model.
 
-Exit codes: 0 success, 2 input/config error, 3 numerical failure.  Errors go
-to stderr as one line with an ``hme: error[kind]:`` prefix.
+Exit codes: 0 success, 2 input, config or file-system error, 3 numerical
+failure.  Errors go to stderr as one line with an ``hme: error[kind]:``
+prefix.
 """
 
 from __future__ import annotations
@@ -263,10 +264,6 @@ def cmd_train(args) -> int:
     except ValueError as exc:
         # model settings that disagree with each other or with the resources
         raise ConfigError(str(exc)) from None
-    # featurize and store dev before training, so the counters now hold the
-    # dev split's OOV hits and no train hits, and every dev evaluation hits
-    model.featurizer.store(dev_set)
-    dev_counters = dict(model.featurizer.counters)
     os.makedirs(cfg.output_dir, exist_ok=True)
     result = tr.train(model, train_set, dev_set, cfg.train,
                       log_path=os.path.join(cfg.output_dir, "metrics.jsonl"),
@@ -276,9 +273,11 @@ def cmd_train(args) -> int:
     preds = model.predict(dev_set)
     write_conll(dev_set, os.path.join(cfg.output_dir, "dev_predictions.conll"),
                 tags=preds)
+    model.featurizer.count_oov(dev_set)
     repairs = sum(s.repairs for s in dev_set)
     report = tr.entity_f1([s.labels for s in dev_set], preds,
-                          counters={"iob_repairs": repairs, **dev_counters})
+                          counters={"iob_repairs": repairs,
+                                    **dict(model.featurizer.counters)})
     with open(os.path.join(cfg.output_dir, "dev_report.json"), "w",
               encoding="utf-8") as fh:
         json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
@@ -298,6 +297,7 @@ def cmd_eval(args) -> int:
         raise ConfigError(f"no sentences in {args.data}")
     _check_tag_compatibility(model, data)
     preds = model.predict(data)
+    model.featurizer.count_oov(data)
     repairs = sum(s.repairs for s in data)
     report = tr.entity_f1([s.labels for s in data], preds,
                           counters={"iob_repairs": repairs,
@@ -414,7 +414,9 @@ def main(argv=None) -> int:
         with np.errstate(over="ignore", invalid="ignore"):
             return args.func(args)
     except (ConfigError, ConllFormatError, emb.EmbeddingFormatError,
-            mdl.CheckpointError, FileNotFoundError) as exc:
+            mdl.CheckpointError, OSError) as exc:
+        # OSError: a missing file, or a path of the wrong kind (a file where
+        # a directory must be, or a directory where a file must be)
         print(f"hme: error[input]: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (NumericsError, tr.DivergenceError) as exc:

@@ -74,7 +74,7 @@ class Resources:
 class Lookup(NamedTuple):
     """One table's rows for a run of words: ``idx`` (C,) holds the row of
     every piece, word by word; ``valid`` (C,) is 0.0 where a piece reads a
-    zero vector; ``count`` (R,) holds the pieces of each word."""
+    zero vector; ``count`` (U,) holds the pieces of each word."""
 
     idx: np.ndarray
     valid: np.ndarray
@@ -83,37 +83,28 @@ class Lookup(NamedTuple):
 
 @dataclass
 class Indices:
-    """Table rows for a batch of sentences; one sentence is a batch of one.
-
-    ``tables`` holds one Lookup per featurizer table over the batch's U
-    distinct words in order of first occurrence, and ``word_of`` (R,) the
-    row among those U of each of the batch's R tokens in sentence order.
-    Every index array holds real cells only, so no level computes a padding
-    cell."""
+    """Table rows for U distinct words: one Lookup per featurizer table, and
+    the (U, tables) pieces of each word that each table lacks.  Every index
+    array holds real cells only, so no level computes a padding cell."""
 
     tables: list[Lookup]
-    word_of: np.ndarray
-    misses: np.ndarray      # (U, tables) pieces of each word the table lacks
+    misses: np.ndarray
 
 
 class Featurizer:
-    """Turns a batch of tokenized sentences into table indices, counting OOV
-    hits.
+    """Turns distinct words into table indices.
 
     The tables come in the order the model reads them: word tables, subword
     tables, then the char table.  Each word splits into the table's pieces
     (the word itself, its BPE subwords or its characters), and every table
     applies one rule to a piece it does not hold: read the table's unknown
-    row if it has one, else a zero vector.  Each distinct word of a batch is
-    split and indexed once, but the OOV counters count tokens: every
-    occurrence of a word in an encoded batch adds the word's misses, whether
-    its rows were indexed now or read from the cache.  ``count`` adds misses
-    of words indexed earlier.
+    row if it has one, else a zero vector.
 
     ``encode`` reads the per-word cache but never adds to it; ``store``
-    encodes and keeps the batch's new words.  Only training and dev batches
-    are stored, so the cache is bounded by their vocabulary and prediction
-    over any number of new sentences leaves it as it is.
+    encodes and keeps the new words.  Only training batches are stored, so
+    the cache is bounded by their vocabulary and prediction over any number
+    of new sentences leaves it as it is.  Encoding counts nothing: the OOV
+    counters change only through ``count_oov``.
     """
 
     def __init__(self, tables, bpe_models=None):
@@ -124,11 +115,11 @@ class Featurizer:
                      for t in self.tables]      # the counter of each table
         # word -> its rows per table, one per piece, -1 where the table misses
         self._cache: dict[str, list[list[int]]] = {}
-        self._fresh: dict[str, list[list[int]]] = {}   # the last batch's new words
+        self._fresh: dict[str, list[list[int]]] = {}   # the last call's new words
 
-    def store(self, sentences: list[TokenizedSentence]) -> Indices:
-        """``encode``, then keep the rows of the batch's new words."""
-        enc = self.encode(sentences)
+    def store(self, words: list[str]) -> Indices:
+        """``encode``, then keep the rows of the new words."""
+        enc = self.encode(words)
         self._cache.update(self._fresh)
         return enc
 
@@ -146,13 +137,11 @@ class Featurizer:
             out.append([-1 if row is None else row for row in rows] if None in rows else rows)
         return out
 
-    def encode(self, sentences: list[TokenizedSentence]) -> Indices:
-        types: dict[str, int] = {}
-        word_of = np.array([types.setdefault(w, len(types))
-                            for sent in sentences for w in sent.words], dtype=np.int64)
-        self._fresh = {w: self._rows(w) for w in types if w not in self._cache}
-        entries = [self._fresh.get(w) or self._cache[w] for w in types]
-        misses = np.zeros((len(types), len(self.tables)), dtype=np.int64)
+    def encode(self, words: list[str]) -> Indices:
+        """Table rows of ``words``, which must be distinct."""
+        self._fresh = {w: self._rows(w) for w in words if w not in self._cache}
+        entries = [self._fresh.get(w) or self._cache[w] for w in words]
+        misses = np.zeros((len(words), len(self.tables)), dtype=np.int64)
         lookups = []
         for t, table in enumerate(self.tables):
             count = np.array([len(e[t]) for e in entries], dtype=np.int64)
@@ -161,21 +150,23 @@ class Featurizer:
             valid = np.ones(len(idx))
             miss = idx < 0
             if miss.any():
-                misses[:, t] = np.bincount(np.arange(len(types)).repeat(count)[miss],
-                                           minlength=len(types))
+                misses[:, t] = np.bincount(np.arange(len(words)).repeat(count)[miss],
+                                           minlength=len(words))
                 if table.unk_index is None:
                     idx[miss] = 0
                     valid[miss] = 0.0
                 else:
                     idx[miss] = table.unk_index
             lookups.append(Lookup(idx, valid, count))
-        self.count(misses, np.bincount(word_of, minlength=len(types)))
-        return Indices(lookups, word_of, misses)
+        return Indices(lookups, misses)
 
-    def count(self, misses: np.ndarray, occurrences: np.ndarray) -> None:
-        """Add each word's (tables,) ``misses``, times its occurrences, to the
-        counters; a counter appears once it is above zero."""
-        for key, n in zip(self.keys, occurrences @ misses):
+    def count_oov(self, sentences: list[TokenizedSentence]) -> None:
+        """Add every token's misses, per table, to the counters; a counter
+        appears once it is above zero."""
+        occurrences = Counter(w for sent in sentences for w in sent.words)
+        misses = self.encode(list(occurrences)).misses
+        per_table = np.fromiter(occurrences.values(), np.int64, len(occurrences)) @ misses
+        for key, n in zip(self.keys, per_table):
             if n:
                 self.counters[key] += int(n)
 
@@ -199,13 +190,12 @@ def _masked_lookup(table: emb.EmbeddingTable, idx: np.ndarray,
 class WordCache:
     """What the per-word levels gave each word in eval mode, for prediction.
 
-    A word's row ``u``, its attention rows and its misses per featurizer
-    table depend only on the word and the parameters the per-word levels
-    read.  The cache keeps a copy of those parameters (``watch``) and empties
-    itself when they differ, and it holds at most PREDICTION_CACHE_WORDS
-    words, dropping the least recently used first.  Each field is one
-    (capacity, width) array, or None for a level the variant lacks, and
-    ``slots`` maps each word to its row in them.
+    A word's row ``u`` and its attention rows depend only on the word and
+    the parameters the per-word levels read.  The cache keeps a copy of
+    those parameters (``watch``) and empties itself when they differ, and it
+    holds at most PREDICTION_CACHE_WORDS words, dropping the least recently
+    used first.  Each field is one (capacity, width) array, or None for a
+    level the variant lacks, and ``slots`` maps each word to its row in them.
     """
 
     def __init__(self):
@@ -386,24 +376,27 @@ class SequenceTagger:
 
     # -- forward passes ------------------------------------------------------
 
-    def forward(self, sentences: list[TokenizedSentence], train: bool = False,
-                cached: bool = False) -> ForwardResult:
-        """Emissions and attention rows of a batch.  With ``cached`` (eval
-        mode only; prediction passes it) each word's per-word rows come from
-        the prediction cache, and only the words it lacks are featurized and
-        run through the per-word levels."""
-        # every per-word level runs once per distinct word (U rows); one
-        # gather expands the result to the R tokens for the sentence encoder
-        if cached:
-            if train:
-                raise ValueError("the prediction cache serves eval mode only")
-            u, alpha_w, alpha_s, word_of = self._cached_word_rows(sentences)
-        else:
+    def forward(self, sentences: list[TokenizedSentence],
+                train: bool = False) -> ForwardResult:
+        """Emissions and attention rows of a batch.
+
+        Every per-word level runs once per distinct word (U rows), and one
+        gather expands the result to the R tokens for the sentence encoder.
+        In eval mode with no Tape recording, each word's per-word rows come
+        from the prediction cache, and only the words it lacks are featurized
+        and encoded; training, and any forward under a Tape, compute them all,
+        so no gradient meets a cached row."""
+        rows: dict[str, int] = {}
+        word_of = np.fromiter((rows.setdefault(w, len(rows))
+                               for sent in sentences for w in sent.words), dtype=np.int64)
+        words = list(rows)
+        if train or ad.Tape._active is not None:
             featurize = self.featurizer.store if train else self.featurizer.encode
-            batch = featurize(sentences)
-            u, alpha_w, alpha_s = self._word_rows(batch.tables, train)
+            u, alpha_w, alpha_s = self._word_rows(featurize(words).tables, train)
             alpha_w, alpha_s = (None if a is None else a.data for a in (alpha_w, alpha_s))
-            word_of = batch.word_of
+        else:
+            u, alpha_w, alpha_s = self._cached_word_rows(words)
+            u = Tensor(u)
         lengths = [len(sent) for sent in sentences]
         h = self.encoder(ad.take(u, word_of), _length_mask(lengths), train)
         emissions = self.crf.emissions(h)
@@ -413,9 +406,9 @@ class SequenceTagger:
                              alpha_word=alpha_w, alpha_subword=alpha_s)
 
     def _word_rows(self, tables: list[Lookup], train: bool):
-        """The per-word levels on one batch's U distinct words: the (U, ·)
-        rows ``u`` and the (U, L) word and subword attention weights, None
-        for a level the variant lacks."""
+        """The per-word levels on U distinct words: the (U, ·) rows ``u`` and
+        the (U, L) word and subword attention weights, None for a level the
+        variant lacks."""
         inputs = [_masked_lookup(table, lookup.idx, lookup.valid)
                   for table, lookup in zip(self.featurizer.tables, tables)]
         n_word = len(self.resources.word_tables)
@@ -440,34 +433,25 @@ class SequenceTagger:
             u = me.hme_concat(u, u_s, u_c)
         return u, alpha_w, alpha_s
 
-    def _cached_word_rows(self, sentences: list[TokenizedSentence]):
-        """``_word_rows`` in eval mode through the prediction cache, plus the
-        (R,) token-to-row map.  Rows run cached words first, then the new
-        ones; the OOV counters still count every token."""
+    def _cached_word_rows(self, words: list[str]):
+        """``_word_rows`` in eval mode through the prediction cache, as
+        arrays: the rows of the cached ``words`` are read, the others computed
+        and kept."""
         cache = self._word_cache
         cache.watch([p.data for name, p in self.parameters().items()
                      if not name.startswith(("encoder.", "crf."))])
-        rows = dict.fromkeys(w for sent in sentences for w in sent.words)
-        old = [w for w in rows if w in cache]
-        new = [w for w in rows if w not in cache]
+        old = [w for w in words if w in cache]
+        new = [w for w in words if w not in cache]
         parts = [cache.get(old)] if old else []
         if new:
-            # the featurizer counts each new word once here
-            batch = self.featurizer.encode([TokenizedSentence(new, new)])
             fresh = [None if a is None else a.data
-                     for a in self._word_rows(batch.tables, train=False)]
-            fresh.append(batch.misses)
+                     for a in self._word_rows(self.featurizer.encode(new).tables,
+                                              train=False)]
             cache.put(new, fresh)
             parts.append(fresh)
-        u, alpha_w, alpha_s, misses = (None if f[0] is None else np.concatenate(f)
-                                       for f in zip(*parts))
-        rows.update(zip(chain(old, new), range(len(rows))))
-        word_of = np.fromiter((rows[w] for sent in sentences for w in sent.words),
-                              dtype=np.int64)
-        occurrences = np.bincount(word_of, minlength=len(rows))
-        occurrences[len(old):] -= 1
-        self.featurizer.count(misses, occurrences)
-        return Tensor(u), alpha_w, alpha_s, word_of
+        slot = {w: i for i, w in enumerate(old + new)}
+        order = [slot[w] for w in words]
+        return (None if f[0] is None else np.concatenate(f)[order] for f in zip(*parts))
 
     def loss_batch(self, sentences: list[TokenizedSentence],
                    train: bool = True) -> Tensor:
@@ -495,10 +479,10 @@ class SequenceTagger:
         """(tags, word attention rows, subword attention rows) per sentence;
         the rows are views into the batch's attention arrays.
 
-        Decoding reads the prediction cache (``WordCache``): a word whose
-        per-word rows were computed by an earlier batch or call, at the same
-        parameters, is neither featurized nor encoded again.  Training and
-        ``loss_batch`` never read it."""
+        Outside a Tape, decoding reads the prediction cache (``WordCache``):
+        a word whose per-word rows were computed by an earlier batch or call,
+        at the same parameters, is neither featurized nor encoded again.
+        Decoding counts no OOV hits (see ``Featurizer.count_oov``)."""
         if type(batch_size) is not int or batch_size < 1:
             raise ValueError(f"batch_size must be an integer >= 1, got {batch_size!r}")
         for i, sent in enumerate(sentences):
@@ -507,7 +491,7 @@ class SequenceTagger:
         out = []
         for i in range(0, len(sentences), batch_size):
             chunk = sentences[i:i + batch_size]
-            result = self.forward(chunk, cached=True)
+            result = self.forward(chunk)
             rows = [result.emissions, result.alpha_word, result.alpha_subword]
             start = 0
             for n in result.lengths:

@@ -22,9 +22,6 @@ class DivergenceError(RuntimeError):
 @dataclass
 class TrainConfig:
     learning_rate: float = 0.1
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     patience: int = 15                   # dev-F1 epochs without improvement
     batch_size: int = 32
     max_epochs: int = 100
@@ -37,14 +34,12 @@ class TrainConfig:
             value = getattr(self, name)
             if type(value) is not int or value < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-        for name in ("learning_rate", "beta1", "beta2", "eps", "clip_norm"):
+        for name in ("learning_rate", "clip_norm"):
             value = getattr(self, name)
             if type(value) not in (int, float):
                 raise ValueError(f"{name} must be a number, got {value!r}")
-        if min(self.learning_rate, self.eps, self.clip_norm) <= 0:
-            raise ValueError("learning_rate, eps and clip_norm must be positive")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ValueError("beta1 and beta2 must be in [0, 1)")
+        if min(self.learning_rate, self.clip_norm) <= 0:
+            raise ValueError("learning_rate and clip_norm must be positive")
 
 
 class Adam:
@@ -52,10 +47,11 @@ class Adam:
     gradient clipping applied before each update.  Parameters with no gradient
     are treated as having a zero gradient."""
 
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
     def __init__(self, params: dict[str, Tensor], config: TrainConfig):
         self.params = dict(params)
         self.lr = config.learning_rate
-        self.beta1, self.beta2, self.eps = config.beta1, config.beta2, config.eps
         self.clip_norm = config.clip_norm
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}

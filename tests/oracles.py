@@ -273,21 +273,22 @@ def featurize_by_token(tables, split, sentences):
     ``split(table, word)`` gives the word's pieces for a table.  A piece
     reads its exact row, then its lowercase row, then the table's unknown
     row, else row 0 with validity 0.0.  Returns ([(idx, valid, count)] per
-    table, word_of) like the model's batch ``Indices``.
+    table, (U, tables) misses) like the model's ``Indices`` for the batch's
+    distinct words in order of first occurrence.
     """
     words = [w for sent in sentences for w in sent.words]
-    rows_of = {}
-    word_of = [rows_of.setdefault(w, len(rows_of)) for w in words]
-    first = [words.index(w) for w in rows_of]
-    per_table = []
+    first = [words.index(w) for w in dict.fromkeys(words)]
+    per_table, misses = [], []
     for table in tables:
-        idx, valid, count = [], [], []
+        idx, valid, count, miss = [], [], [], []
         for w in words:
             pieces = split(table, w)
             count.append(len(pieces))
+            miss.append(0)
             for p in pieces:
                 row = table.vocab.get(p, table.vocab.get(p.lower()))
                 if row is None:
+                    miss[-1] += 1
                     row = table.unk_index
                 valid.append(0.0 if row is None else 1.0)
                 idx.append(0 if row is None else row)
@@ -295,7 +296,8 @@ def featurize_by_token(tables, split, sentences):
         cells = [c for i in first for c in range(starts[i], starts[i + 1])]
         per_table.append((np.array(idx, dtype=np.int64)[cells], np.array(valid)[cells],
                           np.array(count, dtype=np.int64)[first]))
-    return per_table, np.array(word_of, dtype=np.int64)
+        misses.append(np.array(miss, dtype=np.int64)[first])
+    return per_table, np.stack(misses, axis=1)
 
 
 def entity_spans_by_hand(tags):

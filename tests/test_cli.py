@@ -31,6 +31,13 @@ def toy(tmp_path_factory):
     }
 
 
+def assert_one_input_error(capsys, path):
+    """stderr holds one ``error[input]`` line naming ``path``, no traceback."""
+    err = capsys.readouterr().err
+    assert err.startswith("hme: error[input]:") and err.count("\n") == 1
+    assert path in err
+
+
 class TestTrain:
     def test_outputs_exist(self, toy):
         for name in ("model.ckpt", "metrics.jsonl", "dev_report.json",
@@ -106,6 +113,9 @@ class TestTrain:
         "string_max_epochs": (["train", "max_epochs"], "2"),
         "removed_lr_decay": (["train", "lr_decay"], 0.5),
         "removed_patience_unit": (["train", "patience_unit"], "steps"),
+        "removed_beta1": (["train", "beta1"], 0.9),
+        "removed_beta2": (["train", "beta2"], 0.999),
+        "removed_eps": (["train", "eps"], 1e-8),
         "numeric_data_path": (["data", "dev"], 5),
         "list_output_dir": (["output_dir"], ["run"]),
         "empty_embedding_path": (["embeddings", 0, "path"], ""),
@@ -129,6 +139,16 @@ class TestTrain:
         assert cli.main(["train", "--config", str(bad), "--quiet"]) == 2
         assert "hme: error[input]:" in capsys.readouterr().err
         assert not (tmp_path / "run" / "model.ckpt").exists()
+
+    def test_output_dir_naming_a_file_exit_2(self, toy, tmp_path, capsys):
+        cfg = json.load(open(toy["paths"]["config"]))
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        cfg["output_dir"] = str(taken)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        assert cli.main(["train", "--config", str(bad), "--quiet"]) == 2
+        assert_one_input_error(capsys, str(taken))
 
     def test_readme_config_example_loads(self, tmp_path):
         readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -243,6 +263,10 @@ class TestEval:
         assert cli.main(["eval", str(ckpt), test_data]) == 2
         err = capsys.readouterr().err
         assert "hme: error[input]:" in err and f"merges/{entry['language']}" in err
+
+    def test_checkpoint_is_a_directory_exit_2(self, toy, tmp_path, capsys):
+        assert cli.main(["eval", str(tmp_path), toy["paths"]["data"]["dev"]]) == 2
+        assert_one_input_error(capsys, str(tmp_path))
 
     def test_dev_report_counts_dev_split_only(self, toy, tmp_path):
         out = tmp_path / "dev.json"
@@ -377,6 +401,12 @@ class TestEnsemble:
         self.write_pred(b, [[("x", "O"), ("y", "O")]])
         out = tmp_path / "v.conll"
         assert cli.main(["ensemble", str(a), str(b), "--out", str(out)]) == 2
+
+    def test_out_is_a_directory_exit_2(self, tmp_path, capsys):
+        a = tmp_path / "a.conll"
+        self.write_pred(a, [[("x", "O")]])
+        assert cli.main(["ensemble", str(a), "--out", str(tmp_path)]) == 2
+        assert_one_input_error(capsys, str(tmp_path))
 
     def test_token_mismatch_exit_2(self, tmp_path, capsys):
         # equal shapes, different data: sentence 1 holds other tokens

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -90,7 +92,7 @@ class TestLoad:
 
 def featurized_row(table, token):
     """The row the model's batched featurize-and-gather path uses."""
-    (found,) = mdl.Featurizer([table]).encode([TokenizedSentence([token], [token])]).tables
+    (found,) = mdl.Featurizer([table]).encode([token]).tables
     return mdl._masked_lookup(table, found.idx, found.valid).data[0]
 
 
@@ -136,12 +138,14 @@ def test_one_oov_rule_at_every_level(level):
     }[level]
     words = ["walka", "qqqé", "Hola"]
     featurizer = mdl.Featurizer([table], res.bpe_models)
-    (found,) = featurizer.encode([TokenizedSentence(words, words)]).tables
+    (found,) = featurizer.encode(words).tables
     pieces = [p for w in words for p in split(w)]
     np.testing.assert_array_equal(mdl._masked_lookup(table, found.idx, found.valid).data,
                                   np.stack([lookup(table, p) for p in pieces]))
     assert found.count.tolist() == [len(split(w)) for w in words]
     misses = [p for p in pieces if p not in table.vocab and p.lower() not in table.vocab]
+    assert not featurizer.counters
+    featurizer.count_oov([TokenizedSentence(words, words)])
     assert misses and dict(featurizer.counters) == {counter: len(misses)}
 
 
@@ -170,6 +174,22 @@ class TestCharTable:
     def test_empty_alphabet_rejected(self):
         with pytest.raises(ValueError):
             emb.init_char_table(set(), 8, seed=0)
+
+
+def test_fingerprint_hashes_the_file_rows_only(tmp_path):
+    """A loaded table's fingerprint is a sha256 over level/language/dim, the
+    vocabulary in file order and the file's rows, and nothing else: a
+    checkpoint stores these hashes, so any other input to the hash would
+    stop saved checkpoints from restoring."""
+    rows = {"a": [1.5, -2.0], "b": [0.25, 3.0], "c": [0.0, -0.125]}
+    path = write(tmp_path, "t.vec", "3 2\n" + "".join(
+        f"{tok} {x!r} {y!r}\n" for tok, (x, y) in rows.items()))
+    table = emb.load_text_embeddings(path, "vec_with_header", language_id="en")
+    h = hashlib.sha256(b"word/en/2")
+    for i, tok in enumerate(rows):
+        h.update(f"{tok}\x00{i}".encode())
+    h.update(np.array(list(rows.values()), dtype=np.float64).tobytes())
+    assert table.fingerprint() == h.hexdigest()
 
 
 def test_save_load_round_trip(tmp_path):

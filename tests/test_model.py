@@ -196,6 +196,7 @@ class TestForward:
         monkeypatch.setattr(mdl, "apply_bpe", counting_bpe)
         model.predict(repeating_batch())
         assert bool(calls) == (variant == "hme")
+        model.featurizer.count_oov(repeating_batch())
         assert any(k.startswith("oov_subword") for k in model.featurizer.counters) \
             == (variant == "hme")
 
@@ -458,7 +459,7 @@ def test_oov_counters_increment():
     model = make_model("hme")
     from hme.tokenization import TokenizedSentence
     sent = TokenizedSentence(["qqqq"], ["qqqq"], labels=["O"])
-    model.forward([sent])
+    model.featurizer.count_oov([sent])
     counters = model.featurizer.counters
     assert counters["oov_word_A"] == 1
     assert counters["oov_word_B"] == 1
@@ -496,15 +497,24 @@ def test_prediction_does_not_grow_the_featurizer_cache(monkeypatch):
     monkeypatch.setattr(emb.EmbeddingTable, "index_of",
                         counting(emb.EmbeddingTable.index_of))
     monkeypatch.setattr(mdl, "apply_bpe", counting(apply_bpe))
-    model.featurizer.encode(train_sents[:1])
-    model.featurizer.store(train_sents)
+    model.featurizer.encode(train_sents[0].words)
+    model.featurizer.store(list(positions_by_word(train_sents)))
     assert calls == []
     assert model.featurizer._cache == stored
 
 
+def pieces_of(featurizer, table, word):
+    """The pieces ``word`` splits into for ``table``, rebuilt from the public
+    tokenization functions."""
+    if table.level == "subword":
+        return apply_bpe(featurizer.bpe_models[table.language_id], word)
+    return to_chars(word) if table.level == "char" else [word]
+
+
 class TestBatchFeaturizer:
-    """``Featurizer.encode`` on a batch equals the token-by-token reference:
-    featurize every token, concatenate, keep each word's first occurrence."""
+    """``Featurizer.encode`` on a batch's distinct words equals the
+    token-by-token reference: featurize every token, concatenate, keep each
+    word's first occurrence."""
 
     @staticmethod
     def featurizer(variant):
@@ -517,14 +527,11 @@ class TestBatchFeaturizer:
 
     @staticmethod
     def assert_matches_reference(featurizer, sentences):
-        def split(table, word):
-            if table.level == "subword":
-                return apply_bpe(featurizer.bpe_models[table.language_id], word)
-            return to_chars(word) if table.level == "char" else [word]
-
-        got = featurizer.encode(sentences)
-        tables, word_of = featurize_by_token(featurizer.tables, split, sentences)
-        pairs = [(got.word_of, word_of)]
+        got = featurizer.encode(list(positions_by_word(sentences)))
+        tables, misses = featurize_by_token(
+            featurizer.tables, lambda table, word: pieces_of(featurizer, table, word),
+            sentences)
+        pairs = [(got.misses, misses)]
         assert len(got.tables) == len(tables)
         for lookup_, ref in zip(got.tables, tables):
             pairs += list(zip(lookup_, ref))
@@ -537,7 +544,7 @@ class TestBatchFeaturizer:
         featurizer = self.featurizer(variant)
         self.assert_matches_reference(featurizer, repeating_batch())
         # the same batch read back from the cache
-        featurizer.store(repeating_batch())
+        featurizer.store(list(positions_by_word(repeating_batch())))
         self.assert_matches_reference(featurizer, repeating_batch())
 
     def test_random_batches_with_oov_words(self):
@@ -554,7 +561,7 @@ class TestBatchFeaturizer:
             batch.append(TokenizedSentence([word, "hola", word], [word, "hola", word]))
             self.assert_matches_reference(featurizer, batch)
             if trial % 2:
-                featurizer.store(batch)
+                featurizer.store(list(positions_by_word(batch)))
 
 
 def test_oov_counters_count_every_occurrence():
@@ -567,7 +574,7 @@ def test_oov_counters_count_every_occurrence():
 
     def counts(sentences):
         featurizer = make_model("hme").featurizer
-        featurizer.encode(sentences)
+        featurizer.count_oov(sentences)
         return featurizer.counters
 
     rise = counts(batch)
@@ -583,11 +590,15 @@ def test_oov_counters_count_every_occurrence():
     expected["oov_char"] = 3 * misses(res.char_table, to_chars("qqqq"))
     assert all(v > 0 for v in expected.values())
     assert {k: v for k, v in rise.items() if v} == expected
-    # a stored batch counts its tokens again when it is encoded again
+    # storing counts nothing; a stored batch counts as a fresh one, and a
+    # second count adds as much again
     featurizer = make_model("hme").featurizer
-    featurizer.store(batch)
+    featurizer.store(list(positions_by_word(batch)))
+    assert not featurizer.counters
+    featurizer.count_oov(batch)
     once = dict(featurizer.counters)
-    featurizer.encode(batch)
+    assert once == dict(counts(batch))
+    featurizer.count_oov(batch)
     assert dict(featurizer.counters) == {k: 2 * v for k, v in once.items()}
 
 
@@ -613,6 +624,13 @@ def fresh_stream(count, seed=0, new_words=300):
              for _ in range(count))]
 
 
+def uncached(model, sents):
+    """``forward`` with every per-word row computed now: under a Tape it
+    reads no cached row."""
+    with Tape():
+        return model.forward(sents)
+
+
 def assert_rows_close(got, want, rtol=1e-12):
     for a, b in zip((got.emissions, got.alpha_word, got.alpha_subword),
                     (want.emissions, want.alpha_word, want.alpha_subword)):
@@ -629,13 +647,12 @@ class TestPredictionCache:
         model, cold = variant_model(variant), variant_model(variant)
         encoded = []
         encode = model.featurizer.encode
-        model.featurizer.encode = lambda sents: encoded.append(
-            sum(len(s) for s in sents)) or encode(sents)
+        model.featurizer.encode = lambda words: encoded.append(len(words)) or encode(words)
         stream = fresh_stream(300)
         for k in range(0, len(stream), 60):
             chunk = stream[k:k + 60]
             encoded.clear()
-            assert_rows_close(model.forward(chunk, cached=True), cold.forward(chunk))
+            assert_rows_close(model.forward(chunk), uncached(cold, chunk))
             assert model.predict(chunk, batch_size=16) == variant_model(variant).predict(chunk)
             if k:
                 assert sum(encoded) < len({w for s in chunk for w in s.words})
@@ -645,7 +662,7 @@ class TestPredictionCache:
     def test_a_parameter_change_empties_the_cache(self, change):
         model = make_model("hme")
         sents = fresh_stream(40)
-        before = model.forward(sents, cached=True)
+        before = model.forward(sents)
         model.predict(sents)
         if change == "in_place":
             rng = np.random.default_rng(3)
@@ -656,9 +673,9 @@ class TestPredictionCache:
             model.load_state(make_model("hme", seed=4).state())
         rebuilt = make_model("hme")
         rebuilt.load_state(model.state())
-        after = model.forward(sents, cached=True)
+        after = model.forward(sents)
         assert np.abs(after.emissions.data - before.emissions.data).max() > 1e-3
-        assert_rows_close(after, rebuilt.forward(sents))
+        assert_rows_close(after, uncached(rebuilt, sents))
         assert model.predict(sents) == rebuilt.predict(sents)
 
     def test_loss_gradients_ignore_the_cache(self):
@@ -688,7 +705,7 @@ class TestPredictionCache:
 
         def tag(words):
             sents = [TokenizedSentence([w], [w]) for w in words]
-            assert_rows_close(model.forward(sents, cached=True), cold.forward(sents))
+            assert_rows_close(model.forward(sents), uncached(cold, sents))
 
         words = [f"new{k}" for k in range(200)]
         for k in range(0, len(words), 3):
@@ -702,18 +719,46 @@ class TestPredictionCache:
         assert list(cache.slots) == words[12:20]
         assert all(len(f) == 8 for f in cache.fields if f is not None)
 
+    def test_a_tape_bypasses_the_cache(self):
+        """Under a Tape, eval-mode ``forward`` featurizes and encodes every
+        word again, cached or not."""
+        model = make_model("hme")
+        sents = fresh_stream(40)
+        model.predict(sents)
+        encoded = []
+        encode = model.featurizer.encode
+        model.featurizer.encode = lambda words: encoded.append(list(words)) or encode(words)
+        model.forward(sents)
+        assert encoded == []
+        uncached(model, sents)
+        assert encoded == [list(positions_by_word(sents))]
+
     @pytest.mark.parametrize("variant", mdl.VARIANTS)
     def test_counters_count_every_token_of_every_call(self, variant):
+        """``predict``, ``forward`` and ``loss_batch`` count nothing, and
+        ``count_oov`` counts every token of every call: per-batch calls add
+        up to one call over the whole stream and to a token-by-token count."""
         sents = repeating_batch() + fresh_stream(50)
         model = variant_model(variant)
         model.predict(sents, batch_size=16)
+        model.forward(sents)
+        with Tape():
+            model.loss_batch(repeating_batch(), train=True)
+        assert not model.featurizer.counters
+        model.featurizer.count_oov(sents)
         once = dict(model.featurizer.counters)
-        model.predict(sents, batch_size=16)
+        model.featurizer.count_oov(sents)
         assert dict(model.featurizer.counters) == {k: 2 * v for k, v in once.items()}
         reference = variant_model(variant).featurizer
         for k in range(0, len(sents), 16):
-            reference.encode(sents[k:k + 16])
+            reference.count_oov(sents[k:k + 16])
         assert once == dict(reference.counters) and once
+        by_token = dict.fromkeys(reference.keys, 0)
+        for word in (w for sent in sents for w in sent.words):
+            for key, table in zip(reference.keys, reference.tables):
+                by_token[key] += sum(table.vocab.get(p, table.vocab.get(p.lower())) is None
+                                     for p in pieces_of(reference, table, word))
+        assert once == {k: v for k, v in by_token.items() if v}
 
     @pytest.mark.parametrize("sents, batch_size, message", [
         ([TokenizedSentence([], [])], 64, "sentence 0 has no words"),
