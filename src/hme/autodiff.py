@@ -424,25 +424,15 @@ def _drop(x: np.ndarray, keep: np.ndarray, p: float) -> np.ndarray:
     return out
 
 
-def dropout(a: Tensor, p: float, train: bool, rng: np.random.Generator | None = None) -> Tensor:
-    """Inverted dropout: eval mode is the identity, train mode keeps each cell
-    of ``keep_mask`` and scales it by 1/(1-p).
-
-    ``rng`` supplies the mask and is required in train mode so callers control
-    reproducibility.
-    """
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-    if not train or p == 0.0:
-        return a
-    if rng is None:
-        raise ValueError("dropout in train mode requires an rng")
-    keep = keep_mask(a.shape, p, rng)
+def dropout(a: Tensor, keep: tuple[np.ndarray, float]) -> Tensor:
+    """Inverted dropout with ``keep``, a keep-mask of ``a``'s shape and its p
+    (see ``keep_mask``): keeps the mask's cells and scales them by 1/(1-p)."""
+    mask, p = keep
 
     def vjp(g):
-        return (_drop(g, keep, p),)
+        return (_drop(g, mask, p),)
 
-    return _record(_drop(a.data, keep, p), (a,), vjp, "dropout")
+    return _record(_drop(a.data, mask, p), (a,), vjp, "dropout")
 
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:

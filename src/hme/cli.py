@@ -111,6 +111,8 @@ def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
     _require(isinstance(data_raw, dict) and data_raw, "config needs a data section")
     _require(all(isinstance(v, str) for v in data_raw.values()),
              "data paths must be strings")
+    for split in ("train", "dev"):
+        _require(split in data_raw, f"data section lacks the {split!r} split")
     data = {k: _resolve(base, v) for k, v in data_raw.items()}
     for name, p in data.items():
         _require(os.path.isfile(p),
@@ -246,13 +248,23 @@ def _check_tag_compatibility(model: mdl.SequenceTagger, sentences) -> None:
         raise ConfigError(f"data uses tags the model does not know: {sorted(unknown)}")
 
 
+def _report(model: mdl.SequenceTagger, sentences: list[TokenizedSentence],
+            preds: list[list[str]]) -> tr.EvalReport:
+    """The entity report of ``preds`` against labeled ``sentences``, with the
+    IOB repairs made reading them and every token's OOV misses as counters."""
+    model.featurizer.count_oov(sentences)
+    repairs = sum(s.repairs for s in sentences)
+    return tr.entity_f1([s.labels for s in sentences], preds,
+                        counters={"iob_repairs": repairs, **dict(model.featurizer.counters)})
+
+
 # ---------------------------------------------------------------------------
 # commands
 
 def cmd_train(args) -> int:
     cfg = load_run_config(args.config, args.seed)
-    train_set = read_conll(cfg.data.get("train", ""))
-    dev_set = read_conll(cfg.data.get("dev", ""))
+    train_set = read_conll(cfg.data["train"])
+    dev_set = read_conll(cfg.data["dev"])
     if not train_set or not dev_set:
         raise ConfigError("train and dev data must be non-empty")
     words = [w for s in train_set for w in s.words]
@@ -273,11 +285,7 @@ def cmd_train(args) -> int:
     preds = model.predict(dev_set)
     write_conll(dev_set, os.path.join(cfg.output_dir, "dev_predictions.conll"),
                 tags=preds)
-    model.featurizer.count_oov(dev_set)
-    repairs = sum(s.repairs for s in dev_set)
-    report = tr.entity_f1([s.labels for s in dev_set], preds,
-                          counters={"iob_repairs": repairs,
-                                    **dict(model.featurizer.counters)})
+    report = _report(model, dev_set, preds)
     with open(os.path.join(cfg.output_dir, "dev_report.json"), "w",
               encoding="utf-8") as fh:
         json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
@@ -297,11 +305,7 @@ def cmd_eval(args) -> int:
         raise ConfigError(f"no sentences in {args.data}")
     _check_tag_compatibility(model, data)
     preds = model.predict(data)
-    model.featurizer.count_oov(data)
-    repairs = sum(s.repairs for s in data)
-    report = tr.entity_f1([s.labels for s in data], preds,
-                          counters={"iob_repairs": repairs,
-                                    **dict(model.featurizer.counters)})
+    report = _report(model, data, preds)
     print(report.to_text())
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -360,9 +364,7 @@ def cmd_export_attention(args) -> int:
     word_langs = [t.language_id for t in model.resources.word_tables]
     sub_langs = [t.language_id for t in model.resources.subword_tables]
     me.write_attention_tsv(os.path.join(args.out_dir, "attention.tsv"),
-                           data, alpha_w,
-                           alpha_s if model.config.variant == "hme" else None,
-                           word_langs, sub_langs)
+                           data, alpha_w, alpha_s, word_langs, sub_langs)
     summary = tr.attention_summary(alpha_w, tags)
     tr.write_attention_summary_tsv(
         os.path.join(args.out_dir, "attention_summary.tsv"), summary, word_langs)

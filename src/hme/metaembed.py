@@ -145,12 +145,11 @@ def write_attention_tsv(path: str, sentences, word_alphas, subword_alphas,
                         word_languages: list[str],
                         subword_languages: list[str]) -> None:
     """Write per-token attention rows, one blank-line-separated block per
-    sentence: (token_index, token, level, language_id, weight)."""
+    sentence: (token_index, token, level, language_id, weight).  A sentence
+    whose rows at a level are None writes no rows for that level."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(ATTENTION_TSV_HEADER + "\n")
-        for s, sent in enumerate(sentences):
-            rows_w = None if word_alphas is None else word_alphas[s]
-            rows_s = None if subword_alphas is None else subword_alphas[s]
+        for sent, rows_w, rows_s in zip(sentences, word_alphas, subword_alphas, strict=True):
             for i, token in enumerate(sent.words):
                 if rows_w is not None:
                     for lang, w in zip(word_languages, rows_w[i]):

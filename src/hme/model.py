@@ -74,21 +74,12 @@ class Resources:
 class Lookup(NamedTuple):
     """One table's rows for a run of words: ``idx`` (C,) holds the row of
     every piece, word by word; ``valid`` (C,) is 0.0 where a piece reads a
-    zero vector; ``count`` (U,) holds the pieces of each word."""
+    zero vector; ``count`` (U,) holds the pieces of each word.  Every index
+    array holds real cells only, so no level computes a padding cell."""
 
     idx: np.ndarray
     valid: np.ndarray
     count: np.ndarray
-
-
-@dataclass
-class Indices:
-    """Table rows for U distinct words: one Lookup per featurizer table, and
-    the (U, tables) pieces of each word that each table lacks.  Every index
-    array holds real cells only, so no level computes a padding cell."""
-
-    tables: list[Lookup]
-    misses: np.ndarray
 
 
 class Featurizer:
@@ -117,7 +108,7 @@ class Featurizer:
         self._cache: dict[str, list[list[int]]] = {}
         self._fresh: dict[str, list[list[int]]] = {}   # the last call's new words
 
-    def store(self, words: list[str]) -> Indices:
+    def store(self, words: list[str]) -> list[Lookup]:
         """``encode``, then keep the rows of the new words."""
         enc = self.encode(words)
         self._cache.update(self._fresh)
@@ -137,11 +128,10 @@ class Featurizer:
             out.append([-1 if row is None else row for row in rows] if None in rows else rows)
         return out
 
-    def encode(self, words: list[str]) -> Indices:
-        """Table rows of ``words``, which must be distinct."""
+    def encode(self, words: list[str]) -> list[Lookup]:
+        """One Lookup per table for ``words``, which must be distinct."""
         self._fresh = {w: self._rows(w) for w in words if w not in self._cache}
         entries = [self._fresh.get(w) or self._cache[w] for w in words]
-        misses = np.zeros((len(words), len(self.tables)), dtype=np.int64)
         lookups = []
         for t, table in enumerate(self.tables):
             count = np.array([len(e[t]) for e in entries], dtype=np.int64)
@@ -150,25 +140,22 @@ class Featurizer:
             valid = np.ones(len(idx))
             miss = idx < 0
             if miss.any():
-                misses[:, t] = np.bincount(np.arange(len(words)).repeat(count)[miss],
-                                           minlength=len(words))
                 if table.unk_index is None:
                     idx[miss] = 0
                     valid[miss] = 0.0
                 else:
                     idx[miss] = table.unk_index
             lookups.append(Lookup(idx, valid, count))
-        return Indices(lookups, misses)
+        return lookups
 
     def count_oov(self, sentences: list[TokenizedSentence]) -> None:
         """Add every token's misses, per table, to the counters; a counter
         appears once it is above zero."""
         occurrences = Counter(w for sent in sentences for w in sent.words)
-        misses = self.encode(list(occurrences)).misses
-        per_table = np.fromiter(occurrences.values(), np.int64, len(occurrences)) @ misses
-        for key, n in zip(self.keys, per_table):
-            if n:
-                self.counters[key] += int(n)
+        for word, n in occurrences.items():
+            for key, rows in zip(self.keys, self._cache.get(word) or self._rows(word)):
+                if -1 in rows:
+                    self.counters[key] += n * rows.count(-1)
 
 
 def _length_mask(lengths) -> np.ndarray:
@@ -194,17 +181,15 @@ class WordCache:
     the parameters the per-word levels read.  The cache keeps a copy of
     those parameters (``watch``) and empties itself when they differ, and it
     holds at most PREDICTION_CACHE_WORDS words, dropping the least recently
-    used first.  Each field is one (capacity, width) array, or None for a
-    level the variant lacks, and ``slots`` maps each word to its row in them.
+    used first.  ``slots`` maps each word to one float64 row that holds its
+    fields side by side; ``widths`` holds each field's width, or None for a
+    level the variant lacks.
     """
 
     def __init__(self):
-        self.slots: OrderedDict[str, int] = OrderedDict()
-        self.fields: list[np.ndarray | None] = []
+        self.slots: OrderedDict[str, np.ndarray] = OrderedDict()
+        self.widths: list[int | None] = []
         self._watched: list[np.ndarray] = []
-
-    def __contains__(self, word: str) -> bool:
-        return word in self.slots
 
     def __len__(self) -> int:
         return len(self.slots)
@@ -215,38 +200,34 @@ class WordCache:
                                                          self._watched)):
             return
         self.slots.clear()
-        self.fields = []
         self._watched = [p.copy() for p in params]
 
-    def get(self, words: list[str]) -> list[np.ndarray | None]:
-        """Each field's rows for ``words``, all cached; marks them used."""
-        for w in words:
-            self.slots.move_to_end(w)
-        slots = [self.slots[w] for w in words]
-        return [None if f is None else f[slots] for f in self.fields]
+    def rows(self, words: list[str], compute) -> list[np.ndarray | None]:
+        """Each field's (U, width) block for the U distinct ``words``.
 
-    def put(self, words: list[str], rows: list[np.ndarray | None]) -> None:
-        """Keep each field's rows for ``words``, none of them cached."""
-        cap = PREDICTION_CACHE_WORDS
-        words = words[-cap:]
-        rows = [None if r is None else r[len(r) - len(words):] for r in rows]
-        if not self.fields:
-            self.fields = [None if r is None else r[:0] for r in rows]
-        have = next(len(f) for f in self.fields if f is not None)
-        need = min(cap, len(self.slots) + len(words))
-        if need > have:
-            grow = min(cap, max(need, 2 * have)) - have
-            self.fields = [None if f is None else
-                           np.concatenate([f, np.empty((grow,) + f.shape[1:], f.dtype)])
-                           for f in self.fields]
-        slots = []
+        Cached words are read and marked used; ``compute(new)`` gives the
+        fields of the others, which are kept.  Each kept row is its own
+        array, so an evicted row frees its memory rather than pinning its
+        batch's block."""
+        new = []
         for w in words:
-            full = len(self.slots) >= cap
-            self.slots[w] = self.slots.popitem(last=False)[1] if full else len(self.slots)
-            slots.append(self.slots[w])
-        for f, r in zip(self.fields, rows):
-            if f is not None:
-                f[slots] = r
+            if w in self.slots:
+                self.slots.move_to_end(w)
+            else:
+                new.append(w)
+        if new:
+            fields = compute(new)
+            self.widths = [None if f is None else f.shape[1] for f in fields]
+            block = np.concatenate([f for f in fields if f is not None], axis=1)
+            self.slots.update((w, row.copy()) for w, row in zip(new, block))
+        block = np.stack([self.slots[w] for w in words])
+        while len(self.slots) > PREDICTION_CACHE_WORDS:
+            self.slots.popitem(last=False)
+        out, start = [], 0
+        for width in self.widths:
+            out.append(None if width is None else block[:, start:start + width])
+            start += width or 0
+        return out
 
 
 @dataclass
@@ -256,8 +237,8 @@ class ForwardResult:
     # (read only, never differentiated)
     emissions: Tensor
     lengths: list[int]
-    alpha_word: Tensor | None
-    alpha_subword: Tensor | None
+    alpha_word: np.ndarray | None
+    alpha_subword: np.ndarray | None
 
 
 class SequenceTagger:
@@ -392,23 +373,21 @@ class SequenceTagger:
         words = list(rows)
         if train or ad.Tape._active is not None:
             featurize = self.featurizer.store if train else self.featurizer.encode
-            u, alpha_w, alpha_s = self._word_rows(featurize(words).tables, train)
-            alpha_w, alpha_s = (None if a is None else a.data for a in (alpha_w, alpha_s))
+            u, alpha_w, alpha_s = self._word_rows(featurize(words), train)
         else:
             u, alpha_w, alpha_s = self._cached_word_rows(words)
             u = Tensor(u)
         lengths = [len(sent) for sent in sentences]
         h = self.encoder(ad.take(u, word_of), _length_mask(lengths), train)
         emissions = self.crf.emissions(h)
-        alpha_w, alpha_s = (None if a is None else Tensor(a[word_of])
-                            for a in (alpha_w, alpha_s))
+        alpha_w, alpha_s = (None if a is None else a[word_of] for a in (alpha_w, alpha_s))
         return ForwardResult(emissions=emissions, lengths=lengths,
                              alpha_word=alpha_w, alpha_subword=alpha_s)
 
     def _word_rows(self, tables: list[Lookup], train: bool):
         """The per-word levels on U distinct words: the (U, ·) rows ``u`` and
-        the (U, L) word and subword attention weights, None for a level the
-        variant lacks."""
+        the (U, L) word and subword attention weights as arrays, None for a
+        level the variant lacks."""
         inputs = [_masked_lookup(table, lookup.idx, lookup.valid)
                   for table, lookup in zip(self.featurizer.tables, tables)]
         n_word = len(self.resources.word_tables)
@@ -421,6 +400,7 @@ class SequenceTagger:
             u = me.linear_baseline(word_inputs, self.word_proj)
         else:
             u, alpha_w = me.mme_word(word_inputs, self.word_proj, self.word_scorer)
+            alpha_w = alpha_w.data
 
         if self.config.variant == "hme":
             subwords = slice(n_word, -1)
@@ -428,6 +408,7 @@ class SequenceTagger:
             u_s, alpha_s = me.mme_subword(inputs[subwords], sub_masks, self.subword_proj,
                                           self.subword_encoder, self.subword_scorer,
                                           train)
+            alpha_s = alpha_s.data
             u_c = me.encode_and_pool(inputs[-1], _length_mask(tables[-1].count),
                                      self.char_encoder, train)
             u = me.hme_concat(u, u_s, u_c)
@@ -437,21 +418,14 @@ class SequenceTagger:
         """``_word_rows`` in eval mode through the prediction cache, as
         arrays: the rows of the cached ``words`` are read, the others computed
         and kept."""
-        cache = self._word_cache
-        cache.watch([p.data for name, p in self.parameters().items()
-                     if not name.startswith(("encoder.", "crf."))])
-        old = [w for w in words if w in cache]
-        new = [w for w in words if w not in cache]
-        parts = [cache.get(old)] if old else []
-        if new:
-            fresh = [None if a is None else a.data
-                     for a in self._word_rows(self.featurizer.encode(new).tables,
-                                              train=False)]
-            cache.put(new, fresh)
-            parts.append(fresh)
-        slot = {w: i for i, w in enumerate(old + new)}
-        order = [slot[w] for w in words]
-        return (None if f[0] is None else np.concatenate(f)[order] for f in zip(*parts))
+        self._word_cache.watch([p.data for name, p in self.parameters().items()
+                                if not name.startswith(("encoder.", "crf."))])
+
+        def compute(new):
+            u, alpha_w, alpha_s = self._word_rows(self.featurizer.encode(new), train=False)
+            return [u.data, alpha_w, alpha_s]
+
+        return self._word_cache.rows(words, compute)
 
     def loss_batch(self, sentences: list[TokenizedSentence],
                    train: bool = True) -> Tensor:
@@ -492,10 +466,10 @@ class SequenceTagger:
         for i in range(0, len(sentences), batch_size):
             chunk = sentences[i:i + batch_size]
             result = self.forward(chunk)
-            rows = [result.emissions, result.alpha_word, result.alpha_subword]
+            rows = [result.emissions.data, result.alpha_word, result.alpha_subword]
             start = 0
             for n in result.lengths:
-                e, aw, asw = (None if r is None else r.data[start:start + n] for r in rows)
+                e, aw, asw = (None if r is None else r[start:start + n] for r in rows)
                 out.append((self.crf.viterbi_decode(e)[0], aw, asw))
                 start += n
         return out

@@ -79,13 +79,12 @@ class Dropout:
         return np.random.Generator(np.random.Philox(key))
 
     def __call__(self, x: Tensor, train: bool) -> Tensor:
-        if not train or self.p == 0.0:
-            return x
-        return ad.dropout(x, self.p, True, self._rng())
+        keep = self.keep(x.shape, train)
+        return x if keep is None else ad.dropout(x, keep)
 
     def keep(self, shape, train: bool) -> tuple[np.ndarray, float] | None:
-        """This call's keep-mask and p, for an op that applies dropout
-        itself; None when dropout is off."""
+        """This call's keep-mask and p, for ``ad.dropout`` or an op that
+        applies dropout itself; None when dropout is off."""
         if not train or self.p == 0.0:
             return None
         return ad.keep_mask(shape, self.p, self._rng()), self.p

@@ -35,11 +35,10 @@ class TrainConfig:
             if type(value) is not int or value < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         for name in ("learning_rate", "clip_norm"):
+            # json reads NaN and Infinity, and neither compares as <= 0
             value = getattr(self, name)
-            if type(value) not in (int, float):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-        if min(self.learning_rate, self.clip_norm) <= 0:
-            raise ValueError("learning_rate and clip_norm must be positive")
+            if type(value) not in (int, float) or not 0 < value < math.inf:
+                raise ValueError(f"{name} must be a finite positive number, got {value!r}")
 
 
 class Adam:

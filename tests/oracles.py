@@ -272,9 +272,9 @@ def featurize_by_token(tables, split, sentences):
 
     ``split(table, word)`` gives the word's pieces for a table.  A piece
     reads its exact row, then its lowercase row, then the table's unknown
-    row, else row 0 with validity 0.0.  Returns ([(idx, valid, count)] per
-    table, (U, tables) misses) like the model's ``Indices`` for the batch's
-    distinct words in order of first occurrence.
+    row, else row 0 with validity 0.0.  Returns [(idx, valid, count)] per
+    table, like the model's ``Lookup`` for the batch's distinct words in
+    order of first occurrence, and each table's misses over every token.
     """
     words = [w for sent in sentences for w in sent.words]
     first = [words.index(w) for w in dict.fromkeys(words)]
@@ -296,8 +296,8 @@ def featurize_by_token(tables, split, sentences):
         cells = [c for i in first for c in range(starts[i], starts[i + 1])]
         per_table.append((np.array(idx, dtype=np.int64)[cells], np.array(valid)[cells],
                           np.array(count, dtype=np.int64)[first]))
-        misses.append(np.array(miss, dtype=np.int64)[first])
-    return per_table, np.stack(misses, axis=1)
+        misses.append(sum(miss))
+    return per_table, misses
 
 
 def entity_spans_by_hand(tags):

@@ -10,6 +10,7 @@ import math
 import os
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -118,7 +119,7 @@ def _op_cases(rng):
         "mean_sum": lambda: ad.scale(
             ad.tensor_sum(ad.mul(ad.tensor_sum(a, axis=1), c)), 1.0 / c.size),
         "dropout": lambda: ad.tensor_sum(ad.dropout(
-            a, 0.4, True, np.random.default_rng(mask_rng_seed))),
+            a, (ad.keep_mask(a.shape, 0.4, np.random.default_rng(mask_rng_seed)), 0.4))),
     }
     return cases, params
 
@@ -419,9 +420,9 @@ def toy_full(tmp_path_factory):
     rc = cli.main(["train", "--config", paths["config"], "--quiet"])
     elapsed = time.perf_counter() - t0
     assert rc == 0
-    report = json.load(open(os.path.join(root, "run", "dev_report.json")))
+    report = json.loads(Path(root, "run", "dev_report.json").read_text())
     log = [json.loads(l) for l in
-           open(os.path.join(root, "run", "metrics.jsonl")).read().splitlines()]
+           Path(root, "run", "metrics.jsonl").read_text().splitlines()]
     return {"root": root, "paths": paths, "elapsed": elapsed,
             "hme_f1": max(r["dev_f1"] for r in log), "log": log,
             "report": report}
@@ -447,8 +448,8 @@ def test_criterion_6_end_to_end_toy(toy_full):
     rc = cli.main(["train", "--config", toy_full["paths"]["random_config"],
                    "--quiet"])
     assert rc == 0
-    rnd_log = [json.loads(l) for l in open(os.path.join(
-        toy_full["root"], "run_random", "metrics.jsonl")).read().splitlines()]
+    rnd_log = [json.loads(l) for l in Path(
+        toy_full["root"], "run_random", "metrics.jsonl").read_text().splitlines()]
     rnd_f1 = max(r["dev_f1"] for r in rnd_log)
     assert toy_full["hme_f1"] - rnd_f1 >= 0.10, \
         f"margin {toy_full['hme_f1']:.3f} vs {rnd_f1:.3f} below 10 points"
@@ -463,10 +464,10 @@ def test_criterion_7_ensemble(toy_small, tmp_path):
     gold = [s.labels for s in dev]
     pred_files, f1s = [], []
     for k in range(5):
-        cfg = json.load(open(paths["config"]))
+        cfg = json.loads(Path(paths["config"]).read_text())
         cfg["output_dir"] = os.path.join(toy_small["root"], f"member{k}")
         cfg_path = os.path.join(toy_small["root"], f"member{k}.json")
-        json.dump(cfg, open(cfg_path, "w"))
+        Path(cfg_path).write_text(json.dumps(cfg))
         rc = cli.main(["train", "--config", cfg_path, "--seed", str(100 + k),
                        "--quiet"])
         assert rc == 0
@@ -488,16 +489,16 @@ def test_criterion_7_ensemble(toy_small, tmp_path):
 
 def test_criterion_8_determinism_and_freezing(toy_small):
     paths = toy_small["paths"]
-    cfg = json.load(open(paths["config"]))
+    cfg = json.loads(Path(paths["config"]).read_text())
     out_dir = os.path.join(toy_small["root"], "det")
     cfg["output_dir"] = out_dir
     cfg_path = os.path.join(toy_small["root"], "det.json")
-    json.dump(cfg, open(cfg_path, "w"))
+    Path(cfg_path).write_text(json.dumps(cfg))
 
     def run_once():
         assert cli.main(["train", "--config", cfg_path, "--quiet"]) == 0
-        return (open(os.path.join(out_dir, "dev_predictions.conll"), "rb").read(),
-                open(os.path.join(out_dir, "model.ckpt"), "rb").read())
+        return (Path(out_dir, "dev_predictions.conll").read_bytes(),
+                Path(out_dir, "model.ckpt").read_bytes())
 
     pred_a, ckpt_a = run_once()
     pred_b, ckpt_b = run_once()
@@ -575,7 +576,7 @@ def test_criterion_9_f1_metric(tmp_path, capsys):
         "train": {"learning_rate": 0.02, "batch_size": 3, "max_epochs": 60,
                   "patience": 60},
     }
-    json.dump(config, open(root / "cfg.json", "w"))
+    (root / "cfg.json").write_text(json.dumps(config))
     assert cli.main(["train", "--config", str(root / "cfg.json"), "--quiet"]) == 0
     ckpt = str(root / "run" / "model.ckpt")
 
@@ -589,7 +590,7 @@ def test_criterion_9_f1_metric(tmp_path, capsys):
     out = root / "perfect.json"
     assert cli.main(["eval", ckpt, str(root / "train.conll"),
                      "--out", str(out)]) == 0
-    assert json.load(open(out))["f1"] == 1.0
+    assert json.loads(Path(out).read_text())["f1"] == 1.0
 
     # hand-counted mixed gold: same tokens, controlled span differences
     # s1 match (tp=1); s2 pred (1,3,loc) vs gold (0,2,loc): fp+fn;
@@ -604,7 +605,7 @@ def test_criterion_9_f1_metric(tmp_path, capsys):
     out = root / "mixed.json"
     assert cli.main(["eval", ckpt, str(root / "mixed.conll"),
                      "--out", str(out)]) == 0
-    report = json.load(open(out))
+    report = json.loads(Path(out).read_text())
     assert abs(report["precision"] - 1 / 3) < 1e-12
     assert abs(report["recall"] - 1 / 3) < 1e-12
     assert abs(report["f1"] - 1 / 3) < 1e-12
@@ -620,7 +621,7 @@ def test_criterion_9_f1_metric(tmp_path, capsys):
     allo_cfg["data"] = {"train": str(root / "allo.conll"),
                         "dev": str(root / "allo.conll")}
     allo_cfg["train"] = dict(config["train"], max_epochs=20)
-    json.dump(allo_cfg, open(root / "cfg_allo.json", "w"))
+    (root / "cfg_allo.json").write_text(json.dumps(allo_cfg))
     assert cli.main(["train", "--config", str(root / "cfg_allo.json"),
                      "--quiet"]) == 0
     allo_model, _ = cli._restore_model(str(root / "run_allo" / "model.ckpt"))
@@ -629,7 +630,7 @@ def test_criterion_9_f1_metric(tmp_path, capsys):
     out = root / "allo.json"
     assert cli.main(["eval", str(root / "run_allo" / "model.ckpt"),
                      str(root / "train.conll"), "--out", str(out)]) == 0
-    assert json.load(open(out))["f1"] == 0.0
+    assert json.loads(Path(out).read_text())["f1"] == 0.0
     capsys.readouterr()
     _passed(9, "hand-counted fixture, perfect and degenerate cases exact "
                "under cmd_eval")

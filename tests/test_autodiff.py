@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hme import autodiff as ad
+from hme import nn
 from hme.autodiff import Tape, Tensor
 
 from oracles import (finite_difference, finite_difference_jacobian, head_rows,
@@ -98,19 +99,22 @@ class TestElementwise:
         assert ad.tanh(Tensor([0.0])).data[0] == 0.0
 
     def test_dropout_eval_identity(self):
+        """``nn.Dropout`` applies no op in eval mode, nor at p = 0."""
         x = Tensor(np.random.default_rng(0).normal(size=(3, 3)))
-        assert ad.dropout(x, 0.1, train=False) is x
+        assert nn.Dropout(0.1)(x, train=False) is x
+        assert nn.Dropout(0.0)(x, train=True) is x
 
     def test_dropout_train_scales(self):
-        rng = np.random.default_rng(0)
         x = Tensor(np.ones((1000,)))
-        out = ad.dropout(x, 0.25, train=True, rng=rng)
+        out = ad.dropout(x, (ad.keep_mask(x.shape, 0.25, np.random.default_rng(0)), 0.25))
         kept = out.data[out.data != 0]
+        assert 0 < len(kept) < len(x.data)
         np.testing.assert_allclose(kept, 1.0 / 0.75)
 
     def test_dropout_bad_p(self):
-        with pytest.raises(ValueError):
-            ad.dropout(Tensor([1.0]), 1.0, train=True, rng=np.random.default_rng(0))
+        for p in (1.0, -0.1):
+            with pytest.raises(ValueError):
+                nn.Dropout(p)
 
     def test_layer_norm_normalizes(self):
         rng = np.random.default_rng(3)
@@ -243,9 +247,9 @@ def test_gradients_all_ops(seed):
 def test_dropout_gradient():
     rng = np.random.default_rng(7)
     x = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
-    mask_rng_state = np.random.default_rng(42)
+    keep = (ad.keep_mask(x.shape, 0.3, np.random.default_rng(42)), 0.3)
     with Tape():
-        out = ad.dropout(x, 0.3, train=True, rng=mask_rng_state)
+        out = ad.dropout(x, keep)
         loss = ad.tensor_sum(ad.mul(out, out))
         loss.backward()
     words = np.frombuffer(np.random.default_rng(42).bytes(2 * x.size), dtype="<u2")

@@ -2,6 +2,7 @@ import json
 import os
 import re
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,13 +44,13 @@ class TestTrain:
         for name in ("model.ckpt", "metrics.jsonl", "dev_report.json",
                      "dev_report.txt", "dev_predictions.conll"):
             assert os.path.exists(os.path.join(toy["run_dir"], name)), name
-        lines = open(os.path.join(toy["run_dir"], "metrics.jsonl")).read().splitlines()
+        lines = Path(toy["run_dir"], "metrics.jsonl").read_text().splitlines()
         assert len(lines) >= 1
         record = json.loads(lines[0])
         assert {"epoch", "train_nll", "dev_f1"} <= set(record)
 
     def test_missing_embedding_file_exit_2(self, toy, tmp_path, capsys):
-        cfg = json.load(open(toy["paths"]["config"]))
+        cfg = json.loads(Path(toy["paths"]["config"]).read_text())
         cfg["embeddings"][0]["path"] = str(tmp_path / "nope.vec")
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(cfg))
@@ -60,7 +61,7 @@ class TestTrain:
         assert "nope.vec" in err
 
     def test_malformed_merges_file_exit_2(self, toy, tmp_path, capsys):
-        cfg = json.load(open(toy["paths"]["config"]))
+        cfg = json.loads(Path(toy["paths"]["config"]).read_text())
         bad = tmp_path / "merges.txt"
         bad.write_text("a b\nc d e\n")
         next(e for e in cfg["embeddings"] if e.get("merges"))["merges"] = str(bad)
@@ -71,28 +72,28 @@ class TestTrain:
         assert "hme: error[input]:" in err and "merges.txt:2" in err
 
     def test_bad_version_exit_2(self, toy, tmp_path):
-        cfg = json.load(open(toy["paths"]["config"]))
+        cfg = json.loads(Path(toy["paths"]["config"]).read_text())
         cfg["version"] = 99
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(cfg))
         assert cli.main(["train", "--config", str(bad)]) == 2
 
     def test_variant_constraints(self, toy, tmp_path):
-        cfg = json.load(open(toy["paths"]["config"]))
+        cfg = json.loads(Path(toy["paths"]["config"]).read_text())
         cfg["model"]["variant"] = "concat"
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(cfg))
         assert cli.main(["train", "--config", str(bad)]) == 2
 
-        cfg2 = json.load(open(toy["paths"]["random_config"]))
-        cfg2["embeddings"] = json.load(open(toy["paths"]["config"]))["embeddings"]
+        cfg2 = json.loads(Path(toy["paths"]["random_config"]).read_text())
+        cfg2["embeddings"] = json.loads(Path(toy["paths"]["config"]).read_text())["embeddings"]
         bad2 = tmp_path / "bad2.json"
         bad2.write_text(json.dumps(cfg2))
         assert cli.main(["train", "--config", str(bad2)]) == 2
 
     def test_train_dropout_rejected(self, toy, tmp_path, capsys):
         # dropout is a model key; the train section has no such field
-        cfg = json.load(open(toy["paths"]["config"]))
+        cfg = json.loads(Path(toy["paths"]["config"]).read_text())
         cfg["train"]["dropout"] = 0.1
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(cfg))
@@ -116,6 +117,8 @@ class TestTrain:
         "removed_beta1": (["train", "beta1"], 0.9),
         "removed_beta2": (["train", "beta2"], 0.999),
         "removed_eps": (["train", "eps"], 1e-8),
+        "nan_clip_norm": (["train", "clip_norm"], float("nan")),
+        "infinite_learning_rate": (["train", "learning_rate"], float("inf")),
         "numeric_data_path": (["data", "dev"], 5),
         "list_output_dir": (["output_dir"], ["run"]),
         "empty_embedding_path": (["embeddings", 0, "path"], ""),
@@ -127,7 +130,7 @@ class TestTrain:
 
     @pytest.mark.parametrize("case", sorted(BAD_VALUES))
     def test_malformed_value_exit_2(self, toy, tmp_path, capsys, case):
-        cfg = json.load(open(toy["paths"]["config"]))
+        cfg = json.loads(Path(toy["paths"]["config"]).read_text())
         cfg["output_dir"] = str(tmp_path / "run")
         keys, value = self.BAD_VALUES[case]
         node = cfg
@@ -141,7 +144,7 @@ class TestTrain:
         assert not (tmp_path / "run" / "model.ckpt").exists()
 
     def test_output_dir_naming_a_file_exit_2(self, toy, tmp_path, capsys):
-        cfg = json.load(open(toy["paths"]["config"]))
+        cfg = json.loads(Path(toy["paths"]["config"]).read_text())
         taken = tmp_path / "taken"
         taken.write_text("")
         cfg["output_dir"] = str(taken)
@@ -149,6 +152,16 @@ class TestTrain:
         bad.write_text(json.dumps(cfg))
         assert cli.main(["train", "--config", str(bad), "--quiet"]) == 2
         assert_one_input_error(capsys, str(taken))
+
+    @pytest.mark.parametrize("split", ["train", "dev"])
+    def test_missing_data_split_is_named(self, toy, tmp_path, capsys, split):
+        cfg = json.loads(Path(toy["paths"]["config"]).read_text())
+        cfg["output_dir"] = str(tmp_path / "run")
+        del cfg["data"][split]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        assert cli.main(["train", "--config", str(bad), "--quiet"]) == 2
+        assert_one_input_error(capsys, repr(split))
 
     def test_readme_config_example_loads(self, tmp_path):
         readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -202,7 +215,7 @@ class TestEval:
 
     @pytest.mark.parametrize("cut", [12, 40, 200, -8])
     def test_truncated_checkpoint_exit_2(self, toy, tmp_path, capsys, cut):
-        blob = open(toy["checkpoint"], "rb").read()
+        blob = Path(toy["checkpoint"]).read_bytes()
         cut_path = tmp_path / "cut.ckpt"
         cut_path.write_bytes(blob[:cut])
         assert cli.main(["eval", str(cut_path), toy["paths"]["data"]["test"]]) == 2
@@ -274,7 +287,7 @@ class TestEval:
                          "--out", str(out)]) == 0
         evaluated = json.loads(out.read_text())["counters"]
         assert any(v > 0 for k, v in evaluated.items() if k.startswith("oov_word_"))
-        trained = json.load(open(os.path.join(toy["run_dir"], "dev_report.json")))
+        trained = json.loads(Path(toy["run_dir"], "dev_report.json").read_text())
         assert trained["counters"] == evaluated
 
 
@@ -325,7 +338,7 @@ class TestPredict:
                        "--out", str(out)])
         assert rc == 0
         in_tokens = [l.split("\t")[0] for l
-                     in open(toy["paths"]["data"]["test"]).read().splitlines() if l]
+                     in Path(toy["paths"]["data"]["test"]).read_text().splitlines() if l]
         out_tokens = [l.split("\t")[0] for l in out.read_text().splitlines() if l]
         assert in_tokens == out_tokens
 
@@ -345,7 +358,7 @@ class TestPredict:
 
     def test_bytes_after_the_parameters_exit_2(self, toy, tmp_path, capsys):
         padded = tmp_path / "padded.ckpt"
-        padded.write_bytes(open(toy["checkpoint"], "rb").read() + bytes(42))
+        padded.write_bytes(Path(toy["checkpoint"]).read_bytes() + bytes(42))
         assert self.predict_exit(toy, tmp_path, padded) == 2
         assert "hme: error[input]:" in capsys.readouterr().err
 
@@ -496,7 +509,7 @@ def test_divergence_maps_to_exit_3(toy, monkeypatch, capsys):
 # the overflow is reported once, as error[numeric], never as a numpy warning
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_training_exits_3_without_a_checkpoint(toy, tmp_path, capsys):
-    cfg = json.load(open(toy["paths"]["config"]))
+    cfg = json.loads(Path(toy["paths"]["config"]).read_text())
     cfg["train"]["learning_rate"] = 1e150
     cfg["output_dir"] = str(tmp_path / "run")
     path = tmp_path / "diverge.json"

@@ -92,7 +92,7 @@ class TestLoad:
 
 def featurized_row(table, token):
     """The row the model's batched featurize-and-gather path uses."""
-    (found,) = mdl.Featurizer([table]).encode([token]).tables
+    (found,) = mdl.Featurizer([table]).encode([token])
     return mdl._masked_lookup(table, found.idx, found.valid).data[0]
 
 
@@ -138,7 +138,7 @@ def test_one_oov_rule_at_every_level(level):
     }[level]
     words = ["walka", "qqqé", "Hola"]
     featurizer = mdl.Featurizer([table], res.bpe_models)
-    (found,) = featurizer.encode(words).tables
+    (found,) = featurizer.encode(words)
     pieces = [p for w in words for p in split(w)]
     np.testing.assert_array_equal(mdl._masked_lookup(table, found.idx, found.valid).data,
                                   np.stack([lookup(table, p) for p in pieces]))

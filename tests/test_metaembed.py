@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -365,7 +366,7 @@ def test_write_attention_tsv(tmp_path):
     sub_alphas = [np.array([[0.5, 0.5], [0.0, 1.0]])]
     path = str(tmp_path / "att.tsv")
     me.write_attention_tsv(path, sents, word_alphas, sub_alphas, ["en", "es"], ["en", "es"])
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     assert lines[0] == me.ATTENTION_TSV_HEADER
     assert lines[1].split("\t") == ["0", "hola", "word", "en", "0.25"]
     assert lines[2].split("\t") == ["0", "hola", "word", "es", "0.75"]

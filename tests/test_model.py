@@ -1,5 +1,6 @@
 import dataclasses
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -434,8 +435,8 @@ def test_meta_embedding_output_invariants():
     for alpha, tables in ((result.alpha_word, model.resources.word_tables),
                           (result.alpha_subword, model.resources.subword_tables)):
         assert alpha.shape == (n_real, len(tables))
-        np.testing.assert_allclose(alpha.data.sum(axis=-1), 1.0, atol=1e-6)
-        assert np.all(alpha.data >= 0)
+        np.testing.assert_allclose(alpha.sum(axis=-1), 1.0, atol=1e-6)
+        assert np.all(alpha >= 0)
 
 
 def test_attention_rows_sum_to_one():
@@ -531,13 +532,15 @@ class TestBatchFeaturizer:
         tables, misses = featurize_by_token(
             featurizer.tables, lambda table, word: pieces_of(featurizer, table, word),
             sentences)
-        pairs = [(got.misses, misses)]
-        assert len(got.tables) == len(tables)
-        for lookup_, ref in zip(got.tables, tables):
-            pairs += list(zip(lookup_, ref))
-        for a, b in pairs:
-            assert a.dtype == b.dtype
-            np.testing.assert_array_equal(a, b)
+        assert len(got) == len(tables)
+        for lookup_, ref in zip(got, tables):
+            for a, b in zip(lookup_, ref):
+                assert a.dtype == b.dtype
+                np.testing.assert_array_equal(a, b)
+        before = Counter(featurizer.counters)
+        featurizer.count_oov(sentences)
+        counted = featurizer.counters - before
+        assert dict(counted) == {k: n for k, n in zip(featurizer.keys, misses) if n}
 
     @pytest.mark.parametrize("variant", mdl.VARIANTS)
     def test_repeating_batch(self, variant):
@@ -632,11 +635,11 @@ def uncached(model, sents):
 
 
 def assert_rows_close(got, want, rtol=1e-12):
-    for a, b in zip((got.emissions, got.alpha_word, got.alpha_subword),
-                    (want.emissions, want.alpha_word, want.alpha_subword)):
+    for a, b in zip((got.emissions.data, got.alpha_word, got.alpha_subword),
+                    (want.emissions.data, want.alpha_word, want.alpha_subword)):
         assert (a is None) == (b is None)
         if a is not None:
-            assert np.abs(a.data - b.data).max() <= rtol * np.abs(b.data).max()
+            assert np.abs(a - b).max() <= rtol * np.abs(b).max()
 
 
 class TestPredictionCache:
@@ -717,7 +720,8 @@ class TestPredictionCache:
         assert list(cache.slots) == words[-6:] + [words[-8], "walka"]
         tag(words[:20])                     # one batch of more words than the cap
         assert list(cache.slots) == words[12:20]
-        assert all(len(f) == 8 for f in cache.fields if f is not None)
+        # each row owns its memory: no evicted row pins its batch's block
+        assert len(cache.slots) == 8 and all(row.base is None for row in cache.slots.values())
 
     def test_a_tape_bypasses_the_cache(self):
         """Under a Tape, eval-mode ``forward`` featurizes and encodes every

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -24,10 +25,10 @@ def test_against_double_generation(task, tmp_path):
     again = synth.generate_toy_task(str(tmp_path / "again"), seed=3, n_train=150,
                                     n_dev=50, n_test=40, entities_per_type=10,
                                     heldout_per_type=5)
-    a = open(task["data"]["train"]).read()
-    b = open(again["data"]["train"]).read()
+    a = Path(task["data"]["train"]).read_text()
+    b = Path(again["data"]["train"]).read_text()
     assert a == b
-    assert open(task["word"]["L1"]).read() == open(again["word"]["L1"]).read()
+    assert Path(task["word"]["L1"]).read_text() == Path(again["word"]["L1"]).read_text()
 
 
 def test_no_gold_repairs_needed(task):
@@ -61,9 +62,9 @@ def test_suffixes_shared_across_languages(task):
 
 
 def test_config_references_existing_files(task):
-    cfg = json.load(open(task["config"]))
+    cfg = json.loads(Path(task["config"]).read_text())
     assert cfg["version"] == 1
     assert cfg["model"]["variant"] == "hme"
-    rnd = json.load(open(task["random_config"]))
+    rnd = json.loads(Path(task["random_config"]).read_text())
     assert rnd["model"]["variant"] == "random"
     assert rnd["embeddings"] == []
