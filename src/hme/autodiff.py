@@ -7,8 +7,9 @@ op of its own through ``_record``.  Design rules:
 * eager evaluation on float64 numpy arrays,
 * an explicit ``Tape`` that records ops in execution order; ``backward``
   replays it in exact reverse order,
-* broadcasting is restricted to "suffix" shapes (a trailing bias vector or
-  a scalar); any other shape mismatch raises ``ShapeError``,
+* no implicit broadcasting: ``add`` and ``mul`` take operands of one shape,
+  and ``matmul`` operands of equal rank (at least 2) with equal leading
+  dims; any other shapes raise ``ShapeError``,
 * outputs stay finite: ops that can overflow check for NaN/Inf and raise
   ``NumericsError``; the rest provably preserve finiteness.
 """
@@ -193,49 +194,22 @@ def backward(loss: Tensor) -> None:
 
 
 # ---------------------------------------------------------------------------
-# shape helpers
-
-def _suffix_compatible(a_shape, b_shape) -> bool:
-    """True when b is a trailing-suffix of a (covers bias vectors, scalars)."""
-    k = len(b_shape)
-    return k <= len(a_shape) and tuple(a_shape[len(a_shape) - k:]) == tuple(b_shape)
-
-
-def _reduce_to_suffix(g: np.ndarray, shape) -> np.ndarray:
-    """Sum gradient over the leading axes that were broadcast."""
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    return g
-
-
-def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
-    """Undo numpy-style broadcasting: sum g down to ``shape``."""
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, d in enumerate(shape) if d == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g
-
-
-# ---------------------------------------------------------------------------
 # core ops
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product with numpy stacking semantics on leading axes."""
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError("matmul requires at least 2-D operands")
+    """Matrix product over the last two axes of operands of equal rank (at
+    least 2) whose leading axes agree."""
+    if a.ndim < 2 or a.ndim != b.ndim or a.shape[:-2] != b.shape[:-2]:
+        raise ShapeError(f"matmul needs operands of equal rank >= 2 and equal "
+                         f"leading dims, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
     a_data, b_data = a.data, b.data
     out = np.matmul(a_data, b_data)
 
     def vjp(g):
-        ga = _unbroadcast(np.matmul(g, np.swapaxes(b_data, -1, -2)), a_data.shape)
-        gb = _unbroadcast(np.matmul(np.swapaxes(a_data, -1, -2), g), b_data.shape)
-        return ga, gb
+        return (np.matmul(g, np.swapaxes(b_data, -1, -2)),
+                np.matmul(np.swapaxes(a_data, -1, -2), g))
 
     return _record(out, (a, b), vjp, "matmul")
 
@@ -256,36 +230,30 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _record(out, (x, w, b), vjp, "linear")
 
 
-def _binary_shapes(a: Tensor, b: Tensor, op: str):
-    if a.shape == b.shape:
-        return
-    if _suffix_compatible(a.shape, b.shape):
-        return
-    raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} are not compatible "
-                     "(only trailing-suffix broadcast is allowed)")
+def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
+    if a.shape != b.shape:
+        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} differ")
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _binary_shapes(a, b, "add")
-    out = a.data + b.data
-    b_shape = b.shape
+    """Elementwise sum of two tensors of one shape."""
+    _same_shape(a, b, "add")
 
     def vjp(g):
-        return g, _reduce_to_suffix(g, b_shape)
+        return g, g
 
-    return _record(out, (a, b), vjp, "add")
+    return _record(a.data + b.data, (a, b), vjp, "add")
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise (Hadamard) product; b may be a trailing-suffix shape."""
-    _binary_shapes(a, b, "mul")
-    out = a.data * b.data
-    a_data, b_data, b_shape = a.data, b.data, b.shape
+    """Elementwise (Hadamard) product of two tensors of one shape."""
+    _same_shape(a, b, "mul")
+    a_data, b_data = a.data, b.data
 
     def vjp(g):
-        return g * b_data, _reduce_to_suffix(g * a_data, b_shape)
+        return g * b_data, g * a_data
 
-    return _record(out, (a, b), vjp, "mul")
+    return _record(a_data * b_data, (a, b), vjp, "mul")
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -445,7 +413,7 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     var = a.data.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (a.data - mu) * inv
-    gain_data, shape = gain.data, gain.shape
+    gain_data = gain.data
     out = xhat * gain_data
     out += bias.data
 
@@ -453,8 +421,9 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         gx = g * gain_data
         g_mean = gx.mean(axis=-1, keepdims=True)
         gx_mean = (gx * xhat).mean(axis=-1, keepdims=True)
+        lead = tuple(range(g.ndim - 1))
         return (inv * (gx - g_mean - xhat * gx_mean),
-                _reduce_to_suffix(g * xhat, shape), _reduce_to_suffix(g, shape))
+                (g * xhat).sum(axis=lead), g.sum(axis=lead))
 
     return _record(out, (a, gain, bias), vjp, "layer_norm")
 

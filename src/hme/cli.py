@@ -353,7 +353,7 @@ def cmd_ensemble(args) -> int:
 
 def cmd_export_attention(args) -> int:
     model, _ = _restore_model(args.checkpoint)
-    if model.config.variant not in ("hme", "mme_word", "random"):
+    if model.word_scorer is None:
         raise ConfigError(
             f"variant {model.config.variant!r} has no attention weights to export")
     data = read_conll(args.data)

@@ -102,9 +102,8 @@ class CrfModel:
         return (self.transitions.data + self._trans_mask,
                 self.start.data + self._start_mask)
 
-    def _gold_indices(self, gold) -> list[int]:
-        idx = [g if isinstance(g, (int, np.integer)) else self.label_index[g]
-               for g in gold]
+    def _gold_indices(self, gold: list[str]) -> list[int]:
+        idx = [self.label_index[g] for g in gold]
         if self._start_mask[idx[0]] != 0:
             raise ValueError(f"illegal start tag {self.labels[idx[0]]!r}")
         for a, b in zip(idx, idx[1:]):
@@ -114,14 +113,14 @@ class CrfModel:
         return idx
 
     def _batch(self, rows: np.ndarray,
-               lengths) -> tuple[np.ndarray, np.ndarray, list[int]]:
-        """Scatter packed (R, T) rows of sentences of ``lengths`` tokens (one
-        sentence when None) into a zero-padded (B, n_max, T) batch; returns
-        it, the (B, n_max) mask of its real cells and the lengths."""
+               lengths: list[int]) -> tuple[np.ndarray, np.ndarray, list[int]]:
+        """Scatter packed (R, T) rows of sentences of ``lengths`` tokens into
+        a zero-padded (B, n_max, T) batch; returns it, the (B, n_max) mask of
+        its real cells and the lengths."""
         if rows.ndim != 2 or rows.shape[1] != self.num_tags:
             raise ShapeError(f"emissions must be packed (R, {self.num_tags}) rows, "
                              f"got {rows.shape}")
-        n = [len(rows)] if lengths is None else [int(k) for k in lengths]
+        n = [int(k) for k in lengths]
         if not n or min(n) < 1 or sum(n) != len(rows):
             raise ShapeError(f"sentence lengths must be positive and sum to the "
                              f"{len(rows)} rows")
@@ -132,19 +131,18 @@ class CrfModel:
 
     # -- training objective -------------------------------------------------
 
-    def neg_log_likelihood(self, emissions: Tensor, gold, lengths=None) -> Tensor:
+    def neg_log_likelihood(self, emissions: Tensor, gold: list[list[str]],
+                           lengths: list[int]) -> Tensor:
         """Summed log Z minus gold path score over a batch; non-negative.
 
         ``emissions`` holds packed (R, T) rows, the tokens of the batch's
         sentences in order, ``lengths`` tokens each, and ``gold`` one tag
-        sequence per sentence.  Without ``lengths`` the rows are one sentence
-        and ``gold`` its tag sequence.
+        sequence per sentence.
 
         One tape op: its gradient is the forward-backward marginals minus
         the gold counts, for the emissions, transitions, start and end.
         """
         e, real, sizes = self._batch(emissions.data, lengths)
-        gold = [gold] if lengths is None else list(gold)
         if [len(g) for g in gold] != sizes:
             raise ShapeError("need one gold sequence of each sentence's length")
         idx = [self._gold_indices(g) for g in gold]
@@ -191,23 +189,16 @@ class CrfModel:
                           (emissions, self.transitions, self.start, self.end),
                           vjp, "crf_nll")
 
-    def log_partition(self, emissions: np.ndarray) -> float:
-        """log Z of one (n, T) sentence on plain arrays (no gradient)."""
-        e = emissions.data if isinstance(emissions, Tensor) else np.asarray(emissions)
-        trans, start = self._effective_np()
-        live = np.ones((e.shape[0], 1), dtype=bool)
-        return float(_forward(e[None], live, trans, start, self.end.data)[1][0])
-
     # -- decoding -----------------------------------------------------------
 
-    def viterbi_decode(self, emissions, lengths=None):
+    def viterbi_decode(self, rows: np.ndarray,
+                       lengths: list[int]) -> list[tuple[list[str], float]]:
         """Highest-scoring legal tag sequence and its score per sentence.
 
-        ``emissions`` and ``lengths`` are as in ``neg_log_likelihood``, and
-        the result one (tags, score) per sentence; without ``lengths`` the
-        rows are one sentence and the result its (tags, score).
+        ``rows`` is a plain array of packed (R, T) emission rows and
+        ``lengths`` is as in ``neg_log_likelihood``; the result holds one
+        (tags, score) per sentence.
         """
-        rows = emissions.data if isinstance(emissions, Tensor) else np.asarray(emissions)
         e, _, sizes = self._batch(rows, lengths)
         B, n_max, T = e.shape
         trans, start = self._effective_np()
@@ -230,4 +221,4 @@ class CrfModel:
                 tag = back[i][b][tag]
                 path.append(tag)
             out.append(([self.labels[t] for t in reversed(path)], score))
-        return out[0] if lengths is None else out
+        return out

@@ -25,7 +25,6 @@ class ProjectionSet:
 
     def __init__(self, in_dims: list[int], out_dim: int, rng: np.random.Generator,
                  labels: list[str] | None = None):
-        self.out_dim = out_dim
         self.labels = labels or [str(j) for j in range(len(in_dims))]
         self.linears = [Linear(d, out_dim, rng) for d in in_dims]
 

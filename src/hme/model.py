@@ -470,7 +470,7 @@ class SequenceTagger:
             start = 0
             for n in result.lengths:
                 e, aw, asw = (None if r is None else r[start:start + n] for r in rows)
-                out.append((self.crf.viterbi_decode(e)[0], aw, asw))
+                out.append((self.crf.viterbi_decode(e, [n])[0][0], aw, asw))
                 start += n
         return out
 
@@ -566,6 +566,10 @@ def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
                 for meta in params):
             raise CheckpointError(
                 f"{path}: checkpoint params must be named shapes of non-negative ints")
+        names = Counter(meta["name"] for meta in params)
+        twice = sorted(name for name, n in names.items() if n > 1)
+        if twice:
+            raise CheckpointError(f"{path}: checkpoint lists parameters twice: {twice}")
         # like the header length: never ask for more bytes than the file
         # holds, and refuse bytes that no parameter accounts for
         sizes = [math.prod(meta["shape"]) * np.dtype(np.float64).itemsize for meta in params]

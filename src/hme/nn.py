@@ -179,7 +179,6 @@ class TransformerEncoder:
     def __init__(self, input_dim: int, d_model: int, num_layers: int, heads: int,
                  rng: np.random.Generator, ff_dim: int | None = None,
                  p_drop: float = 0.1):
-        self.input_dim = input_dim
         self.d_model = d_model
         self.num_layers = num_layers
         self.proj = Linear(input_dim, d_model, rng) if input_dim != d_model else None

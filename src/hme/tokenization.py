@@ -14,20 +14,20 @@ SPECIAL_TOKENS = ("<USR>", "<EMOJI>", "<URL>")
 
 END_OF_WORD = "</w>"
 
-# Codepoint ranges treated as emoji.
-EMOJI_RANGES = (
-    (0x1F300, 0x1F5FF),   # misc symbols and pictographs
-    (0x1F600, 0x1F64F),   # emoticons
-    (0x1F680, 0x1F6FF),   # transport and map symbols
-    (0x1F900, 0x1F9FF),   # supplemental symbols
-    (0x1FA70, 0x1FAFF),   # symbols extended-A
-    (0x2600, 0x26FF),     # misc symbols
-    (0x2700, 0x27BF),     # dingbats
-    (0x2B00, 0x2BFF),     # arrows / stars
-    (0xFE00, 0xFE0F),     # variation selectors
-    (0x200D, 0x200D),     # zero-width joiner
-)
-
+# A token made only of these codepoints is an emoji token.
+_EMOJI_RE = re.compile(
+    "["
+    "\U0001F300-\U0001F5FF"   # misc symbols and pictographs
+    "\U0001F600-\U0001F64F"   # emoticons
+    "\U0001F680-\U0001F6FF"   # transport and map symbols
+    "\U0001F900-\U0001F9FF"   # supplemental symbols
+    "\U0001FA70-\U0001FAFF"   # symbols extended-A
+    "\u2600-\u26FF"           # misc symbols
+    "\u2700-\u27BF"           # dingbats
+    "\u2B00-\u2BFF"           # arrows / stars
+    "\uFE00-\uFE0F"           # variation selectors
+    "\u200D"                  # zero-width joiner
+    "]+")
 _URL_RE = re.compile(r"^(https?://|www\.)", re.IGNORECASE)
 _TAG_RE = re.compile(r"^[BI]-[A-Za-z0-9_.]+$|^O$")
 
@@ -36,19 +36,13 @@ class ConllFormatError(ValueError):
     """Malformed CoNLL line or tag; the message names the line."""
 
 
-def _is_emoji_token(token: str) -> bool:
-    if not token:
-        return False
-    return all(any(lo <= ord(ch) <= hi for lo, hi in EMOJI_RANGES) for ch in token)
-
-
 def preprocess_token(token: str) -> str:
     """Replace mentions/hashtags, URLs and emoji with placeholder tokens."""
     if token.startswith("@") or token.startswith("#"):
         return "<USR>"
     if _URL_RE.match(token):
         return "<URL>"
-    if _is_emoji_token(token):
+    if _EMOJI_RE.fullmatch(token):
         return "<EMOJI>"
     return token
 
@@ -79,12 +73,13 @@ class BpeModel:
             h.update(f"{left} {right}\n".encode())
         return h.hexdigest()
 
-    def segment(self, word: str) -> list[tuple[str, bool]]:
-        """Subwords as (text, is_word_final) with the end marker stripped."""
+    def segment(self, word: str) -> list[str]:
+        """Subword strings with the end marker stripped; joining them
+        reconstructs the word."""
         if not word:
             raise ValueError("cannot segment an empty word")
         if word in SPECIAL_TOKENS:
-            return [(word, True)]
+            return [word]
         symbols = list(word)
         symbols[-1] = symbols[-1] + END_OF_WORD
         while len(symbols) > 1:
@@ -96,16 +91,13 @@ class BpeModel:
             if best_pos is None:
                 break
             symbols[best_pos:best_pos + 2] = [symbols[best_pos] + symbols[best_pos + 1]]
-        out = []
-        for sym in symbols:
-            final = sym.endswith(END_OF_WORD)
-            out.append((sym[:-len(END_OF_WORD)] if final else sym, final))
-        return out
+        symbols[-1] = symbols[-1][:-len(END_OF_WORD)]
+        return symbols
 
 
 def apply_bpe(model: BpeModel, word: str) -> list[str]:
     """Subword strings for ``word``; joining them reconstructs the word."""
-    return [text for text, _ in model.segment(word)]
+    return model.segment(word)
 
 
 def load_bpe_merges(path: str, language_id: str = "") -> BpeModel:

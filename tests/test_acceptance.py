@@ -91,6 +91,9 @@ def _op_cases(rng):
     params = {"a": a, "b": b, "c": c, "gain": gain, "bias": bias, "q": q, "k": k, "v": v}
     mask_rng_seed = int(rng.integers(0, 2 ** 31))
     keep = (ad.keep_mask((2, 2, 3, 3), 0.4, np.random.default_rng(mask_rng_seed)), 0.4)
+    # add and mul take operands of one shape: a full-shape bias for a @ b
+    ab_bias = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+    params["ab_bias"] = ab_bias
 
     def attend(keep=None):
         ctx = ad.attention(q, k, v, head_rows(mask, 2), mask, 0.5, keep)
@@ -98,7 +101,7 @@ def _op_cases(rng):
 
     cases = {
         "matmul": lambda: ad.tensor_sum(ad.tanh(ad.matmul(a, b))),
-        "add": lambda: ad.tensor_sum(ad.mul(ad.add(ad.matmul(a, b), c), c)),
+        "add": lambda: ad.tensor_sum(ad.mul(ad.add(ad.matmul(a, b), ab_bias), ab_bias)),
         "add_neg_scale": lambda: ad.tensor_sum(ad.tanh(
             ad.add(ad.scale(a, 1.3), ad.scale(ad.reshape(b, (3, 4)), -1.0)))),
         "mul": lambda: ad.tensor_sum(ad.mul(a, a)),
@@ -184,7 +187,7 @@ def _crf_path(rng):
     gold = ["O", "B-a", "I-a", "B-b"]
 
     def build():
-        return crf.neg_log_likelihood(em, gold)
+        return crf.neg_log_likelihood(em, [gold], [4])
 
     return build, {"emissions": em, "transitions": crf.transitions,
                    "start": crf.start, "end": crf.end}
@@ -263,21 +266,19 @@ def test_criterion_2_crf_oracle():
                 e = rng.normal(scale=1.5, size=(n, T))
                 ref_logz, ref_path, ref_score = _enumerate_paths(
                     e, crf.transitions.data, crf.start.data, crf.end.data)
-                logz = crf.log_partition(e)
-                assert abs(math.exp(logz - ref_logz) - 1.0) <= 1e-9, \
-                    f"exp(logZ) off at n={n} T={T} trial={trial}"
-                # the log-likelihood op must agree with the same oracle
+                # log Z = NLL + gold score, for any gold path
                 gold = [FREE_LABELS_BY_T[T][int(i)] for i in rng.integers(0, T, size=n)]
                 with Tape():
-                    nll = crf.neg_log_likelihood(Tensor(e), gold).item()
+                    nll = crf.neg_log_likelihood(Tensor(e), [gold], [n]).item()
                 gold_idx = [crf.label_index[g] for g in gold]
                 gold_score = crf.start.data[gold_idx[0]] + e[0, gold_idx[0]]
                 for i in range(1, n):
                     gold_score += (crf.transitions.data[gold_idx[i - 1], gold_idx[i]]
                                    + e[i, gold_idx[i]])
                 gold_score += crf.end.data[gold_idx[-1]]
-                assert abs(math.exp((nll + gold_score) - ref_logz) - 1.0) <= 1e-9
-                tags, score = crf.viterbi_decode(e)
+                assert abs(math.exp((nll + gold_score) - ref_logz) - 1.0) <= 1e-9, \
+                    f"exp(logZ) off at n={n} T={T} trial={trial}"
+                [(tags, score)] = crf.viterbi_decode(e, [n])
                 assert tags == [FREE_LABELS_BY_T[T][i] for i in ref_path]
                 assert abs(score - ref_score) <= 1e-9
                 instances += 1
@@ -286,7 +287,7 @@ def test_criterion_2_crf_oracle():
     crf.transitions.data[:] = 0
     crf.start.data[:] = 0
     crf.end.data[:] = 0
-    tags, _ = crf.viterbi_decode(np.zeros((4, 3)))
+    [(tags, _)] = crf.viterbi_decode(np.zeros((4, 3)), [4])
     assert tags == ["O"] * 4
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0, f"CRF oracle took {elapsed:.1f}s"
@@ -304,7 +305,7 @@ class _Shifted:
 
     def __call__(self, x):
         s = self.base(x)
-        return ad.add(s, Tensor(np.full(s.shape[-1:], self.c)))
+        return ad.add(s, Tensor(np.full(s.shape, self.c)))
 
 
 def test_criterion_3_attention_invariants():

@@ -229,6 +229,23 @@ class TestEval:
         assert cli.main(["eval", str(bad), toy["paths"]["data"]["test"]]) == 2
         assert "hme: error[input]:" in capsys.readouterr().err
 
+    def test_parameter_listed_twice_exit_2(self, toy, tmp_path, capsys):
+        # a self-consistent file whose header names its first parameter
+        # twice, with a buffer for each entry
+        header, arrays = mdl.load_checkpoint(toy["checkpoint"])
+        first = header["params"][0]
+        twice = dict(header, params=[first] + header["params"])
+        blob = json.dumps(twice).encode("utf-8")
+        dup = tmp_path / "dup.ckpt"
+        dup.write_bytes(mdl.CHECKPOINT_MAGIC + len(blob).to_bytes(8, "big") + blob
+                        + np.full(arrays[first["name"]].shape, 7.0).tobytes()
+                        + b"".join(arrays[meta["name"]].tobytes()
+                                   for meta in header["params"]))
+        with pytest.raises(mdl.CheckpointError, match=re.escape(first["name"])):
+            mdl.load_checkpoint(str(dup))
+        assert cli.main(["eval", str(dup), toy["paths"]["data"]["test"]]) == 2
+        assert_one_input_error(capsys, str(dup))
+
     def test_changed_embedding_file_exit_2(self, toy, tmp_path, capsys):
         header, _ = mdl.load_checkpoint(toy["checkpoint"])
         copy = tmp_path / "word.vec"
@@ -461,7 +478,9 @@ def test_unreadable_config_exit_2(tmp_path):
     assert cli.main(["train", "--config", str(tmp_path / "missing.json")]) == 2
 
 
-def test_single_language_attention_is_all_ones(tmp_path):
+def train_one_table_run(tmp_path, variant):
+    """Train one epoch of ``variant`` on one word table; returns the
+    checkpoint and data paths."""
     words = ["ana", "bobo", "kap", "mox"]
     vec = tmp_path / "w.vec"
     rng = np.random.default_rng(0)
@@ -477,7 +496,7 @@ def test_single_language_attention_is_all_ones(tmp_path):
         "data": {"train": str(data), "dev": str(data)},
         "embeddings": [{"level": "word", "language": "only", "path": str(vec),
                         "format": "vec_with_header", "dim": 6}],
-        "model": {"variant": "mme_word", "projection_dim": 6, "d_model": 8,
+        "model": {"variant": variant, "projection_dim": 6, "d_model": 8,
                   "encoder_layers": 1, "encoder_heads": 2},
         "train": {"learning_rate": 0.02, "batch_size": 2, "max_epochs": 1,
                   "patience": 5},
@@ -485,13 +504,28 @@ def test_single_language_attention_is_all_ones(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config))
     assert cli.main(["train", "--config", str(cfg_path), "--quiet"]) == 0
+    return str(tmp_path / "run" / "model.ckpt"), str(data)
+
+
+def test_single_language_attention_is_all_ones(tmp_path):
+    ckpt, data = train_one_table_run(tmp_path, "mme_word")
     out_dir = tmp_path / "att"
-    assert cli.main(["export-attention", str(tmp_path / "run" / "model.ckpt"),
-                     str(data), "--out-dir", str(out_dir)]) == 0
+    assert cli.main(["export-attention", ckpt, data, "--out-dir", str(out_dir)]) == 0
     rows = [l.split("\t") for l
             in (out_dir / "attention.tsv").read_text().splitlines()[1:] if l]
     assert rows, "no attention rows exported"
     assert all(r[3] == "only" and float(r[4]) == 1.0 for r in rows)
+
+
+def test_export_attention_without_word_attention_exit_2(tmp_path, capsys):
+    ckpt, data = train_one_table_run(tmp_path, "concat")
+    capsys.readouterr()
+    out_dir = tmp_path / "att"
+    assert cli.main(["export-attention", ckpt, data, "--out-dir", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("hme: error[input]:") and err.count("\n") == 1
+    assert "'concat' has no attention weights" in err
+    assert not out_dir.exists()
 
 
 def test_divergence_maps_to_exit_3(toy, monkeypatch, capsys):

@@ -66,7 +66,7 @@ class TestNll:
         a, b = 0.7, -0.4
         em = Tensor(np.array([[a, b]]), requires_grad=True)
         with Tape():
-            nll = crf.neg_log_likelihood(em, ["O"])
+            nll = crf.neg_log_likelihood(em, [["O"]], [1])
         expected = math.log(math.exp(a) + math.exp(b)) - a
         assert nll.item() == pytest.approx(expected, abs=1e-12)
 
@@ -81,16 +81,16 @@ class TestNll:
         crf.transitions.data[1, 2] = 0.0
         em = Tensor(np.zeros((2, 3)))
         with Tape():
-            nll = crf.neg_log_likelihood(em, gold)
+            nll = crf.neg_log_likelihood(em, [gold], [2])
         assert nll.item() >= -1e-9
 
     def test_illegal_gold_rejected(self):
         crf = make_crf(["O", "B-a", "I-a"], seed=3)
         em = Tensor(np.zeros((2, 3)))
         with pytest.raises(ValueError, match="illegal"):
-            crf.neg_log_likelihood(em, ["O", "I-a"])
+            crf.neg_log_likelihood(em, [["O", "I-a"]], [2])
         with pytest.raises(ValueError, match="illegal start"):
-            crf.neg_log_likelihood(em, ["I-a", "I-a"])
+            crf.neg_log_likelihood(em, [["I-a", "I-a"]], [2])
 
     @pytest.mark.parametrize("iob", [False, True])
     def test_logz_matches_enumeration(self, iob):
@@ -99,7 +99,7 @@ class TestNll:
         crf = make_crf(labels, seed=5)
         em = Tensor(rng.normal(size=(3, 4)))
         with Tape():
-            nll = crf.neg_log_likelihood(em, ["O", "B-a", "O"])
+            nll = crf.neg_log_likelihood(em, [["O", "B-a", "O"]], [3])
         trans, start = effective_by_hand(crf)
         ref_logz, _, _ = crf_paths(em.data, trans, start, crf.end.data)
         gold_idx = [0, 1, 0]
@@ -108,7 +108,8 @@ class TestNll:
             ref_score += trans[gold_idx[i - 1], gold_idx[i]] + em.data[i, gold_idx[i]]
         ref_score += crf.end.data[gold_idx[-1]]
         assert nll.item() == pytest.approx(ref_logz - ref_score, abs=1e-9)
-        assert math.exp(crf.log_partition(em.data)) == pytest.approx(
+        # log Z = NLL + gold score, against the enumerated partition function
+        assert math.exp(nll.item() + ref_score) == pytest.approx(
             math.exp(ref_logz), rel=1e-9)
 
     def test_nll_gradient_matches_finite_differences(self):
@@ -118,7 +119,7 @@ class TestNll:
         gold = ["O", "B-a", "I-a", "O"]
 
         def build():
-            return crf.neg_log_likelihood(em, gold)
+            return crf.neg_log_likelihood(em, [gold], [4])
 
         with Tape():
             build().backward()
@@ -132,7 +133,7 @@ class TestNll:
 class TestViterbi:
     def test_single_tag_repeats(self):
         crf = make_crf(["O"], seed=0)
-        tags, _ = crf.viterbi_decode(np.zeros((4, 1)))
+        [(tags, _)] = crf.viterbi_decode(np.zeros((4, 1)), [4])
         assert tags == ["O"] * 4
 
     def test_all_zero_ties_resolve_to_first_tag(self):
@@ -140,7 +141,7 @@ class TestViterbi:
         crf.transitions.data[:] = 0.0
         crf.start.data[:] = 0.0
         crf.end.data[:] = 0.0
-        tags, score = crf.viterbi_decode(np.zeros((3, 3)))
+        [(tags, score)] = crf.viterbi_decode(np.zeros((3, 3)), [3])
         assert tags == ["O", "O", "O"]
         assert score == 0.0
 
@@ -153,7 +154,7 @@ class TestViterbi:
             labels = (IOB_LABELS_BY_T if iob else FREE_LABELS_BY_T)[T]
             crf = make_crf(labels, seed=100 + trial)
             em = rng.normal(size=(n, T))
-            tags, score = crf.viterbi_decode(em)
+            [(tags, score)] = crf.viterbi_decode(em, [n])
             trans, start = effective_by_hand(crf)
             _, ref_path, ref_score = crf_paths(em, trans, start, crf.end.data)
             assert [crf.labels[t] for t in ref_path] == tags
@@ -164,8 +165,10 @@ class TestViterbi:
         for trial in range(30):
             crf = make_crf(IOB_LABELS_BY_T[5], seed=trial)
             em = rng.normal(size=(4, 5)) * 3
-            _, score = crf.viterbi_decode(em)
-            assert score <= crf.log_partition(em) + 1e-9
+            [(_, score)] = crf.viterbi_decode(em, [4])
+            trans, start = effective_by_hand(crf)
+            logz, _, _ = crf_paths(em, trans, start, crf.end.data)
+            assert score <= logz + 1e-9
 
     def test_decoded_sequences_iob_legal(self):
         rng = np.random.default_rng(4)
@@ -173,7 +176,7 @@ class TestViterbi:
         for trial in range(50):
             crf = make_crf(labels, seed=200 + trial)
             em = rng.normal(size=(int(rng.integers(1, 7)), 5)) * 4
-            tags, _ = crf.viterbi_decode(em)
+            [(tags, _)] = crf.viterbi_decode(em, [len(em)])
             prev = None
             for t in tags:
                 if t.startswith("I-"):
@@ -206,13 +209,13 @@ class TestBatchedViterbi:
             crf = make_crf((IOB_LABELS_BY_T if iob else FREE_LABELS_BY_T)[T],
                            seed=400 + trial)
             em, lengths = self.ragged(rng, T, size=int(rng.integers(0, 4)))
-            decoded = crf.viterbi_decode(Tensor(em), lengths)
+            decoded = crf.viterbi_decode(em, lengths)
             assert len(decoded) == len(lengths)
             trans, start = effective_by_hand(crf)
             for b, (at, n) in enumerate(zip(starts(lengths), lengths)):
                 rows = em[at:at + n]
                 tags, score = decoded[b]
-                assert (tags, score) == crf.viterbi_decode(rows)
+                assert [(tags, score)] == crf.viterbi_decode(rows, [n])
                 path, loop_score = viterbi_loops(rows, trans, start, crf.end.data)
                 assert tags == [crf.labels[t] for t in path]
                 assert score == loop_score
@@ -231,18 +234,17 @@ class TestBatchedViterbi:
         decoded = crf.viterbi_decode(em, lengths)
         assert decoded[0] == (["O"] * lengths[0], 0.0)
         for b, (at, n) in enumerate(zip(starts(lengths), lengths)):
-            assert decoded[b] == crf.viterbi_decode(em[at:at + n])
+            assert [decoded[b]] == crf.viterbi_decode(em[at:at + n], [n])
 
-    def test_default_lengths_and_bad_lengths(self):
+    def test_bad_lengths_and_rows_rejected(self):
         crf = make_crf(["O", "B-a"], seed=1)
         em = np.random.default_rng(14).normal(size=(12, 2))
-        assert [crf.viterbi_decode(em)] == crf.viterbi_decode(em, [12])
         # lengths that do not sum to the 12 rows, a zero length, no sentence
         for lengths in ([1, 2], [4, 4, 5], [0, 8, 4], []):
             with pytest.raises(ShapeError):
                 crf.viterbi_decode(em, lengths)
         with pytest.raises(ShapeError):
-            crf.viterbi_decode(np.zeros((2, 3)))
+            crf.viterbi_decode(np.zeros((2, 3)), [2])
         with pytest.raises(ShapeError):
             crf.viterbi_decode(em.reshape(3, 4, 2), [4, 4, 4])
 
@@ -253,19 +255,21 @@ def test_emission_shift_leaves_nll_and_path_unchanged():
     em = rng.normal(size=(4, 3))
     gold = ["O", "B-a", "I-a", "O"]
     with Tape():
-        base = crf.neg_log_likelihood(Tensor(em), gold).item()
-    base_tags, base_score = crf.viterbi_decode(em)
+        base = crf.neg_log_likelihood(Tensor(em), [gold], [4]).item()
+    [(base_tags, base_score)] = crf.viterbi_decode(em, [4])
     shifted = em.copy()
     c = 2.37
     shifted[2] += c
     with Tape():
-        after = crf.neg_log_likelihood(Tensor(shifted), gold).item()
-    tags, score = crf.viterbi_decode(shifted)
+        after = crf.neg_log_likelihood(Tensor(shifted), [gold], [4]).item()
+    [(tags, score)] = crf.viterbi_decode(shifted, [4])
     assert after == pytest.approx(base, abs=1e-9)
     assert tags == base_tags
     assert score == pytest.approx(base_score + c, abs=1e-9)
-    assert crf.log_partition(shifted) == pytest.approx(
-        crf.log_partition(em) + c, abs=1e-9)
+    trans, start = effective_by_hand(crf)
+    logz, _, _ = crf_paths(em, trans, start, crf.end.data)
+    shifted_logz, _, _ = crf_paths(shifted, trans, start, crf.end.data)
+    assert shifted_logz == pytest.approx(logz + c, abs=1e-9)
 
 
 def test_nll_nonnegative_random():
@@ -276,7 +280,7 @@ def test_nll_nonnegative_random():
         em = Tensor(rng.normal(size=(n, 4)) * 2)
         gold = ["O"] * n
         with Tape():
-            nll = crf.neg_log_likelihood(em, gold)
+            nll = crf.neg_log_likelihood(em, [gold], [n])
         assert nll.item() >= -1e-9
 
 
@@ -309,7 +313,8 @@ class TestBatchedNll:
             lengths = [1] + [int(n) for n in rng.integers(1, 7, size=int(rng.integers(1, 5)))]
             rng.shuffle(lengths)
             # Viterbi paths are legal gold sequences
-            gold = [crf.viterbi_decode(rng.normal(size=(n, 5)) * 3)[0] for n in lengths]
+            gold = [tags for tags, _ in crf.viterbi_decode(
+                rng.normal(size=(sum(lengths), 5)) * 3, lengths)]
             em = Tensor(rng.normal(size=(sum(lengths), 5)) * 2, requires_grad=True)
             crf_params = [crf.transitions, crf.start, crf.end]
             loss, grads = self.loss_and_grads(
@@ -321,7 +326,7 @@ class TestBatchedNll:
             for b, (at, n) in enumerate(zip(starts(lengths), lengths)):
                 single = Tensor(em.data[at:at + n].copy(), requires_grad=True)
                 part, part_grads = self.loss_and_grads(
-                    lambda: crf.neg_log_likelihood(single, gold[b]),
+                    lambda: crf.neg_log_likelihood(single, [gold[b]], [n]),
                     [single] + crf_params)
                 total += part
                 em_grad[at:at + n] = part_grads[0]
@@ -355,7 +360,7 @@ class TestBatchedNll:
         with pytest.raises(ShapeError):
             crf.neg_log_likelihood(em, [["O"] * 3, []], [3, 0])
         with pytest.raises(ShapeError):
-            crf.neg_log_likelihood(Tensor(np.zeros((2, 2))), ["O"])
+            crf.neg_log_likelihood(Tensor(np.zeros((2, 2))), [["O"]], [2])
 
     def test_lengths_must_tile_the_rows(self):
         crf = make_crf(["O", "B-a"], seed=1)

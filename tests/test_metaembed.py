@@ -80,7 +80,7 @@ class ShiftedScorer:
 
     def __call__(self, x):
         s = self.base(x)
-        return ad.add(s, Tensor(np.full(s.shape[-1:], self.shift)))
+        return ad.add(s, Tensor(np.full(s.shape, self.shift)))
 
 
 @pytest.mark.parametrize("seed", range(50))

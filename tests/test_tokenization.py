@@ -30,6 +30,33 @@ class TestPreprocess:
         assert tok.preprocess_token("hi\U0001F600") == "hi\U0001F600"
 
 
+# the emoji codepoint ranges, inclusive, checked one by one
+EMOJI_RANGES = (
+    (0x1F300, 0x1F5FF), (0x1F600, 0x1F64F), (0x1F680, 0x1F6FF),
+    (0x1F900, 0x1F9FF), (0x1FA70, 0x1FAFF), (0x2600, 0x26FF), (0x2700, 0x27BF),
+    (0x2B00, 0x2BFF), (0xFE00, 0xFE0F), (0x200D, 0x200D),
+)
+
+
+def is_emoji_by_ranges(token):
+    return bool(token) and all(any(lo <= ord(ch) <= hi for lo, hi in EMOJI_RANGES)
+                               for ch in token)
+
+
+def test_emoji_class_matches_the_ranges():
+    edges = sorted({chr(cp) for lo, hi in EMOJI_RANGES
+                    for cp in (lo - 1, lo, hi, hi + 1)})
+    # every edge alone, every pair of edges, and edges beside plain text
+    tokens = [""] + edges + [a + b for a in edges for b in edges]
+    tokens += [t for e in edges for t in ("a" + e, e + "a", e + "a" + e)]
+    tokens += ["\U0001F468\u200D\U0001F469", "\u2764\uFE0F", "\u2764\uFE0Fx"]
+    for token in tokens:
+        want = "<EMOJI>" if is_emoji_by_ranges(token) else token
+        assert tok.preprocess_token(token) == want, [hex(ord(c)) for c in token]
+    # both outcomes occur among the edges
+    assert {tok.preprocess_token(e) == "<EMOJI>" for e in edges} == {True, False}
+
+
 class TestBpe:
     def test_no_merges_splits_chars(self):
         model = BpeModel("x", [])
@@ -39,9 +66,12 @@ class TestBpe:
         model = BpeModel("x", [("l", "o"), ("lo", "w"), ("e", "s"), ("es", "t</w>")])
         assert tok.apply_bpe(model, "lowest") == ["low", "est"]
 
-    def test_boundary_flag(self):
+    def test_segment_strips_only_the_end_marker(self):
         model = BpeModel("x", [("l", "o"), ("lo", "w"), ("e", "s"), ("es", "t</w>")])
-        assert model.segment("lowest") == [("low", False), ("est", True)]
+        assert model.segment("lowest") == ["low", "est"]
+        # a word that spells the marker keeps it; only the appended one goes
+        model = BpeModel("x", [("<", "/"), ("</", "w"), ("</w", ">")])
+        assert model.segment("a</w>b") == ["a", "</w>", "b"]
 
     def test_rank_order_not_greedy_length(self):
         # (b,c) has lower rank than (a,b) so it merges first
