@@ -72,7 +72,7 @@ class EmbeddingTable:
         return h.hexdigest()
 
 
-def _parse_row(parts: list[str], dim: int, path: str, lineno: int) -> np.ndarray:
+def _parse_row(parts: list[bytes], dim: int, path: str, lineno: int) -> np.ndarray:
     if len(parts) - 1 != dim:
         raise EmbeddingFormatError(
             f"{path}:{lineno}: expected {dim} values, found {len(parts) - 1}")
@@ -90,8 +90,9 @@ def load_text_embeddings(path: str, fmt: str, language_id: str = "", level: str 
     ``vec_with_header`` expects a "count dim" first line, whose count must
     equal the non-blank data lines (duplicates included) unless ``limit``
     stops the read early; ``glove_no_header`` infers the dimension from the
-    first row.  Duplicate tokens keep the first occurrence.  CRLF line
-    endings are tolerated.
+    first row.  Fields are separated by runs of ASCII whitespace only, so a
+    token may hold any other character, U+00A0 included.  Duplicate tokens
+    keep the first occurrence.  CRLF line endings are tolerated.
     """
     if fmt not in FORMATS:
         raise ValueError(f"unknown embedding format {fmt!r}")
@@ -120,13 +121,14 @@ def load_text_embeddings(path: str, fmt: str, language_id: str = "", level: str 
             if not line:
                 continue
             data_lines += 1
-            parts = line.split()
+            # bytes.split() splits on ASCII whitespace alone, unlike str.split()
+            parts = line.encode("utf-8").split()
             if len(parts) < 2:
                 raise EmbeddingFormatError(f"{path}:{lineno}: malformed row")
             if dim is None:
                 dim = len(parts) - 1
             vec = _parse_row(parts, dim, path, lineno)
-            token = parts[0]
+            token = parts[0].decode("utf-8")
             if token in vocab:
                 continue
             if limit is not None and len(rows) >= limit:

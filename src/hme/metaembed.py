@@ -77,16 +77,16 @@ def mme_word(embeddings_per_language: list[Tensor], proj: ProjectionSet,
 
 
 def encode_and_pool(x: Tensor, mask: np.ndarray, encoder: TransformerEncoder,
-                    train: bool = False) -> Tensor:
+                    rng: np.random.Generator | None = None) -> Tensor:
     """Encode the packed rows of the (N, m) ``mask``'s real cells and
     mean-pool each of its N sequences, at least one cell each, to one (N, d)
-    row."""
-    return ad.segment_mean(encoder(x, mask, train), mask.sum(axis=-1))
+    row.  ``rng`` draws the encoder's dropout masks; None is evaluation."""
+    return ad.segment_mean(encoder(x, mask, rng), mask.sum(axis=-1))
 
 
 def mme_subword(subword_embeddings: list[Tensor], masks: list[np.ndarray],
                 proj: ProjectionSet, encoder: TransformerEncoder,
-                scorer: AttentionScorer, train: bool = False
+                scorer: AttentionScorer, rng: np.random.Generator | None = None
                 ) -> tuple[Tensor, Tensor]:
     """Subword-level meta-embedding.
 
@@ -94,7 +94,8 @@ def mme_subword(subword_embeddings: list[Tensor], masks: list[np.ndarray],
     ``subword_embeddings[j]`` its packed (C_j, d_j) rows, one per real cell.
     Per language: project, encode with the shared transformer, mean-pool to
     one vector per word; then combine across languages with softmax
-    attention.  Returns ((N, d'), (N, L)).
+    attention.  ``rng`` draws the encoder's dropout masks, language by
+    language; None is evaluation.  Returns ((N, d'), (N, L)).
     """
     if not subword_embeddings or len(masks) != len(subword_embeddings):
         raise ShapeError("mme_subword needs one mask per language, at least one")
@@ -102,7 +103,7 @@ def mme_subword(subword_embeddings: list[Tensor], masks: list[np.ndarray],
     for x, mask in zip(subword_embeddings, masks):
         if mask.ndim != 2 or mask.shape[0] != n or x.shape[0] != mask.sum():
             raise ShapeError("language inputs disagree on word count or real cells")
-    pooled = [encode_and_pool(proj.project(j, x), mask, encoder, train)
+    pooled = [encode_and_pool(proj.project(j, x), mask, encoder, rng)
               for j, (x, mask) in enumerate(zip(subword_embeddings, masks))]
     return attend_languages(pooled, scorer)
 

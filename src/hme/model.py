@@ -18,7 +18,7 @@ from . import embeddings as emb
 from . import metaembed as me
 from .autodiff import Tensor
 from .labeler import CrfModel
-from .nn import TransformerEncoder, assign_dropout_keys
+from .nn import TransformerEncoder
 from .tokenization import BpeModel, TokenizedSentence, apply_bpe, to_chars
 
 VARIANTS = ("hme", "mme_word", "concat", "linear", "random")
@@ -156,6 +156,11 @@ class Featurizer:
             for key, rows in zip(self.keys, self._cache.get(word) or self._rows(word)):
                 if -1 in rows:
                     self.counters[key] += n * rows.count(-1)
+
+
+def _step_rng(seed: int, step: int) -> np.random.Generator:
+    """The dropout generator of training step ``step``."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, step))))
 
 
 def _length_mask(lengths) -> np.ndarray:
@@ -302,36 +307,24 @@ class SequenceTagger:
                   if config.variant == "hme" else [])
         self.featurizer = Featurizer(resources.word_tables + deeper, resources.bpe_models)
         self._word_cache = WordCache()
-        assign_dropout_keys(self.dropouts(), seed)
+        self._dropout_rng = _step_rng(seed, 0)
 
     # -- bookkeeping ---------------------------------------------------------
 
-    def dropouts(self):
-        out = []
-        for enc in (self.subword_encoder, self.char_encoder, self.encoder):
-            if enc is not None:
-                out.extend(enc.dropouts())
-        return out
-
     def set_step(self, step: int) -> None:
-        for d in self.dropouts():
-            d.begin_step(step)
+        """Start the dropout stream of training step ``step``: every training
+        forward until the next call draws its masks from one generator keyed
+        by (seed, step), continuing where the previous forward stopped."""
+        self._dropout_rng = _step_rng(self.seed, step)
 
     def parameters(self) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
-        if self.word_proj is not None:
-            out.update(self.word_proj.parameters("word_proj"))
-        if self.word_scorer is not None:
-            out.update(self.word_scorer.parameters("word_scorer"))
-        if self.subword_proj is not None:
-            out.update(self.subword_proj.parameters("subword_proj"))
-        if self.subword_encoder is not None:
-            out.update(self.subword_encoder.parameters("subword_encoder"))
-        if self.subword_scorer is not None:
-            out.update(self.subword_scorer.parameters("subword_scorer"))
+        for name in ("word_proj", "word_scorer", "subword_proj", "subword_encoder",
+                     "subword_scorer", "char_encoder"):
+            part = getattr(self, name)
+            if part is not None:
+                out.update(part.parameters(name))
         if self.char_encoder is not None:
-            out.update(self.char_encoder.parameters("char_encoder"))
-        if self.resources.char_table is not None and self.config.variant == "hme":
             out["char_table.vectors"] = self.resources.char_table.vectors
         for table in self.resources.word_tables:
             if table.trainable:
@@ -366,25 +359,27 @@ class SequenceTagger:
         In eval mode with no Tape recording, each word's per-word rows come
         from the prediction cache, and only the words it lacks are featurized
         and encoded; training, and any forward under a Tape, compute them all,
-        so no gradient meets a cached row."""
+        so no gradient meets a cached row.  Training draws its dropout masks
+        from the step's generator (see ``set_step``)."""
+        rng = self._dropout_rng if train else None
         rows: dict[str, int] = {}
         word_of = np.fromiter((rows.setdefault(w, len(rows))
                                for sent in sentences for w in sent.words), dtype=np.int64)
         words = list(rows)
         if train or ad.Tape._active is not None:
             featurize = self.featurizer.store if train else self.featurizer.encode
-            u, alpha_w, alpha_s = self._word_rows(featurize(words), train)
+            u, alpha_w, alpha_s = self._word_rows(featurize(words), rng)
         else:
             u, alpha_w, alpha_s = self._cached_word_rows(words)
             u = Tensor(u)
         lengths = [len(sent) for sent in sentences]
-        h = self.encoder(ad.take(u, word_of), _length_mask(lengths), train)
+        h = self.encoder(ad.take(u, word_of), _length_mask(lengths), rng)
         emissions = self.crf.emissions(h)
         alpha_w, alpha_s = (None if a is None else a[word_of] for a in (alpha_w, alpha_s))
         return ForwardResult(emissions=emissions, lengths=lengths,
                              alpha_word=alpha_w, alpha_subword=alpha_s)
 
-    def _word_rows(self, tables: list[Lookup], train: bool):
+    def _word_rows(self, tables: list[Lookup], rng: np.random.Generator | None):
         """The per-word levels on U distinct words: the (U, ·) rows ``u`` and
         the (U, L) word and subword attention weights as arrays, None for a
         level the variant lacks."""
@@ -407,10 +402,10 @@ class SequenceTagger:
             sub_masks = [_length_mask(lookup.count) for lookup in tables[subwords]]
             u_s, alpha_s = me.mme_subword(inputs[subwords], sub_masks, self.subword_proj,
                                           self.subword_encoder, self.subword_scorer,
-                                          train)
+                                          rng)
             alpha_s = alpha_s.data
             u_c = me.encode_and_pool(inputs[-1], _length_mask(tables[-1].count),
-                                     self.char_encoder, train)
+                                     self.char_encoder, rng)
             u = me.hme_concat(u, u_s, u_c)
         return u, alpha_w, alpha_s
 
@@ -422,7 +417,7 @@ class SequenceTagger:
                                 if not name.startswith(("encoder.", "crf."))])
 
         def compute(new):
-            u, alpha_w, alpha_s = self._word_rows(self.featurizer.encode(new), train=False)
+            u, alpha_w, alpha_s = self._word_rows(self.featurizer.encode(new), None)
             return [u.data, alpha_w, alpha_s]
 
         return self._word_cache.rows(words, compute)

@@ -51,49 +51,34 @@ class LayerNorm:
 
 
 class Dropout:
-    """Dropout whose mask stream is keyed by (seed, instance, step, call).
+    """Inverted dropout with probability ``p``, drawing its masks from the
+    generator each call passes in.
 
-    The owning model assigns ``seed`` and ``instance`` once and advances
-    ``step`` every optimizer step, which makes training runs replayable.
-    Each call draws its mask from a Philox generator on that key, as one
-    uint16 word per cell kept when it is at least ``round(p * 2**16)``, so p
-    is realised as ``round(p * 65536) / 65536`` (0.1 becomes 0.1000061).
+    The layer keeps no random state: the owning model builds one generator
+    per training step and hands it to every dropout of that step, in call
+    order, which makes training runs replayable.  A call without a generator
+    (evaluation) applies no op.  Each mask is one uint16 word per cell, kept
+    when it is at least ``round(p * 2**16)``, so p is realised as
+    ``round(p * 65536) / 65536`` (0.1 becomes 0.1000061).
     """
 
     def __init__(self, p: float):
         if not 0.0 <= p < 1.0:
             raise ValueError(f"dropout probability must be in [0, 1), got {p}")
         self.p = p
-        self.seed = 0
-        self.instance = 0
-        self.step = 0
-        self._calls = 0
 
-    def begin_step(self, step: int) -> None:
-        self.step = step
-        self._calls = 0
-
-    def _rng(self) -> np.random.Generator:
-        key = np.random.SeedSequence((self.seed, self.instance, self.step, self._calls))
-        self._calls += 1
-        return np.random.Generator(np.random.Philox(key))
-
-    def __call__(self, x: Tensor, train: bool) -> Tensor:
-        keep = self.keep(x.shape, train)
+    def __call__(self, x: Tensor, rng: np.random.Generator | None) -> Tensor:
+        keep = self.keep(x.shape, rng)
         return x if keep is None else ad.dropout(x, keep)
 
-    def keep(self, shape, train: bool) -> tuple[np.ndarray, float] | None:
-        """This call's keep-mask and p, for ``ad.dropout`` or an op that
-        applies dropout itself; None when dropout is off."""
-        if not train or self.p == 0.0:
+    def keep(self, shape, rng: np.random.Generator | None
+             ) -> tuple[np.ndarray, float] | None:
+        """A keep-mask of ``shape`` drawn from ``rng`` and p, for
+        ``ad.dropout`` or an op that applies dropout itself; None, drawing
+        nothing, when ``rng`` is None or p is 0."""
+        if rng is None or self.p == 0.0:
             return None
-        return ad.keep_mask(shape, self.p, self._rng()), self.p
-
-
-def assign_dropout_keys(dropouts: list[Dropout], seed: int) -> None:
-    for i, d in enumerate(dropouts):
-        d.seed = seed
-        d.instance = i
+        return ad.keep_mask(shape, self.p, rng), self.p
 
 
 def sinusoidal_positions(length: int, dim: int) -> np.ndarray:
@@ -133,26 +118,24 @@ class EncoderLayer:
         self.ln2 = LayerNorm(d_model)
         self.ff1 = Linear(d_model, ff_dim, rng)
         self.ff2 = Linear(ff_dim, d_model, rng)
-        self.drop_attn = Dropout(p_drop)
-        self.drop_attn_out = Dropout(p_drop)
-        self.drop_ff_mid = Dropout(p_drop)
-        self.drop_ff_out = Dropout(p_drop)
+        self.drop = Dropout(p_drop)
 
     def __call__(self, x: Tensor, mask: np.ndarray, head_rows: np.ndarray,
-                 train: bool) -> Tensor:
+                 rng: np.random.Generator | None) -> Tensor:
         """``x`` is (C, d), the real cells of the (batch, n) ``mask``;
         ``head_rows`` (C, heads) places their heads in the padded layout
-        (see ``ad.attention``)."""
+        (see ``ad.attention``).  ``rng`` draws the dropout masks; None is
+        evaluation."""
         batch, n = mask.shape
         a = self.ln1(x)
-        keep = self.drop_attn.keep((batch, self.heads, n, n), train)
+        keep = self.drop.keep((batch, self.heads, n, n), rng)
         ctx = ad.attention(self.wq(a), ad.matmul(a, self.wk), self.wv(a), head_rows,
                            mask, 1.0 / math.sqrt(self.d_model // self.heads), keep)
-        x = ad.add(x, self.drop_attn_out(self.wo(ctx), train))
+        x = ad.add(x, self.drop(self.wo(ctx), rng))
 
         f = ad.relu(self.ff1(self.ln2(x)))
-        f = self.ff2(self.drop_ff_mid(f, train))
-        return ad.add(x, self.drop_ff_out(f, train))
+        f = self.ff2(self.drop(f, rng))
+        return ad.add(x, self.drop(f, rng))
 
     def parameters(self, prefix: str) -> dict[str, Tensor]:
         out = self.ln1.parameters(f"{prefix}.ln1")
@@ -161,9 +144,6 @@ class EncoderLayer:
         for name in ("wv", "wo", "ln2", "ff1", "ff2"):
             out.update(getattr(self, name).parameters(f"{prefix}.{name}"))
         return out
-
-    def dropouts(self) -> list[Dropout]:
-        return [self.drop_attn, self.drop_attn_out, self.drop_ff_mid, self.drop_ff_out]
 
 
 class TransformerEncoder:
@@ -194,7 +174,10 @@ class TransformerEncoder:
             self._pe_cache = sinusoidal_positions(n, self.d_model)
         return self._pe_cache[:n]
 
-    def __call__(self, x: Tensor, mask: np.ndarray, train: bool = False) -> Tensor:
+    def __call__(self, x: Tensor, mask: np.ndarray,
+                 rng: np.random.Generator | None = None) -> Tensor:
+        """``rng`` draws every dropout mask of the stack, in layer order; None
+        is evaluation and draws nothing."""
         if x.ndim != 2 or mask.ndim != 2 or x.shape[0] != mask.sum():
             raise ShapeError(f"encoder input {x.shape} is not one row per real "
                              f"cell of a (batch, n) mask with {mask.sum():g}")
@@ -210,7 +193,7 @@ class TransformerEncoder:
 
         x = ad.add(x, Tensor(self._pe(n)[real % n]))
         for layer in self.layers:
-            x = layer(x, mask, head_rows, train)
+            x = layer(x, mask, head_rows, rng)
         return self.final_ln(x)
 
     def parameters(self, prefix: str) -> dict[str, Tensor]:
@@ -222,6 +205,3 @@ class TransformerEncoder:
         if self.final_ln is not None:
             out.update(self.final_ln.parameters(f"{prefix}.final_ln"))
         return out
-
-    def dropouts(self) -> list[Dropout]:
-        return [d for layer in self.layers for d in layer.dropouts()]

@@ -16,7 +16,9 @@ import os
 
 import numpy as np
 
-from .tokenization import BpeModel, apply_bpe
+from .autodiff import Tensor
+from .embeddings import EmbeddingTable, save_text_embeddings
+from .tokenization import BpeModel, TokenizedSentence, apply_bpe, write_conll
 
 ENTITY_TYPES = ("per", "loc", "org", "prod", "time", "group", "event", "title", "other")
 
@@ -66,19 +68,11 @@ def _type_centers(rng: np.random.Generator, dim: int) -> dict[str, np.ndarray]:
     return centers
 
 
-def _write_vec(path: str, vocab: dict[str, np.ndarray], dim: int) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{len(vocab)} {dim}\n")
-        for token, vec in vocab.items():
-            fh.write(token + " " + " ".join(repr(float(v)) for v in vec) + "\n")
-
-
-def _write_conll(path: str, sentences) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for tokens, tags in sentences:
-            for tok, tag in zip(tokens, tags):
-                fh.write(f"{tok}\t{tag}\n")
-            fh.write("\n")
+def _table(vocab: dict[str, np.ndarray], level: str, lang: str, dim: int) -> EmbeddingTable:
+    """A frozen table holding ``vocab``'s rows in insertion order."""
+    return EmbeddingTable(language_id=lang, level=level, dim=dim,
+                          vocab={token: i for i, token in enumerate(vocab)},
+                          vectors=Tensor(np.array(list(vocab.values()))), trainable=False)
 
 
 def generate_toy_task(out_dir: str, seed: int = 13, n_train: int = 2000,
@@ -118,7 +112,7 @@ def generate_toy_task(out_dir: str, seed: int = 13, n_train: int = 2000,
             for w in entity_words[lang, etype]:
                 vocab[w] = centers[etype] + rng.normal(scale=0.12, size=dim)
         path = os.path.join(out_dir, f"word_{lang}.vec")
-        _write_vec(path, vocab, dim)
+        save_text_embeddings(_table(vocab, "word", lang, dim), path)
         word_paths[lang] = path
 
     # shared suffix merges; subword tables cluster the suffix pieces
@@ -147,7 +141,7 @@ def generate_toy_task(out_dir: str, seed: int = 13, n_train: int = 2000,
             else:
                 vocab[piece] = rng.normal(scale=0.3, size=dim)
         path = os.path.join(out_dir, f"sub_{lang}.vec")
-        _write_vec(path, vocab, dim)
+        save_text_embeddings(_table(vocab, "subword", lang, dim), path)
         sub_paths[lang] = path
 
     def sample_sentence(train_only: bool):
@@ -169,14 +163,14 @@ def generate_toy_task(out_dir: str, seed: int = 13, n_train: int = 2000,
             words = [pool[int(rng.integers(0, len(pool)))] for _ in range(phrase_len)]
             tokens[slot:slot] = words
             tags[slot:slot] = ["B-" + etype] + ["I-" + etype] * (phrase_len - 1)
-        return tokens, tags
+        return TokenizedSentence(tokens, tokens, tags)
 
     split_paths = {}
     for split, count, train_only in (("train", n_train, True),
                                      ("dev", n_dev, False),
                                      ("test", n_test, False)):
         path = os.path.join(out_dir, f"{split}.conll")
-        _write_conll(path, [sample_sentence(train_only) for _ in range(count)])
+        write_conll([sample_sentence(train_only) for _ in range(count)], path)
         split_paths[split] = path
 
     config = {

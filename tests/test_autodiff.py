@@ -102,10 +102,14 @@ class TestElementwise:
         assert ad.tanh(Tensor([0.0])).data[0] == 0.0
 
     def test_dropout_eval_identity(self):
-        """``nn.Dropout`` applies no op in eval mode, nor at p = 0."""
+        """``nn.Dropout`` applies no op without a generator, nor at p = 0,
+        where it draws nothing from the generator either."""
         x = Tensor(np.random.default_rng(0).normal(size=(3, 3)))
-        assert nn.Dropout(0.1)(x, train=False) is x
-        assert nn.Dropout(0.0)(x, train=True) is x
+        assert nn.Dropout(0.1)(x, None) is x
+        rng = np.random.default_rng(1)
+        before = rng.bit_generator.state
+        assert nn.Dropout(0.0)(x, rng) is x
+        assert rng.bit_generator.state == before
 
     def test_dropout_train_scales(self):
         x = Tensor(np.ones((1000,)))

@@ -89,6 +89,15 @@ class TestLoad:
         t = emb.load_text_embeddings(str(p), "vec_with_header")
         np.testing.assert_array_equal(t.vectors.data, [[1, 2]])
 
+    def test_fields_split_on_ascii_whitespace_only(self, tmp_path):
+        """A token may hold U+00A0 or U+2003; tabs and runs of spaces still
+        separate fields."""
+        path = write(tmp_path, "nbsp.vec",
+                     "2 3\nnew york 0.1 0.2 0.3\nem dash\t1  2 \t3\n")
+        t = emb.load_text_embeddings(path, "vec_with_header")
+        assert t.vocab == {"new york": 0, "em dash": 1}
+        np.testing.assert_array_equal(t.vectors.data, [[0.1, 0.2, 0.3], [1, 2, 3]])
+
 
 def featurized_row(table, token):
     """The row the model's batched featurize-and-gather path uses."""

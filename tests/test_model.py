@@ -96,9 +96,9 @@ class TestForward:
         pool = me.encode_and_pool
         masks = []
 
-        def spy(x, mask, encoder, train=False):
+        def spy(x, mask, encoder, rng=None):
             masks.append(mask)
-            return pool(x, mask, encoder, train)
+            return pool(x, mask, encoder, rng)
 
         monkeypatch.setattr(me, "encode_and_pool", spy)
 
@@ -161,9 +161,9 @@ class TestForward:
             params = model.parameters()
             encoder, inputs = model.encoder, []
 
-            def spy(u, mask, train=False):
+            def spy(u, mask, rng=None):
                 inputs.append(u.data.copy())
-                return encoder(u, mask, train)
+                return encoder(u, mask, rng)
 
             monkeypatch.setattr(model, "encoder", spy)
             with Tape():
@@ -334,6 +334,43 @@ class TestDeterminism:
         with Tape():
             l2 = m2.loss_batch(sents, train=True)
         assert l1.item() != l2.item()
+
+    @staticmethod
+    def step_loss_and_grads(model, sents):
+        params = model.parameters()
+        for p in params.values():
+            p.zero_grad()
+        with Tape():
+            loss = model.loss_batch(sents, train=True)
+            loss.backward()
+        return loss.item(), {k: p.grad for k, p in params.items()}
+
+    def assert_same_step(self, first, second):
+        assert first[0] == second[0]
+        for name, g in first[1].items():
+            np.testing.assert_array_equal(g, second[1][name], err_msg=name)
+
+    def test_set_step_keys_masks_by_seed_and_step_alone(self):
+        """A step's dropout masks do not depend on what earlier steps drew."""
+        sents = build_sentences()
+        fresh = make_model("hme", seed=9)
+        fresh.set_step(3)
+        used = make_model("hme", seed=9)
+        step0 = self.step_loss_and_grads(used, sents)
+        used.set_step(3)
+        step3 = self.step_loss_and_grads(used, sents)
+        assert step0[0] != step3[0]
+        self.assert_same_step(self.step_loss_and_grads(fresh, sents), step3)
+
+    def test_predict_draws_no_dropout_masks(self):
+        """Prediction inside a training step leaves the step's masks alone."""
+        sents = build_sentences()
+        plain, probed = make_model("hme", seed=9), make_model("hme", seed=9)
+        for model in (plain, probed):
+            model.set_step(2)
+        probed.predict(sents)
+        self.assert_same_step(self.step_loss_and_grads(plain, sents),
+                              self.step_loss_and_grads(probed, sents))
 
 
 class TestStateAndCheckpoint:

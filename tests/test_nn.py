@@ -5,6 +5,7 @@ from hme import autodiff as ad
 from hme import metaembed as me
 from hme import nn
 from hme.autodiff import Tape, Tensor
+from hme.model import _step_rng
 
 from oracles import (finite_difference, layer_norm_loops, pack_rows,
                      transformer_layer_loops)
@@ -47,34 +48,29 @@ class TestDropout:
     def test_eval_is_identity(self):
         d = nn.Dropout(0.5)
         x = Tensor(np.ones((4, 4)))
-        assert d(x, train=False) is x
+        assert d(x, None) is x
 
     def test_keyed_masks_replay(self):
         def run():
             d = nn.Dropout(0.5)
-            d.seed, d.instance = 7, 3
-            d.begin_step(2)
             x = Tensor(np.ones((64,)))
-            return d(x, train=True).data.copy()
+            return d(x, _step_rng(7, 2)).data.copy()
 
         np.testing.assert_array_equal(run(), run())
 
     def test_step_changes_mask(self):
         d = nn.Dropout(0.5)
-        d.seed, d.instance = 7, 3
         x = Tensor(np.ones((256,)))
-        d.begin_step(0)
-        m0 = d(x, train=True).data.copy()
-        d.begin_step(1)
-        m1 = d(x, train=True).data.copy()
+        m0 = d(x, _step_rng(7, 0)).data.copy()
+        m1 = d(x, _step_rng(7, 1)).data.copy()
         assert not np.array_equal(m0, m1)
 
     def test_calls_within_step_differ(self):
         d = nn.Dropout(0.5)
-        d.begin_step(0)
+        rng = _step_rng(7, 0)
         x = Tensor(np.ones((256,)))
-        a = d(x, train=True).data.copy()
-        b = d(x, train=True).data.copy()
+        a = d(x, rng).data.copy()
+        b = d(x, rng).data.copy()
         assert not np.array_equal(a, b)
 
 
@@ -140,19 +136,18 @@ class TestTransformerEncoder:
         attention, so changing them leaves the other outputs as they were."""
         rng = np.random.default_rng(7)
         enc = nn.TransformerEncoder(8, 8, num_layers=2, heads=2, rng=rng, p_drop=0.5)
-        nn.assign_dropout_keys(enc.dropouts(), seed=5)
         x, mask = pack_rows([rng.normal(size=(2, 8)), rng.normal(size=(3, 8))])
         x2 = x.copy()
         x2[2:] = 100.0 * rng.normal(size=(3, 8))     # the second sequence's rows
-        for train in (False, True):
+        for step in (None, 4):
             outs = []
             for inp in (x, x2):
-                for d in enc.dropouts():
-                    d.begin_step(4)     # the same dropout masks for both inputs
-                outs.append(enc(Tensor(inp), mask, train=train).data)
+                # equal keys: the same dropout masks for both inputs
+                drop = None if step is None else _step_rng(5, step)
+                outs.append(enc(Tensor(inp), mask, drop).data)
             out1, out2 = outs
             np.testing.assert_allclose(out1[:2], out2[:2], atol=1e-12,
-                                       err_msg=f"train={train}")
+                                       err_msg=f"step={step}")
             assert not np.allclose(out1[2:], out2[2:])
 
     def test_rows_must_match_real_cells(self):
@@ -225,18 +220,11 @@ class TestTransformerEncoder:
     def test_eval_deterministic_train_stochastic(self):
         rng = np.random.default_rng(10)
         enc = nn.TransformerEncoder(8, 8, num_layers=1, heads=2, rng=rng, p_drop=0.5)
-        nn.assign_dropout_keys(enc.dropouts(), seed=3)
         x = Tensor(np.random.default_rng(0).normal(size=(6, 8)))
         mask = np.ones((2, 3))
         np.testing.assert_array_equal(enc(x, mask).data, enc(x, mask).data)
-        for d in enc.dropouts():
-            d.begin_step(0)
-        t0 = enc(x, mask, train=True).data
-        for d in enc.dropouts():
-            d.begin_step(0)
-        t0b = enc(x, mask, train=True).data
+        t0 = enc(x, mask, _step_rng(3, 0)).data
+        t0b = enc(x, mask, _step_rng(3, 0)).data
         np.testing.assert_array_equal(t0, t0b)
-        for d in enc.dropouts():
-            d.begin_step(1)
-        t1 = enc(x, mask, train=True).data
+        t1 = enc(x, mask, _step_rng(3, 1)).data
         assert not np.array_equal(t0, t1)
