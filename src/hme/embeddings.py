@@ -12,6 +12,7 @@ tables hold exactly the file's rows and have no unknown row.
 from __future__ import annotations
 
 import hashlib
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,8 +90,10 @@ def load_text_embeddings(path: str, fmt: str, language_id: str = "", level: str 
 
     ``vec_with_header`` expects a "count dim" first line, whose count must
     equal the non-blank data lines (duplicates included) unless ``limit``
-    stops the read early; ``glove_no_header`` infers the dimension from the
-    first row.  Fields are separated by runs of ASCII whitespace only, so a
+    stops the read early: once ``limit`` rows are kept, the next non-blank
+    line ends the read unparsed.  ``glove_no_header`` infers the dimension
+    from the first row.  A NaN or infinite value fails the load, naming its
+    line.  Fields are separated by runs of ASCII whitespace only, so a
     token may hold any other character, U+00A0 included.  Duplicate tokens
     keep the first occurrence.  CRLF line endings are tolerated.
     """
@@ -116,10 +119,14 @@ def load_text_embeddings(path: str, fmt: str, language_id: str = "", level: str 
                 raise EmbeddingFormatError(f"{path}:1: negative row count {count}")
             first_data_line = 2
         data_lines, stopped = 0, False
+        linenos = array("q")              # the file line of each row
         for lineno, line in enumerate(fh, start=first_data_line):
             line = line.rstrip("\r\n")
             if not line:
                 continue
+            if limit is not None and len(rows) >= limit:
+                stopped = True
+                break
             data_lines += 1
             # bytes.split() splits on ASCII whitespace alone, unlike str.split()
             parts = line.encode("utf-8").split()
@@ -131,11 +138,9 @@ def load_text_embeddings(path: str, fmt: str, language_id: str = "", level: str 
             token = parts[0].decode("utf-8")
             if token in vocab:
                 continue
-            if limit is not None and len(rows) >= limit:
-                stopped = True
-                break
             vocab[token] = len(rows)
             rows.append(vec)
+            linenos.append(lineno)
     if fmt == "vec_with_header" and not stopped and data_lines != count:
         raise EmbeddingFormatError(
             f"{path}: header announces {count} rows, the file holds {data_lines}")
@@ -144,9 +149,14 @@ def load_text_embeddings(path: str, fmt: str, language_id: str = "", level: str 
     if expected_dim is not None and dim != expected_dim:
         raise EmbeddingFormatError(
             f"{path}: dimension {dim} does not match manifest dimension {expected_dim}")
+    vectors = np.vstack(rows)
+    finite = np.isfinite(vectors)
+    if not finite.all():
+        row = int(np.argmin(finite.all(axis=1)))
+        raise EmbeddingFormatError(f"{path}:{linenos[row]}: non-finite value")
     return EmbeddingTable(
         language_id=language_id, level=level, dim=dim, vocab=vocab,
-        vectors=Tensor(np.vstack(rows)), trainable=False)
+        vectors=Tensor(vectors), trainable=False)
 
 
 def save_text_embeddings(table: EmbeddingTable, path: str) -> None:

@@ -180,7 +180,7 @@ def _masked_lookup(table: emb.EmbeddingTable, idx: np.ndarray,
 
 
 class WordCache:
-    """What the per-word levels gave each word in eval mode, for prediction.
+    """What the per-word levels gave each word without dropout, for prediction.
 
     A word's row ``u`` and its attention rows depend only on the word and
     the parameters the per-word levels read.  The cache keeps a copy of
@@ -350,26 +350,26 @@ class SequenceTagger:
 
     # -- forward passes ------------------------------------------------------
 
-    def forward(self, sentences: list[TokenizedSentence],
-                train: bool = False) -> ForwardResult:
+    def forward(self, sentences: list[TokenizedSentence]) -> ForwardResult:
         """Emissions and attention rows of a batch.
 
         Every per-word level runs once per distinct word (U rows), and one
         gather expands the result to the R tokens for the sentence encoder.
-        In eval mode with no Tape recording, each word's per-word rows come
-        from the prediction cache, and only the words it lacks are featurized
-        and encoded; training, and any forward under a Tape, compute them all,
-        so no gradient meets a cached row.  Training draws its dropout masks
-        from the step's generator (see ``set_step``)."""
-        rng = self._dropout_rng if train else None
+        The active Tape is the only mode signal.  Under one, the forward
+        trains: every word's per-word rows are computed, so a gradient
+        reaches each of them, the featurizer stores the words, and dropout
+        masks come from the step's generator (see ``set_step``).  With no
+        Tape, each word's per-word rows come from the prediction cache, and
+        only the words it lacks are featurized and encoded, without dropout."""
         rows: dict[str, int] = {}
         word_of = np.fromiter((rows.setdefault(w, len(rows))
                                for sent in sentences for w in sent.words), dtype=np.int64)
         words = list(rows)
-        if train or ad.Tape._active is not None:
-            featurize = self.featurizer.store if train else self.featurizer.encode
-            u, alpha_w, alpha_s = self._word_rows(featurize(words), rng)
+        if ad.Tape._active is not None:
+            rng = self._dropout_rng
+            u, alpha_w, alpha_s = self._word_rows(self.featurizer.store(words), rng)
         else:
+            rng = None
             u, alpha_w, alpha_s = self._cached_word_rows(words)
             u = Tensor(u)
         lengths = [len(sent) for sent in sentences]
@@ -410,7 +410,7 @@ class SequenceTagger:
         return u, alpha_w, alpha_s
 
     def _cached_word_rows(self, words: list[str]):
-        """``_word_rows`` in eval mode through the prediction cache, as
+        """``_word_rows`` without dropout through the prediction cache, as
         arrays: the rows of the cached ``words`` are read, the others computed
         and kept."""
         self._word_cache.watch([p.data for name, p in self.parameters().items()
@@ -422,10 +422,10 @@ class SequenceTagger:
 
         return self._word_cache.rows(words, compute)
 
-    def loss_batch(self, sentences: list[TokenizedSentence],
-                   train: bool = True) -> Tensor:
-        """Mean per-sentence CRF negative log-likelihood."""
-        result = self.forward(sentences, train=train)
+    def loss_batch(self, sentences: list[TokenizedSentence]) -> Tensor:
+        """Mean per-sentence CRF negative log-likelihood; a training step
+        calls it under a Tape (see ``forward``)."""
+        result = self.forward(sentences)
         nll = self.crf.neg_log_likelihood(
             result.emissions, [s.labels for s in sentences], result.lengths)
         return ad.scale(nll, 1.0 / len(sentences))
@@ -437,21 +437,20 @@ class SequenceTagger:
     def predict_with_attention(self, sentences: list[TokenizedSentence],
                                batch_size: int = 64):
         """Predicted tags plus per-sentence word/subword attention matrices."""
-        tags, alpha_w, alpha_s = [], [], []
-        for t, aw, asw in self._decode_all(sentences, batch_size):
-            tags.append(t)
-            alpha_w.append(aw)
-            alpha_s.append(asw)
-        return tags, alpha_w, alpha_s
+        out = self._decode_all(sentences, batch_size)
+        return tuple(list(column) for column in zip(*out)) if out else ([], [], [])
 
     def _decode_all(self, sentences, batch_size):
         """(tags, word attention rows, subword attention rows) per sentence;
         the rows are views into the batch's attention arrays.
 
-        Outside a Tape, decoding reads the prediction cache (``WordCache``):
-        a word whose per-word rows were computed by an earlier batch or call,
-        at the same parameters, is neither featurized nor encoded again.
-        Decoding counts no OOV hits (see ``Featurizer.count_oov``)."""
+        Decoding reads the prediction cache (``WordCache``), so a word whose
+        per-word rows an earlier batch or call computed at the same parameters
+        is not featurized or encoded again, and counts no OOV hits (see
+        ``Featurizer.count_oov``).  Under a Tape a forward trains, so decoding
+        raises RuntimeError there, before any work."""
+        if ad.Tape._active is not None:
+            raise RuntimeError("prediction cannot run under a Tape: a forward there trains")
         if type(batch_size) is not int or batch_size < 1:
             raise ValueError(f"batch_size must be an integer >= 1, got {batch_size!r}")
         for i, sent in enumerate(sentences):

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 SPECIAL_TOKENS = ("<USR>", "<EMOJI>", "<URL>")
@@ -165,40 +166,43 @@ def repair_iob(tags: list[str]) -> tuple[list[str], int]:
     return fixed, repairs
 
 
+def _read_sentences(path: str, parse) -> Iterator[list]:
+    """Yield each sentence of ``path`` as its non-blank lines, each passed
+    through ``parse(line, lineno)``; a blank line ends a sentence.  One
+    sentence's rows are held at a time."""
+    rows = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\r\n")
+            if line:
+                rows.append(parse(line, lineno))
+            elif rows:
+                yield rows
+                rows = []
+    if rows:
+        yield rows
+
+
 def read_conll(path: str) -> list[TokenizedSentence]:
     """Read "token<TAB>tag" lines; a blank line ends a sentence.
 
     Tokens go through ``preprocess_token``; inconsistent I- tags are repaired
     to B- and counted on the sentence, not rejected.
     """
-    sentences: list[TokenizedSentence] = []
-    tokens: list[str] = []
-    tags: list[str] = []
+    def parse(line, lineno):
+        parts = line.split("\t")
+        if len(parts) != 2 or not parts[0]:
+            raise ConllFormatError(f"{path}:{lineno}: expected 'token<TAB>tag'")
+        _validate_tag(parts[1], path, lineno)
+        return parts
 
-    def flush():
-        if not tokens:
-            return
+    sentences = []
+    for rows in _read_sentences(path, parse):
+        tokens, tags = zip(*rows)
         fixed, repairs = repair_iob(tags)
         sentences.append(TokenizedSentence(
-            raw_tokens=list(tokens),
-            words=[preprocess_token(t) for t in tokens],
+            raw_tokens=list(tokens), words=[preprocess_token(t) for t in tokens],
             labels=fixed, repairs=repairs))
-        tokens.clear()
-        tags.clear()
-
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\r\n")
-            if not line:
-                flush()
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[0]:
-                raise ConllFormatError(f"{path}:{lineno}: expected 'token<TAB>tag'")
-            _validate_tag(parts[1], path, lineno)
-            tokens.append(parts[0])
-            tags.append(parts[1])
-    flush()
     return sentences
 
 
@@ -208,27 +212,14 @@ def read_tokens(path: str) -> list[TokenizedSentence]:
     Lines containing a tab are treated as CoNLL rows and the tag is ignored;
     a line that starts with a tab has an empty token and is rejected.
     """
-    sentences: list[TokenizedSentence] = []
-    tokens: list[str] = []
+    def parse(line, lineno):
+        token = line.split("\t")[0]
+        if not token:
+            raise ConllFormatError(f"{path}:{lineno}: empty token")
+        return token
 
-    def flush():
-        if tokens:
-            sentences.append(TokenizedSentence(
-                raw_tokens=list(tokens), words=[preprocess_token(t) for t in tokens]))
-            tokens.clear()
-
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\r\n")
-            if not line:
-                flush()
-                continue
-            token = line.split("\t")[0]
-            if not token:
-                raise ConllFormatError(f"{path}:{lineno}: empty token")
-            tokens.append(token)
-    flush()
-    return sentences
+    return [TokenizedSentence(raw_tokens=tokens, words=[preprocess_token(t) for t in tokens])
+            for tokens in _read_sentences(path, parse)]
 
 
 def write_conll(sentences: list[TokenizedSentence], path: str,

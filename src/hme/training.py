@@ -323,7 +323,7 @@ def train(model, train_set, dev_set, config: TrainConfig,
                 model.set_step(step)
                 opt.zero_grad()
                 with Tape():
-                    loss = model.loss_batch(batch, train=True)
+                    loss = model.loss_batch(batch)
                     loss.backward()
                 if not np.isfinite(loss.item()):
                     raise DivergenceError("training loss is not finite")

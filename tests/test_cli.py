@@ -153,6 +153,21 @@ class TestTrain:
         assert cli.main(["train", "--config", str(bad), "--quiet"]) == 2
         assert_one_input_error(capsys, str(taken))
 
+    def test_non_finite_embedding_value_exit_2(self, toy, tmp_path, capsys):
+        cfg = json.loads(Path(toy["paths"]["config"]).read_text())
+        cfg["output_dir"] = str(tmp_path / "run")
+        vec = tmp_path / "word.vec"
+        lines = Path(cfg["embeddings"][0]["path"]).read_text().splitlines()
+        token, first, *rest = lines[2].split(" ")
+        lines[2] = " ".join([token, "nan"] + rest)
+        vec.write_text("\n".join(lines) + "\n")
+        cfg["embeddings"][0]["path"] = str(vec)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        assert cli.main(["train", "--config", str(bad), "--quiet"]) == 2
+        assert_one_input_error(capsys, f"{vec}:3")
+        assert not (tmp_path / "run" / "model.ckpt").exists()
+
     @pytest.mark.parametrize("split", ["train", "dev"])
     def test_missing_data_split_is_named(self, toy, tmp_path, capsys, split):
         cfg = json.loads(Path(toy["paths"]["config"]).read_text())

@@ -64,6 +64,22 @@ class TestLoad:
         t = emb.load_text_embeddings(path, "glove_no_header", limit=2)
         assert set(t.vocab) == {"a", "b"}
 
+    def test_limit_stops_before_the_row_past_it(self, tmp_path):
+        path = write(tmp_path, "l.vec", "3 2\na 1 1\nb 2 2\nc oops 0.5\n")
+        t = emb.load_text_embeddings(path, "vec_with_header", limit=2)
+        assert t.vocab == {"a": 0, "b": 1}
+        with pytest.raises(emb.EmbeddingFormatError, match=r"l\.vec:4"):
+            emb.load_text_embeddings(path, "vec_with_header", limit=3)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+    def test_non_finite_value_names_line(self, tmp_path, value):
+        path = write(tmp_path, "bad.vec", f"3 2\na 1 2\n\nb 3 {value}\nc 5 6\n")
+        with pytest.raises(emb.EmbeddingFormatError, match=r"bad\.vec:4: non-finite"):
+            emb.load_text_embeddings(path, "vec_with_header")
+        # a row past the limit is never read
+        t = emb.load_text_embeddings(path, "vec_with_header", limit=1)
+        assert t.vocab == {"a": 0}
+
     @pytest.mark.parametrize("header", ["x 2", "-1 2", "1.5 2"])
     def test_header_count_must_be_a_non_negative_integer(self, tmp_path, header):
         path = write(tmp_path, "bad.vec", f"{header}\na 1 2\n")

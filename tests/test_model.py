@@ -1,3 +1,5 @@
+import contextlib
+import copy
 import dataclasses
 import os
 from collections import Counter
@@ -30,6 +32,21 @@ REPEATS = ["walka", "qqqq", "zozo", "walka", "qqqq"]
 def repeating_batch():
     return build_sentences() + [
         TokenizedSentence(list(REPEATS), list(REPEATS), labels=["B-a", "O", "O", "B-a", "O"])]
+
+
+def spy_per_word_levels(monkeypatch):
+    """A list that gets (level name, rows) for every per-word level call."""
+    seen = []
+    rows_of = {"mme_word": lambda inputs, *_: inputs[0].shape[0],
+               "concat_baseline": lambda inputs, *_: inputs[0].shape[0],
+               "linear_baseline": lambda inputs, *_: inputs[0].shape[0],
+               "encode_and_pool": lambda x, mask, *_: mask.shape[0]}
+    for name, rows in rows_of.items():
+        def spy(*args, _name=name, _rows=rows, _level=getattr(me, name)):
+            seen.append((_name, _rows(*args)))
+            return _level(*args)
+        monkeypatch.setattr(me, name, spy)
+    return seen
 
 
 def positions_by_word(sents):
@@ -106,7 +123,7 @@ class TestForward:
             for p in params.values():
                 p.zero_grad()
             with Tape():
-                loss = model.loss_batch(batch, train=True)
+                loss = model.loss_batch(batch)
                 loss.backward()
             return loss.item(), {k: p.grad for k, p in params.items()}
 
@@ -125,22 +142,14 @@ class TestForward:
             np.testing.assert_allclose(g, mean, rtol=0, atol=1e-10, err_msg=name)
 
     @pytest.mark.parametrize("variant", mdl.VARIANTS[:4])
-    @pytest.mark.parametrize("train", [False, True])
-    def test_per_word_levels_run_once_per_distinct_word(self, variant, train, monkeypatch):
+    @pytest.mark.parametrize("taped", [False, True])
+    def test_per_word_levels_run_once_per_distinct_word(self, variant, taped, monkeypatch):
+        """On a cold model, with or without a Tape."""
         model = make_model(variant)
         sents = repeating_batch()
-        seen = []
-        rows_of = {"mme_word": lambda inputs, *_: inputs[0].shape[0],
-                   "concat_baseline": lambda inputs, *_: inputs[0].shape[0],
-                   "linear_baseline": lambda inputs, *_: inputs[0].shape[0],
-                   "encode_and_pool": lambda x, mask, *_: mask.shape[0]}
-        for name, rows in rows_of.items():
-            def spy(*args, _name=name, _rows=rows, _level=getattr(me, name)):
-                seen.append((_name, _rows(*args)))
-                return _level(*args)
-            monkeypatch.setattr(me, name, spy)
-        with Tape():
-            model.forward(sents, train=train)
+        seen = spy_per_word_levels(monkeypatch)
+        with Tape() if taped else contextlib.nullcontext():
+            model.forward(sents)
         expected = {"hme": ["mme_word"] + ["encode_and_pool"] * 3,
                     "mme_word": ["mme_word"], "concat": ["concat_baseline"],
                     "linear": ["linear_baseline"]}[variant]
@@ -167,7 +176,7 @@ class TestForward:
 
             monkeypatch.setattr(model, "encoder", spy)
             with Tape():
-                loss = model.loss_batch(sents, train=True)
+                loss = model.loss_batch(sents)
                 loss.backward()
             return loss.item(), {k: p.grad for k, p in params.items()}, inputs
 
@@ -259,7 +268,7 @@ class TestTrainingIntegration:
             model.set_step(step)
             opt.zero_grad()
             with Tape():
-                loss = model.loss_batch(sents[:2], train=True)
+                loss = model.loss_batch(sents[:2])
                 loss.backward()
             opt.clip_gradients()
             opt.step()
@@ -296,7 +305,8 @@ class TestTrainingIntegration:
         assert "word_table.random.vectors" in model.parameters()
 
     def test_loss_decreases_when_overfitting(self):
-        model = make_model("mme_word")
+        config = dataclasses.replace(tiny_model_config("mme_word"), dropout=0.0)
+        model = mdl.SequenceTagger(config, build_resources(), seed=0)
         sents = build_sentences()[:2]
         cfg = tr.TrainConfig(learning_rate=0.02, batch_size=2, max_epochs=1, seed=0)
         opt = tr.Adam(model.parameters(), cfg)
@@ -305,7 +315,7 @@ class TestTrainingIntegration:
             model.set_step(step)
             opt.zero_grad()
             with Tape():
-                loss = model.loss_batch(sents, train=False)
+                loss = model.loss_batch(sents)
                 loss.backward()
             opt.clip_gradients()
             opt.step()
@@ -319,9 +329,9 @@ class TestDeterminism:
         m1 = make_model("hme", seed=9)
         m2 = make_model("hme", seed=9)
         with Tape():
-            l1 = m1.loss_batch(sents, train=True)
+            l1 = m1.loss_batch(sents)
         with Tape():
-            l2 = m2.loss_batch(sents, train=True)
+            l2 = m2.loss_batch(sents)
         assert l1.item() == l2.item()
         assert m1.predict(sents) == m2.predict(sents)
 
@@ -330,9 +340,9 @@ class TestDeterminism:
         m1 = make_model("hme", seed=1)
         m2 = make_model("hme", seed=2)
         with Tape():
-            l1 = m1.loss_batch(sents, train=True)
+            l1 = m1.loss_batch(sents)
         with Tape():
-            l2 = m2.loss_batch(sents, train=True)
+            l2 = m2.loss_batch(sents)
         assert l1.item() != l2.item()
 
     @staticmethod
@@ -341,7 +351,7 @@ class TestDeterminism:
         for p in params.values():
             p.zero_grad()
         with Tape():
-            loss = model.loss_batch(sents, train=True)
+            loss = model.loss_batch(sents)
             loss.backward()
         return loss.item(), {k: p.grad for k, p in params.items()}
 
@@ -511,7 +521,7 @@ def test_prediction_does_not_grow_the_featurizer_cache(monkeypatch):
     model = make_model("hme")
     train_sents = build_sentences()
     with Tape():
-        model.loss_batch(train_sents, train=True).backward()
+        model.loss_batch(train_sents).backward()
     cache = model.featurizer._cache
     assert list(cache) == list(positions_by_word(train_sents))
     stored = dict(cache)
@@ -665,10 +675,10 @@ def fresh_stream(count, seed=0, new_words=300):
 
 
 def uncached(model, sents):
-    """``forward`` with every per-word row computed now: under a Tape it
-    reads no cached row."""
-    with Tape():
-        return model.forward(sents)
+    """``forward`` with no Tape and every per-word row computed now: the
+    model's prediction cache is emptied first."""
+    model._word_cache = mdl.WordCache()
+    return model.forward(sents)
 
 
 def assert_rows_close(got, want, rtol=1e-12):
@@ -726,7 +736,7 @@ class TestPredictionCache:
         def grads(model):
             params = model.parameters()
             with Tape():
-                model.loss_batch(sents, train=False).backward()
+                model.loss_batch(sents).backward()
             return {k: p.grad for k, p in params.items()}
 
         warm = make_model("hme")
@@ -760,19 +770,45 @@ class TestPredictionCache:
         # each row owns its memory: no evicted row pins its batch's block
         assert len(cache.slots) == 8 and all(row.base is None for row in cache.slots.values())
 
-    def test_a_tape_bypasses_the_cache(self):
-        """Under a Tape, eval-mode ``forward`` featurizes and encodes every
-        word again, cached or not."""
+    def test_prediction_under_a_tape_raises_before_any_work(self):
+        """Under a Tape a forward trains, so ``predict`` and
+        ``predict_with_attention`` refuse to run there: they record nothing,
+        draw no dropout mask and touch neither cache nor the counters."""
         model = make_model("hme")
         sents = fresh_stream(40)
+        model.predict(sents[:20])
+        with Tape():
+            model.loss_batch(build_sentences())
+        stored = dict(model.featurizer._cache)
+        slots = [(w, id(row)) for w, row in model._word_cache.slots.items()]
+        stream = copy.deepcopy(model._dropout_rng)
+        with Tape() as tape:
+            for call in (model.predict, model.predict_with_attention):
+                with pytest.raises(RuntimeError, match="Tape"):
+                    call(sents)
+            assert len(tape) == 0
+        assert model.featurizer._cache == stored and not model.featurizer.counters
+        assert [(w, id(row)) for w, row in model._word_cache.slots.items()] == slots
+        assert model._dropout_rng.random() == stream.random()
+
+    def test_a_forward_under_a_tape_trains(self, monkeypatch):
+        """With every word in the prediction cache, a forward under a Tape
+        still runs the per-word levels on every distinct word, stores the
+        words in the featurizer, and draws dropout masks."""
+        model = make_model("hme")
+        assert model.config.dropout == 0.1
+        sents = fresh_stream(40)
+        words = list(positions_by_word(sents))
         model.predict(sents)
-        encoded = []
-        encode = model.featurizer.encode
-        model.featurizer.encode = lambda words: encoded.append(list(words)) or encode(words)
-        model.forward(sents)
-        assert encoded == []
-        uncached(model, sents)
-        assert encoded == [list(positions_by_word(sents))]
+        assert set(model._word_cache.slots) == set(words)
+        assert not model.featurizer._cache
+        evaluated = model.forward(sents)
+        seen = spy_per_word_levels(monkeypatch)
+        with Tape():
+            trained = model.forward(sents)
+        assert seen == [("mme_word", len(words))] + [("encode_and_pool", len(words))] * 3
+        assert list(model.featurizer._cache) == words
+        assert np.abs(trained.emissions.data - evaluated.emissions.data).max() > 1e-6
 
     @pytest.mark.parametrize("variant", mdl.VARIANTS)
     def test_counters_count_every_token_of_every_call(self, variant):
@@ -784,7 +820,7 @@ class TestPredictionCache:
         model.predict(sents, batch_size=16)
         model.forward(sents)
         with Tape():
-            model.loss_batch(repeating_batch(), train=True)
+            model.loss_batch(repeating_batch())
         assert not model.featurizer.counters
         model.featurizer.count_oov(sents)
         once = dict(model.featurizer.counters)

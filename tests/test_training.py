@@ -202,7 +202,7 @@ class ScheduleModel:
     def load_state(self, state):
         self.w.data[:] = state["w"]
 
-    def loss_batch(self, batch, train):
+    def loss_batch(self, batch):
         return ad.tensor_sum(ad.mul(self.w, self.w))
 
     def predict_with_attention(self, sentences):
@@ -241,7 +241,7 @@ class TestTrainLoop:
         for _ in range(4):
             opt.zero_grad()
             with Tape():
-                probe.loss_batch(None, True).backward()
+                probe.loss_batch(None).backward()
             opt.clip_gradients()
             opt.step()
         np.testing.assert_allclose(model.w.data, probe.w.data)
