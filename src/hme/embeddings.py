@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 from array import array
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -73,14 +74,36 @@ class EmbeddingTable:
         return h.hexdigest()
 
 
-def _parse_row(parts: list[bytes], dim: int, path: str, lineno: int) -> np.ndarray:
-    if len(parts) - 1 != dim:
-        raise EmbeddingFormatError(
-            f"{path}:{lineno}: expected {dim} values, found {len(parts) - 1}")
-    try:
-        return np.array([float(x) for x in parts[1:]])
-    except ValueError as exc:
-        raise EmbeddingFormatError(f"{path}:{lineno}: {exc}") from None
+# Bytes that numpy's whitespace split would treat differently from
+# ``bytes.split``: it also breaks fields at \x1c-\x1f and at non-ASCII spaces
+# such as U+00A0.  Each becomes NUL, which numpy rejects like any other
+# unparsable field, so a value holding one fails as it does under ``float``.
+_VALUE_BYTES = bytes(b if b < 0x1C or 0x1F < b < 0x80 else 0 for b in range(256))
+
+
+def _raise_first_bad_line(path: str, first_data_line: int, dim: int | None) -> None:
+    """Re-read ``path`` and raise the error of its first malformed row, row
+    of the wrong width or unparsable value; return if every row is sound."""
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\r\n")
+            if lineno < first_data_line or not line:
+                continue
+            parts = line.encode("utf-8").split()
+            if len(parts) < 2:
+                raise EmbeddingFormatError(f"{path}:{lineno}: malformed row")
+            if dim is None:
+                dim = len(parts) - 1
+            if len(parts) - 1 != dim:
+                raise EmbeddingFormatError(
+                    f"{path}:{lineno}: expected {dim} values, found {len(parts) - 1}")
+            for x in parts[1:]:
+                try:
+                    if b"_" in x:       # float() accepts 1_0; numpy does not
+                        raise ValueError(f"could not convert string to float: {x!r}")
+                    float(x)
+                except ValueError as exc:
+                    raise EmbeddingFormatError(f"{path}:{lineno}: {exc}") from None
 
 
 def load_text_embeddings(path: str, fmt: str, language_id: str = "", level: str = "word",
@@ -92,16 +115,43 @@ def load_text_embeddings(path: str, fmt: str, language_id: str = "", level: str 
     equal the non-blank data lines (duplicates included) unless ``limit``
     stops the read early: once ``limit`` rows are kept, the next non-blank
     line ends the read unparsed.  ``glove_no_header`` infers the dimension
-    from the first row.  A NaN or infinite value fails the load, naming its
-    line.  Fields are separated by runs of ASCII whitespace only, so a
-    token may hold any other character, U+00A0 included.  Duplicate tokens
-    keep the first occurrence.  CRLF line endings are tolerated.
+    from the first row.  Values are parsed by numpy's C text parser, which
+    takes what ``float`` takes except digit-group underscores (``1_0``).  An
+    unparsable or non-finite value fails the load, naming its line.  Fields
+    are separated by runs of ASCII whitespace only, so a token may hold any
+    other character, U+00A0 included.  Duplicate tokens keep the first
+    occurrence.  CRLF line endings are tolerated.
     """
     if fmt not in FORMATS:
         raise ValueError(f"unknown embedding format {fmt!r}")
     vocab: dict[str, int] = {}
-    rows: list[np.ndarray] = []
     dim: int | None = None
+    data_lines, stopped = 0, False
+    keep = array("q")                     # the data line of each row
+    linenos = array("q")                  # the file line of each row
+
+    def values(fh, first_data_line):
+        """Each data line's value fields, after its token joins ``vocab``."""
+        nonlocal data_lines, stopped
+        for lineno, line in enumerate(fh, start=first_data_line):
+            line = line.rstrip("\r\n")
+            if not line:
+                continue
+            if limit is not None and len(vocab) >= limit:
+                stopped = True
+                return
+            # bytes.split() splits on ASCII whitespace alone, unlike str.split()
+            parts = line.encode("utf-8").split(None, 1)
+            if len(parts) < 2:
+                raise EmbeddingFormatError(f"{path}:{lineno}: malformed row")
+            token = parts[0].decode("utf-8")
+            if token not in vocab:
+                vocab[token] = len(vocab)
+                keep.append(data_lines)
+                linenos.append(lineno)
+            data_lines += 1
+            yield parts[1].translate(_VALUE_BYTES)
+
     with open(path, encoding="utf-8") as fh:
         first_data_line = 1
         if fmt == "vec_with_header":
@@ -118,38 +168,29 @@ def load_text_embeddings(path: str, fmt: str, language_id: str = "", level: str 
             if count < 0:
                 raise EmbeddingFormatError(f"{path}:1: negative row count {count}")
             first_data_line = 2
-        data_lines, stopped = 0, False
-        linenos = array("q")              # the file line of each row
-        for lineno, line in enumerate(fh, start=first_data_line):
-            line = line.rstrip("\r\n")
-            if not line:
-                continue
-            if limit is not None and len(rows) >= limit:
-                stopped = True
-                break
-            data_lines += 1
-            # bytes.split() splits on ASCII whitespace alone, unlike str.split()
-            parts = line.encode("utf-8").split()
-            if len(parts) < 2:
-                raise EmbeddingFormatError(f"{path}:{lineno}: malformed row")
-            if dim is None:
-                dim = len(parts) - 1
-            vec = _parse_row(parts, dim, path, lineno)
-            token = parts[0].decode("utf-8")
-            if token in vocab:
-                continue
-            vocab[token] = len(rows)
-            rows.append(vec)
-            linenos.append(lineno)
+        rows = values(fh, first_data_line)
+        vectors = None
+        try:
+            first = next(rows, None)      # loadtxt warns on no rows at all
+            if first is not None:
+                vectors = np.loadtxt(chain((first,), rows), comments=None,
+                                     quotechar=None, ndmin=2)
+                if dim is not None and vectors.shape[1] != dim:
+                    raise ValueError(f"rows hold {vectors.shape[1]} values, not {dim}")
+        except ValueError as exc:
+            _raise_first_bad_line(path, first_data_line, dim)
+            raise EmbeddingFormatError(f"{path}: {exc}") from exc
     if fmt == "vec_with_header" and not stopped and data_lines != count:
         raise EmbeddingFormatError(
             f"{path}: header announces {count} rows, the file holds {data_lines}")
-    if dim is None or not rows:
+    if vectors is None:
         raise EmbeddingFormatError(f"{path}: no embedding rows found")
+    dim = vectors.shape[1]
     if expected_dim is not None and dim != expected_dim:
         raise EmbeddingFormatError(
             f"{path}: dimension {dim} does not match manifest dimension {expected_dim}")
-    vectors = np.vstack(rows)
+    if len(keep) < data_lines:
+        vectors = vectors[np.frombuffer(keep, dtype=np.int64)]
     finite = np.isfinite(vectors)
     if not finite.all():
         row = int(np.argmin(finite.all(axis=1)))

@@ -92,7 +92,7 @@ class Featurizer:
     row if it has one, else a zero vector.
 
     ``encode`` reads the per-word cache but never adds to it; ``store``
-    encodes and keeps the new words.  Only training batches are stored, so
+    keeps the new words' rows and then encodes.  Only training batches are stored, so
     the cache is bounded by their vocabulary and prediction over any number
     of new sentences leaves it as it is.  Encoding counts nothing: the OOV
     counters change only through ``count_oov``.
@@ -106,13 +106,13 @@ class Featurizer:
                      for t in self.tables]      # the counter of each table
         # word -> its rows per table, one per piece, -1 where the table misses
         self._cache: dict[str, list[list[int]]] = {}
-        self._fresh: dict[str, list[list[int]]] = {}   # the last call's new words
 
     def store(self, words: list[str]) -> list[Lookup]:
-        """``encode``, then keep the rows of the new words."""
-        enc = self.encode(words)
-        self._cache.update(self._fresh)
-        return enc
+        """Keep the rows of the new words, then ``encode``."""
+        for w in words:
+            if w not in self._cache:
+                self._cache[w] = self._rows(w)
+        return self.encode(words)
 
     def _pieces(self, table: emb.EmbeddingTable, word: str) -> list[str]:
         if table.level == "subword":
@@ -130,8 +130,7 @@ class Featurizer:
 
     def encode(self, words: list[str]) -> list[Lookup]:
         """One Lookup per table for ``words``, which must be distinct."""
-        self._fresh = {w: self._rows(w) for w in words if w not in self._cache}
-        entries = [self._fresh.get(w) or self._cache[w] for w in words]
+        entries = [self._cache.get(w) or self._rows(w) for w in words]
         lookups = []
         for t, table in enumerate(self.tables):
             count = np.array([len(e[t]) for e in entries], dtype=np.int64)

@@ -10,6 +10,7 @@ import hashlib
 import re
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import lru_cache
 
 SPECIAL_TOKENS = ("<USR>", "<EMOJI>", "<URL>")
 
@@ -187,21 +188,27 @@ def read_conll(path: str) -> list[TokenizedSentence]:
     """Read "token<TAB>tag" lines; a blank line ends a sentence.
 
     Tokens go through ``preprocess_token``; inconsistent I- tags are repaired
-    to B- and counted on the sentence, not rejected.
+    to B- and counted on the sentence, not rejected.  Each distinct token is
+    preprocessed, and each distinct tag validated, once per call.
     """
+    tags_seen: set[str] = set()
+
     def parse(line, lineno):
         parts = line.split("\t")
         if len(parts) != 2 or not parts[0]:
             raise ConllFormatError(f"{path}:{lineno}: expected 'token<TAB>tag'")
-        _validate_tag(parts[1], path, lineno)
+        if parts[1] not in tags_seen:
+            _validate_tag(parts[1], path, lineno)
+            tags_seen.add(parts[1])
         return parts
 
+    word_of = lru_cache(maxsize=None)(preprocess_token)
     sentences = []
     for rows in _read_sentences(path, parse):
         tokens, tags = zip(*rows)
         fixed, repairs = repair_iob(tags)
         sentences.append(TokenizedSentence(
-            raw_tokens=list(tokens), words=[preprocess_token(t) for t in tokens],
+            raw_tokens=list(tokens), words=[word_of(t) for t in tokens],
             labels=fixed, repairs=repairs))
     return sentences
 
@@ -210,7 +217,8 @@ def read_tokens(path: str) -> list[TokenizedSentence]:
     """Read unlabeled input: one token per line, blank line ends a sentence.
 
     Lines containing a tab are treated as CoNLL rows and the tag is ignored;
-    a line that starts with a tab has an empty token and is rejected.
+    a line that starts with a tab has an empty token and is rejected.  Each
+    distinct token is preprocessed once per call.
     """
     def parse(line, lineno):
         token = line.split("\t")[0]
@@ -218,7 +226,8 @@ def read_tokens(path: str) -> list[TokenizedSentence]:
             raise ConllFormatError(f"{path}:{lineno}: empty token")
         return token
 
-    return [TokenizedSentence(raw_tokens=tokens, words=[preprocess_token(t) for t in tokens])
+    word_of = lru_cache(maxsize=None)(preprocess_token)
+    return [TokenizedSentence(raw_tokens=tokens, words=[word_of(t) for t in tokens])
             for tokens in _read_sentences(path, parse)]
 
 

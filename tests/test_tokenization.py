@@ -190,6 +190,27 @@ class TestConll:
         with pytest.raises(tok.ConllFormatError, match="d.conll:1"):
             tok.read_conll(str(p))
 
+    def test_each_distinct_token_and_tag_is_handled_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(fn):
+            return lambda *args: calls.append(args[0]) or fn(*args)
+
+        monkeypatch.setattr(tok, "preprocess_token", counting(tok.preprocess_token))
+        monkeypatch.setattr(tok, "_validate_tag", counting(tok._validate_tag))
+        p = tmp_path / "d.conll"
+        p.write_text("@a\tB-per\nb\tO\n\n@a\tB-per\nb\tO\nc\tO\n\n", encoding="utf-8")
+        sents = tok.read_conll(str(p))
+        assert [s.words for s in sents] == [["<USR>", "b"], ["<USR>", "b", "c"]]
+        assert sorted(calls) == ["@a", "B-per", "O", "b", "c"]
+        calls.clear()
+        assert [s.words for s in tok.read_tokens(str(p))] == [s.words for s in sents]
+        assert sorted(calls) == ["@a", "b", "c"]
+        # a new bad tag after repeated good ones is still named
+        p.write_text("a\tO\nb\tO\nc\tQ-per\n", encoding="utf-8")
+        with pytest.raises(tok.ConllFormatError, match="d.conll:3"):
+            tok.read_conll(str(p))
+
     def test_round_trip(self, tmp_path):
         src = tmp_path / "src.conll"
         src.write_text("@john\tB-per\nnació\tO\n\nxyz\tO\n\n", encoding="utf-8")
