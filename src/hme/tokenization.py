@@ -70,10 +70,8 @@ class BpeModel:
 
     def fingerprint(self) -> str:
         """Content hash of the ordered merge list."""
-        h = hashlib.sha256()
-        for left, right in self.merges:
-            h.update(f"{left} {right}\n".encode())
-        return h.hexdigest()
+        return hashlib.sha256("".join(
+            f"{left} {right}\n" for left, right in self.merges).encode()).hexdigest()
 
     def segment(self, word: str) -> list[str]:
         """Subword strings with the end marker stripped; joining them
@@ -189,26 +187,32 @@ def read_conll(path: str) -> list[TokenizedSentence]:
 
     Tokens go through ``preprocess_token``; inconsistent I- tags are repaired
     to B- and counted on the sentence, not rejected.  Each distinct token is
-    preprocessed, and each distinct tag validated, once per call.
+    preprocessed, and each distinct tag validated, once per call, and every
+    occurrence of a token or tag is one shared ``str``, so the sentences'
+    strings grow with the file's vocabulary rather than its length.
     """
-    tags_seen: set[str] = set()
+    tokens: dict[str, str] = {}
+    tags: dict[str, str] = {}         # each validated tag -> its first instance
 
     def parse(line, lineno):
         parts = line.split("\t")
         if len(parts) != 2 or not parts[0]:
             raise ConllFormatError(f"{path}:{lineno}: expected 'token<TAB>tag'")
-        if parts[1] not in tags_seen:
-            _validate_tag(parts[1], path, lineno)
-            tags_seen.add(parts[1])
-        return parts
+        token, tag = parts
+        if tag not in tags:
+            _validate_tag(tag, path, lineno)
+            tags[tag] = tag
+        return tokens.setdefault(token, token), tags[tag]
 
     word_of = lru_cache(maxsize=None)(preprocess_token)
     sentences = []
     for rows in _read_sentences(path, parse):
-        tokens, tags = zip(*rows)
-        fixed, repairs = repair_iob(tags)
+        raw, labels = zip(*rows)
+        fixed, repairs = repair_iob(labels)
+        if repairs:
+            fixed = [tags.setdefault(t, t) for t in fixed]
         sentences.append(TokenizedSentence(
-            raw_tokens=list(tokens), words=[word_of(t) for t in tokens],
+            raw_tokens=list(raw), words=[word_of(t) for t in raw],
             labels=fixed, repairs=repairs))
     return sentences
 
@@ -218,17 +222,20 @@ def read_tokens(path: str) -> list[TokenizedSentence]:
 
     Lines containing a tab are treated as CoNLL rows and the tag is ignored;
     a line that starts with a tab has an empty token and is rejected.  Each
-    distinct token is preprocessed once per call.
+    distinct token is preprocessed once per call, and every occurrence of it
+    is one shared ``str``.
     """
+    tokens: dict[str, str] = {}
+
     def parse(line, lineno):
         token = line.split("\t")[0]
         if not token:
             raise ConllFormatError(f"{path}:{lineno}: empty token")
-        return token
+        return tokens.setdefault(token, token)
 
     word_of = lru_cache(maxsize=None)(preprocess_token)
-    return [TokenizedSentence(raw_tokens=tokens, words=[word_of(t) for t in tokens])
-            for tokens in _read_sentences(path, parse)]
+    return [TokenizedSentence(raw_tokens=raw, words=[word_of(t) for t in raw])
+            for raw in _read_sentences(path, parse)]
 
 
 def write_conll(sentences: list[TokenizedSentence], path: str,

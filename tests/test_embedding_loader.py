@@ -81,3 +81,38 @@ def test_load_holds_less_than_the_matrix_beyond_what_it_returns(tmp_path):
         tracemalloc.stop()
     np.testing.assert_array_equal(table.vectors.data, rows)
     assert peak - kept < table.vectors.data.nbytes
+
+
+def test_fingerprint_holds_less_than_an_eighth_of_the_matrix(tmp_path):
+    """Restore and save hash every frozen table; the vectors are read in
+    place, never copied."""
+    rows = np.random.default_rng(0).normal(size=(20_000, 50))
+    path = tmp_path / "big.vec"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{len(rows)} {rows.shape[1]}\n")
+        fh.writelines(f"w{i} {' '.join(map(repr, row))}\n" for i, row in enumerate(rows.tolist()))
+    table = emb.load_text_embeddings(str(path), "vec_with_header")
+    tracemalloc.start()
+    try:
+        held, _ = tracemalloc.get_traced_memory()
+        table.fingerprint()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - held < table.vectors.data.nbytes / 8
+
+
+@pytest.mark.parametrize("row", ["1e308 1e308", "1e308 1e308 -1e308 -1e308"])
+def test_finite_values_that_overflow_the_screening_sum_load(tmp_path, row):
+    """The finiteness screen sums the matrix; a sum that overflows to inf
+    (or to inf - inf) from finite values falls back to the exact check,
+    without a warning."""
+    path = write(tmp_path, "big.txt", f"a {row}\nb {row}\n")
+    table = emb.load_text_embeddings(path, "glove_no_header")
+    np.testing.assert_array_equal(table.vectors.data, [[float(x) for x in row.split()]] * 2)
+
+
+def test_first_non_finite_row_is_named(tmp_path):
+    path = write(tmp_path, "bad.vec", "4 2\na 1 2\nb 3 nan\nc 5 6\nd inf 7\n")
+    with pytest.raises(emb.EmbeddingFormatError, match=r"bad\.vec:3: non-finite value"):
+        emb.load_text_embeddings(path, "vec_with_header")

@@ -211,6 +211,31 @@ class TestConll:
         with pytest.raises(tok.ConllFormatError, match="d.conll:3"):
             tok.read_conll(str(p))
 
+    def test_every_occurrence_of_a_token_or_tag_is_one_object(self, tmp_path):
+        """Reading keeps one str per distinct token and tag, repaired tags
+        included, and the sentences equal those of a plain split."""
+        blocks = ["la\tO\n@ana\tB-per\ncasa\tO\n",
+                  "casa\tI-loc\nla\tO\nla\tO\n",
+                  "@ana\tB-per\ncasa\tI-per\ncasa\tI-loc\n"] * 3
+        p = tmp_path / "d.conll"
+        p.write_text("\n".join(blocks), encoding="utf-8")
+        rows = [[line.split("\t") for line in block.splitlines()] for block in blocks]
+        expected = []
+        for sent in rows:
+            labels, repairs = tok.repair_iob([tag for _, tag in sent])
+            expected.append(tok.TokenizedSentence(
+                raw_tokens=[t for t, _ in sent],
+                words=[tok.preprocess_token(t) for t, _ in sent],
+                labels=labels, repairs=repairs))
+        for sents, want in [(tok.read_conll(str(p)), expected),
+                            (tok.read_tokens(str(p)),
+                             [tok.TokenizedSentence(s.raw_tokens, s.words) for s in expected])]:
+            assert sents == want
+            first: dict[str, str] = {}
+            for s in sents:
+                for string in s.raw_tokens + s.words + (s.labels or []):
+                    assert first.setdefault(string, string) is string
+
     def test_round_trip(self, tmp_path):
         src = tmp_path / "src.conll"
         src.write_text("@john\tB-per\nnació\tO\n\nxyz\tO\n\n", encoding="utf-8")
