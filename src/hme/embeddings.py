@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 from array import array
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import chain
 
 import numpy as np
 
@@ -67,13 +67,11 @@ class EmbeddingTable:
     def fingerprint(self) -> str:
         """Content hash of the table (vocab order plus raw vector bytes).
 
-        The vectors are hashed in place, not copied, and the vocabulary in
-        joined chunks: one join of it all would hold a str per token at once."""
+        The vectors are hashed in place, not copied."""
         h = hashlib.sha256()
         h.update(f"{self.level}/{self.language_id}/{self.dim}".encode())
-        items = iter(self.vocab.items())
-        while chunk := "".join(f"{tok}\x00{i}" for tok, i in islice(items, 4096)):
-            h.update(chunk.encode())
+        for tok, i in self.vocab.items():
+            h.update(f"{tok}\x00{i}".encode())
         h.update(memoryview(np.ascontiguousarray(self.vectors.data)))
         return h.hexdigest()
 
@@ -195,15 +193,10 @@ def load_text_embeddings(path: str, fmt: str, language_id: str = "", level: str 
             f"{path}: dimension {dim} does not match manifest dimension {expected_dim}")
     if len(keep) < data_lines:
         vectors = vectors[np.frombuffer(keep, dtype=np.int64)]
-    # any NaN/Inf makes the sum non-finite; finite values can overflow it
-    # too, so a failed screen only triggers the exact per-value check
-    with np.errstate(over="ignore", invalid="ignore"):
-        screened = np.isfinite(vectors.sum())
-    if not screened:
-        finite_rows = np.isfinite(vectors).all(axis=1)
-        if not finite_rows.all():
-            row = int(np.argmin(finite_rows))
-            raise EmbeddingFormatError(f"{path}:{linenos[row]}: non-finite value")
+    finite = np.isfinite(vectors)
+    if not finite.all():
+        row = int(np.argmin(finite.all(axis=1)))
+        raise EmbeddingFormatError(f"{path}:{linenos[row]}: non-finite value")
     return EmbeddingTable(
         language_id=language_id, level=level, dim=dim, vocab=vocab,
         vectors=Tensor(vectors), trainable=False)

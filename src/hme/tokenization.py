@@ -70,8 +70,10 @@ class BpeModel:
 
     def fingerprint(self) -> str:
         """Content hash of the ordered merge list."""
-        return hashlib.sha256("".join(
-            f"{left} {right}\n" for left, right in self.merges).encode()).hexdigest()
+        h = hashlib.sha256()
+        for left, right in self.merges:
+            h.update(f"{left} {right}\n".encode())
+        return h.hexdigest()
 
     def segment(self, word: str) -> list[str]:
         """Subword strings with the end marker stripped; joining them

@@ -102,16 +102,6 @@ def test_fingerprint_holds_less_than_an_eighth_of_the_matrix(tmp_path):
     assert peak - held < table.vectors.data.nbytes / 8
 
 
-@pytest.mark.parametrize("row", ["1e308 1e308", "1e308 1e308 -1e308 -1e308"])
-def test_finite_values_that_overflow_the_screening_sum_load(tmp_path, row):
-    """The finiteness screen sums the matrix; a sum that overflows to inf
-    (or to inf - inf) from finite values falls back to the exact check,
-    without a warning."""
-    path = write(tmp_path, "big.txt", f"a {row}\nb {row}\n")
-    table = emb.load_text_embeddings(path, "glove_no_header")
-    np.testing.assert_array_equal(table.vectors.data, [[float(x) for x in row.split()]] * 2)
-
-
 def test_first_non_finite_row_is_named(tmp_path):
     path = write(tmp_path, "bad.vec", "4 2\na 1 2\nb 3 nan\nc 5 6\nd inf 7\n")
     with pytest.raises(emb.EmbeddingFormatError, match=r"bad\.vec:3: non-finite value"):
