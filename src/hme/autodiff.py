@@ -6,7 +6,12 @@ op of its own through ``_record``.  Design rules:
 
 * eager evaluation on float64 numpy arrays,
 * an explicit ``Tape`` that records ops in execution order; ``backward``
-  replays it in exact reverse order,
+  consumes it in exact reverse order, dropping each record once its vjp has
+  run, so the graph is freed during the pass,
+* only leaves get ``.grad``: tensors that require a gradient and that no op
+  produced (parameters, trainable tables); op outputs get none,
+* ops save what their vjp reads (mostly inputs the tape already holds), not
+  copies derived from it,
 * no implicit broadcasting: ``add`` and ``mul`` take operands of one shape,
   and ``matmul`` operands of equal rank (at least 2) with equal leading
   dims; any other shapes raise ``ShapeError``,
@@ -59,18 +64,22 @@ class Tape:
     """Ordered record of executed ops and their vector-Jacobian closures.
 
     Must be active (as a context manager) while building any graph that will
-    be differentiated, and ``backward`` must run before the context exits:
-    leaving the block drops the records, which breaks the tensor/tape
-    reference cycles so graphs are freed by reference counting instead of
-    piling up for the cyclic collector.  Not safe for concurrent use.
+    be differentiated, and ``backward`` must run before the context exits.
+    ``backward`` consumes the records, freeing the graph as it goes, and may
+    run once per tape; leaving the block drops whatever records are left.
+    Dropping them breaks the tensor/tape reference cycles, so graphs are
+    freed by reference counting instead of piling up for the cyclic
+    collector.  ``len`` counts every record made, dropped or not.  Not safe
+    for concurrent use.
     """
 
     _active: "Tape | None" = None
 
     def __init__(self):
         self._records: list[tuple["Tensor", tuple["Tensor", ...], object]] = []
-        self._length = 0
+        self._dropped = 0
         self._closed = False
+        self._consumed = False
 
     def __enter__(self) -> "Tape":
         if Tape._active is not None:
@@ -80,13 +89,13 @@ class Tape:
 
     def __exit__(self, exc_type, exc, tb):
         Tape._active = None
-        self._length = len(self._records)
         self._closed = True
+        self._dropped += len(self._records)
         self._records.clear()
         return False
 
     def __len__(self) -> int:
-        return self._length if self._closed else len(self._records)
+        return self._dropped + len(self._records)
 
 
 class Tensor:
@@ -149,19 +158,17 @@ def _record(out_data: np.ndarray, inputs: tuple[Tensor, ...], vjp, op: str) -> T
     return out
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    # adopt the buffer on first write; accumulation allocates rather than
-    # mutating, because grad buffers may be shared between tensors
-    t.grad = g if t.grad is None else t.grad + g
-
-
 def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(t) into ``t.grad`` for every tensor on the path.
+    """Accumulate d(loss)/d(t) into ``t.grad`` for every leaf on the path:
+    each tensor that requires a gradient and that no op on the tape produced.
 
-    ``loss`` must be a scalar recorded on a tape that is still open.
-    Repeated calls without ``zero_grad`` accumulate additively.  Gradient
-    buffers may share storage between tensors; replace them instead of
-    mutating them in place.
+    ``loss`` must be a scalar recorded on a tape that is still open.  The
+    pass consumes the tape: each record is dropped once its vjp has run, so
+    the step's activations and intermediate gradients are freed as it goes,
+    and op outputs get no ``.grad``.  A second call on the same tape raises
+    ``RuntimeError``; gradients of losses on separate tapes accumulate on the
+    leaves until ``zero_grad``.  Gradient buffers may share storage between
+    tensors; replace them instead of mutating them in place.
     """
     if loss.size != 1:
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -170,15 +177,20 @@ def backward(loss: Tensor) -> None:
         raise RuntimeError("loss was not recorded on an active Tape")
     if tape._closed:
         raise RuntimeError("the recording Tape has already exited")
+    if tape._consumed:
+        raise RuntimeError("backward already ran on this Tape")
+    tape._consumed = True
 
+    records, tape._records = tape._records, []
+    tape._dropped += len(records)
     pending: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     holders: dict[int, Tensor] = {id(loss): loss}
-    for out, inputs, vjp in reversed(tape._records):
+    while records:
+        out, inputs, vjp = records.pop()
         g = pending.pop(id(out), None)
         if g is None:
             continue
         holders.pop(id(out), None)
-        _accumulate(out, g)
         for t, gt in zip(inputs, vjp(g)):
             if gt is None or not t.requires_grad:
                 continue
@@ -188,9 +200,12 @@ def backward(loss: Tensor) -> None:
             else:
                 pending[key] = gt
                 holders[key] = t
-    # whatever is left never appeared as an op output: these are the leaves
+    # whatever is left never appeared as an op output: these are the leaves.
+    # Adopt the buffer on first write; accumulation allocates rather than
+    # mutating, because grad buffers may be shared between tensors
     for key, g in pending.items():
-        _accumulate(holders[key], g)
+        leaf = holders[key]
+        leaf.grad = g if leaf.grad is None else leaf.grad + g
 
 
 # ---------------------------------------------------------------------------
@@ -335,10 +350,9 @@ def tanh(a: Tensor) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     out = np.maximum(a.data, 0.0)
-    mask = a.data > 0
 
     def vjp(g):
-        return (g * mask,)
+        return (g * (out > 0),)
 
     return _record(out, (a,), vjp, "relu")
 
@@ -409,15 +423,17 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     if gain.shape != a.shape[-1:] or bias.shape != a.shape[-1:]:
         raise ShapeError(f"layer_norm of {a.shape} needs gain and bias of "
                          f"{a.shape[-1:]}, got {gain.shape} and {bias.shape}")
-    mu = a.data.mean(axis=-1, keepdims=True)
-    var = a.data.var(axis=-1, keepdims=True)
+    a_data = a.data
+    mu = a_data.mean(axis=-1, keepdims=True)
+    var = a_data.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (a.data - mu) * inv
     gain_data = gain.data
-    out = xhat * gain_data
+    out = (a_data - mu) * inv
+    out *= gain_data
     out += bias.data
 
     def vjp(g):
+        xhat = (a_data - mu) * inv
         gx = g * gain_data
         g_mean = gx.mean(axis=-1, keepdims=True)
         gx_mean = (gx * xhat).mean(axis=-1, keepdims=True)
@@ -464,8 +480,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, head_rows: np.ndarray,
     def to_rows(t: np.ndarray) -> np.ndarray:
         return t.reshape(-1, dk)[rows].reshape(c, d)
 
-    qh, kh, vh = to_heads(q.data), to_heads(k.data), to_heads(v.data)
-    scores = qh @ np.swapaxes(kh, -1, -2)
+    q_data, k_data, v_data = q.data, k.data, v.data
+    scores = to_heads(q_data) @ np.swapaxes(to_heads(k_data), -1, -2)
     scores *= scale
     scores += ((1.0 - key_mask) * NEG_LARGE)[:, None, None, :]
     _check_finite(scores, "attention")
@@ -473,13 +489,16 @@ def attention(q: Tensor, k: Tensor, v: Tensor, head_rows: np.ndarray,
     dropped = weights if keep is None else _drop(weights, *keep)
 
     def vjp(g):
+        # re-scatter the padded heads from the packed inputs the tape holds
+        # anyway, rather than keep three padded copies alive until backward
         g_ctx = to_heads(g)
-        g_w = g_ctx @ np.swapaxes(vh, -1, -2)
+        g_w = g_ctx @ np.swapaxes(to_heads(v_data), -1, -2)
         if keep is not None:
             g_w = _drop(g_w, *keep)
         g_s = weights * (g_w - (g_w * weights).sum(axis=-1, keepdims=True))
         g_s *= scale
-        return (to_rows(g_s @ kh), to_rows(np.swapaxes(g_s, -1, -2) @ qh),
+        return (to_rows(g_s @ to_heads(k_data)),
+                to_rows(np.swapaxes(g_s, -1, -2) @ to_heads(q_data)),
                 to_rows(np.swapaxes(dropped, -1, -2) @ g_ctx))
 
-    return _record(to_rows(dropped @ vh), (q, k, v), vjp, "attention")
+    return _record(to_rows(dropped @ to_heads(v_data)), (q, k, v), vjp, "attention")

@@ -184,6 +184,35 @@ class TestBackward:
             ad.tensor_sum(ad.add(y, y)).backward()
         assert x.grad[0] == pytest.approx(8.0)
 
+    def test_gradients_stay_on_leaves(self):
+        x = Tensor(np.array([2.0, -1.5]), requires_grad=True)
+        with Tape():
+            y = ad.mul(x, x)
+            ad.tensor_sum(ad.add(y, y)).backward()
+        np.testing.assert_array_equal(x.grad, 4 * x.data)
+        assert y.grad is None
+
+    def test_second_backward_on_one_tape_raises(self):
+        x = Tensor(np.array([1.0, 3.0]), requires_grad=True)
+        with Tape():
+            loss = ad.tensor_sum(ad.mul(x, x))
+            loss.backward()
+            first = x.grad.copy()
+            with pytest.raises(RuntimeError, match="already ran"):
+                loss.backward()
+        np.testing.assert_array_equal(x.grad, first)
+        assert loss.grad is None
+
+    @pytest.mark.parametrize("run_backward", [True, False])
+    def test_tape_length_counts_the_records_made(self, run_backward):
+        x = Tensor(np.ones(2), requires_grad=True)
+        with Tape() as tape:
+            loss = ad.tensor_sum(ad.tanh(ad.mul(x, x)))
+            assert len(tape) == 3
+            if run_backward:
+                loss.backward()
+        assert len(tape) == 3
+
     def test_requires_grad_propagates_only_on_tape(self):
         x = Tensor(np.ones(2), requires_grad=True)
         out = ad.scale(x, 2.0)
