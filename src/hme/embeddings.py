@@ -11,7 +11,13 @@ tables hold exactly the file's rows and have no unknown row.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import json
+import os
+import tempfile
+import time
+import zlib
 from array import array
 from dataclasses import dataclass, field
 from itertools import chain
@@ -123,9 +129,39 @@ def load_text_embeddings(path: str, fmt: str, language_id: str = "", level: str 
     are separated by runs of ASCII whitespace only, so a token may hold any
     other character, U+00A0 included.  Duplicate tokens keep the first
     occurrence.  CRLF line endings are tolerated.
+
+    A successful parse is stored in the binary sidecar ``path + CACHE_SUFFIX``
+    and a later load of the unchanged file reads it instead; see
+    ``_cache_key`` for when a sidecar counts as unchanged.  The sidecar is
+    best effort: a directory that cannot be written to never gets one.
     """
     if fmt not in FORMATS:
         raise ValueError(f"unknown embedding format {fmt!r}")
+    started = time.time_ns()
+    key = _cache_key(os.stat(path), fmt, limit)
+    cached = _read_cache(path + CACHE_SUFFIX, key)
+    if cached is None:
+        vocab, vectors = _parse_text(path, fmt, limit, expected_dim)
+        if key["ctime_ns"] <= started - _SETTLE_NS and _unchanged(path, key):
+            _write_cache(path + CACHE_SUFFIX, key, vocab, vectors)
+    else:
+        vocab, vectors = cached
+        _check_dim(path, vectors.shape[1], expected_dim)
+    return EmbeddingTable(
+        language_id=language_id, level=level, dim=vectors.shape[1], vocab=vocab,
+        vectors=Tensor(vectors), trainable=False)
+
+
+def _check_dim(path: str, dim: int, expected_dim: int | None) -> None:
+    if expected_dim is not None and dim != expected_dim:
+        raise EmbeddingFormatError(
+            f"{path}: dimension {dim} does not match manifest dimension {expected_dim}")
+
+
+def _parse_text(path: str, fmt: str, limit: int | None,
+                expected_dim: int | None) -> tuple[dict[str, int], np.ndarray]:
+    """The vocab and float64 matrix of a text embedding file; every check of
+    ``load_text_embeddings`` is made here."""
     vocab: dict[str, int] = {}
     dim: int | None = None
     data_lines, stopped = 0, False
@@ -187,19 +223,104 @@ def load_text_embeddings(path: str, fmt: str, language_id: str = "", level: str 
             f"{path}: header announces {count} rows, the file holds {data_lines}")
     if vectors is None:
         raise EmbeddingFormatError(f"{path}: no embedding rows found")
-    dim = vectors.shape[1]
-    if expected_dim is not None and dim != expected_dim:
-        raise EmbeddingFormatError(
-            f"{path}: dimension {dim} does not match manifest dimension {expected_dim}")
+    _check_dim(path, vectors.shape[1], expected_dim)
     if len(keep) < data_lines:
         vectors = vectors[np.frombuffer(keep, dtype=np.int64)]
     finite = np.isfinite(vectors)
     if not finite.all():
         row = int(np.argmin(finite.all(axis=1)))
         raise EmbeddingFormatError(f"{path}:{linenos[row]}: non-finite value")
-    return EmbeddingTable(
-        language_id=language_id, level=level, dim=dim, vocab=vocab,
-        vectors=Tensor(vectors), trainable=False)
+    return vocab, vectors
+
+
+# The sidecar holds one line ``_CACHE_MAGIC`` + JSON header, then the tokens
+# as one UTF-8 blob joined by "\n" (which no token holds: the text file is
+# read line by line), then the matrix as little-endian float64 in row order.
+# The header names the key, the row count, the width, the blob's length and
+# a CRC-32 over the blob and the matrix.
+CACHE_SUFFIX = ".hmecache"
+_CACHE_MAGIC = b"hmecache "
+_CACHE_VERSION = 1
+_HEADER_MAX = 1 << 16
+# A file changed within this long before a parse began is not cached: a
+# coarse timestamp tick could give a second write the ctime of the first.
+_SETTLE_NS = 1_000_000_000
+
+
+def _cache_key(st: os.stat_result, fmt: str, limit: int | None) -> dict:
+    """What a sidecar must match to stand for the file: the parse settings
+    and the file's identity, size and timestamps.  Any write to the file, or
+    a file renamed over it, changes its ctime or inode; the file is never
+    hashed, because a ``limit``ed load reads only its first rows."""
+    return {"version": _CACHE_VERSION, "fmt": fmt, "limit": limit,
+            "size": st.st_size, "mtime_ns": st.st_mtime_ns,
+            "ctime_ns": st.st_ctime_ns, "ino": st.st_ino}
+
+
+def _unchanged(path: str, key: dict) -> bool:
+    try:
+        return _cache_key(os.stat(path), key["fmt"], key["limit"]) == key
+    except OSError:
+        return False
+
+
+def _read_cache(cache_path: str, key: dict) -> tuple[dict[str, int], np.ndarray] | None:
+    """The vocab and matrix a sidecar stores for ``key``; None when it is
+    missing, unreadable, stored for another key, or damaged."""
+    try:
+        with open(cache_path, "rb") as fh:
+            line = fh.readline(_HEADER_MAX)
+            if not line.startswith(_CACHE_MAGIC):
+                return None
+            try:
+                head = json.loads(line[len(_CACHE_MAGIC):])
+            except ValueError:
+                return None
+            if not isinstance(head, dict) or head.get("key") != key:
+                return None
+            rows, dim, blob_len, crc = (head.get(k) for k in ("rows", "dim", "blob", "crc"))
+            if not all(type(v) is int and v >= 0 for v in (rows, dim, blob_len, crc)):
+                return None
+            if os.fstat(fh.fileno()).st_size != fh.tell() + blob_len + rows * dim * 8:
+                return None
+            blob = fh.read(blob_len)
+            vectors = np.fromfile(fh, dtype="<f8", count=rows * dim)
+    except OSError:
+        return None
+    if len(blob) != blob_len or vectors.size != rows * dim:
+        return None
+    if zlib.crc32(vectors, zlib.crc32(blob)) != crc:
+        return None
+    try:
+        tokens = blob.decode("utf-8").split("\n")
+    except UnicodeDecodeError:
+        return None
+    if len(tokens) != rows:
+        return None
+    return dict(zip(tokens, range(rows))), vectors.reshape(rows, dim)
+
+
+def _write_cache(cache_path: str, key: dict, vocab: dict[str, int],
+                 vectors: np.ndarray) -> None:
+    """Store a parse for ``key`` through a temp file and an atomic rename;
+    a failed write leaves neither file behind and is not an error."""
+    blob = "\n".join(vocab).encode("utf-8")
+    vectors = np.ascontiguousarray(vectors, dtype="<f8")
+    head = {"key": key, "rows": vectors.shape[0], "dim": vectors.shape[1],
+            "blob": len(blob), "crc": zlib.crc32(vectors, zlib.crc32(blob))}
+    tmp = None
+    try:
+        fd, tmp = tempfile.mkstemp(prefix=os.path.basename(cache_path) + ".",
+                                   suffix=".tmp", dir=os.path.dirname(cache_path) or ".")
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(_CACHE_MAGIC + json.dumps(head).encode("ascii") + b"\n")
+            fh.write(blob)
+            vectors.tofile(fh)
+        os.replace(tmp, cache_path)
+    except OSError:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
 
 
 def save_text_embeddings(table: EmbeddingTable, path: str) -> None:

@@ -184,6 +184,13 @@ def _read_sentences(path: str, parse) -> Iterator[list]:
         yield rows
 
 
+def _words(raw: list[str], word_of) -> list[str]:
+    """The preprocessed words of ``raw``: ``raw`` itself when preprocessing
+    changes none of them, so such a sentence holds one list, not two."""
+    words = [word_of(t) for t in raw]
+    return raw if words == raw else words
+
+
 def read_conll(path: str) -> list[TokenizedSentence]:
     """Read "token<TAB>tag" lines; a blank line ends a sentence.
 
@@ -191,7 +198,8 @@ def read_conll(path: str) -> list[TokenizedSentence]:
     to B- and counted on the sentence, not rejected.  Each distinct token is
     preprocessed, and each distinct tag validated, once per call, and every
     occurrence of a token or tag is one shared ``str``, so the sentences'
-    strings grow with the file's vocabulary rather than its length.
+    strings grow with the file's vocabulary rather than its length.  A
+    sentence that preprocessing leaves unchanged has ``words is raw_tokens``.
     """
     tokens: dict[str, str] = {}
     tags: dict[str, str] = {}         # each validated tag -> its first instance
@@ -213,9 +221,9 @@ def read_conll(path: str) -> list[TokenizedSentence]:
         fixed, repairs = repair_iob(labels)
         if repairs:
             fixed = [tags.setdefault(t, t) for t in fixed]
+        raw = list(raw)
         sentences.append(TokenizedSentence(
-            raw_tokens=list(raw), words=[word_of(t) for t in raw],
-            labels=fixed, repairs=repairs))
+            raw_tokens=raw, words=_words(raw, word_of), labels=fixed, repairs=repairs))
     return sentences
 
 
@@ -225,7 +233,8 @@ def read_tokens(path: str) -> list[TokenizedSentence]:
     Lines containing a tab are treated as CoNLL rows and the tag is ignored;
     a line that starts with a tab has an empty token and is rejected.  Each
     distinct token is preprocessed once per call, and every occurrence of it
-    is one shared ``str``.
+    is one shared ``str``; as in ``read_conll``, a sentence that preprocessing
+    leaves unchanged has ``words is raw_tokens``.
     """
     tokens: dict[str, str] = {}
 
@@ -236,7 +245,7 @@ def read_tokens(path: str) -> list[TokenizedSentence]:
         return tokens.setdefault(token, token)
 
     word_of = lru_cache(maxsize=None)(preprocess_token)
-    return [TokenizedSentence(raw_tokens=raw, words=[word_of(t) for t in raw])
+    return [TokenizedSentence(raw_tokens=raw, words=_words(raw, word_of))
             for raw in _read_sentences(path, parse)]
 
 

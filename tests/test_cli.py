@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 from hme import cli
+from hme import embeddings as emb
 from hme import model as mdl
 from hme.synth import generate_toy_task
 
-from toyres import BAD_MODEL_HEADERS, BAD_PARAM_HEADERS, rewrite_checkpoint_header
+from toyres import (BAD_MODEL_HEADERS, BAD_PARAM_HEADERS, rewrite_checkpoint_header,
+                    rewrite_in_place)
 
 
 @pytest.fixture(scope="session")
@@ -520,6 +522,36 @@ def train_one_table_run(tmp_path, variant):
     cfg_path.write_text(json.dumps(config))
     assert cli.main(["train", "--config", str(cfg_path), "--quiet"]) == 0
     return str(tmp_path / "run" / "model.ckpt"), str(data)
+
+
+def test_predict_with_sidecars_matches_without_and_sees_a_changed_table(
+        tmp_path, monkeypatch, capsys):
+    """``hme predict`` tags the same from the tables' sidecars as from their
+    text, and a table rewritten in place at the same size and mtime is still
+    rejected as changed: a sidecar never serves a stale table."""
+    monkeypatch.setattr(emb, "_SETTLE_NS", 0)       # cache files at once
+    ckpt, data = train_one_table_run(tmp_path, "mme_word")
+    vec = tmp_path / "w.vec"
+    sidecar = Path(str(vec) + emb.CACHE_SUFFIX)
+    assert sidecar.exists()
+    parse = emb._parse_text
+    monkeypatch.setattr(emb, "_parse_text", None)    # a warm run parses nothing
+    assert cli.main(["predict", ckpt, data, "--out", str(tmp_path / "warm.conll")]) == 0
+    monkeypatch.setattr(emb, "_parse_text", parse)
+    sidecar.unlink()
+    assert cli.main(["predict", ckpt, data, "--out", str(tmp_path / "cold.conll")]) == 0
+    assert (tmp_path / "warm.conll").read_bytes() == (tmp_path / "cold.conll").read_bytes()
+    assert sidecar.exists()
+    lines = vec.read_text(encoding="utf-8").splitlines(keepends=True)
+    token, value, rest = lines[1].split(" ", 2)
+    digit = next(c for c in value if c.isdigit())
+    value = value.replace(digit, str((int(digit) + 1) % 10), 1)
+    rewrite_in_place(vec, "".join([lines[0], f"{token} {value} {rest}", *lines[2:]]))
+    capsys.readouterr()
+    assert cli.main(["predict", ckpt, data, "--out", str(tmp_path / "stale.conll")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("hme: error[input]:") and err.count("\n") == 1
+    assert f"{vec} (word/only) has changed since {ckpt} was saved" in err
 
 
 def test_single_language_attention_is_all_ones(tmp_path):

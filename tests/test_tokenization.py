@@ -236,6 +236,20 @@ class TestConll:
                 for string in s.raw_tokens + s.words + (s.labels or []):
                     assert first.setdefault(string, string) is string
 
+    @pytest.mark.parametrize("reader", ["read_conll", "read_tokens"])
+    def test_unchanged_sentence_holds_one_list(self, tmp_path, reader):
+        """A sentence that preprocessing leaves as it is keeps one list for
+        its tokens and words; a placeholder gives it two."""
+        p = tmp_path / "d.conll"
+        p.write_text("la\tO\ncasa\tO\n\n@ana\tB-per\nla\tO\n\n"
+                     "ver\tO\nhttp://x.y\tO\n\nhola\tO\n😀\tO\n\n", encoding="utf-8")
+        plain, *placeholder = getattr(tok, reader)(str(p))
+        assert plain.words is plain.raw_tokens
+        for s in placeholder:
+            assert s.words is not s.raw_tokens
+            assert s.raw_tokens != s.words
+        assert [s.words[i] for s, i in zip(placeholder, (0, 1, 1))] == ["<USR>", "<URL>", "<EMOJI>"]
+
     def test_round_trip(self, tmp_path):
         src = tmp_path / "src.conll"
         src.write_text("@john\tB-per\nnació\tO\n\nxyz\tO\n\n", encoding="utf-8")

@@ -2,6 +2,7 @@
 
 import json
 import os
+import time
 
 import numpy as np
 
@@ -121,3 +122,19 @@ def rewrite_checkpoint_header(src, dst, edit):
     with open(dst, "wb") as fh:
         fh.write(mdl.CHECKPOINT_MAGIC + len(new).to_bytes(8, "big") + new
                  + blob[start + 8 + size:])
+
+
+def rewrite_in_place(path, text):
+    """Overwrite ``path`` with ``text`` and put its mtime back, as an editor
+    that keeps timestamps would.  Waits until the file's ctime has moved, so
+    that for a ``text`` of the same size only the ctime tells the two
+    versions apart."""
+    before = os.stat(path)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    for _ in range(1000):
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        if os.stat(path).st_ctime_ns != before.st_ctime_ns:
+            return
+        time.sleep(0.005)
+    raise AssertionError(f"the ctime of {path} never changed")
