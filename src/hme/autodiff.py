@@ -111,6 +111,17 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self._tape: Tape | None = None
 
+    @classmethod
+    def _checked(cls, arr: np.ndarray) -> "Tensor":
+        """A constant Tensor over ``arr``, a C-contiguous float64 array whose
+        values the caller has already checked to be finite; ``arr`` is not
+        read again, so pages of a mapped array stay where they are."""
+        if arr.dtype != np.float64 or not arr.flags["C_CONTIGUOUS"]:
+            raise ValueError("Tensor._checked takes a C-contiguous float64 array")
+        t = cls.__new__(cls)
+        t.data, t.requires_grad, t.grad, t._tape = arr, False, None, None
+        return t
+
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape

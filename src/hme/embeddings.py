@@ -7,6 +7,14 @@ an out-of-vocabulary token: it reads the table's ``unk_index`` row when the
 table has one, and a zero vector otherwise.  Generated tables keep row
 ``PAD_INDEX`` zeroed and row ``UNK_INDEX`` as their shared unknown row; loaded
 tables hold exactly the file's rows and have no unknown row.
+
+A loaded table is immutable: its matrix is read-only and its vocabulary a
+read-only mapping, so the fingerprint computed at load stays true.  A file's
+first load parses the text into memory and stores the parse in a binary
+sidecar; a later load of the unchanged file checks the sidecar in one
+streamed pass and then maps its matrix read-only.  A mapped table makes
+resident only the pages of the rows a process reads, and those pages sit in
+the page cache, shared by every process that maps the same sidecar.
 """
 
 from __future__ import annotations
@@ -14,13 +22,16 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import mmap
 import os
 import tempfile
 import time
 import zlib
 from array import array
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import chain
+from types import MappingProxyType
 
 import numpy as np
 
@@ -43,16 +54,18 @@ class EmbeddingTable:
     """One lookup table: token -> row of ``vectors``.
 
     ``vectors`` is a Tensor so trainable tables join the autodiff graph; for
-    frozen tables it never requires a gradient.
+    frozen tables it never requires a gradient.  ``load_text_embeddings``
+    returns immutable tables that keep the fingerprint their load computed.
     """
 
     language_id: str
     level: str
     dim: int
-    vocab: dict[str, int]
+    vocab: Mapping[str, int]
     vectors: Tensor
     trainable: bool
     unk_index: int | None = None      # row every OOV token reads; None: zeros
+    _digest: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.level not in LEVELS:
@@ -73,13 +86,21 @@ class EmbeddingTable:
     def fingerprint(self) -> str:
         """Content hash of the table (vocab order plus raw vector bytes).
 
-        The vectors are hashed in place, not copied."""
-        h = hashlib.sha256()
-        h.update(f"{self.level}/{self.language_id}/{self.dim}".encode())
-        for tok, i in self.vocab.items():
-            h.update(f"{tok}\x00{i}".encode())
+        A loaded table returns the digest of its load; any other table hashes
+        its vectors in place, not copied."""
+        if self._digest is not None:
+            return self._digest
+        h = _hash_head(self.level, self.language_id, self.dim, self.vocab)
         h.update(memoryview(np.ascontiguousarray(self.vectors.data)))
         return h.hexdigest()
+
+
+def _hash_head(level: str, language_id: str, dim: int, vocab: Mapping[str, int]):
+    """A sha256 of everything ``fingerprint`` hashes before the vectors."""
+    h = hashlib.sha256(f"{level}/{language_id}/{dim}".encode())
+    for tok, i in vocab.items():
+        h.update(f"{tok}\x00{i}".encode())
+    return h
 
 
 # Bytes that numpy's whitespace split would treat differently from
@@ -131,25 +152,32 @@ def load_text_embeddings(path: str, fmt: str, language_id: str = "", level: str 
     occurrence.  CRLF line endings are tolerated.
 
     A successful parse is stored in the binary sidecar ``path + CACHE_SUFFIX``
-    and a later load of the unchanged file reads it instead; see
-    ``_cache_key`` for when a sidecar counts as unchanged.  The sidecar is
-    best effort: a directory that cannot be written to never gets one.
+    and a later load of the unchanged file maps it instead; see
+    ``_cache_key`` for when a sidecar counts as unchanged and ``_read_cache``
+    for how it is checked.  The sidecar is best effort: a directory that
+    cannot be written to never gets one.  The returned table is immutable
+    and its fingerprint is computed here.
     """
     if fmt not in FORMATS:
         raise ValueError(f"unknown embedding format {fmt!r}")
     started = time.time_ns()
     key = _cache_key(os.stat(path), fmt, limit)
-    cached = _read_cache(path + CACHE_SUFFIX, key)
+    cached = _read_cache(path + CACHE_SUFFIX, key, level, language_id)
     if cached is None:
         vocab, vectors = _parse_text(path, fmt, limit, expected_dim)
         if key["ctime_ns"] <= started - _SETTLE_NS and _unchanged(path, key):
             _write_cache(path + CACHE_SUFFIX, key, vocab, vectors)
+        vectors.flags.writeable = False
+        digest = None
     else:
-        vocab, vectors = cached
+        vocab, vectors, digest = cached
         _check_dim(path, vectors.shape[1], expected_dim)
-    return EmbeddingTable(
-        language_id=language_id, level=level, dim=vectors.shape[1], vocab=vocab,
-        vectors=Tensor(vectors), trainable=False)
+    # both paths checked every value, so the Tensor need not read them again
+    table = EmbeddingTable(
+        language_id=language_id, level=level, dim=vectors.shape[1],
+        vocab=MappingProxyType(vocab), vectors=Tensor._checked(vectors), trainable=False)
+    table._digest = digest or table.fingerprint()
+    return table
 
 
 def _check_dim(path: str, dim: int, expected_dim: int | None) -> None:
@@ -235,13 +263,17 @@ def _parse_text(path: str, fmt: str, limit: int | None,
 
 # The sidecar holds one line ``_CACHE_MAGIC`` + JSON header, then the tokens
 # as one UTF-8 blob joined by "\n" (which no token holds: the text file is
-# read line by line), then the matrix as little-endian float64 in row order.
+# read line by line), then NUL bytes up to the next multiple of
+# ``_CACHE_ALIGN``, then the matrix as little-endian float64 in row order.
 # The header names the key, the row count, the width, the blob's length and
-# a CRC-32 over the blob and the matrix.
+# a CRC-32 over the blob and the matrix.  The aligned matrix maps as an
+# aligned array.
 CACHE_SUFFIX = ".hmecache"
 _CACHE_MAGIC = b"hmecache "
-_CACHE_VERSION = 1
+_CACHE_VERSION = 2
+_CACHE_ALIGN = 64
 _HEADER_MAX = 1 << 16
+_CHUNK_BYTES = 1 << 20        # the check's read buffer; a multiple of 8
 # A file changed within this long before a parse began is not cached: a
 # coarse timestamp tick could give a second write the ctime of the first.
 _SETTLE_NS = 1_000_000_000
@@ -264,9 +296,23 @@ def _unchanged(path: str, key: dict) -> bool:
         return False
 
 
-def _read_cache(cache_path: str, key: dict) -> tuple[dict[str, int], np.ndarray] | None:
-    """The vocab and matrix a sidecar stores for ``key``; None when it is
-    missing, unreadable, stored for another key, or damaged."""
+def _matrix_offset(header_and_blob: int) -> int:
+    return -(-header_and_blob // _CACHE_ALIGN) * _CACHE_ALIGN
+
+
+def _read_cache(cache_path: str, key: dict, level: str,
+                language_id: str) -> tuple[dict[str, int], np.ndarray, str] | None:
+    """The vocab, read-only matrix and fingerprint a sidecar stores for
+    ``key``; None when it is missing, unreadable, stored for another key,
+    damaged or holds a non-finite value.
+
+    One pass through a reusable buffer checks the CRC and the finiteness of
+    every value and hashes the table as ``fingerprint`` does.  The matrix is
+    then mapped read-only from the same open file, so the map shows the
+    bytes that were checked, and only the pages of rows read later become
+    resident.  ``hme`` replaces a sidecar only by rename, which leaves a
+    mapped one intact; another program truncating it in place would make a
+    later read of the map fail with SIGBUS."""
     try:
         with open(cache_path, "rb") as fh:
             line = fh.readline(_HEADER_MAX)
@@ -281,23 +327,43 @@ def _read_cache(cache_path: str, key: dict) -> tuple[dict[str, int], np.ndarray]
             rows, dim, blob_len, crc = (head.get(k) for k in ("rows", "dim", "blob", "crc"))
             if not all(type(v) is int and v >= 0 for v in (rows, dim, blob_len, crc)):
                 return None
-            if os.fstat(fh.fileno()).st_size != fh.tell() + blob_len + rows * dim * 8:
+            offset = _matrix_offset(fh.tell() + blob_len)
+            nbytes = rows * dim * 8
+            st = os.fstat(fh.fileno())
+            if st.st_size != offset + nbytes or not nbytes:
                 return None
-            blob = fh.read(blob_len)
-            vectors = np.fromfile(fh, dtype="<f8", count=rows * dim)
+            blob = fh.read(offset - fh.tell())
+            if len(blob) != offset - len(line) or blob[blob_len:].strip(b"\0"):
+                return None
+            blob = blob[:blob_len]
+            try:
+                tokens = blob.decode("utf-8").split("\n")
+            except UnicodeDecodeError:
+                return None
+            if len(tokens) != rows:
+                return None
+            vocab = dict(zip(tokens, range(rows)))
+            h = _hash_head(level, language_id, dim, vocab)
+            check = zlib.crc32(blob)
+            buf = memoryview(bytearray(min(_CHUNK_BYTES, nbytes)))
+            for start in range(0, nbytes, len(buf)):
+                chunk = buf[:min(len(buf), nbytes - start)]
+                if fh.readinto(chunk) != len(chunk):
+                    return None
+                if not np.isfinite(np.frombuffer(chunk, dtype="<f8")).all():
+                    return None
+                check = zlib.crc32(chunk, check)
+                h.update(chunk)
+            if check != crc:
+                return None
+            mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+            after = os.fstat(fh.fileno())
     except OSError:
         return None
-    if len(blob) != blob_len or vectors.size != rows * dim:
-        return None
-    if zlib.crc32(vectors, zlib.crc32(blob)) != crc:
-        return None
-    try:
-        tokens = blob.decode("utf-8").split("\n")
-    except UnicodeDecodeError:
-        return None
-    if len(tokens) != rows:
-        return None
-    return dict(zip(tokens, range(rows))), vectors.reshape(rows, dim)
+    if (after.st_size, after.st_mtime_ns) != (st.st_size, st.st_mtime_ns):
+        return None         # written to during the check
+    vectors = np.frombuffer(mapped, dtype="<f8", count=rows * dim, offset=offset)
+    return vocab, vectors.reshape(rows, dim), h.hexdigest()
 
 
 def _write_cache(cache_path: str, key: dict, vocab: dict[str, int],
@@ -308,13 +374,16 @@ def _write_cache(cache_path: str, key: dict, vocab: dict[str, int],
     vectors = np.ascontiguousarray(vectors, dtype="<f8")
     head = {"key": key, "rows": vectors.shape[0], "dim": vectors.shape[1],
             "blob": len(blob), "crc": zlib.crc32(vectors, zlib.crc32(blob))}
+    line = _CACHE_MAGIC + json.dumps(head).encode("ascii") + b"\n"
+    pad = _matrix_offset(len(line) + len(blob)) - len(line) - len(blob)
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(prefix=os.path.basename(cache_path) + ".",
                                    suffix=".tmp", dir=os.path.dirname(cache_path) or ".")
         with os.fdopen(fd, "wb") as fh:
-            fh.write(_CACHE_MAGIC + json.dumps(head).encode("ascii") + b"\n")
+            fh.write(line)
             fh.write(blob)
+            fh.write(bytes(pad))
             vectors.tofile(fh)
         os.replace(tmp, cache_path)
     except OSError:

@@ -1,15 +1,20 @@
 """The text loader's values, errors and memory: parsed values equal Python
 ``float`` bit for bit, every bad line is named, a load holds little more
-than the matrix it returns, and a sidecar serves a table only while its file
-is unchanged."""
+than the matrix it returns, a sidecar serves a table only while its file is
+unchanged and only once every value passed its checks, and a loaded table is
+immutable."""
 
+import hashlib
+import json
 import os
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
 
 from hme import embeddings as emb
+from hme.autodiff import take
 
 from toyres import rewrite_in_place
 
@@ -222,7 +227,8 @@ DAMAGE = {
     "truncated": lambda data: data[:-8],
     "bad_crc": _flip_last_byte,
     "garbage_header": lambda data: b"\xff\x00garbage" + data[data.index(b"\n"):],
-    "old_version": lambda data: data.replace(b'"version": 1', b'"version": 0', 1),
+    "old_version": lambda data: data.replace(b'"version": %d' % emb._CACHE_VERSION,
+                                             b'"version": 0', 1),
     "empty": lambda data: b"",
 }
 
@@ -271,3 +277,130 @@ def test_a_file_changed_within_the_settle_time_gets_no_sidecar(tmp_path, monkeyp
     monkeypatch.setattr(emb, "_SETTLE_NS", 0)
     emb.load_text_embeddings(path, "vec_with_header")
     assert sorted(os.listdir(tmp_path)) == ["t.vec", "t.vec" + emb.CACHE_SUFFIX]
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_a_loaded_table_is_immutable(tmp_path, parses, warm):
+    """The fingerprint is computed at load, so neither rows nor vocab may
+    change afterwards."""
+    path = write(tmp_path, "t.vec", SIDECAR_TEXT)
+    table = emb.load_text_embeddings(path, "vec_with_header")
+    if warm:
+        table = emb.load_text_embeddings(path, "vec_with_header")
+    assert parses == [path]
+    with pytest.raises(ValueError):
+        table.vectors.data[1] = 0.0
+    with pytest.raises(TypeError):
+        table.vocab["la"] = 2
+    assert table.vectors.data.flags.aligned
+    assert table.vectors.data[1].tolist() == [1.0, 2.0, 3.0]
+
+
+def test_warm_and_cold_fingerprints_are_the_hand_built_sha256(tmp_path, parses):
+    rows = {"a": [1.5, -2.0], "b": [0.25, 3.0], "c": [0.0, -0.125]}
+    path = write(tmp_path, "t.vec", "3 2\n" + "".join(
+        f"{tok} {x!r} {y!r}\n" for tok, (x, y) in rows.items()))
+    cold = emb.load_text_embeddings(path, "vec_with_header", language_id="en")
+    warm = emb.load_text_embeddings(path, "vec_with_header", language_id="en")
+    assert parses == [path]
+    h = hashlib.sha256(b"word/en/2")
+    for i, tok in enumerate(rows):
+        h.update(f"{tok}\x00{i}".encode())
+    h.update(np.array(list(rows.values()), dtype=np.float64).tobytes())
+    assert cold.fingerprint() == warm.fingerprint() == h.hexdigest()
+
+
+def _sidecar_key(path):
+    return emb._cache_key(os.stat(path), "vec_with_header", None)
+
+
+@pytest.mark.parametrize("chunk", [emb._CHUNK_BYTES, 16])
+def test_a_non_finite_value_under_a_valid_crc_is_parsed_past(tmp_path, parses,
+                                                              monkeypatch, chunk):
+    """The streamed check reads every value, the last chunk's included."""
+    monkeypatch.setattr(emb, "_CHUNK_BYTES", chunk)
+    path = write(tmp_path, "t.vec", SIDECAR_TEXT)
+    cold = emb.load_text_embeddings(path, "vec_with_header")
+    planted = np.array(cold.vectors.data)
+    planted[-1, -1] = np.nan
+    emb._write_cache(path + emb.CACHE_SUFFIX, _sidecar_key(path), dict(cold.vocab), planted)
+    again = emb.load_text_embeddings(path, "vec_with_header")
+    assert parses == [path, path]
+    assert again.vectors.data.tobytes() == cold.vectors.data.tobytes()
+    assert again.fingerprint() == cold.fingerprint()
+
+
+def test_a_first_format_sidecar_is_parsed_past_and_rewritten(tmp_path, parses):
+    """A sidecar of format 1 (matrix right after the tokens, unaligned) is
+    ignored once and replaced by one whose matrix is 64-byte aligned."""
+    path = write(tmp_path, "t.vec", SIDECAR_TEXT)
+    cold = emb.load_text_embeddings(path, "vec_with_header")
+    blob = "\n".join(cold.vocab).encode("utf-8")
+    vectors = np.ascontiguousarray(cold.vectors.data, dtype="<f8")
+    head = {"key": {**_sidecar_key(path), "version": 1}, "rows": 4, "dim": 3,
+            "blob": len(blob), "crc": zlib.crc32(vectors, zlib.crc32(blob))}
+    with open(path + emb.CACHE_SUFFIX, "wb") as fh:
+        fh.write(b"hmecache " + json.dumps(head).encode("ascii") + b"\n" + blob
+                 + vectors.tobytes())
+    again = emb.load_text_embeddings(path, "vec_with_header")
+    assert parses == [path, path]
+    assert again.fingerprint() == cold.fingerprint()
+    with open(path + emb.CACHE_SUFFIX, "rb") as fh:
+        line = fh.readline()
+        assert json.loads(line[len(b"hmecache "):])["key"]["version"] == 2
+        assert (os.fstat(fh.fileno()).st_size - vectors.nbytes) % 64 == 0
+    emb.load_text_embeddings(path, "vec_with_header")
+    assert parses == [path, path]
+
+
+def test_a_mapped_table_outlives_its_sidecar_being_replaced(tmp_path, parses):
+    """A changed file's next load renames a new sidecar over the old one;
+    a table mapping the old one keeps reading its own rows."""
+    path = write(tmp_path, "t.vec", BASE)
+    emb.load_text_embeddings(path, "vec_with_header")
+    old = emb.load_text_embeddings(path, "vec_with_header")
+    inode = os.stat(path + emb.CACHE_SUFFIX).st_ino
+    rewrite_in_place(path, BASE.replace("0.25", "0.35"))
+    new = emb.load_text_embeddings(path, "vec_with_header")
+    assert parses == [path, path]
+    assert os.stat(path + emb.CACHE_SUFFIX).st_ino != inode
+    assert old.vectors.data[:, 0].tolist() == [0.25, 0.5, 0.75]
+    assert new.vectors.data[:, 0].tolist() == [0.35, 0.5, 0.75]
+
+
+def _vm_rss_bytes():
+    with open("/proc/self/status", encoding="ascii") as fh:
+        for line in fh:
+            if line.startswith("VmRSS:"):
+                return int(line.split()[1]) * 1024
+    raise AssertionError("no VmRSS line")
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads VmRSS from /proc/self/status")
+def test_a_warm_load_makes_resident_only_the_rows_it_reads(tmp_path, parses):
+    """A 40 MB table's warm load, ``fingerprint()`` and a gather of 100 rows
+    raise the resident set by less than a quarter of the matrix.
+
+    The sidecar is written for a stand-in text file as a parse would write
+    it, which spares the test a 5,000,000-value parse.  The rows are drawn
+    from the table's first 1,000, as a tagger's frequent words are in a
+    frequency-sorted FastText table: a kernel that caches the file in large
+    folios maps each touched folio whole (up to 2 MB), so rows spread over
+    the whole table would show the whole (shared, file-backed) table in
+    VmRSS."""
+    path = write(tmp_path, "t.vec", "a stand-in for a 20,000 x 250 table\n")
+    matrix = np.random.default_rng(0).normal(size=(20_000, 250))
+    emb._write_cache(path + emb.CACHE_SUFFIX, _sidecar_key(path),
+                     {f"w{i}": i for i in range(len(matrix))}, matrix)
+    nbytes = matrix.nbytes
+    del matrix
+    before = _vm_rss_bytes()
+    table = emb.load_text_embeddings(path, "vec_with_header")
+    table.fingerprint()
+    rows = np.random.default_rng(1).choice(1_000, size=100, replace=False)
+    gathered = take(table.vectors, rows)
+    grown = _vm_rss_bytes() - before
+    assert parses == []
+    assert gathered.shape == (100, 250)
+    assert grown < nbytes / 4
