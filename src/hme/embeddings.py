@@ -13,8 +13,9 @@ read-only mapping, so the fingerprint computed at load stays true.  A file's
 first load parses the text into memory and stores the parse in a binary
 sidecar; a later load of the unchanged file checks the sidecar in one
 streamed pass and then maps its matrix read-only.  A mapped table makes
-resident only the pages of the rows a process reads, and those pages sit in
-the page cache, shared by every process that maps the same sidecar.
+resident only the page-cache pages (or large folios, up to 2 MB) that hold
+the rows a process reads, shared by every process that maps the same
+sidecar.
 """
 
 from __future__ import annotations

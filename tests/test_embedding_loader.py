@@ -383,12 +383,11 @@ def test_a_warm_load_makes_resident_only_the_rows_it_reads(tmp_path, parses):
     raise the resident set by less than a quarter of the matrix.
 
     The sidecar is written for a stand-in text file as a parse would write
-    it, which spares the test a 5,000,000-value parse.  The rows are drawn
-    from the table's first 1,000, as a tagger's frequent words are in a
-    frequency-sorted FastText table: a kernel that caches the file in large
-    folios maps each touched folio whole (up to 2 MB), so rows spread over
-    the whole table would show the whole (shared, file-backed) table in
-    VmRSS."""
+    it, which spares the test a 5,000,000-value parse.  It pins the
+    clustered case only: the rows are drawn from the table's first 1,000.
+    A kernel that caches the file in large folios maps each touched folio
+    whole (up to 2 MB), so 100 rows spread over the whole table make nearly
+    all of it resident in VmRSS (shared and file-backed, but counted)."""
     path = write(tmp_path, "t.vec", "a stand-in for a 20,000 x 250 table\n")
     matrix = np.random.default_rng(0).normal(size=(20_000, 250))
     emb._write_cache(path + emb.CACHE_SUFFIX, _sidecar_key(path),
