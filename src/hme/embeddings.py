@@ -12,10 +12,10 @@ A loaded table is immutable: its matrix is read-only and its vocabulary a
 read-only mapping, so the fingerprint computed at load stays true.  A file's
 first load parses the text into memory and stores the parse in a binary
 sidecar; a later load of the unchanged file checks the sidecar in one
-streamed pass and then maps its matrix read-only.  A mapped table makes
-resident only the page-cache pages (or large folios, up to 2 MB) that hold
-the rows a process reads, shared by every process that maps the same
-sidecar.
+streamed pass and then maps it read-only, serving both the matrix and the
+vocabulary from the map.  A mapped table makes resident only the page-cache
+pages (or large folios, up to 2 MB) that hold the rows and index entries a
+process reads, shared by every process that maps the same sidecar.
 """
 
 from __future__ import annotations
@@ -25,14 +25,17 @@ import hashlib
 import json
 import mmap
 import os
+import sys
 import tempfile
 import time
 import zlib
 from array import array
+from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import chain
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,6 +75,10 @@ class EmbeddingTable:
         if self.level not in LEVELS:
             raise ValueError(f"unknown level {self.level!r}")
         rows = self.vectors.shape[0]
+        if isinstance(self.vocab, _MappedVocab):    # rows 0..len-1, one per token
+            if len(self.vocab) != rows:
+                raise ValueError("vocab index outside the vector matrix")
+            return
         if any(i < 0 or i >= rows for i in self.vocab.values()):
             raise ValueError("vocab index outside the vector matrix")
         if len(set(self.vocab.values())) != len(self.vocab):
@@ -91,17 +98,78 @@ class EmbeddingTable:
         its vectors in place, not copied."""
         if self._digest is not None:
             return self._digest
-        h = _hash_head(self.level, self.language_id, self.dim, self.vocab)
-        h.update(memoryview(np.ascontiguousarray(self.vectors.data)))
-        return h.hexdigest()
+        return _fingerprint(self.level, self.language_id, self.dim,
+                            _vocab_stream(self.vocab), self.vectors.data)
 
 
-def _hash_head(level: str, language_id: str, dim: int, vocab: Mapping[str, int]):
-    """A sha256 of everything ``fingerprint`` hashes before the vectors."""
-    h = hashlib.sha256(f"{level}/{language_id}/{dim}".encode())
-    for tok, i in vocab.items():
-        h.update(f"{tok}\x00{i}".encode())
-    return h
+def _hash_head(level: str, language_id: str, dim: int):
+    """A sha256 of what ``fingerprint`` hashes before the vocabulary."""
+    return hashlib.sha256(f"{level}/{language_id}/{dim}".encode())
+
+
+def _vocab_stream(vocab: Mapping[str, int]) -> bytes:
+    """What ``fingerprint`` hashes for ``vocab``: each token, NUL, its row."""
+    return b"".join(f"{tok}\x00{i}".encode() for tok, i in vocab.items())
+
+
+def _fingerprint(level: str, language_id: str, dim: int, stream: bytes,
+                 vectors: np.ndarray) -> str:
+    h = _hash_head(level, language_id, dim)
+    h.update(stream)
+    h.update(memoryview(np.ascontiguousarray(vectors)))
+    return h.hexdigest()
+
+
+# The lookup key of a token's UTF-8 bytes: its CRC-32, the same in every
+# process and computed in C, so keying a whole vocabulary costs less than one
+# Python call per token.  Tokens that share a key are told apart by bytes.
+_token_key = zlib.crc32
+
+
+class _MappedVocab(Mapping):
+    """A loaded table's read-only vocabulary, served from its sidecar's map.
+
+    Row ``i`` holds the ``i``-th token.  ``get`` bisects the sorted token
+    keys and compares the candidates' bytes, so a key collision costs a
+    comparison, never a wrong row; iteration runs in row order.  Nothing is
+    built per token: three memoryview casts read the index in the map."""
+
+    __slots__ = ("_map", "_base", "_spans", "_keys", "_order")
+
+    def __init__(self, mapped: mmap.mmap, base: int, spans: memoryview,
+                 keys: memoryview, order: memoryview):
+        self._map, self._base = mapped, base      # the stream's offset in the map
+        self._spans, self._keys, self._order = spans, keys, order
+
+    def _token(self, row: int) -> bytes:
+        base, spans = self._base, self._spans
+        return self._map[base + spans[2 * row]:base + spans[2 * row + 1]]
+
+    def get(self, token: str, default=None):
+        try:
+            data = token.encode("utf-8")
+        except UnicodeEncodeError:      # a lone surrogate: in no file's vocabulary
+            return default
+        key, keys = _token_key(data), self._keys
+        i = bisect_left(keys, key)
+        while i < len(keys) and keys[i] == key:
+            row = self._order[i]
+            if self._token(row) == data:
+                return row
+            i += 1
+        return default
+
+    def __getitem__(self, token: str) -> int:
+        row = self.get(token)
+        if row is None:
+            raise KeyError(token)
+        return row
+
+    def __len__(self) -> int:
+        return len(self._order)
+
+    def __iter__(self):
+        return (self._token(row).decode("utf-8") for row in range(len(self)))
 
 
 # Bytes that numpy's whitespace split would treat differently from
@@ -165,19 +233,24 @@ def load_text_embeddings(path: str, fmt: str, language_id: str = "", level: str 
     key = _cache_key(os.stat(path), fmt, limit)
     cached = _read_cache(path + CACHE_SUFFIX, key, level, language_id)
     if cached is None:
-        vocab, vectors = _parse_text(path, fmt, limit, expected_dim)
+        parsed, vectors = _parse_text(path, fmt, limit, expected_dim)
         if key["ctime_ns"] <= started - _SETTLE_NS and _unchanged(path, key):
-            _write_cache(path + CACHE_SUFFIX, key, vocab, vectors)
+            index = _vocab_index(parsed)
+            _write_cache(path + CACHE_SUFFIX, key, index, vectors)
+            stream = index.stream
+        else:
+            stream = _vocab_stream(parsed)
         vectors.flags.writeable = False
-        digest = None
+        vocab = MappingProxyType(parsed)
+        digest = _fingerprint(level, language_id, vectors.shape[1], stream, vectors)
     else:
         vocab, vectors, digest = cached
         _check_dim(path, vectors.shape[1], expected_dim)
     # both paths checked every value, so the Tensor need not read them again
     table = EmbeddingTable(
         language_id=language_id, level=level, dim=vectors.shape[1],
-        vocab=MappingProxyType(vocab), vectors=Tensor._checked(vectors), trainable=False)
-    table._digest = digest or table.fingerprint()
+        vocab=vocab, vectors=Tensor._checked(vectors), trainable=False)
+    table._digest = digest
     return table
 
 
@@ -262,22 +335,84 @@ def _parse_text(path: str, fmt: str, limit: int | None,
     return vocab, vectors
 
 
-# The sidecar holds one line ``_CACHE_MAGIC`` + JSON header, then the tokens
-# as one UTF-8 blob joined by "\n" (which no token holds: the text file is
-# read line by line), then NUL bytes up to the next multiple of
-# ``_CACHE_ALIGN``, then the matrix as little-endian float64 in row order.
-# The header names the key, the row count, the width, the blob's length and
-# a CRC-32 over the blob and the matrix.  The aligned matrix maps as an
-# aligned array.
-CACHE_SUFFIX = ".hmecache"
+# The sidecar holds one line: ``_CACHE_MAGIC``, a JSON header and spaces up
+# to a multiple of ``_CACHE_ALIGN`` bytes.  The body after it holds
+# - the stream: ``f"{token}\x00{row}"`` for each row in row order, the bytes
+#   ``fingerprint`` hashes after its head; NUL bytes up to a multiple of 8
+# - the index, little-endian 64-bit integers: each row's token span (start,
+#   stop) in the stream, then the rows' ``_token_key`` values ascending
+#   (unsigned), then the row of each key; NUL bytes up to a multiple of
+#   ``_CACHE_ALIGN``
+# - the matrix as little-endian float64 in row order.
+# The header names the key, the row count, the width, the stream's length and
+# a CRC-32 over the whole body.  The aligned matrix maps as an aligned array.
+# The name carries the format, so versions with other formats keep their own.
+_CACHE_VERSION = 3
+CACHE_SUFFIX = f".hmecache{_CACHE_VERSION}"
 _CACHE_MAGIC = b"hmecache "
-_CACHE_VERSION = 2
 _CACHE_ALIGN = 64
 _HEADER_MAX = 1 << 16
 _CHUNK_BYTES = 1 << 20        # the check's read buffer; a multiple of 8
 # A file changed within this long before a parse began is not cached: a
 # coarse timestamp tick could give a second write the ctime of the first.
 _SETTLE_NS = 1_000_000_000
+
+
+class _VocabIndex(NamedTuple):
+    """A vocabulary as the sidecar stores it; see the format above."""
+
+    stream: bytes
+    spans: np.ndarray         # (rows, 2) int64
+    keys: np.ndarray          # (rows,) uint64, ascending
+    order: np.ndarray         # (rows,) int64: the row of each key
+
+
+def _digit_counts(rows: int) -> np.ndarray:
+    """The number of decimal digits of each row number below ``rows``."""
+    row = np.arange(rows)
+    digits = np.ones(rows, dtype=np.int64)
+    power = 10
+    while power < rows:
+        digits += row >= power
+        power *= 10
+    return digits
+
+
+def _vocab_index(vocab: Mapping[str, int]) -> _VocabIndex:
+    """The index of a parsed vocabulary, whose rows are its order."""
+    tokens = list(map(str.encode, vocab))
+    rows = len(tokens)
+    lengths = np.fromiter(map(len, tokens), dtype=np.int64, count=rows)
+    ends = np.cumsum(lengths + 1 + _digit_counts(rows))
+    starts = np.concatenate(([0], ends[:-1]))
+    keys = np.fromiter(map(_token_key, tokens), dtype=np.uint64, count=rows)
+    order = np.argsort(keys, kind="stable")
+    return _VocabIndex(_vocab_stream(vocab), np.stack([starts, starts + lengths], axis=1),
+                       keys[order], order)
+
+
+def _index_is_sound(stream: np.ndarray, spans: np.ndarray, keys: np.ndarray,
+                    order: np.ndarray) -> bool:
+    """Whether ``_vocab_index`` could have built this index for ``stream``:
+    the spans cut it into back-to-back records of a token, a NUL and the
+    row's digits, the keys ascend and ``order`` is a permutation.  Only then
+    is the served vocabulary the one the fingerprint hashed."""
+    rows = len(order)
+    starts, stops = spans[:, 0], spans[:, 1]
+    ends = stops + 1 + _digit_counts(rows)
+    return bool(
+        starts[0] == 0 and (starts[1:] == ends[:-1]).all() and ends[-1] == len(stream)
+        and (starts <= stops).all() and (stops < len(stream)).all()
+        and not stream[stops].any()
+        and (keys[:-1] <= keys[1:]).all()
+        and order.min() >= 0 and order.max() < rows
+        and (np.bincount(order, minlength=rows) == 1).all())
+
+
+def _body_layout(stream_bytes: int, rows: int) -> tuple[int, int]:
+    """The offsets of the index and of the matrix in a sidecar's body."""
+    index_at = -(-stream_bytes // 8) * 8
+    return index_at, -(-(index_at + 32 * rows) // _CACHE_ALIGN) * _CACHE_ALIGN
 
 
 def _cache_key(st: os.stat_result, fmt: str, limit: int | None) -> dict:
@@ -297,27 +432,27 @@ def _unchanged(path: str, key: dict) -> bool:
         return False
 
 
-def _matrix_offset(header_and_blob: int) -> int:
-    return -(-header_and_blob // _CACHE_ALIGN) * _CACHE_ALIGN
-
-
 def _read_cache(cache_path: str, key: dict, level: str,
-                language_id: str) -> tuple[dict[str, int], np.ndarray, str] | None:
+                language_id: str) -> tuple[_MappedVocab, np.ndarray, str] | None:
     """The vocab, read-only matrix and fingerprint a sidecar stores for
     ``key``; None when it is missing, unreadable, stored for another key,
-    damaged or holds a non-finite value.
+    damaged, holds a non-finite value or an unsound index.
 
-    One pass through a reusable buffer checks the CRC and the finiteness of
-    every value and hashes the table as ``fingerprint`` does.  The matrix is
-    then mapped read-only from the same open file, so the map shows the
-    bytes that were checked, and only the pages of rows read later become
-    resident.  ``hme`` replaces a sidecar only by rename, which leaves a
-    mapped one intact; another program truncating it in place would make a
-    later read of the map fail with SIGBUS."""
+    One pass through a reusable buffer checks the CRC over the body and the
+    finiteness of every value, and hashes the table as ``fingerprint``
+    does.  The sidecar is then mapped read-only from the same open file, so
+    the map shows the bytes that were checked; its index is checked through
+    the map, array-wise, and the matrix and vocabulary read it in place.
+    Only the pages a process reads become resident.  ``hme`` replaces a
+    sidecar only by rename, which leaves a mapped one intact; another
+    program truncating it in place would make a later read of the map fail
+    with SIGBUS."""
+    if sys.byteorder != "little":       # the index is read through native casts
+        return None
     try:
         with open(cache_path, "rb") as fh:
             line = fh.readline(_HEADER_MAX)
-            if not line.startswith(_CACHE_MAGIC):
+            if not line.startswith(_CACHE_MAGIC) or len(line) % _CACHE_ALIGN:
                 return None
             try:
                 head = json.loads(line[len(_CACHE_MAGIC):])
@@ -325,36 +460,30 @@ def _read_cache(cache_path: str, key: dict, level: str,
                 return None
             if not isinstance(head, dict) or head.get("key") != key:
                 return None
-            rows, dim, blob_len, crc = (head.get(k) for k in ("rows", "dim", "blob", "crc"))
-            if not all(type(v) is int and v >= 0 for v in (rows, dim, blob_len, crc)):
+            rows, dim, stream_bytes, crc = (head.get(k) for k in ("rows", "dim", "stream", "crc"))
+            if not all(type(v) is int and v >= 0 for v in (rows, dim, stream_bytes, crc)):
                 return None
-            offset = _matrix_offset(fh.tell() + blob_len)
-            nbytes = rows * dim * 8
+            body = len(line)
+            index_at, matrix_at = (body + at for at in _body_layout(stream_bytes, rows))
             st = os.fstat(fh.fileno())
-            if st.st_size != offset + nbytes or not nbytes:
+            if st.st_size != matrix_at + rows * dim * 8 or not rows * dim:
                 return None
-            blob = fh.read(offset - fh.tell())
-            if len(blob) != offset - len(line) or blob[blob_len:].strip(b"\0"):
-                return None
-            blob = blob[:blob_len]
-            try:
-                tokens = blob.decode("utf-8").split("\n")
-            except UnicodeDecodeError:
-                return None
-            if len(tokens) != rows:
-                return None
-            vocab = dict(zip(tokens, range(rows)))
-            h = _hash_head(level, language_id, dim, vocab)
-            check = zlib.crc32(blob)
-            buf = memoryview(bytearray(min(_CHUNK_BYTES, nbytes)))
-            for start in range(0, nbytes, len(buf)):
-                chunk = buf[:min(len(buf), nbytes - start)]
-                if fh.readinto(chunk) != len(chunk):
-                    return None
-                if not np.isfinite(np.frombuffer(chunk, dtype="<f8")).all():
-                    return None
-                check = zlib.crc32(chunk, check)
-                h.update(chunk)
+            h = _hash_head(level, language_id, dim)
+            check = 0
+            buf = memoryview(bytearray(min(_CHUNK_BYTES, st.st_size - body)))
+            for begin, end, hashed in ((body, body + stream_bytes, True),
+                                       (body + stream_bytes, matrix_at, False),
+                                       (matrix_at, st.st_size, True)):
+                for start in range(begin, end, len(buf)):
+                    chunk = buf[:min(len(buf), end - start)]
+                    if fh.readinto(chunk) != len(chunk):
+                        return None
+                    check = zlib.crc32(chunk, check)
+                    if begin == matrix_at and not np.isfinite(
+                            np.frombuffer(chunk, dtype="<f8")).all():
+                        return None
+                    if hashed:
+                        h.update(chunk)
             if check != crc:
                 return None
             mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
@@ -363,29 +492,47 @@ def _read_cache(cache_path: str, key: dict, level: str,
         return None
     if (after.st_size, after.st_mtime_ns) != (st.st_size, st.st_mtime_ns):
         return None         # written to during the check
-    vectors = np.frombuffer(mapped, dtype="<f8", count=rows * dim, offset=offset)
+    index = np.frombuffer(mapped, dtype="<i8", count=4 * rows, offset=index_at)
+    if not _index_is_sound(np.frombuffer(mapped, dtype=np.uint8, count=stream_bytes,
+                                         offset=body),
+                           index[:2 * rows].reshape(rows, 2),
+                           index[2 * rows:3 * rows].view("<u8"), index[3 * rows:]):
+        return None
+    view = memoryview(mapped)
+    vocab = _MappedVocab(mapped, body, view[index_at:index_at + 16 * rows].cast("q"),
+                         view[index_at + 16 * rows:index_at + 24 * rows].cast("Q"),
+                         view[index_at + 24 * rows:index_at + 32 * rows].cast("q"))
+    vectors = np.frombuffer(mapped, dtype="<f8", count=rows * dim, offset=matrix_at)
     return vocab, vectors.reshape(rows, dim), h.hexdigest()
 
 
-def _write_cache(cache_path: str, key: dict, vocab: dict[str, int],
+def _write_cache(cache_path: str, key: dict, index: _VocabIndex,
                  vectors: np.ndarray) -> None:
     """Store a parse for ``key`` through a temp file and an atomic rename;
     a failed write leaves neither file behind and is not an error."""
-    blob = "\n".join(vocab).encode("utf-8")
     vectors = np.ascontiguousarray(vectors, dtype="<f8")
-    head = {"key": key, "rows": vectors.shape[0], "dim": vectors.shape[1],
-            "blob": len(blob), "crc": zlib.crc32(vectors, zlib.crc32(blob))}
-    line = _CACHE_MAGIC + json.dumps(head).encode("ascii") + b"\n"
-    pad = _matrix_offset(len(line) + len(blob)) - len(line) - len(blob)
+    rows = vectors.shape[0]
+    index_at, matrix_at = _body_layout(len(index.stream), rows)
+    parts = [index.stream, bytes(index_at - len(index.stream)),
+             np.ascontiguousarray(index.spans, dtype="<i8"),
+             np.ascontiguousarray(index.keys, dtype="<u8"),
+             np.ascontiguousarray(index.order, dtype="<i8"),
+             bytes(matrix_at - index_at - 32 * rows), vectors]
+    crc = 0
+    for part in parts:
+        crc = zlib.crc32(part, crc)
+    head = {"key": key, "rows": rows, "dim": vectors.shape[1],
+            "stream": len(index.stream), "crc": crc}
+    line = _CACHE_MAGIC + json.dumps(head).encode("ascii")
+    line += b" " * (-(len(line) + 1) % _CACHE_ALIGN) + b"\n"
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(prefix=os.path.basename(cache_path) + ".",
                                    suffix=".tmp", dir=os.path.dirname(cache_path) or ".")
         with os.fdopen(fd, "wb") as fh:
             fh.write(line)
-            fh.write(blob)
-            fh.write(bytes(pad))
-            vectors.tofile(fh)
+            for part in parts:
+                fh.write(part)
         os.replace(tmp, cache_path)
     except OSError:
         if tmp is not None:

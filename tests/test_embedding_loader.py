@@ -1,8 +1,9 @@
 """The text loader's values, errors and memory: parsed values equal Python
 ``float`` bit for bit, every bad line is named, a load holds little more
 than the matrix it returns, a sidecar serves a table only while its file is
-unchanged and only once every value passed its checks, and a loaded table is
-immutable."""
+unchanged and only once every value and its index passed their checks, a
+warm load serves its vocabulary from the map without an object per token,
+and a loaded table is immutable."""
 
 import hashlib
 import json
@@ -156,14 +157,32 @@ SIDECAR_TEXT = ("5 3\nla 0.5 -1.25 3e-300\na\u2028b 1 2 3\nc\x1c\x1d\x1ed 4 5 6\
                 "e\x85f\xa0g -0.0 7 8\nla 9 9 9\n")
 
 
-def test_warm_load_equals_the_cold_one(tmp_path, parses):
+# the lookup key of a mapped vocabulary, real and forced to collide: one
+# value for every token, or two by parity of length
+KEYS = {"crc": None, "one": lambda data: 7, "two": lambda data: len(data) % 2}
+
+
+@pytest.mark.parametrize("keys", sorted(KEYS))
+def test_warm_load_equals_the_cold_one(tmp_path, parses, monkeypatch, keys):
+    if KEYS[keys] is not None:
+        monkeypatch.setattr(emb, "_token_key", KEYS[keys])
     path = write(tmp_path, "t.vec", SIDECAR_TEXT)
     cold = emb.load_text_embeddings(path, "vec_with_header", language_id="L1", limit=10)
     assert os.path.exists(path + emb.CACHE_SUFFIX)
     warm = emb.load_text_embeddings(path, "vec_with_header", language_id="L1", limit=10)
     assert parses == [path]
+    assert isinstance(warm.vocab, emb._MappedVocab)
     assert list(warm.vocab.items()) == list(cold.vocab.items())
+    assert list(warm.vocab.values()) == list(cold.vocab.values()) == [0, 1, 2, 3]
     assert len(warm.vocab) == 4 and "a\u2028b" in warm.vocab and "e\x85f\xa0g" in warm.vocab
+    for token, row in cold.vocab.items():
+        assert warm.vocab[token] == warm.vocab.get(token) == warm.index_of(token) == row
+    assert warm.index_of("LA") == 0 and warm.index_of("E\x85F\xa0G") == 3
+    for miss in ("l", "la\x00", "la\x000", "c\x1c", "zz", "\udc80", ""):
+        assert warm.vocab.get(miss) is None and warm.index_of(miss) is None
+        assert miss not in warm.vocab
+    with pytest.raises(KeyError):
+        warm.vocab["zz"]
     assert warm.vectors.data.tobytes() == cold.vectors.data.tobytes()
     assert warm.vectors.data.dtype == np.float64 and warm.vectors.data.shape == (4, 3)
     assert warm.dim == cold.dim == 3
@@ -323,16 +342,58 @@ def test_a_non_finite_value_under_a_valid_crc_is_parsed_past(tmp_path, parses,
     cold = emb.load_text_embeddings(path, "vec_with_header")
     planted = np.array(cold.vectors.data)
     planted[-1, -1] = np.nan
-    emb._write_cache(path + emb.CACHE_SUFFIX, _sidecar_key(path), dict(cold.vocab), planted)
+    emb._write_cache(path + emb.CACHE_SUFFIX, _sidecar_key(path),
+                     emb._vocab_index(cold.vocab), planted)
     again = emb.load_text_embeddings(path, "vec_with_header")
     assert parses == [path, path]
     assert again.vectors.data.tobytes() == cold.vectors.data.tobytes()
     assert again.fingerprint() == cold.fingerprint()
 
 
+def _unsound(index, **fields):
+    return index._replace(**{name: change(getattr(index, name).copy())
+                             for name, change in fields.items()})
+
+
+def _set(array, at, value):
+    array[at] = value
+    return array
+
+
+# an index damaged before its CRC was computed, as a faulty writer would
+# store it; SIDECAR_TEXT's table has 4 rows
+UNSOUND = {
+    "order_not_a_permutation": lambda ix: _unsound(ix, order=lambda o: _set(o, 0, o[1])),
+    "order_past_the_rows": lambda ix: _unsound(ix, order=lambda o: _set(o, 0, 4)),
+    "span_past_the_stream": lambda ix: _unsound(
+        ix, spans=lambda s: _set(s, (3, 1), len(ix.stream) + 5)),
+    "span_off_its_nul": lambda ix: _unsound(ix, spans=lambda s: _set(s, (0, 1), 1)),
+    "keys_unsorted": lambda ix: _unsound(ix, keys=lambda k: k[::-1].copy()),
+    "row_count": lambda ix: ix._replace(stream=ix.stream + "zz\x004".encode()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNSOUND))
+def test_an_unsound_index_under_a_valid_crc_is_parsed_past(tmp_path, parses, case):
+    """The index is checked array-wise against the stream, so the vocabulary
+    a warm load serves is the one its fingerprint hashed."""
+    path = write(tmp_path, "t.vec", SIDECAR_TEXT)
+    cold = emb.load_text_embeddings(path, "vec_with_header")
+    index = emb._vocab_index(cold.vocab)
+    emb._write_cache(path + emb.CACHE_SUFFIX, _sidecar_key(path), UNSOUND[case](index),
+                     cold.vectors.data)
+    again = emb.load_text_embeddings(path, "vec_with_header")
+    assert parses == [path, path]
+    assert list(again.vocab.items()) == list(cold.vocab.items())
+    assert again.fingerprint() == cold.fingerprint()
+    warm = emb.load_text_embeddings(path, "vec_with_header")    # rewritten
+    assert parses == [path, path] and isinstance(warm.vocab, emb._MappedVocab)
+
+
 def test_a_first_format_sidecar_is_parsed_past_and_rewritten(tmp_path, parses):
-    """A sidecar of format 1 (matrix right after the tokens, unaligned) is
-    ignored once and replaced by one whose matrix is 64-byte aligned."""
+    """A sidecar of format 1 (matrix right after the tokens, unaligned) under
+    the current name is ignored once and replaced by one of format 3, whose
+    matrix is 64-byte aligned."""
     path = write(tmp_path, "t.vec", SIDECAR_TEXT)
     cold = emb.load_text_embeddings(path, "vec_with_header")
     blob = "\n".join(cold.vocab).encode("utf-8")
@@ -347,10 +408,29 @@ def test_a_first_format_sidecar_is_parsed_past_and_rewritten(tmp_path, parses):
     assert again.fingerprint() == cold.fingerprint()
     with open(path + emb.CACHE_SUFFIX, "rb") as fh:
         line = fh.readline()
-        assert json.loads(line[len(b"hmecache "):])["key"]["version"] == 2
+        assert json.loads(line[len(b"hmecache "):])["key"]["version"] == 3
         assert (os.fstat(fh.fileno()).st_size - vectors.nbytes) % 64 == 0
     emb.load_text_embeddings(path, "vec_with_header")
     assert parses == [path, path]
+
+
+def test_an_older_format_sidecar_is_neither_read_nor_replaced(tmp_path, parses):
+    """Each format has its own sidecar name, so an ``hme`` of format 2 and
+    this one can share a directory without rewriting each other's."""
+    path = write(tmp_path, "t.vec", BASE)
+    older = tmp_path / "t.vec.hmecache"
+    older.write_bytes(b"hmecache {\"key\": {\"version\": 2}} and format 2 bytes\n")
+    before = os.stat(older)
+    for _ in range(2):
+        table = emb.load_text_embeddings(path, "vec_with_header")
+        assert table.vocab == {"b": 0, "c": 1, "d": 2}
+    assert parses == [path]
+    assert emb.CACHE_SUFFIX == ".hmecache3"
+    assert sorted(os.listdir(tmp_path)) == ["t.vec", "t.vec.hmecache", "t.vec.hmecache3"]
+    after = os.stat(older)
+    assert (after.st_ino, after.st_mtime_ns, after.st_size) == (
+        before.st_ino, before.st_mtime_ns, before.st_size)
+    assert older.read_bytes().endswith(b"and format 2 bytes\n")
 
 
 def test_a_mapped_table_outlives_its_sidecar_being_replaced(tmp_path, parses):
@@ -391,7 +471,7 @@ def test_a_warm_load_makes_resident_only_the_rows_it_reads(tmp_path, parses):
     path = write(tmp_path, "t.vec", "a stand-in for a 20,000 x 250 table\n")
     matrix = np.random.default_rng(0).normal(size=(20_000, 250))
     emb._write_cache(path + emb.CACHE_SUFFIX, _sidecar_key(path),
-                     {f"w{i}": i for i in range(len(matrix))}, matrix)
+                     emb._vocab_index({f"w{i}": i for i in range(len(matrix))}), matrix)
     nbytes = matrix.nbytes
     del matrix
     before = _vm_rss_bytes()
@@ -403,3 +483,23 @@ def test_a_warm_load_makes_resident_only_the_rows_it_reads(tmp_path, parses):
     assert parses == []
     assert gathered.shape == (100, 250)
     assert grown < nbytes / 4
+
+
+def test_a_warm_load_holds_no_object_per_token(tmp_path, parses):
+    """A 50,000-row table's warm load and lookups hold under 1 MB: the
+    vocabulary is read from the map, not built as a dict (6.75 MB)."""
+    path = write(tmp_path, "t.vec", "a stand-in for a 50,000 x 4 table\n")
+    words = {f"word{i}": i for i in range(50_000)}
+    emb._write_cache(path + emb.CACHE_SUFFIX, _sidecar_key(path), emb._vocab_index(words),
+                     np.random.default_rng(0).normal(size=(len(words), 4)))
+    tracemalloc.start()
+    try:
+        table = emb.load_text_embeddings(path, "vec_with_header")
+        table.fingerprint()
+        rows = [table.index_of(w) for w in ("word0", "WORD49999", "word25000", "nope")]
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert parses == []
+    assert rows == [0, 49_999, 25_000, None]
+    assert held < 1 << 20
