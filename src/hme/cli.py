@@ -226,7 +226,7 @@ def _restore_model(checkpoint_path: str) -> tuple[mdl.SequenceTagger, dict]:
                                      labels, char_alphabet, random_vocab, seed=0)
         model = mdl.SequenceTagger(model_cfg, resources, seed=seed)
         model.load_state(arrays)
-    except emb.EmbeddingFormatError:
+    except (emb.EmbeddingFormatError, ConfigError):     # a bad table or merges file
         raise
     except (TypeError, ValueError) as exc:
         # header values of the wrong type or that disagree with each other

@@ -9,13 +9,17 @@ table has one, and a zero vector otherwise.  Generated tables keep row
 tables hold exactly the file's rows and have no unknown row.
 
 A loaded table is immutable: its matrix is read-only and its vocabulary a
-read-only mapping, so the fingerprint computed at load stays true.  A file's
-first load parses the text into memory and stores the parse in a binary
-sidecar; a later load of the unchanged file checks the sidecar in one
-streamed pass and then maps it read-only, serving both the matrix and the
-vocabulary from the map.  A mapped table makes resident only the page-cache
-pages (or large folios, up to 2 MB) that hold the rows and index entries a
-process reads, shared by every process that maps the same sidecar.
+read-only mapping, so the fingerprint computed at load stays true.  Every
+loaded vocabulary is served from a key index, whose lookup bisects the
+sorted token keys and compares the candidate's bytes: a damaged index can
+hide tokens as misses, never serve a wrong row.  A file's first load parses
+the text, builds the index and, on a little-endian host (the index is read
+through native casts), stores both in a binary sidecar; a later load of the
+unchanged file checks the sidecar in one streamed pass and then maps it
+read-only, serving both the matrix and the index from the map.  A mapped
+table makes resident only the page-cache pages (or large folios, up to
+2 MB) that hold the rows and index entries a process reads, shared by every
+process that maps the same sidecar.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import chain
-from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -127,23 +130,25 @@ _token_key = zlib.crc32
 
 
 class _MappedVocab(Mapping):
-    """A loaded table's read-only vocabulary, served from its sidecar's map.
+    """A loaded table's read-only vocabulary, served from its key index: in
+    memory after a parse, in the sidecar's map after a warm load.
 
     Row ``i`` holds the ``i``-th token.  ``get`` bisects the sorted token
     keys and compares the candidates' bytes, so a key collision costs a
     comparison, never a wrong row; iteration runs in row order.  Nothing is
-    built per token: three memoryview casts read the index in the map."""
+    built per token: three memoryview casts read the index."""
 
-    __slots__ = ("_map", "_base", "_spans", "_keys", "_order")
+    __slots__ = ("_buffer", "_base", "_spans", "_keys", "_order")
 
-    def __init__(self, mapped: mmap.mmap, base: int, spans: memoryview,
-                 keys: memoryview, order: memoryview):
-        self._map, self._base = mapped, base      # the stream's offset in the map
-        self._spans, self._keys, self._order = spans, keys, order
+    def __init__(self, buffer, base: int, spans, keys, order):    # native 64-bit arrays
+        self._buffer, self._base = buffer, base     # the stream's offset in the buffer
+        self._spans, self._keys, self._order = (
+            memoryview(a).cast("B").cast(code)
+            for a, code in ((spans, "q"), (keys, "Q"), (order, "q")))
 
     def _token(self, row: int) -> bytes:
         base, spans = self._base, self._spans
-        return self._map[base + spans[2 * row]:base + spans[2 * row + 1]]
+        return self._buffer[base + spans[2 * row]:base + spans[2 * row + 1]]
 
     def get(self, token: str, default=None):
         try:
@@ -231,21 +236,19 @@ def load_text_embeddings(path: str, fmt: str, language_id: str = "", level: str 
         raise ValueError(f"unknown embedding format {fmt!r}")
     started = time.time_ns()
     key = _cache_key(os.stat(path), fmt, limit)
-    cached = _read_cache(path + CACHE_SUFFIX, key, level, language_id)
-    if cached is None:
-        parsed, vectors = _parse_text(path, fmt, limit, expected_dim)
-        if key["ctime_ns"] <= started - _SETTLE_NS and _unchanged(path, key):
-            index = _vocab_index(parsed)
-            _write_cache(path + CACHE_SUFFIX, key, index, vectors)
-            stream = index.stream
-        else:
-            stream = _vocab_stream(parsed)
-        vectors.flags.writeable = False
-        vocab = MappingProxyType(parsed)
-        digest = _fingerprint(level, language_id, vectors.shape[1], stream, vectors)
-    else:
+    sidecar = path + CACHE_SUFFIX if sys.byteorder == "little" else None
+    cached = sidecar and _read_cache(sidecar, key, level, language_id)
+    if cached:
         vocab, vectors, digest = cached
         _check_dim(path, vectors.shape[1], expected_dim)
+    else:
+        parsed, vectors = _parse_text(path, fmt, limit, expected_dim)
+        index = _vocab_index(parsed)
+        if sidecar and key["ctime_ns"] <= started - _SETTLE_NS and _unchanged(path, key):
+            _write_cache(sidecar, key, index, vectors)
+        vectors.flags.writeable = False
+        vocab = _MappedVocab(index.stream, 0, index.spans, index.keys, index.order)
+        digest = _fingerprint(level, language_id, vectors.shape[1], index.stream, vectors)
     # both paths checked every value, so the Tensor need not read them again
     table = EmbeddingTable(
         language_id=language_id, level=level, dim=vectors.shape[1],
@@ -395,8 +398,10 @@ def _index_is_sound(stream: np.ndarray, spans: np.ndarray, keys: np.ndarray,
                     order: np.ndarray) -> bool:
     """Whether ``_vocab_index`` could have built this index for ``stream``:
     the spans cut it into back-to-back records of a token, a NUL and the
-    row's digits, the keys ascend and ``order`` is a permutation.  Only then
-    is the served vocabulary the one the fingerprint hashed."""
+    row's digits, the keys ascend and ``order`` is a permutation.  Then the
+    rows hold the tokens the fingerprint hashed.  ``order`` is not checked
+    against the keys: a damaged one can hide tokens as misses, but never
+    serves a wrong row, because every hit compares the token's bytes."""
     rows = len(order)
     starts, stops = spans[:, 0], spans[:, 1]
     ends = stops + 1 + _digit_counts(rows)
@@ -447,8 +452,6 @@ def _read_cache(cache_path: str, key: dict, level: str,
     sidecar only by rename, which leaves a mapped one intact; another
     program truncating it in place would make a later read of the map fail
     with SIGBUS."""
-    if sys.byteorder != "little":       # the index is read through native casts
-        return None
     try:
         with open(cache_path, "rb") as fh:
             line = fh.readline(_HEADER_MAX)
@@ -493,17 +496,14 @@ def _read_cache(cache_path: str, key: dict, level: str,
     if (after.st_size, after.st_mtime_ns) != (st.st_size, st.st_mtime_ns):
         return None         # written to during the check
     index = np.frombuffer(mapped, dtype="<i8", count=4 * rows, offset=index_at)
+    spans, keys, order = (index[:2 * rows].reshape(rows, 2),
+                          index[2 * rows:3 * rows].view("<u8"), index[3 * rows:])
     if not _index_is_sound(np.frombuffer(mapped, dtype=np.uint8, count=stream_bytes,
-                                         offset=body),
-                           index[:2 * rows].reshape(rows, 2),
-                           index[2 * rows:3 * rows].view("<u8"), index[3 * rows:]):
+                                         offset=body), spans, keys, order):
         return None
-    view = memoryview(mapped)
-    vocab = _MappedVocab(mapped, body, view[index_at:index_at + 16 * rows].cast("q"),
-                         view[index_at + 16 * rows:index_at + 24 * rows].cast("Q"),
-                         view[index_at + 24 * rows:index_at + 32 * rows].cast("q"))
     vectors = np.frombuffer(mapped, dtype="<f8", count=rows * dim, offset=matrix_at)
-    return vocab, vectors.reshape(rows, dim), h.hexdigest()
+    return (_MappedVocab(mapped, body, spans, keys, order), vectors.reshape(rows, dim),
+            h.hexdigest())
 
 
 def _write_cache(cache_path: str, key: dict, index: _VocabIndex,

@@ -311,6 +311,31 @@ class TestEval:
         err = capsys.readouterr().err
         assert "hme: error[input]:" in err and f"merges/{entry['language']}" in err
 
+    @pytest.mark.parametrize("command", ["eval", "predict", "export-attention"])
+    def test_malformed_merges_file_is_blamed_not_the_checkpoint(self, toy, tmp_path,
+                                                                capsys, command):
+        header, _ = mdl.load_checkpoint(toy["checkpoint"])
+        entry = next(e for e in header["run_config"]["embeddings"] if e.get("merges"))
+        copy = tmp_path / "merges.txt"
+        lines = Path(entry["merges"]).read_text().splitlines()
+        copy.write_text("\n".join(lines[:2] + ["c d e"] + lines[2:]) + "\n")
+
+        def repoint(h):
+            run_config = json.loads(json.dumps(h["run_config"]))
+            for e in run_config["embeddings"]:
+                if e.get("merges") == entry["merges"]:
+                    e["merges"] = str(copy)
+            return dict(h, run_config=run_config)
+
+        ckpt = tmp_path / "model.ckpt"
+        rewrite_checkpoint_header(toy["checkpoint"], ckpt, repoint)
+        extra = {"eval": [], "predict": ["--out", str(tmp_path / "out.conll")],
+                 "export-attention": ["--out-dir", str(tmp_path / "att")]}[command]
+        assert cli.main([command, str(ckpt), toy["paths"]["data"]["test"], *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"hme: error[input]: {copy}:3: merge line must be")
+        assert err.count("\n") == 1 and str(ckpt) not in err
+
     def test_checkpoint_is_a_directory_exit_2(self, toy, tmp_path, capsys):
         assert cli.main(["eval", str(tmp_path), toy["paths"]["data"]["dev"]]) == 2
         assert_one_input_error(capsys, str(tmp_path))

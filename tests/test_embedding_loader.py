@@ -2,12 +2,15 @@
 ``float`` bit for bit, every bad line is named, a load holds little more
 than the matrix it returns, a sidecar serves a table only while its file is
 unchanged and only once every value and its index passed their checks, a
-warm load serves its vocabulary from the map without an object per token,
-and a loaded table is immutable."""
+damaged index can hide a token but never serve a wrong row, every loaded
+vocabulary is served from a key index, a warm load's from the map without
+an object per token, and a loaded table is immutable."""
 
 import hashlib
 import json
+import mmap
 import os
+import sys
 import tracemalloc
 import zlib
 
@@ -171,18 +174,21 @@ def test_warm_load_equals_the_cold_one(tmp_path, parses, monkeypatch, keys):
     assert os.path.exists(path + emb.CACHE_SUFFIX)
     warm = emb.load_text_embeddings(path, "vec_with_header", language_id="L1", limit=10)
     assert parses == [path]
-    assert isinstance(warm.vocab, emb._MappedVocab)
-    assert list(warm.vocab.items()) == list(cold.vocab.items())
-    assert list(warm.vocab.values()) == list(cold.vocab.values()) == [0, 1, 2, 3]
-    assert len(warm.vocab) == 4 and "a\u2028b" in warm.vocab and "e\x85f\xa0g" in warm.vocab
-    for token, row in cold.vocab.items():
-        assert warm.vocab[token] == warm.vocab.get(token) == warm.index_of(token) == row
-    assert warm.index_of("LA") == 0 and warm.index_of("E\x85F\xa0G") == 3
-    for miss in ("l", "la\x00", "la\x000", "c\x1c", "zz", "\udc80", ""):
-        assert warm.vocab.get(miss) is None and warm.index_of(miss) is None
-        assert miss not in warm.vocab
-    with pytest.raises(KeyError):
-        warm.vocab["zz"]
+    assert isinstance(warm.vocab._buffer, mmap.mmap)
+    assert not isinstance(cold.vocab._buffer, mmap.mmap)
+    rows = [("la", 0), ("a\u2028b", 1), ("c\x1c\x1d\x1ed", 2), ("e\x85f\xa0g", 3)]
+    assert list(warm.vocab.items()) == list(cold.vocab.items()) == rows
+    for table in (cold, warm):
+        vocab = table.vocab
+        assert len(vocab) == 4 and "a\u2028b" in vocab and "e\x85f\xa0g" in vocab
+        for token, row in rows:
+            assert vocab[token] == vocab.get(token) == table.index_of(token) == row
+        assert table.index_of("LA") == 0 and table.index_of("E\x85F\xa0G") == 3
+        for miss in ("l", "la\x00", "la\x000", "c\x1c", "zz", "\udc80", ""):
+            assert vocab.get(miss) is None and table.index_of(miss) is None
+            assert miss not in vocab
+        with pytest.raises(KeyError):
+            vocab["zz"]
     assert warm.vectors.data.tobytes() == cold.vectors.data.tobytes()
     assert warm.vectors.data.dtype == np.float64 and warm.vectors.data.shape == (4, 3)
     assert warm.dim == cold.dim == 3
@@ -375,8 +381,9 @@ UNSOUND = {
 
 @pytest.mark.parametrize("case", sorted(UNSOUND))
 def test_an_unsound_index_under_a_valid_crc_is_parsed_past(tmp_path, parses, case):
-    """The index is checked array-wise against the stream, so the vocabulary
-    a warm load serves is the one its fingerprint hashed."""
+    """The index is checked array-wise against the stream, so the rows a
+    warm load serves hold the tokens its fingerprint hashed; the key order
+    is not checked against the keys (see the test after this one)."""
     path = write(tmp_path, "t.vec", SIDECAR_TEXT)
     cold = emb.load_text_embeddings(path, "vec_with_header")
     index = emb._vocab_index(cold.vocab)
@@ -387,7 +394,57 @@ def test_an_unsound_index_under_a_valid_crc_is_parsed_past(tmp_path, parses, cas
     assert list(again.vocab.items()) == list(cold.vocab.items())
     assert again.fingerprint() == cold.fingerprint()
     warm = emb.load_text_embeddings(path, "vec_with_header")    # rewritten
-    assert parses == [path, path] and isinstance(warm.vocab, emb._MappedVocab)
+    assert parses == [path, path] and isinstance(warm.vocab._buffer, mmap.mmap)
+
+
+@pytest.mark.parametrize("keys", sorted(KEYS))
+def test_a_damaged_key_order_hides_tokens_but_never_serves_a_wrong_row(
+        tmp_path, parses, monkeypatch, keys):
+    """Two swapped ``order`` entries under a valid CRC pass the index check,
+    which would need a key per token to catch them; every lookup still
+    returns the parse's row or nothing, because every hit compares bytes."""
+    if KEYS[keys] is not None:
+        monkeypatch.setattr(emb, "_token_key", KEYS[keys])
+    path = write(tmp_path, "t.vec", SIDECAR_TEXT)
+    cold = emb.load_text_embeddings(path, "vec_with_header")
+    index = emb._vocab_index(cold.vocab)
+    swapped = _unsound(index, order=lambda o: o[[1, 0, 2, 3]].copy())
+    emb._write_cache(path + emb.CACHE_SUFFIX, _sidecar_key(path), swapped,
+                     cold.vectors.data)
+    warm = emb.load_text_embeddings(path, "vec_with_header")
+    assert parses == [path] and isinstance(warm.vocab._buffer, mmap.mmap)
+    assert warm.fingerprint() == cold.fingerprint()
+    assert list(warm.vocab) == list(cold.vocab)
+    rows = {token: warm.vocab.get(token) for token in cold.vocab}
+    assert all(row in (cold.vocab[token], None) for token, row in rows.items())
+    assert all(warm.index_of(token) in (row, None) for token, row in cold.vocab.items())
+    if keys == "crc":
+        assert None in rows.values()        # the swap hid at least one token
+
+
+@pytest.mark.parametrize("sidecar", [False, True], ids=["parsed", "sidecar"])
+def test_a_big_endian_host_neither_reads_nor_writes_a_sidecar(tmp_path, parses,
+                                                              monkeypatch, sidecar):
+    """The index is read through native casts, so a big-endian host parses
+    every load, leaves no sidecar and ignores one left by another host."""
+    path = write(tmp_path, "t.vec", SIDECAR_TEXT)
+    if sidecar:
+        emb.load_text_embeddings(path, "vec_with_header")
+        parses.clear()
+    monkeypatch.setattr(sys, "byteorder", "big")
+    first = emb.load_text_embeddings(path, "vec_with_header")
+    assert os.path.exists(path + emb.CACHE_SUFFIX) == sidecar
+    stored = os.stat(path + emb.CACHE_SUFFIX).st_mtime_ns if sidecar else None
+    second = emb.load_text_embeddings(path, "vec_with_header")
+    assert parses == [path, path]
+    assert sorted(os.listdir(tmp_path)) == ["t.vec"] + ["t.vec" + emb.CACHE_SUFFIX] * sidecar
+    if sidecar:
+        assert os.stat(path + emb.CACHE_SUFFIX).st_mtime_ns == stored
+    assert list(second.vocab.items()) == list(first.vocab.items())
+    for token in list(first.vocab) + ["LA", "zz", "\udc80"]:
+        assert second.index_of(token) == first.index_of(token)
+    assert second.vectors.data.tobytes() == first.vectors.data.tobytes()
+    assert second.fingerprint() == first.fingerprint()
 
 
 def test_a_first_format_sidecar_is_parsed_past_and_rewritten(tmp_path, parses):
@@ -503,3 +560,21 @@ def test_a_warm_load_holds_no_object_per_token(tmp_path, parses):
     assert parses == []
     assert rows == [0, 49_999, 25_000, None]
     assert held < 1 << 20
+
+
+def test_a_cold_load_holds_its_key_index_not_a_dict(tmp_path, parses):
+    """A parse serves the vocabulary from the index a sidecar would store:
+    a 50,000-row table holds its stream and 32 bytes of index per row
+    beyond its matrix, under 3 MB, where a dict held 6.2 MB."""
+    path = tmp_path / "t.vec"
+    path.write_text("50000 4\n" + "".join(f"word{i} 0.5 -1 2 0.25\n" for i in range(50_000)),
+                    encoding="utf-8")
+    tracemalloc.start()
+    try:
+        table = emb.load_text_embeddings(str(path), "vec_with_header")
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert parses == [str(path)]
+    assert [table.index_of(w) for w in ("word0", "WORD49999", "nope")] == [0, 49_999, None]
+    assert held - table.vectors.data.nbytes < 3 << 20
