@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import io
 import json
 import mmap
 import os
@@ -35,7 +36,7 @@ import time
 import zlib
 from array import array
 from bisect import bisect_left
-from collections.abc import Mapping
+from collections.abc import Collection, Iterable, Mapping
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import NamedTuple
@@ -101,8 +102,9 @@ class EmbeddingTable:
         its vectors in place, not copied."""
         if self._digest is not None:
             return self._digest
+        rows = ((tok.encode(), i) for tok, i in self.vocab.items())
         return _fingerprint(self.level, self.language_id, self.dim,
-                            _vocab_stream(self.vocab), self.vectors.data)
+                            _vocab_stream(rows), self.vectors.data)
 
 
 def _hash_head(level: str, language_id: str, dim: int):
@@ -110,9 +112,13 @@ def _hash_head(level: str, language_id: str, dim: int):
     return hashlib.sha256(f"{level}/{language_id}/{dim}".encode())
 
 
-def _vocab_stream(vocab: Mapping[str, int]) -> bytes:
-    """What ``fingerprint`` hashes for ``vocab``: each token, NUL, its row."""
-    return b"".join(f"{tok}\x00{i}".encode() for tok, i in vocab.items())
+def _vocab_stream(rows: Iterable[tuple[bytes, int]]) -> bytes:
+    """What ``fingerprint`` hashes for a vocabulary: each token's UTF-8
+    bytes, NUL, its row.  Written record by record, so no list of them is
+    held."""
+    stream = io.BytesIO()
+    stream.writelines(map(b"%s\x00%d".__mod__, rows))
+    return stream.getvalue()
 
 
 def _fingerprint(level: str, language_id: str, dim: int, stream: bytes,
@@ -264,10 +270,11 @@ def _check_dim(path: str, dim: int, expected_dim: int | None) -> None:
 
 
 def _parse_text(path: str, fmt: str, limit: int | None,
-                expected_dim: int | None) -> tuple[dict[str, int], np.ndarray]:
-    """The vocab and float64 matrix of a text embedding file; every check of
-    ``load_text_embeddings`` is made here."""
-    vocab: dict[str, int] = {}
+                expected_dim: int | None) -> tuple[dict[bytes, None], np.ndarray]:
+    """The tokens, each one's UTF-8 bytes in row order, and float64 matrix
+    of a text embedding file; every check of ``load_text_embeddings`` is
+    made here."""
+    vocab: dict[bytes, None] = {}         # insertion order is row order
     dim: int | None = None
     data_lines, stopped = 0, False
     keep = array("q")                     # the data line of each row
@@ -287,9 +294,9 @@ def _parse_text(path: str, fmt: str, limit: int | None,
             parts = line.encode("utf-8").split(None, 1)
             if len(parts) < 2:
                 raise EmbeddingFormatError(f"{path}:{lineno}: malformed row")
-            token = parts[0].decode("utf-8")
+            token = parts[0]
             if token not in vocab:
-                vocab[token] = len(vocab)
+                vocab[token] = None
                 keep.append(data_lines)
                 linenos.append(lineno)
             data_lines += 1
@@ -381,16 +388,17 @@ def _digit_counts(rows: int) -> np.ndarray:
     return digits
 
 
-def _vocab_index(vocab: Mapping[str, int]) -> _VocabIndex:
-    """The index of a parsed vocabulary, whose rows are its order."""
-    tokens = list(map(str.encode, vocab))
+def _vocab_index(tokens: Collection[bytes]) -> _VocabIndex:
+    """The index of a vocabulary given as its tokens' UTF-8 bytes in row
+    order."""
     rows = len(tokens)
     lengths = np.fromiter(map(len, tokens), dtype=np.int64, count=rows)
     ends = np.cumsum(lengths + 1 + _digit_counts(rows))
     starts = np.concatenate(([0], ends[:-1]))
     keys = np.fromiter(map(_token_key, tokens), dtype=np.uint64, count=rows)
     order = np.argsort(keys, kind="stable")
-    return _VocabIndex(_vocab_stream(vocab), np.stack([starts, starts + lengths], axis=1),
+    return _VocabIndex(_vocab_stream(zip(tokens, range(rows))),
+                       np.stack([starts, starts + lengths], axis=1),
                        keys[order], order)
 
 

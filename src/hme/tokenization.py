@@ -8,9 +8,11 @@ from __future__ import annotations
 
 import hashlib
 import re
+from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import chain, compress, count, islice, repeat
+from operator import contains, itemgetter, ne, not_, sub
 
 SPECIAL_TOKENS = ("<USR>", "<EMOJI>", "<URL>")
 
@@ -32,6 +34,11 @@ _EMOJI_RE = re.compile(
     "]+")
 _URL_RE = re.compile(r"^(https?://|www\.)", re.IGNORECASE)
 _TAG_RE = re.compile(r"^[BI]-[A-Za-z0-9_.]+$|^O$")
+
+
+# The CoNLL readers take a file this many characters at a time.  Larger
+# chunks read no faster and leave a higher peak RSS.
+_CHUNK_CHARS = 1 << 13
 
 
 class ConllFormatError(ValueError):
@@ -129,7 +136,7 @@ def to_chars(word: str) -> list[str]:
     return list(word)
 
 
-@dataclass
+@dataclass(slots=True)
 class TokenizedSentence:
     """A sentence with raw tokens, preprocessed words and optional IOB labels."""
 
@@ -167,28 +174,126 @@ def repair_iob(tags: list[str]) -> tuple[list[str], int]:
     return fixed, repairs
 
 
-def _read_sentences(path: str, parse) -> Iterator[list]:
-    """Yield each sentence of ``path`` as its non-blank lines, each passed
-    through ``parse(line, lineno)``; a blank line ends a sentence.  One
-    sentence's rows are held at a time."""
-    rows = []
+def _blocks(path: str) -> Iterator[tuple[int, str]]:
+    """Yield ``(lines before it, text)`` for runs of whole sentences of
+    ``path``, in file order; every text but the last ends with a blank line.
+
+    The file is read in text mode, so line ends are universal, one chunk of
+    ``_CHUNK_CHARS`` characters at a time.  What follows a chunk's last blank
+    line is carried over as a list of pieces and joined once, when a blank
+    line ends it, so a file with no blank line still reads in linear time.
+    """
+    before = 0
+    pending: list[str] = []         # no piece is empty
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\r\n")
-            if line:
-                rows.append(parse(line, lineno))
-            elif rows:
-                yield rows
-                rows = []
-    if rows:
-        yield rows
+        while chunk := fh.read(_CHUNK_CHARS):
+            end = chunk.rfind("\n\n") + 2
+            if end == 1:    # no blank line inside, but one may open the chunk
+                after_line_end = not pending or pending[-1][-1] == "\n"
+                if not (after_line_end and chunk[0] == "\n"):
+                    pending.append(chunk)
+                    continue
+            pending.append(chunk[:end])
+            text = "".join(pending)
+            pending = [chunk[end:]] if end < len(chunk) else []
+            yield before, text
+            before += text.count("\n")
+    if pending:
+        yield before, "".join(pending)
 
 
-def _words(raw: list[str], word_of) -> list[str]:
-    """The preprocessed words of ``raw``: ``raw`` itself when preprocessing
-    changes none of them, so such a sentence holds one list, not two."""
-    words = [word_of(t) for t in raw]
-    return raw if words == raw else words
+def _read_sentences(path: str, labeled: bool) -> Iterator[TokenizedSentence]:
+    """Yield the sentences of ``path``, one block of whole sentences at a
+    time; a blank line ends a sentence.  Each block is cut, checked and
+    shared with list-wide operations, not one call per line.
+
+    Each distinct token is preprocessed, and each distinct tag validated,
+    once per call; every occurrence of a token or tag is one shared ``str``,
+    and a sentence that preprocessing leaves unchanged has ``words is
+    raw_tokens``.  Only sentences holding an I-x tag with no B-x or I-x
+    before it go through ``repair_iob``.  The first bad line in file order
+    raises ``ConllFormatError`` naming it.
+    """
+    tokens: dict[str, str] = {}         # each token -> its first instance
+    changed: dict[str, str] = {}        # each token preprocessing changes -> its word
+    tags: dict[str, str] = {}           # each tag read or repaired -> its first instance
+    types: dict[str, str] = {}          # each tag in ``tags`` -> its type, "" for O
+    inside: set[str] = set()            # the I- tags in ``tags``
+    for before, text in _blocks(path):
+        lines = text.split("\n")
+        body = list(filter(None, lines))
+        if not body:
+            continue
+        # the body index of each blank line; sentences lie between them
+        cuts = list(map(sub, compress(count(), map(not_, lines)), count()))
+        bounds = list(dict.fromkeys(chain((0,), cuts, (len(body),))))
+        starts, ends = bounds[:-1], bounds[1:]
+
+        def lineno(j: int) -> int:
+            """The file line number of ``body[j]``."""
+            return before + j + bisect_right(cuts, j) + 1
+
+        def sentences_at(positions) -> set[int]:
+            """The indices of the sentences that hold these body indices."""
+            return set(map(bisect_right, repeat(ends), positions))
+
+        def validate(labels: list[str]) -> None:
+            """Validate the tags new to this call in order of first
+            occurrence, so that the first bad one raises with its line."""
+            for j in sorted(map(labels.index, set(labels).difference(tags))):
+                _validate_tag(labels[j], path, lineno(j))
+                tags[labels[j]] = labels[j]
+
+        known = len(tokens)
+        if labeled:
+            flat = "\t".join(body).split("\t")
+            toks, labels = flat[0::2], flat[1::2]
+            raw = list(map(tokens.setdefault, toks, toks))
+            # with as many tabs as lines, a tab on every line means one each
+            if len(flat) != 2 * len(body) or "" in tokens or not all(
+                    map(contains, body, repeat("\t"))):
+                bad = next(j for j, line in enumerate(body)
+                           if line.count("\t") != 1 or line[0] == "\t")
+                validate(labels[:bad])          # an earlier bad tag comes first
+                raise ConllFormatError(f"{path}:{lineno(bad)}: expected 'token<TAB>tag'")
+            validate(labels)
+            if len(types) != len(tags):     # tags new to this call, read or repaired
+                types = {tag: tag[2:] for tag in tags}
+                inside = {tag for tag in tags if tag.startswith("I-")}
+            labels = list(map(tags.__getitem__, labels))
+            label_lists = list(map(labels.__getitem__, map(slice, starts, ends)))
+            repairs = [0] * len(label_lists)
+            at = list(compress(count(), map(inside.__contains__, labels)))
+            if at:
+                # an I-x needs repair after a tag of another type, or first
+                type_at = map(types.__getitem__, map(labels.__getitem__, at))
+                type_before = map(types.__getitem__, map(
+                    labels.__getitem__, map(sub, at, repeat(1))))
+                flagged = sentences_at(compress(at, map(ne, type_before, type_at)))
+                flagged.update(compress(count(), map(
+                    inside.__contains__, map(labels.__getitem__, starts))))
+                for i in flagged:
+                    fixed, repairs[i] = repair_iob(label_lists[i])
+                    label_lists[i] = list(map(tags.setdefault, fixed, fixed))
+        else:
+            toks = body if "\t" not in text else list(
+                map(itemgetter(0), map(str.partition, body, repeat("\t"))))
+            raw = list(map(tokens.setdefault, toks, toks))
+            if "" in tokens:
+                raise ConllFormatError(f"{path}:{lineno(raw.index(''))}: empty token")
+        for token in islice(reversed(tokens), len(tokens) - known):
+            word = preprocess_token(token)
+            if word != token:
+                changed[token] = word
+        raw_lists = list(map(raw.__getitem__, map(slice, starts, ends)))
+        word_lists = raw_lists.copy()
+        if changed:
+            for i in sentences_at(compress(count(), map(changed.__contains__, raw))):
+                word_lists[i] = list(map(changed.get, raw_lists[i], raw_lists[i]))
+        if labeled:
+            yield from map(TokenizedSentence, raw_lists, word_lists, label_lists, repairs)
+        else:
+            yield from map(TokenizedSentence, raw_lists, word_lists)
 
 
 def read_conll(path: str) -> list[TokenizedSentence]:
@@ -201,30 +306,7 @@ def read_conll(path: str) -> list[TokenizedSentence]:
     strings grow with the file's vocabulary rather than its length.  A
     sentence that preprocessing leaves unchanged has ``words is raw_tokens``.
     """
-    tokens: dict[str, str] = {}
-    tags: dict[str, str] = {}         # each validated tag -> its first instance
-
-    def parse(line, lineno):
-        parts = line.split("\t")
-        if len(parts) != 2 or not parts[0]:
-            raise ConllFormatError(f"{path}:{lineno}: expected 'token<TAB>tag'")
-        token, tag = parts
-        if tag not in tags:
-            _validate_tag(tag, path, lineno)
-            tags[tag] = tag
-        return tokens.setdefault(token, token), tags[tag]
-
-    word_of = lru_cache(maxsize=None)(preprocess_token)
-    sentences = []
-    for rows in _read_sentences(path, parse):
-        raw, labels = zip(*rows)
-        fixed, repairs = repair_iob(labels)
-        if repairs:
-            fixed = [tags.setdefault(t, t) for t in fixed]
-        raw = list(raw)
-        sentences.append(TokenizedSentence(
-            raw_tokens=raw, words=_words(raw, word_of), labels=fixed, repairs=repairs))
-    return sentences
+    return list(_read_sentences(path, labeled=True))
 
 
 def read_tokens(path: str) -> list[TokenizedSentence]:
@@ -236,17 +318,7 @@ def read_tokens(path: str) -> list[TokenizedSentence]:
     is one shared ``str``; as in ``read_conll``, a sentence that preprocessing
     leaves unchanged has ``words is raw_tokens``.
     """
-    tokens: dict[str, str] = {}
-
-    def parse(line, lineno):
-        token = line.split("\t")[0]
-        if not token:
-            raise ConllFormatError(f"{path}:{lineno}: empty token")
-        return tokens.setdefault(token, token)
-
-    word_of = lru_cache(maxsize=None)(preprocess_token)
-    return [TokenizedSentence(raw_tokens=raw, words=_words(raw, word_of))
-            for raw in _read_sentences(path, parse)]
+    return list(_read_sentences(path, labeled=False))
 
 
 def write_conll(sentences: list[TokenizedSentence], path: str,

@@ -6,6 +6,7 @@ call back into the code paths it verifies.
 
 import itertools
 import math
+import re
 
 import numpy as np
 
@@ -313,3 +314,57 @@ def entity_spans_by_hand(tags):
             if tag.startswith("B-") or tag.startswith("I-"):
                 start, etype = i, tag[2:]
     return spans
+
+
+CONLL_TAG = re.compile(r"[BI]-[A-Za-z0-9_.]+|O")
+
+
+def read_conll_by_line(path, labeled, word_of):
+    """Reference CoNLL reader, one line at a time: ``(raw tokens, words,
+    labels, repairs)`` per sentence, labels ``None`` when not ``labeled``.
+
+    Universal newlines; a blank line ends a sentence.  A labeled line is
+    "token<TAB>tag" with a non-empty token and a tag of ``CONLL_TAG``; an
+    unlabeled line's token is what precedes its first tab and must not be
+    empty.  The first bad line raises ``ValueError`` with the readers'
+    message.  An I-x tag whose previous tag (after repair; "O" before the
+    first) is neither B-x nor I-x becomes B-x and counts one repair.
+    """
+    sentences, rows = [], []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line:
+                if rows:
+                    sentences.append(rows)
+                rows = []
+                continue
+            fields = line.split("\t")
+            if not labeled:
+                if not fields[0]:
+                    raise ValueError(f"{path}:{lineno}: empty token")
+                rows.append((fields[0], None))
+                continue
+            if len(fields) != 2 or not fields[0]:
+                raise ValueError(f"{path}:{lineno}: expected 'token<TAB>tag'")
+            if not CONLL_TAG.fullmatch(fields[1]):
+                raise ValueError(f"{path}:{lineno}: unknown tag {fields[1]!r}")
+            rows.append(tuple(fields))
+    if rows:
+        sentences.append(rows)
+    out = []
+    for rows in sentences:
+        raw = [token for token, _ in rows]
+        words = [word_of(token) for token in raw]
+        if not labeled:
+            out.append((raw, words, None, 0))
+            continue
+        labels, repairs, prev = [], 0, "O"
+        for _, tag in rows:
+            if tag.startswith("I-") and prev not in ("B-" + tag[2:], "I-" + tag[2:]):
+                tag = "B-" + tag[2:]
+                repairs += 1
+            labels.append(tag)
+            prev = tag
+        out.append((raw, words, labels, repairs))
+    return out

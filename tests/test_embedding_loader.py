@@ -349,7 +349,7 @@ def test_a_non_finite_value_under_a_valid_crc_is_parsed_past(tmp_path, parses,
     planted = np.array(cold.vectors.data)
     planted[-1, -1] = np.nan
     emb._write_cache(path + emb.CACHE_SUFFIX, _sidecar_key(path),
-                     emb._vocab_index(cold.vocab), planted)
+                     emb._vocab_index([t.encode() for t in cold.vocab]), planted)
     again = emb.load_text_embeddings(path, "vec_with_header")
     assert parses == [path, path]
     assert again.vectors.data.tobytes() == cold.vectors.data.tobytes()
@@ -386,7 +386,7 @@ def test_an_unsound_index_under_a_valid_crc_is_parsed_past(tmp_path, parses, cas
     is not checked against the keys (see the test after this one)."""
     path = write(tmp_path, "t.vec", SIDECAR_TEXT)
     cold = emb.load_text_embeddings(path, "vec_with_header")
-    index = emb._vocab_index(cold.vocab)
+    index = emb._vocab_index([t.encode() for t in cold.vocab])
     emb._write_cache(path + emb.CACHE_SUFFIX, _sidecar_key(path), UNSOUND[case](index),
                      cold.vectors.data)
     again = emb.load_text_embeddings(path, "vec_with_header")
@@ -407,7 +407,7 @@ def test_a_damaged_key_order_hides_tokens_but_never_serves_a_wrong_row(
         monkeypatch.setattr(emb, "_token_key", KEYS[keys])
     path = write(tmp_path, "t.vec", SIDECAR_TEXT)
     cold = emb.load_text_embeddings(path, "vec_with_header")
-    index = emb._vocab_index(cold.vocab)
+    index = emb._vocab_index([t.encode() for t in cold.vocab])
     swapped = _unsound(index, order=lambda o: o[[1, 0, 2, 3]].copy())
     emb._write_cache(path + emb.CACHE_SUFFIX, _sidecar_key(path), swapped,
                      cold.vectors.data)
@@ -528,7 +528,7 @@ def test_a_warm_load_makes_resident_only_the_rows_it_reads(tmp_path, parses):
     path = write(tmp_path, "t.vec", "a stand-in for a 20,000 x 250 table\n")
     matrix = np.random.default_rng(0).normal(size=(20_000, 250))
     emb._write_cache(path + emb.CACHE_SUFFIX, _sidecar_key(path),
-                     emb._vocab_index({f"w{i}": i for i in range(len(matrix))}), matrix)
+                     emb._vocab_index([f"w{i}".encode() for i in range(len(matrix))]), matrix)
     nbytes = matrix.nbytes
     del matrix
     before = _vm_rss_bytes()
@@ -547,7 +547,8 @@ def test_a_warm_load_holds_no_object_per_token(tmp_path, parses):
     vocabulary is read from the map, not built as a dict (6.75 MB)."""
     path = write(tmp_path, "t.vec", "a stand-in for a 50,000 x 4 table\n")
     words = {f"word{i}": i for i in range(50_000)}
-    emb._write_cache(path + emb.CACHE_SUFFIX, _sidecar_key(path), emb._vocab_index(words),
+    emb._write_cache(path + emb.CACHE_SUFFIX, _sidecar_key(path),
+                     emb._vocab_index([w.encode() for w in words]),
                      np.random.default_rng(0).normal(size=(len(words), 4)))
     tracemalloc.start()
     try:

@@ -1,8 +1,14 @@
+import re
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from hme import synth
 from hme import tokenization as tok
 from hme.tokenization import BpeModel
+from oracles import read_conll_by_line
 
 
 class TestPreprocess:
@@ -269,3 +275,229 @@ class TestConll:
         assert sents[0].words == ["hola", "<USR>"]
         assert sents[1].raw_tokens == ["b"]
         assert sents[1].labels is None
+
+
+# Files the chunked readers must read exactly as a plain per-line reader
+# does; written with ``newline=""``, so their line ends stay as given.
+READ_CASES = {
+    "crlf": "a\tO\r\nb\tB-per\r\n\r\nc\tI-loc\r\n",
+    "lone_cr": "a\tO\rb\tB-per\r\rc\tI-loc\r\r\rd\tO\r",
+    "mixed_ends": "a\tO\r\n\rb\tO\n\r\nc\tO\r\r\nd\tO",
+    "leading_and_runs_of_blanks": "\n\n\na\tO\n\n\n\nb\tI-per\nc\tI-per\n\n\n\n\nd\tO\n\n\n",
+    "no_final_newline": "a\tO\nb\tO\n\nc\tB-x",
+    "only_blank_lines": "\n\n\r\n\n",
+    "empty": "",
+    "sentence_longer_than_a_chunk": "".join(
+        f"tok{i}\t{'BI'[i % 3 > 0]}-per\n" for i in range(150)) + "\nz\tO\n",
+    "non_ascii_at_chunk_edges": "".join(
+        f"{'x' * (i % 5)}ñandú\tO\n日本{i}\tB-loc\n😀\tO\n\u00e9\tI-loc\n\n"
+        for i in range(12)),
+    "placeholders": "@ana\tB-per\nhttp://x.y\tO\n😀\tO\nhola\tO\n\nla\tO\n\n"
+                    "#tag\tO\nla\tO\n\nhola\tO\nla\tO\n",
+    "repairs": "x\tI-per\ny\tI-per\n\na\tB-per\nb\tI-loc\nc\tI-loc\n\n"
+               "d\tO\ne\tI-org\nf\tB-per\n\ng\tB-per\nh\tI-per\ni\tI-per\n\n"
+               "j\tI-loc\n\nk\tB-loc\nl\tI-loc\n",
+    # the B-per a repair makes is the first B-per; the file's comes later
+    "a_repair_makes_a_tag_read_later": "a\tB-loc\nb\tI-loc\nc\tI-per\n\n"
+                                       "d\tB-per\ne\tI-loc\n\nf\tB-per\ng\tI-per\n",
+    "other_line_breaks_inside_tokens": "a\x0cb\tO\nc\x85\tO\nd\u2028e\tO\n\x1c\tO\n\n"
+                                       "f\x0b\tO\n",
+    "tabbed_and_plain": "hola\n@john\n\nb\tO\nc\tO\n\nd\n",
+    "extra_field": "a\tO\nb\tO\tx\n\n",
+    # as many tabs as lines, but not one on each
+    "untabbed_line_then_extra_field": "a\tO\nbroken\nc\tO\tO\n\nd\tO\n",
+    "extra_field_then_untabbed_line": "a\tO\tO\nb\tO\nbroken\n",
+    "empty_token": "a\tO\n\n\tO\n",
+    "empty_tag": "a\tO\nb\t\n",
+    "whitespace_line": "a\tO\n \n\nb\tO\n",
+    "unknown_tag": "a\tO\n\nb\tB-per\nc\tQ-per\n",
+}
+CHUNKS = [1, 2, 3, 5, 8, 13, 64, tok._CHUNK_CHARS]
+
+
+def _rows(sentences):
+    return [(s.raw_tokens, s.words, s.labels, s.repairs) for s in sentences]
+
+
+def check_against_the_line_reader(path, labeled):
+    """The reader gives the reference's sentences, or its first error; it
+    shares one ``str`` per distinct string and one list for a sentence that
+    preprocessing leaves unchanged."""
+    reader = tok.read_conll if labeled else tok.read_tokens
+    try:
+        want = read_conll_by_line(path, labeled, tok.preprocess_token)
+    except ValueError as exc:
+        with pytest.raises(tok.ConllFormatError) as got:
+            reader(path)
+        assert str(got.value) == str(exc)
+        return
+    sents = reader(path)
+    assert _rows(sents) == want
+    first: dict[str, str] = {}
+    for s in sents:
+        assert (s.words is s.raw_tokens) == (s.words == s.raw_tokens)
+        for string in s.raw_tokens + s.words + (s.labels or []):
+            assert first.setdefault(string, string) is string
+
+
+@pytest.mark.parametrize("labeled", [True, False], ids=["read_conll", "read_tokens"])
+@pytest.mark.parametrize("case", sorted(READ_CASES))
+def test_chunked_readers_equal_the_line_reader(tmp_path, monkeypatch, case, labeled):
+    path = tmp_path / "d.conll"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(READ_CASES[case])
+    calls = []
+
+    def counting(fn):
+        return lambda *args: calls.append((fn, args[0])) or fn(*args)
+
+    preprocess, validate = tok.preprocess_token, tok._validate_tag
+    for chunk in CHUNKS:
+        monkeypatch.setattr(tok, "_CHUNK_CHARS", chunk)
+        check_against_the_line_reader(str(path), labeled)
+        # each distinct token is preprocessed once, and each tag validated once
+        monkeypatch.setattr(tok, "preprocess_token", counting(preprocess))
+        monkeypatch.setattr(tok, "_validate_tag", counting(validate))
+        calls.clear()
+        try:
+            sents = (tok.read_conll if labeled else tok.read_tokens)(str(path))
+        except tok.ConllFormatError:
+            sents = []
+        assert len(calls) == len(set(calls))
+        assert {t for s in sents for t in s.raw_tokens} <= {a for f, a in calls if f is preprocess}
+        monkeypatch.setattr(tok, "preprocess_token", preprocess)
+        monkeypatch.setattr(tok, "_validate_tag", validate)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_chunked_readers_equal_the_line_reader_on_random_files(tmp_path, monkeypatch, seed):
+    """Random sentences over a few tokens and tags, so repairs chain and
+    placeholders recur, with mixed line ends, runs of blank lines and now
+    and then a bad line."""
+    rng = np.random.default_rng(seed)
+    tokens = ["a", "b", "@ana", "http://x.y", "ñandú", "😀", "c\x85d"]
+    tags = ["O", "B-x", "I-x", "B-y", "I-y", "I-z"]
+    bad_lines = ["bad", "a\tQ-x", "\tO", "a\tO\tO", "a\t"]
+    ends = ["\n", "\r\n", "\r"]
+    text = "\n" * int(rng.integers(0, 2))
+    for _ in range(int(rng.integers(1, 30))):
+        for _ in range(int(rng.integers(1, 7))):
+            line = (bad_lines[int(rng.integers(len(bad_lines)))] if rng.random() < 0.01
+                    else f"{tokens[int(rng.integers(len(tokens)))]}\t"
+                         f"{tags[int(rng.integers(len(tags)))]}")
+            text += line + ends[int(rng.integers(len(ends)))]
+        text += "\n" * int(rng.integers(1, 4))
+    path = tmp_path / "d.conll"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text[:len(text) - int(rng.integers(0, 2))])
+    for chunk in (1, 3, 7, 64, tok._CHUNK_CHARS):
+        monkeypatch.setattr(tok, "_CHUNK_CHARS", chunk)
+        for labeled in (True, False):
+            check_against_the_line_reader(str(path), labeled)
+
+
+@pytest.fixture(scope="module")
+def toy_splits(tmp_path_factory):
+    task = synth.generate_toy_task(str(tmp_path_factory.mktemp("toy")), seed=3,
+                                   n_train=150, n_dev=50, n_test=40,
+                                   entities_per_type=10, heldout_per_type=5)
+    return [task["data"][split] for split in ("train", "dev", "test")]
+
+
+@pytest.mark.parametrize("chunk", [7, 64, 1000, tok._CHUNK_CHARS])
+def test_chunked_readers_read_the_toy_splits_as_the_line_reader(toy_splits, monkeypatch,
+                                                               chunk):
+    monkeypatch.setattr(tok, "_CHUNK_CHARS", chunk)
+    for path in toy_splits:
+        for labeled in (True, False):
+            check_against_the_line_reader(path, labeled)
+
+
+def _good_sentences(count):
+    """``count`` three-line sentences, each followed by a blank line."""
+    return "".join(f"w{i}\tO\nv{i}\tB-per\nu{i}\tI-per\n\n" for i in range(count))
+
+
+@pytest.mark.parametrize("chunk", [16, 100, tok._CHUNK_CHARS])
+@pytest.mark.parametrize("bad,message", [
+    ("broken", "expected 'token<TAB>tag'"),
+    ("x\tQ-per", "unknown tag 'Q-per'"),
+], ids=["malformed", "unknown_tag"])
+def test_an_error_in_a_later_chunk_names_its_line(tmp_path, monkeypatch, chunk, bad, message):
+    monkeypatch.setattr(tok, "_CHUNK_CHARS", chunk)
+    p = tmp_path / "d.conll"
+    p.write_text(_good_sentences(300) + f"a\tO\n{bad}\n\n" + _good_sentences(5),
+                 encoding="utf-8")
+    with pytest.raises(tok.ConllFormatError, match=f"d.conll:1202: {re.escape(message)}$"):
+        tok.read_conll(str(p))
+
+
+@pytest.mark.parametrize("chunk", [16, 100, tok._CHUNK_CHARS])
+@pytest.mark.parametrize("tag_line,format_line", [
+    (1203, 1205), (1205, 1203), (1203, 1204), (1204, 1203), (5, 1210), (1210, 5)])
+def test_of_two_kinds_of_error_the_earlier_line_is_named(tmp_path, monkeypatch, chunk,
+                                                        tag_line, format_line):
+    monkeypatch.setattr(tok, "_CHUNK_CHARS", chunk)
+    lines = _good_sentences(310).split("\n")
+    lines[tag_line - 1] = "x\tQ-per"
+    lines[format_line - 1] = "broken\tO\tO"
+    p = tmp_path / "d.conll"
+    p.write_text("\n".join(lines), encoding="utf-8")
+    line = min(tag_line, format_line)
+    kind = "unknown tag" if line == tag_line else "expected"
+    with pytest.raises(tok.ConllFormatError, match=f"d.conll:{line}: {kind}"):
+        tok.read_conll(str(p))
+
+
+def test_a_file_with_no_blank_line_reads_in_linear_time(tmp_path, monkeypatch):
+    """One sentence of 32x the lines takes about 32x as long, far from the
+    ~1000x of joining the text carried after the last blank line again for
+    every chunk."""
+    monkeypatch.setattr(tok, "_CHUNK_CHARS", 16)
+
+    def seconds(lines):
+        p = tmp_path / f"{lines}.conll"
+        p.write_text("".join(f"w{i % 500}\tO\n" for i in range(lines)), encoding="utf-8")
+        best = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            sents = tok.read_conll(str(p))
+            best = min(best, time.perf_counter() - start)
+        assert [len(s) for s in sents] == [lines]
+        return best
+
+    assert seconds(128_000) < 100 * seconds(4_000)
+
+
+@pytest.mark.parametrize("reader", ["read_conll", "read_tokens"])
+def test_reading_holds_little_beyond_its_sentences(tmp_path, reader):
+    """Reading 20,000 sentences peaks within 1 MB of what the result holds:
+    the readers keep one chunk of text and its lists at a time."""
+    rng = np.random.default_rng(0)
+    lengths = rng.integers(3, 12, size=20_000).tolist()
+    words = iter(rng.integers(0, 5000, size=sum(lengths)).tolist())
+    draws = iter(rng.random(size=sum(lengths)).tolist())
+    lines = []
+    for n in lengths:
+        prev = "O"
+        for _ in range(n):
+            # mostly well-formed IOB, with an I- tag to repair now and then
+            draw = next(draws)
+            tag = ("I-" + prev[2:] if draw < 0.5 and prev != "O" else "O" if draw < 0.8
+                   else "B-per" if draw < 0.9 else "B-loc" if draw < 0.99 else "I-org")
+            lines.append(f"w{next(words)}\t{tag}\n")
+            prev = tag
+        lines.append("\n")
+    p = tmp_path / "d.conll"
+    p.write_text("".join(lines), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        sents = getattr(tok, reader)(str(p))
+        held, peak = (m - before for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert len(sents) == 20_000
+    assert reader == "read_tokens" or 0 < sum(s.repairs for s in sents) < 2_000
+    assert peak - held < 1 << 20, (held, peak)
