@@ -182,11 +182,22 @@ def _blocks(path: str) -> Iterator[tuple[int, str]]:
     ``_CHUNK_CHARS`` characters at a time.  What follows a chunk's last blank
     line is carried over as a list of pieces and joined once, when a blank
     line ends it, so a file with no blank line still reads in linear time.
+    When a chunk is not valid UTF-8, the whole lines carried before it are
+    yielded first, so that a bad line among them is named before the
+    decoding error is raised.
     """
     before = 0
     pending: list[str] = []         # no piece is empty
     with open(path, encoding="utf-8") as fh:
-        while chunk := fh.read(_CHUNK_CHARS):
+        while True:
+            try:
+                chunk = fh.read(_CHUNK_CHARS)
+            except UnicodeDecodeError:
+                text = "".join(pending)
+                yield before, text[:text.rfind("\n") + 1]
+                raise
+            if not chunk:
+                break
             end = chunk.rfind("\n\n") + 2
             if end == 1:    # no blank line inside, but one may open the chunk
                 after_line_end = not pending or pending[-1][-1] == "\n"

@@ -449,6 +449,21 @@ def test_of_two_kinds_of_error_the_earlier_line_is_named(tmp_path, monkeypatch, 
         tok.read_conll(str(p))
 
 
+@pytest.mark.parametrize("chunk", [16, tok._CHUNK_CHARS])
+def test_a_bad_line_before_undecodable_bytes_is_named_first(tmp_path, monkeypatch, chunk):
+    """A malformed line is named even when its sentence runs on into bytes
+    that are not UTF-8, as it is when the file is read line by line; bytes
+    that are not UTF-8 alone still raise the decoding error."""
+    monkeypatch.setattr(tok, "_CHUNK_CHARS", chunk)
+    p = tmp_path / "d.conll"
+    p.write_bytes(("a\tO\n\nbroken\n" + "b\tO\n" * 3000).encode() + b"\xff\tO\n\n")
+    with pytest.raises(tok.ConllFormatError, match="d.conll:3: expected"):
+        tok.read_conll(str(p))
+    p.write_bytes(("a\tO\n\n" + "b\tO\n" * 3000).encode() + b"\xff\tO\n\n")
+    with pytest.raises(UnicodeDecodeError):
+        tok.read_conll(str(p))
+
+
 def test_a_file_with_no_blank_line_reads_in_linear_time(tmp_path, monkeypatch):
     """One sentence of 32x the lines takes about 32x as long, far from the
     ~1000x of joining the text carried after the last blank line again for
