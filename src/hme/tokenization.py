@@ -6,6 +6,7 @@ are never BPE-split and count as single pseudo-characters.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import re
 from bisect import bisect_right
@@ -307,6 +308,20 @@ def _read_sentences(path: str, labeled: bool) -> Iterator[TokenizedSentence]:
             yield from map(TokenizedSentence, raw_lists, word_lists)
 
 
+def _collect(sentences: Iterator[TokenizedSentence]) -> list[TokenizedSentence]:
+    """The sentences as a list, read with the cyclic garbage collector
+    paused.  Sentences hold no reference cycles, so a collection during a
+    read frees nothing and only walks what is alive; the collector's state
+    is restored however the read ends."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return list(sentences)
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def read_conll(path: str) -> list[TokenizedSentence]:
     """Read "token<TAB>tag" lines; a blank line ends a sentence.
 
@@ -316,8 +331,9 @@ def read_conll(path: str) -> list[TokenizedSentence]:
     occurrence of a token or tag is one shared ``str``, so the sentences'
     strings grow with the file's vocabulary rather than its length.  A
     sentence that preprocessing leaves unchanged has ``words is raw_tokens``.
+    The cyclic garbage collector is paused while the file is read.
     """
-    return list(_read_sentences(path, labeled=True))
+    return _collect(_read_sentences(path, labeled=True))
 
 
 def read_tokens(path: str) -> list[TokenizedSentence]:
@@ -327,9 +343,10 @@ def read_tokens(path: str) -> list[TokenizedSentence]:
     a line that starts with a tab has an empty token and is rejected.  Each
     distinct token is preprocessed once per call, and every occurrence of it
     is one shared ``str``; as in ``read_conll``, a sentence that preprocessing
-    leaves unchanged has ``words is raw_tokens``.
+    leaves unchanged has ``words is raw_tokens``, and the cyclic garbage
+    collector is paused while the file is read.
     """
-    return list(_read_sentences(path, labeled=False))
+    return _collect(_read_sentences(path, labeled=False))
 
 
 def write_conll(sentences: list[TokenizedSentence], path: str,

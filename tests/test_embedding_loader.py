@@ -4,12 +4,14 @@ than the matrix it returns, a sidecar serves a table only while its file is
 unchanged and only once every value and its index passed their checks, a
 damaged index can hide a token but never serve a wrong row, every loaded
 vocabulary is served from a key index, a warm load's from the map without
-an object per token, and a loaded table is immutable."""
+an object per token and with no page of its sidecar left resident, and a
+loaded table is immutable."""
 
 import hashlib
 import json
 import mmap
 import os
+import re
 import sys
 import tracemalloc
 import zlib
@@ -540,6 +542,41 @@ def test_a_warm_load_makes_resident_only_the_rows_it_reads(tmp_path, parses):
     assert parses == []
     assert gathered.shape == (100, 250)
     assert grown < nbytes / 4
+
+
+def _mapped_rss_bytes(path):
+    """The ``Rss`` of every mapping of ``path`` in ``/proc/self/smaps``."""
+    rss, mapped = 0, None
+    with open("/proc/self/smaps", encoding="utf-8", errors="replace") as fh:
+        for line in fh:
+            fields = line.split()
+            if re.fullmatch(r"[0-9a-f]+-[0-9a-f]+", fields[0]):
+                mapped = " ".join(fields[5:])
+            elif fields[0] == "Rss:" and mapped == path:
+                rss += int(fields[1]) * 1024
+    return rss
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/smaps") or not hasattr(mmap, "MADV_DONTNEED"),
+                    reason="reads Rss from /proc/self/smaps; pages are dropped by MADV_DONTNEED")
+def test_a_warm_load_leaves_no_page_of_its_sidecar_resident(tmp_path, parses):
+    """The index check of a warm load reads the stream and 32 bytes of
+    index per row through the map (about 0.9 MB here); the load releases
+    those pages, and lookups then fault back what they read and serve the
+    rows of a parse."""
+    path, _ = write_big(tmp_path)
+    parsed = emb.load_text_embeddings(path, "vec_with_header")
+    warm = emb.load_text_embeddings(path, "vec_with_header")
+    resident = _mapped_rss_bytes(path + emb.CACHE_SUFFIX)
+    assert parses == [path]
+    assert resident <= 64 << 10, resident
+    tokens = ["w0", "w19999", "w777", "W5", "W12345", "nope", "W", "w20000", "w"]
+    rows = [warm.index_of(t) for t in tokens]
+    assert rows == [parsed.index_of(t) for t in tokens] == [
+        0, 19_999, 777, 5, 12_345, None, None, None, None]
+    hits = [r for r in rows if r is not None]
+    assert np.array_equal(warm.vectors.data[hits], parsed.vectors.data[hits])
+    assert warm.fingerprint() == parsed.fingerprint()
 
 
 def test_a_warm_load_holds_no_object_per_token(tmp_path, parses):

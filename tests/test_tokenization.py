@@ -1,3 +1,4 @@
+import gc
 import re
 import time
 import tracemalloc
@@ -516,3 +517,36 @@ def test_reading_holds_little_beyond_its_sentences(tmp_path, reader):
     assert len(sents) == 20_000
     assert reader == "read_tokens" or 0 < sum(s.repairs for s in sents) < 2_000
     assert peak - held < 1 << 20, (held, peak)
+
+
+@pytest.mark.parametrize("reader", ["read_conll", "read_tokens"])
+@pytest.mark.parametrize("enabled", [True, False], ids=["collecting", "disabled"])
+def test_reading_pauses_the_collector_and_restores_its_state(tmp_path, monkeypatch, reader,
+                                                            enabled):
+    """The cyclic collector is off while sentences are read, and a read
+    that returns or raises leaves it as it found it."""
+    good, bad, undecodable = (tmp_path / f"{name}.conll" for name in ("good", "bad", "undec"))
+    good.write_text(_good_sentences(3), encoding="utf-8")
+    bad.write_text(_good_sentences(3) + "\tO\n\n", encoding="utf-8")
+    undecodable.write_bytes(_good_sentences(3).encode() + b"\xff\tO\n\n")
+    seen = []
+    real = tok._read_sentences
+
+    def spying(path, labeled):
+        for sentence in real(path, labeled):
+            seen.append(gc.isenabled())
+            yield sentence
+    monkeypatch.setattr(tok, "_read_sentences", spying)
+    read = getattr(tok, reader)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert len(read(str(good))) == 3
+        assert gc.isenabled() is enabled
+        for path, error in ((bad, tok.ConllFormatError), (undecodable, UnicodeDecodeError)):
+            with pytest.raises(error):
+                read(str(path))
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False] * 3      # the bad files raise before a sentence is yielded
