@@ -4,7 +4,11 @@ Everything downstream (projections, attention, transformer layers) is built
 from the operations in this module; the CRF records its log-likelihood as one
 op of its own through ``_record``.  Design rules:
 
-* eager evaluation on float64 numpy arrays,
+* eager evaluation on numpy arrays, float64 or float32: an op's output and
+  the constants it makes take its inputs' dtype, and a ``Tensor`` keeps a
+  float32 array as float32 and makes anything else float64.  While a Tape
+  is active every op's inputs and output must be float64, so float32 never
+  reaches a gradient; float32 is for forwards with no Tape,
 * an explicit ``Tape`` that records ops in execution order; ``backward``
   consumes it in exact reverse order, dropping each record once its vjp has
   run, so the graph is freed during the pass,
@@ -104,7 +108,8 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_tape")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = _contig(np.asarray(data, dtype=np.float64))
+        arr = np.asarray(data)
+        arr = _contig(arr if arr.dtype == np.float32 else np.asarray(arr, dtype=np.float64))
         _check_finite(arr, "tensor creation")
         self.data = arr
         self.requires_grad = requires_grad
@@ -153,15 +158,20 @@ _BOUNDED_OPS = frozenset({
 
 
 def _record(out_data: np.ndarray, inputs: tuple[Tensor, ...], vjp, op: str) -> Tensor:
-    """Wrap op output; register on the active tape when a gradient is needed."""
+    """Wrap op output; register on the active tape when a gradient is needed.
+    While a tape is active, refuse an input or output that is not float64."""
     if op not in _BOUNDED_OPS:
         _check_finite(out_data, op)
+    tape = Tape._active
+    if tape is not None and (out_data.dtype != np.float64
+                             or any(t.data.dtype != np.float64 for t in inputs)):
+        dtypes = ", ".join(str(t.data.dtype) for t in inputs)
+        raise TypeError(f"{op} under a Tape needs float64, got ({dtypes}) -> {out_data.dtype}")
     out = Tensor.__new__(Tensor)
     out.data = out_data
     out.grad = None
     out._tape = None
     out.requires_grad = False
-    tape = Tape._active
     if tape is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
         out._tape = tape
@@ -342,7 +352,7 @@ def segment_mean(x: Tensor, counts) -> Tensor:
         raise ShapeError(f"segment_mean: counts must be positive and tile the rows "
                          f"of {x.shape}, got {n.size} summing to {n.sum()}")
     starts = np.cumsum(n) - n
-    out = np.add.reduceat(x.data, starts, axis=0) / n[:, None]
+    out = np.add.reduceat(x.data, starts, axis=0) / n[:, None].astype(x.data.dtype)
 
     def vjp(g):
         return (np.repeat(g / n[:, None], n, axis=0),)
@@ -484,7 +494,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, head_rows: np.ndarray,
     rows = head_rows.reshape(-1)
 
     def to_heads(t: np.ndarray) -> np.ndarray:
-        out = np.zeros((batch * h * n, dk))
+        out = np.zeros((batch * h * n, dk), dtype=t.dtype)
         out[rows] = t.reshape(-1, dk)
         return out.reshape(batch, h, n, dk)
 
@@ -494,7 +504,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, head_rows: np.ndarray,
     q_data, k_data, v_data = q.data, k.data, v.data
     scores = to_heads(q_data) @ np.swapaxes(to_heads(k_data), -1, -2)
     scores *= scale
-    scores += ((1.0 - key_mask) * NEG_LARGE)[:, None, None, :]
+    scores += ((1.0 - key_mask) * NEG_LARGE).astype(scores.dtype, copy=False)[:, None, None, :]
     _check_finite(scores, "attention")
     weights = _softmax_data(scores, -1)
     dropped = weights if keep is None else _drop(weights, *keep)

@@ -7,6 +7,7 @@ import json
 import math
 import os
 from collections import Counter, OrderedDict
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from itertools import chain
 from typing import NamedTuple
@@ -162,49 +163,47 @@ def _step_rng(seed: int, step: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, step))))
 
 
-def _length_mask(lengths) -> np.ndarray:
-    """(len(lengths), max length) mask, 1.0 at each row's first length cells."""
+def _length_mask(lengths, dtype) -> np.ndarray:
+    """(len(lengths), max length) mask of ``dtype``, 1.0 at each row's first
+    length cells."""
     lengths = np.asarray(lengths)
-    return (np.arange(lengths.max()) < lengths[:, None]).astype(np.float64)
+    return (np.arange(lengths.max()) < lengths[:, None]).astype(dtype)
 
 
 def _masked_lookup(table: emb.EmbeddingTable, idx: np.ndarray,
                    valid: np.ndarray) -> Tensor:
-    """Gather (len(idx), d) rows and zero the out-of-vocabulary ones."""
-    x = ad.take(table.vectors, idx)
+    """Gather (len(idx), d) rows and zero the out-of-vocabulary ones.  Under
+    a Tape the rows are float64; with no Tape the gathered rows, never the
+    table, are cast to float32, so a frozen table stays one float64 map."""
+    if ad.Tape._active is None:
+        x = Tensor(table.vectors.data[idx].astype(np.float32, copy=False))
+    else:
+        x = ad.take(table.vectors, idx)
     if not np.all(valid == 1.0):
-        mask = np.broadcast_to(valid[:, None], x.shape)
+        mask = np.broadcast_to(valid.astype(x.data.dtype)[:, None], x.shape)
         x = ad.mul(x, Tensor(np.ascontiguousarray(mask)))
     return x
 
 
 class WordCache:
-    """What the per-word levels gave each word without dropout, for prediction.
+    """What the per-word levels gave each word in a float32 forward, for
+    prediction.
 
     A word's row ``u`` and its attention rows depend only on the word and
-    the parameters the per-word levels read.  The cache keeps a copy of
-    those parameters (``watch``) and empties itself when they differ, and it
-    holds at most PREDICTION_CACHE_WORDS words, dropping the least recently
-    used first.  ``slots`` maps each word to one float64 row that holds its
-    fields side by side; ``widths`` holds each field's width, or None for a
-    level the variant lacks.
+    the float32 copies of the parameters, so the tagger empties the cache
+    whenever it refreshes those copies (``SequenceTagger._float32``).  The
+    cache holds at most PREDICTION_CACHE_WORDS words, dropping the least
+    recently used first.  ``slots`` maps each word to one float32 row that
+    holds its fields side by side; ``widths`` holds each field's width, or
+    None for a level the variant lacks.
     """
 
     def __init__(self):
         self.slots: OrderedDict[str, np.ndarray] = OrderedDict()
         self.widths: list[int | None] = []
-        self._watched: list[np.ndarray] = []
 
     def __len__(self) -> int:
         return len(self.slots)
-
-    def watch(self, params: list[np.ndarray]) -> None:
-        """Empty the cache unless ``params`` equal those its rows came from."""
-        if len(params) == len(self._watched) and all(map(np.array_equal, params,
-                                                         self._watched)):
-            return
-        self.slots.clear()
-        self._watched = [p.copy() for p in params]
 
     def rows(self, words: list[str], compute) -> list[np.ndarray | None]:
         """Each field's (U, width) block for the U distinct ``words``.
@@ -306,6 +305,9 @@ class SequenceTagger:
                   if config.variant == "hme" else [])
         self.featurizer = Featurizer(resources.word_tables + deeper, resources.bpe_models)
         self._word_cache = WordCache()
+        # float32 copies of the parameters, as views into one flat buffer
+        self._flat32 = np.empty(0, dtype=np.float32)
+        self._copies: list[np.ndarray] = []
         self._dropout_rng = _step_rng(seed, 0)
 
     # -- bookkeeping ---------------------------------------------------------
@@ -355,24 +357,34 @@ class SequenceTagger:
         Every per-word level runs once per distinct word (U rows), and one
         gather expands the result to the R tokens for the sentence encoder.
         The active Tape is the only mode signal.  Under one, the forward
-        trains: every word's per-word rows are computed, so a gradient
-        reaches each of them, the featurizer stores the words, and dropout
-        masks come from the step's generator (see ``set_step``).  With no
-        Tape, each word's per-word rows come from the prediction cache, and
-        only the words it lacks are featurized and encoded, without dropout."""
+        trains, in float64: every word's per-word rows are computed, so a
+        gradient reaches each of them, the featurizer stores the words, and
+        dropout masks come from the step's generator (see ``set_step``).
+        With no Tape the forward predicts, in float32 from a copy of every
+        parameter (see ``_float32``), without dropout: each word's per-word
+        rows come from the prediction cache, and only the words it lacks are
+        featurized and encoded.  The emissions and attention rows then come
+        as float32."""
+        if ad.Tape._active is not None:
+            return self._forward(sentences, self._dropout_rng)
+        with self._float32():
+            return self._forward(sentences, None)
+
+    def _forward(self, sentences: list[TokenizedSentence],
+                 rng: np.random.Generator | None) -> ForwardResult:
+        """``forward`` that trains with the dropout generator ``rng``, or
+        predicts through the prediction cache when it is None."""
         rows: dict[str, int] = {}
         word_of = np.fromiter((rows.setdefault(w, len(rows))
                                for sent in sentences for w in sent.words), dtype=np.int64)
         words = list(rows)
-        if ad.Tape._active is not None:
-            rng = self._dropout_rng
+        if rng is not None:
             u, alpha_w, alpha_s = self._word_rows(self.featurizer.store(words), rng)
         else:
-            rng = None
-            u, alpha_w, alpha_s = self._cached_word_rows(words)
+            u, alpha_w, alpha_s = self._word_cache.rows(words, self._new_word_rows)
             u = Tensor(u)
         lengths = [len(sent) for sent in sentences]
-        h = self.encoder(ad.take(u, word_of), _length_mask(lengths), rng)
+        h = self.encoder(ad.take(u, word_of), _length_mask(lengths, u.data.dtype), rng)
         emissions = self.crf.emissions(h)
         alpha_w, alpha_s = (None if a is None else a[word_of] for a in (alpha_w, alpha_s))
         return ForwardResult(emissions=emissions, lengths=lengths,
@@ -398,28 +410,52 @@ class SequenceTagger:
 
         if self.config.variant == "hme":
             subwords = slice(n_word, -1)
-            sub_masks = [_length_mask(lookup.count) for lookup in tables[subwords]]
+            sub_masks = [_length_mask(lookup.count, u.data.dtype)
+                         for lookup in tables[subwords]]
             u_s, alpha_s = me.mme_subword(inputs[subwords], sub_masks, self.subword_proj,
                                           self.subword_encoder, self.subword_scorer,
                                           rng)
             alpha_s = alpha_s.data
-            u_c = me.encode_and_pool(inputs[-1], _length_mask(tables[-1].count),
+            u_c = me.encode_and_pool(inputs[-1],
+                                     _length_mask(tables[-1].count, u.data.dtype),
                                      self.char_encoder, rng)
             u = me.hme_concat(u, u_s, u_c)
         return u, alpha_w, alpha_s
 
-    def _cached_word_rows(self, words: list[str]):
-        """``_word_rows`` without dropout through the prediction cache, as
-        arrays: the rows of the cached ``words`` are read, the others computed
-        and kept."""
-        self._word_cache.watch([p.data for name, p in self.parameters().items()
-                                if not name.startswith(("encoder.", "crf."))])
+    def _new_word_rows(self, words: list[str]) -> list[np.ndarray | None]:
+        """``_word_rows`` of ``words`` without dropout, as arrays, for the
+        prediction cache."""
+        u, alpha_w, alpha_s = self._word_rows(self.featurizer.encode(words), None)
+        return [u.data, alpha_w, alpha_s]
 
-        def compute(new):
-            u, alpha_w, alpha_s = self._word_rows(self.featurizer.encode(new), None)
-            return [u.data, alpha_w, alpha_s]
+    @contextmanager
+    def _float32(self):
+        """Point every parameter at its float32 copy for the block, then back
+        at its float64 master.
 
-        return self._word_cache.rows(words, compute)
+        The copies are refreshed, and the prediction cache emptied, whenever
+        a parameter cast to float32 differs from its copy, however it
+        changed (in place, by an optimizer step or by ``load_state``).  A
+        float32 forward reads only the copies, so equal copies give equal
+        outputs.  Frozen tables are no parameters: they stay float64, and
+        ``_masked_lookup`` casts the rows it gathers.  Like a Tape, this is
+        not safe for concurrent use."""
+        params = list(self.parameters().values())
+        masters = [p.data for p in params]
+        flat = np.concatenate([m.ravel() for m in masters], dtype=np.float32)
+        if not np.array_equal(flat, self._flat32):
+            self._flat32, self._copies, start = flat, [], 0
+            for m in masters:
+                self._copies.append(flat[start:start + m.size].reshape(m.shape))
+                start += m.size
+            self._word_cache.slots.clear()
+        for p, copy in zip(params, self._copies):
+            p.data = copy
+        try:
+            yield
+        finally:
+            for p, master in zip(params, masters):
+                p.data = master
 
     def loss_batch(self, sentences: list[TokenizedSentence]) -> Tensor:
         """Mean per-sentence CRF negative log-likelihood; a training step
@@ -459,7 +495,10 @@ class SequenceTagger:
         for i in range(0, len(sentences), batch_size):
             chunk = sentences[i:i + batch_size]
             result = self.forward(chunk)
-            rows = [result.emissions.data, result.alpha_word, result.alpha_subword]
+            # Viterbi runs in float64; one cast of the batch's float32
+            # emissions is cheaper than one per sentence in ``_batch``
+            rows = [result.emissions.data.astype(np.float64), result.alpha_word,
+                    result.alpha_subword]
             start = 0
             for n in result.lengths:
                 e, aw, asw = (None if r is None else r[start:start + n] for r in rows)

@@ -167,12 +167,15 @@ class TransformerEncoder:
             for _ in range(num_layers)
         ]
         self.final_ln = LayerNorm(d_model) if num_layers > 0 else None
-        self._pe_cache = sinusoidal_positions(64, d_model)
+        # the encodings of the first positions, computed in float64, per dtype
+        self._pe_cache: dict[np.dtype, np.ndarray] = {}
 
-    def _pe(self, n: int) -> np.ndarray:
-        if n > self._pe_cache.shape[0]:
-            self._pe_cache = sinusoidal_positions(n, self.d_model)
-        return self._pe_cache[:n]
+    def _pe(self, n: int, dtype: np.dtype) -> np.ndarray:
+        pe = self._pe_cache.get(dtype)
+        if pe is None or n > pe.shape[0]:
+            pe = sinusoidal_positions(max(n, 64), self.d_model).astype(dtype)
+            self._pe_cache[dtype] = pe
+        return pe[:n]
 
     def __call__(self, x: Tensor, mask: np.ndarray,
                  rng: np.random.Generator | None = None) -> Tensor:
@@ -191,7 +194,7 @@ class TransformerEncoder:
         heads = self.layers[0].heads
         head_rows = ((real // n)[:, None] * heads + np.arange(heads)) * n + (real % n)[:, None]
 
-        x = ad.add(x, Tensor(self._pe(n)[real % n]))
+        x = ad.add(x, Tensor(self._pe(n, x.data.dtype)[real % n]))
         for layer in self.layers:
             x = layer(x, mask, head_rows, rng)
         return self.final_ln(x)

@@ -244,10 +244,11 @@ def attention_stats(alphas: list[np.ndarray | None], languages: list[str],
                     level: str) -> dict:
     """``alpha_<level>_mean`` ({language: mean weight}) and
     ``alpha_<level>_entropy`` (mean nats per token) over the (n_s, L) weight
-    rows of every sentence; empty when the variant has no such level."""
+    rows of every sentence; empty when the variant has no such level.  Both
+    are computed in float64, whatever the rows' dtype."""
     if not alphas or alphas[0] is None:
         return {}
-    rows = np.concatenate(alphas)
+    rows = np.concatenate(alphas, dtype=np.float64)
     entropy = -(rows * np.log(np.where(rows > 0, rows, 1.0))).sum(axis=1)
     return {f"alpha_{level}_mean": dict(zip(languages, rows.mean(axis=0).tolist())),
             f"alpha_{level}_entropy": float(entropy.mean())}

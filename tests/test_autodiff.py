@@ -355,3 +355,46 @@ def test_determinism_replay():
     y1, g1 = run(11)
     y2, g2 = run(11)
     assert np.array_equal(y1, y2) and np.array_equal(g1, g2)
+
+
+def test_tensor_keeps_float32_and_makes_anything_else_float64():
+    assert Tensor(np.ones(2, dtype=np.float32)).data.dtype == np.float32
+    for data in ([1, 2], np.arange(2), np.ones(2, dtype=np.float16), 3.0):
+        assert Tensor(data).data.dtype == np.float64
+
+
+def test_every_op_keeps_float32_with_no_tape():
+    """Each op and every constant it makes follows its float32 inputs, and
+    its values are those of the float64 op to float32 rounding."""
+    rng = np.random.default_rng(5)
+    mask = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 0.0]], dtype=np.float32)
+    x64 = rng.normal(size=(3, 4))
+    w64, b64 = rng.normal(size=(4, 4)), rng.normal(size=4)
+    cases = {
+        "matmul": lambda x, w, b: ad.matmul(x, w),
+        "linear": lambda x, w, b: ad.linear(x, w, b),
+        "add_mul_scale": lambda x, w, b: ad.scale(ad.mul(ad.add(x, x), x), 0.3),
+        "concat_reshape": lambda x, w, b: ad.reshape(ad.concat([x, x], axis=1), (6, 4)),
+        "take": lambda x, w, b: ad.take(x, [2, 0, 2]),
+        "segment_mean": lambda x, w, b: ad.segment_mean(x, [1, 2]),
+        "tanh_relu_softmax": lambda x, w, b: ad.softmax(ad.relu(ad.tanh(x))),
+        "sum": lambda x, w, b: ad.tensor_sum(x, axis=0),
+        "layer_norm": lambda x, w, b: ad.layer_norm(x, b, b),
+        "attention": lambda x, w, b: ad.attention(x, x, x, head_rows(mask, 2), mask, 0.5),
+    }
+    for name, op in cases.items():
+        want = op(Tensor(x64), Tensor(w64), Tensor(b64)).data
+        got = op(*(Tensor(a.astype(np.float32)) for a in (x64, w64, b64))).data
+        assert want.dtype == np.float64 and got.dtype == np.float32, name
+        assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max(), name
+
+
+def test_a_tape_refuses_float32():
+    """Under a Tape a float32 input raises instead of recording, so float32
+    never reaches a gradient."""
+    x = Tensor(np.ones((2, 3), dtype=np.float32))
+    w, b = Tensor(np.ones((3, 2)), requires_grad=True), Tensor(np.zeros(2), requires_grad=True)
+    with Tape() as tape:
+        with pytest.raises(TypeError, match="float64"):
+            ad.linear(x, w, b)
+        assert len(tape) == 0

@@ -115,10 +115,21 @@ class TestLoad:
         np.testing.assert_array_equal(t.vectors.data, [[0.1, 0.2, 0.3], [1, 2, 3]])
 
 
+def gathered_rows(table, found):
+    """The rows the model's gather gives a Lookup under a Tape (float64),
+    after checking that with no Tape it gives exactly their float32 cast."""
+    with Tape():
+        rows = mdl._masked_lookup(table, found.idx, found.valid).data
+    predicted = mdl._masked_lookup(table, found.idx, found.valid).data
+    assert rows.dtype == np.float64 and predicted.dtype == np.float32
+    np.testing.assert_array_equal(predicted, rows.astype(np.float32))
+    return rows
+
+
 def featurized_row(table, token):
     """The row the model's batched featurize-and-gather path uses."""
     (found,) = mdl.Featurizer([table]).encode([token])
-    return mdl._masked_lookup(table, found.idx, found.valid).data[0]
+    return gathered_rows(table, found)[0]
 
 
 class TestLookup:
@@ -165,7 +176,7 @@ def test_one_oov_rule_at_every_level(level):
     featurizer = mdl.Featurizer([table], res.bpe_models)
     (found,) = featurizer.encode(words)
     pieces = [p for w in words for p in split(w)]
-    np.testing.assert_array_equal(mdl._masked_lookup(table, found.idx, found.valid).data,
+    np.testing.assert_array_equal(gathered_rows(table, found),
                                   np.stack([lookup(table, p) for p in pieces]))
     assert found.count.tolist() == [len(split(w)) for w in words]
     misses = [p for p in pieces if p not in table.vocab and p.lower() not in table.vocab]

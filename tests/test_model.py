@@ -8,12 +8,14 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from hme import autodiff as ad
+from hme import cli, synth
 from hme import embeddings as emb
 from hme import metaembed as me
 from hme import model as mdl
 from hme import training as tr
 from hme.autodiff import Tape, Tensor
-from hme.tokenization import TokenizedSentence, apply_bpe, to_chars
+from hme.tokenization import TokenizedSentence, apply_bpe, read_conll, to_chars
 
 from oracles import featurize_by_token, lookup, pack_rows
 from toyres import (BAD_PARAM_HEADERS, build_resources, build_sentences,
@@ -24,6 +26,11 @@ def make_model(variant="hme", seed=0):
     resources = build_resources()
     return mdl.SequenceTagger(tiny_model_config(variant), resources, seed=seed)
 
+
+# relative tolerance, of the largest |value|, between two float32 forwards
+# that batch the same words differently, or between a float32 forward and
+# the float64 one under a Tape: float32 carries about 7 digits
+FLOAT32_RTOL = 1e-6
 
 # the toy sentences repeat words across sentences only; this one repeats a
 # known word and an out-of-vocabulary one inside itself
@@ -214,15 +221,24 @@ class TestForward:
 
 class TestAgainstPublicOps:
     """The batched featurizer path must agree with per-word lookups fed
-    through the public ops."""
+    through the public ops.  Both run in float64: the model's forward under a
+    Tape, with no dropout, and the public ops on float64 inputs."""
 
     def lookup_rows(self, table, tokens):
         return np.stack([lookup(table, t) for t in tokens])
 
+    def model(self, variant):
+        config = dataclasses.replace(tiny_model_config(variant), dropout=0.0)
+        return mdl.SequenceTagger(config, build_resources(), seed=0)
+
+    def emissions(self, model, sent):
+        with Tape():
+            return model.forward([sent]).emissions.data
+
     def test_mme_word_variant(self):
-        model = make_model("mme_word")
+        model = self.model("mme_word")
         sent = build_sentences()[1]
-        got = model.forward([sent]).emissions.data
+        got = self.emissions(model, sent)
 
         word_inputs = [Tensor(self.lookup_rows(t, sent.words))
                        for t in model.resources.word_tables]
@@ -232,12 +248,12 @@ class TestAgainstPublicOps:
         np.testing.assert_allclose(got, ref, atol=1e-10)
 
     def test_hme_variant(self):
-        model = make_model("hme")
+        model = self.model("hme")
         for sent in (build_sentences()[1], repeating_batch()[-1]):
             self.check_hme_sentence(model, sent)
 
     def check_hme_sentence(self, model, sent):
-        got = model.forward([sent]).emissions.data
+        got = self.emissions(model, sent)
 
         res = model.resources
         word_inputs = [Tensor(self.lookup_rows(t, sent.words)) for t in res.word_tables]
@@ -446,6 +462,21 @@ class TestStateAndCheckpoint:
         fresh = make_model()
         fresh.load_state(arrays)
         assert fresh.predict(build_sentences()) == model.predict(build_sentences())
+
+    def test_prediction_leaves_the_checkpoint_and_parameters_float64(self, tmp_path):
+        """A float32 forward reads copies: the parameters stay float64, even
+        after a forward that raises, and a checkpoint saved after prediction
+        is byte-equal to one saved before."""
+        model = make_model()
+        before, after = tmp_path / "before.ckpt", tmp_path / "after.ckpt"
+        mdl.save_checkpoint(str(before), model, run_config={})
+        assert model.forward(build_sentences()).emissions.data.dtype == np.float32
+        model.predict(build_sentences())
+        with pytest.raises(ValueError):
+            model.forward([])
+        mdl.save_checkpoint(str(after), model, run_config={})
+        assert before.read_bytes() == after.read_bytes()
+        assert all(p.data.dtype == np.float64 for p in model.parameters().values())
 
     def test_checkpoint_bad_magic(self, tmp_path):
         p = tmp_path / "junk.ckpt"
@@ -709,7 +740,7 @@ def uncached(model, sents):
     return model.forward(sents)
 
 
-def assert_rows_close(got, want, rtol=1e-12):
+def assert_rows_close(got, want, rtol=FLOAT32_RTOL):
     for a, b in zip((got.emissions.data, got.alpha_word, got.alpha_subword),
                     (want.emissions.data, want.alpha_word, want.alpha_subword)):
         assert (a is None) == (b is None)
@@ -878,3 +909,97 @@ class TestPredictionCache:
             with pytest.raises(ValueError, match=message):
                 call(sents, batch_size=batch_size)
         assert not model.featurizer.counters and len(model._word_cache) == 0
+
+
+@pytest.fixture(scope="module")
+def toy_task(tmp_path_factory):
+    """A small generated task: its run config, train split and test split."""
+    root = str(tmp_path_factory.mktemp("toy"))
+    paths = synth.generate_toy_task(root, seed=29, n_train=150, n_dev=20, n_test=60,
+                                    dim=16, entities_per_type=8, heldout_per_type=4)
+    cfg = cli.load_run_config(paths["config"])
+    return cfg, read_conll(cfg.data["train"]), read_conll(cfg.data["test"])
+
+
+class TestFloat32Prediction:
+    """A forward with no Tape runs in float32 from copies of the parameters;
+    under a Tape it stays float64."""
+
+    @pytest.mark.parametrize("variant", mdl.VARIANTS)
+    def test_float32_forward_matches_the_float64_one(self, variant, toy_task):
+        """Without dropout, a forward under a Tape is the float64 reference:
+        the float32 emissions and attention rows lie within 1e-6 of its max
+        |value|, and ``predict`` gives the tags of its emissions."""
+        cfg, train, test = toy_task
+        words = {w for s in train for w in s.words}
+        config = dataclasses.replace(cfg.model, variant=variant, dropout=0.0)
+        resources = cli._build_resources(cfg.manifest, config, cli._label_vocabulary(train),
+                                         {c for w in words for c in to_chars(w)}, words,
+                                         seed=0)
+        model = mdl.SequenceTagger(config, resources, seed=0)
+        with Tape():
+            want = model.forward(test)
+        got = model.forward(test)
+        for a, b in zip((got.emissions.data, got.alpha_word, got.alpha_subword),
+                        (want.emissions.data, want.alpha_word, want.alpha_subword)):
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert a.dtype == np.float32 and b.dtype == np.float64
+                assert np.abs(a - b).max() <= FLOAT32_RTOL * np.abs(b).max()
+        tags = [t for t, _ in model.crf.viterbi_decode(want.emissions.data, want.lengths)]
+        assert model.predict(test) == tags
+
+    def test_prediction_runs_every_op_in_float32(self, monkeypatch):
+        """No constant an op or the model makes turns prediction back to
+        float64; under a Tape a float32 input raises instead of recording."""
+        seen = []
+        record = ad._record
+
+        def spy(out, inputs, vjp, op):
+            seen.append((op, out.dtype))
+            return record(out, inputs, vjp, op)
+
+        monkeypatch.setattr(ad, "_record", spy)
+        model = make_model("hme")
+        sents = fresh_stream(40)
+        model.predict(sents)
+        assert {"attention", "layer_norm", "linear", "segment_mean", "softmax",
+                "mul"} <= {op for op, _ in seen}
+        assert [(op, dtype) for op, dtype in seen if dtype != np.float32] == []
+        linear = model.encoder.layers[0].wq
+        x = Tensor(np.ones((2, linear.weight.shape[0]), dtype=np.float32))
+        with Tape() as tape:
+            with pytest.raises(TypeError, match="float64"):
+                ad.linear(x, linear.weight, linear.bias)
+            assert len(tape) == 0
+
+    @pytest.mark.parametrize("prefix", ["encoder.", "crf."])
+    @pytest.mark.parametrize("change", ["in_place", "adam_step", "load_state"])
+    def test_a_parameter_change_refreshes_the_copies(self, change, prefix):
+        """However the sentence encoder's or the CRF's parameters change, the
+        next prediction reads float32 copies of the new values: its tags and
+        emissions equal those of a tagger built with the new state."""
+        model = make_model("hme")
+        sents = fresh_stream(40)
+        before = model.forward(sents).emissions.data
+        model.predict(sents)
+        changed = [name for name in model.parameters() if name.startswith(prefix)]
+        rng = np.random.default_rng(3)
+        if change == "in_place":
+            params = model.parameters()
+            for name in changed:
+                params[name].data += 0.3 * rng.normal(size=params[name].shape)
+        elif change == "adam_step":
+            opt = tr.Adam(model.parameters(), tr.TrainConfig(learning_rate=0.05))
+            for name in changed:
+                opt.params[name].grad = rng.normal(size=opt.params[name].shape)
+            opt.step()
+        else:
+            state, other = model.state(), make_model("hme", seed=4).state()
+            model.load_state({k: other[k] if k in changed else v for k, v in state.items()})
+        rebuilt = make_model("hme")
+        rebuilt.load_state(model.state())
+        after = model.forward(sents).emissions.data
+        assert np.abs(after - before).max() > 1e-3
+        np.testing.assert_array_equal(after, rebuilt.forward(sents).emissions.data)
+        assert model.predict(sents) == rebuilt.predict(sents)

@@ -344,3 +344,15 @@ class TestAttentionStats:
             entropy = sum(-sum(p * math.log(p) for p in r) for r in rows) / len(rows)
             assert record[f"alpha_{level}_entropy"] == pytest.approx(entropy, rel=1e-12)
             assert 0 < entropy < math.log(len(tables))
+
+
+def test_attention_stats_accumulate_float32_rows_in_float64():
+    """A float32 forward's weight rows are averaged in float64, so the stats
+    carry only the rows' own rounding, not a float32 sum over the dev set."""
+    rng = np.random.default_rng(0)
+    rows = [rng.dirichlet([1.0, 1.0], size=n).astype(np.float32) for n in (3000, 5, 700)]
+    wide = np.concatenate(rows).astype(np.float64)
+    entropy = -(wide * np.log(np.where(wide > 0, wide, 1.0))).sum(axis=1)
+    assert tr.attention_stats(rows, ["A", "B"], "word") == {
+        "alpha_word_mean": dict(zip(["A", "B"], wide.mean(axis=0).tolist())),
+        "alpha_word_entropy": float(entropy.mean())}
