@@ -479,6 +479,12 @@ class SequenceTagger:
         """(tags, word attention rows, subword attention rows) per sentence;
         the rows are views into the batch's attention arrays.
 
+        Each ``batch_size`` chunk is decoded with one ``viterbi_decode`` call
+        per distinct sentence length, on that length's packed rows in chunk
+        order.  Sentences of equal length share every recursion step, so no
+        padded step is computed, and each path and score is the same as from a
+        call on that sentence alone.
+
         Decoding reads the prediction cache (``WordCache``), so a word whose
         per-word rows an earlier batch or call computed at the same parameters
         is not featurized or encoded again, and counts no OOV hits (see
@@ -495,15 +501,21 @@ class SequenceTagger:
         for i in range(0, len(sentences), batch_size):
             chunk = sentences[i:i + batch_size]
             result = self.forward(chunk)
-            # Viterbi runs in float64; one cast of the batch's float32
-            # emissions is cheaper than one per sentence in ``_batch``
-            rows = [result.emissions.data.astype(np.float64), result.alpha_word,
-                    result.alpha_subword]
-            start = 0
-            for n in result.lengths:
-                e, aw, asw = (None if r is None else r[start:start + n] for r in rows)
-                out.append((self.crf.viterbi_decode(e, [n])[0][0], aw, asw))
-                start += n
+            # Viterbi runs in float64: one cast of the chunk's float32 emissions
+            emissions = result.emissions.data.astype(np.float64)
+            lengths = np.array(result.lengths)
+            starts = np.cumsum(lengths) - lengths
+            tags = [None] * len(chunk)
+            for n in np.unique(lengths).tolist():
+                members = np.flatnonzero(lengths == n)
+                rows = (starts[members, None] + np.arange(n)).ravel()
+                decoded = self.crf.viterbi_decode(emissions[rows], [n] * len(members))
+                for b, (path, _) in zip(members.tolist(), decoded):
+                    tags[b] = path
+            alphas = (result.alpha_word, result.alpha_subword)
+            for path, start, n in zip(tags, starts.tolist(), result.lengths):
+                aw, asw = (None if r is None else r[start:start + n] for r in alphas)
+                out.append((path, aw, asw))
         return out
 
 

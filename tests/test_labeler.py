@@ -236,6 +236,20 @@ class TestBatchedViterbi:
         for b, (at, n) in enumerate(zip(starts(lengths), lengths)):
             assert [decoded[b]] == crf.viterbi_decode(em[at:at + n], [n])
 
+    @pytest.mark.parametrize("iob", [False, True])
+    def test_ties_in_an_equal_length_batch_take_the_lowest_index_path(self, iob):
+        """With every score zero all legal paths tie; each sentence of an
+        equal-length batch still gets its single call's lowest-index path."""
+        crf = make_crf((IOB_LABELS_BY_T if iob else FREE_LABELS_BY_T)[4], seed=2)
+        for p in (crf.transitions, crf.start, crf.end):
+            p.data[:] = 0.0
+        for n in (1, 2, 5):
+            em = np.zeros((6 * n, 4))
+            decoded = crf.viterbi_decode(em, [n] * 6)
+            assert decoded == [([crf.labels[0]] * n, 0.0)] * 6
+            for at in starts([n] * 6):
+                assert crf.viterbi_decode(em[at:at + n], [n]) == [decoded[0]]
+
     def test_bad_lengths_and_rows_rejected(self):
         crf = make_crf(["O", "B-a"], seed=1)
         em = np.random.default_rng(14).normal(size=(12, 2))

@@ -219,6 +219,87 @@ class TestForward:
             == (variant == "hme")
 
 
+def sentences_of_lengths(lengths, seed=0):
+    from toyres import WORDS_A, WORDS_B
+    rng = np.random.default_rng(seed)
+    vocab = WORDS_A + WORDS_B + ["qqqq", "zzyx"]
+    return [TokenizedSentence(ws, ws) for ws in
+            ([str(w) for w in rng.choice(vocab, size=n)] for n in lengths)]
+
+
+class TestGroupedDecoding:
+    """Prediction decodes each chunk with one Viterbi call per distinct
+    sentence length, and every sentence gets what decoding it alone from the
+    same forward's emissions gives."""
+
+    LENGTHS = {
+        "one_length": [4] * 9,
+        "distinct": [6, 1, 3, 5, 2, 4, 7],
+        "with_ones": [1, 3, 1, 1, 2, 3, 1, 5, 2, 1, 1],
+        "ragged_tail": [2, 5, 2, 2, 3, 5, 1, 2, 4, 4, 3, 2, 6],
+    }
+
+    @pytest.mark.parametrize("variant", ["hme", "mme_word"])
+    @pytest.mark.parametrize("case", sorted(LENGTHS))
+    @pytest.mark.parametrize("batch_size", [4, 64])
+    @pytest.mark.parametrize("with_attention", [False, True])
+    def test_groups_by_length_and_matches_single_decodes(self, variant, case, batch_size,
+                                                         with_attention, monkeypatch):
+        model = make_model(variant)
+        sents = sentences_of_lengths(self.LENGTHS[case])
+        # (chunk lengths, forward result) per chunk, and the lengths of each
+        # Viterbi call, in order
+        events = []
+        forward, decode = model.forward, mdl.CrfModel.viterbi_decode
+
+        def spy_forward(chunk):
+            result = forward(chunk)
+            events.append(("forward", result))
+            return result
+
+        def spy_decode(crf, rows, lengths):
+            events.append(("viterbi", list(lengths)))
+            return decode(crf, rows, lengths)
+
+        monkeypatch.setattr(model, "forward", spy_forward)
+        monkeypatch.setattr(mdl.CrfModel, "viterbi_decode", spy_decode)
+        if with_attention:
+            tags, alpha_w, alpha_s = model.predict_with_attention(sents, batch_size)
+        else:
+            tags, alpha_w, alpha_s = model.predict(sents, batch_size), None, None
+
+        chunks = []
+        for kind, value in events:
+            if kind == "forward":
+                chunks.append((value, []))
+            else:
+                chunks[-1][1].append(value)
+        assert len(chunks) == -(-len(sents) // batch_size)
+        k = 0
+        for result, calls in chunks:
+            lengths = result.lengths
+            assert lengths == [len(s) for s in sents[k:k + batch_size]]
+            assert all(len(set(c)) == 1 for c in calls)
+            assert sorted(c[0] for c in calls) == sorted(set(lengths))
+            assert sorted(n for c in calls for n in c) == sorted(lengths)
+            emissions = result.emissions.data.astype(np.float64)
+            start = 0
+            for n in lengths:
+                (want, _), = decode(model.crf, emissions[start:start + n], [n])
+                assert tags[k] == want
+                if with_attention:
+                    np.testing.assert_array_equal(alpha_w[k],
+                                                  result.alpha_word[start:start + n])
+                    if variant == "hme":
+                        np.testing.assert_array_equal(
+                            alpha_s[k], result.alpha_subword[start:start + n])
+                    else:
+                        assert alpha_s[k] is None
+                start += n
+                k += 1
+        assert k == len(sents)
+
+
 class TestAgainstPublicOps:
     """The batched featurizer path must agree with per-word lookups fed
     through the public ops.  Both run in float64: the model's forward under a
