@@ -329,8 +329,6 @@ def cmd_predict(args) -> int:
 
 
 def cmd_ensemble(args) -> int:
-    if len(args.predictions) < 1:
-        raise ConfigError("ensemble needs at least one prediction file")
     runs = [read_conll(p) for p in args.predictions]
     counts = {len(r) for r in runs}
     if len(counts) != 1:

@@ -2,11 +2,13 @@
 
 Word- and subword-level tables are loaded from text files and stay frozen for
 the whole training run; the character table (and the ``random`` variant's word
-table) is generated here and is trainable.  Every table follows one rule for
-an out-of-vocabulary token: it reads the table's ``unk_index`` row when the
-table has one, and a zero vector otherwise.  Generated tables keep row
+table) is generated here and is trainable.  Generated tables keep row
 ``PAD_INDEX`` zeroed and row ``UNK_INDEX`` as their shared unknown row; loaded
-tables hold exactly the file's rows and have no unknown row.
+tables hold exactly the file's rows.  The featurizer marks a token a table
+lacks with row -1, and ``hme.model._gather`` applies one rule to it by kind
+of table: a trainable table reads row ``UNK_INDEX``, which the miss trains; a
+frozen table gives a zero row in the copy it gathers, never in its matrix,
+so a loaded table's rows and fingerprint stay the file's.
 
 A loaded table is immutable: its matrix is read-only and its vocabulary a
 read-only mapping, so the fingerprint computed at load stays true.  Every
@@ -20,11 +22,9 @@ read-only, serving both the matrix and the index from the map.  A warm
 load releases the pages its check of the index read, so no page of the
 sidecar is resident after it; a process then makes resident only the
 page-cache pages (or large folios, up to 2 MB) that hold the rows and index
-entries it reads, shared by every process that maps the same sidecar.  On
-the benchmark's ``predict_fresh`` run each 50,000-row word table's sidecar
-holds 0 KB after the restore (2,624 KB while the check's pages were kept)
-and 1,152 KB after its 188 requests, 788 KB of it the key and order arrays
-that the lookups' bisects probe.
+entries it reads, shared by every process that maps the same sidecar.  The
+CHANGES.md entry that made a warm load release its checked pages gives the
+measured residency.
 """
 
 from __future__ import annotations
@@ -77,7 +77,6 @@ class EmbeddingTable:
     vocab: Mapping[str, int]
     vectors: Tensor
     trainable: bool
-    unk_index: int | None = None      # row every OOV token reads; None: zeros
     _digest: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -590,7 +589,7 @@ def init_char_table(alphabet, dim: int, seed: int) -> EmbeddingTable:
     vocab = {sym: i + 2 for i, sym in enumerate(entries)}
     return EmbeddingTable(
         language_id="*", level="char", dim=dim, vocab=vocab,
-        vectors=Tensor(rows, requires_grad=True), trainable=True, unk_index=UNK_INDEX)
+        vectors=Tensor(rows, requires_grad=True), trainable=True)
 
 
 def init_random_word_table(vocab_tokens, dim: int, seed: int) -> EmbeddingTable:
@@ -604,7 +603,7 @@ def init_random_word_table(vocab_tokens, dim: int, seed: int) -> EmbeddingTable:
     vocab = {tok: i + 2 for i, tok in enumerate(tokens)}
     return EmbeddingTable(
         language_id="random", level="word", dim=dim, vocab=vocab,
-        vectors=Tensor(rows, requires_grad=True), trainable=True, unk_index=UNK_INDEX)
+        vectors=Tensor(rows, requires_grad=True), trainable=True)
 
 
 @dataclass

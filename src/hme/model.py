@@ -74,12 +74,11 @@ class Resources:
 
 class Lookup(NamedTuple):
     """One table's rows for a run of words: ``idx`` (C,) holds the row of
-    every piece, word by word; ``valid`` (C,) is 0.0 where a piece reads a
-    zero vector; ``count`` (U,) holds the pieces of each word.  Every index
-    array holds real cells only, so no level computes a padding cell."""
+    every piece, word by word, and -1 where the table lacks the piece;
+    ``count`` (U,) holds the pieces of each word.  Every index array holds
+    real cells only, so no level computes a padding cell."""
 
     idx: np.ndarray
-    valid: np.ndarray
     count: np.ndarray
 
 
@@ -88,9 +87,8 @@ class Featurizer:
 
     The tables come in the order the model reads them: word tables, subword
     tables, then the char table.  Each word splits into the table's pieces
-    (the word itself, its BPE subwords or its characters), and every table
-    applies one rule to a piece it does not hold: read the table's unknown
-    row if it has one, else a zero vector.
+    (the word itself, its BPE subwords or its characters); a piece the
+    table does not hold gets row -1.
 
     ``encode`` reads the per-word cache but never adds to it; ``store``
     keeps the new words' rows and then encodes.  Only training batches are stored, so
@@ -137,15 +135,7 @@ class Featurizer:
             count = np.array([len(e[t]) for e in entries], dtype=np.int64)
             idx = np.fromiter(chain.from_iterable(e[t] for e in entries),
                               dtype=np.int64, count=int(count.sum()))
-            valid = np.ones(len(idx))
-            miss = idx < 0
-            if miss.any():
-                if table.unk_index is None:
-                    idx[miss] = 0
-                    valid[miss] = 0.0
-                else:
-                    idx[miss] = table.unk_index
-            lookups.append(Lookup(idx, valid, count))
+            lookups.append(Lookup(idx, count))
         return lookups
 
     def count_oov(self, sentences: list[TokenizedSentence]) -> None:
@@ -170,19 +160,23 @@ def _length_mask(lengths, dtype) -> np.ndarray:
     return (np.arange(lengths.max()) < lengths[:, None]).astype(dtype)
 
 
-def _masked_lookup(table: emb.EmbeddingTable, idx: np.ndarray,
-                   valid: np.ndarray) -> Tensor:
-    """Gather (len(idx), d) rows and zero the out-of-vocabulary ones.  Under
-    a Tape the rows are float64; with no Tape the gathered rows, never the
-    table, are cast to float32, so a frozen table stays one float64 map."""
+def _gather(table: emb.EmbeddingTable, idx: np.ndarray) -> Tensor:
+    """The (len(idx), d) rows of ``idx``, where -1 marks a miss, which reads
+    row ``emb.UNK_INDEX`` of a trainable table and zeros from a frozen one.
+    Under a Tape the rows are float64; with no Tape the gathered rows, never
+    the table, are cast to float32, so a frozen table stays one float64 map."""
+    miss = idx < 0
+    # a frozen miss reads row 0 and zeroes it: row -1 would fault in a page
+    # of the map that no hit needs
+    idx = np.where(miss, emb.UNK_INDEX if table.trainable else 0, idx)
+    if table.trainable and ad.Tape._active is not None:
+        return ad.take(table.vectors, idx)
+    x = table.vectors.data[idx]
     if ad.Tape._active is None:
-        x = Tensor(table.vectors.data[idx].astype(np.float32, copy=False))
-    else:
-        x = ad.take(table.vectors, idx)
-    if not np.all(valid == 1.0):
-        mask = np.broadcast_to(valid.astype(x.data.dtype)[:, None], x.shape)
-        x = ad.mul(x, Tensor(np.ascontiguousarray(mask)))
-    return x
+        x = x.astype(np.float32, copy=False)
+    if not table.trainable:
+        x[miss] = 0.0
+    return Tensor(x)
 
 
 class WordCache:
@@ -394,8 +388,7 @@ class SequenceTagger:
         """The per-word levels on U distinct words: the (U, ·) rows ``u`` and
         the (U, L) word and subword attention weights as arrays, None for a
         level the variant lacks."""
-        inputs = [_masked_lookup(table, lookup.idx, lookup.valid)
-                  for table, lookup in zip(self.featurizer.tables, tables)]
+        inputs = [_gather(t, lookup.idx) for t, lookup in zip(self.featurizer.tables, tables)]
         n_word = len(self.resources.word_tables)
 
         word_inputs = inputs[:n_word]
@@ -438,7 +431,7 @@ class SequenceTagger:
         changed (in place, by an optimizer step or by ``load_state``).  A
         float32 forward reads only the copies, so equal copies give equal
         outputs.  Frozen tables are no parameters: they stay float64, and
-        ``_masked_lookup`` casts the rows it gathers.  Like a Tape, this is
+        ``_gather`` casts the rows it gathers.  Like a Tape, this is
         not safe for concurrent use."""
         params = list(self.parameters().values())
         masters = [p.data for p in params]

@@ -10,6 +10,8 @@ import re
 
 import numpy as np
 
+from hme.embeddings import UNK_INDEX
+
 
 def finite_difference(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
     """Central-difference gradient of scalar f with respect to array x.
@@ -49,14 +51,15 @@ def finite_difference_jacobian(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
 
 def lookup(table, token: str) -> np.ndarray:
     """Per-token embedding row: exact match, lowercase fallback, then the
-    table's unknown row if it has one, or zeros otherwise."""
+    unknown row ``UNK_INDEX`` of a trainable table, or zeros for a frozen
+    one."""
     idx = table.vocab.get(token)
     if idx is None:
         idx = table.vocab.get(token.lower())
     if idx is None:
-        if table.unk_index is None:
+        if not table.trainable:
             return np.zeros(table.dim)
-        idx = table.unk_index
+        idx = UNK_INDEX
     return table.vectors.data[idx].copy()
 
 
@@ -272,16 +275,16 @@ def featurize_by_token(tables, split, sentences):
     then each distinct word keeps the cells of its first occurrence.
 
     ``split(table, word)`` gives the word's pieces for a table.  A piece
-    reads its exact row, then its lowercase row, then the table's unknown
-    row, else row 0 with validity 0.0.  Returns [(idx, valid, count)] per
-    table, like the model's ``Lookup`` for the batch's distinct words in
-    order of first occurrence, and each table's misses over every token.
+    reads its exact row, then its lowercase row, else -1.  Returns
+    [(idx, count)] per table, like the model's ``Lookup`` for the batch's
+    distinct words in order of first occurrence, and each table's misses
+    over every token.
     """
     words = [w for sent in sentences for w in sent.words]
     first = [words.index(w) for w in dict.fromkeys(words)]
     per_table, misses = [], []
     for table in tables:
-        idx, valid, count, miss = [], [], [], []
+        idx, count, miss = [], [], []
         for w in words:
             pieces = split(table, w)
             count.append(len(pieces))
@@ -290,12 +293,10 @@ def featurize_by_token(tables, split, sentences):
                 row = table.vocab.get(p, table.vocab.get(p.lower()))
                 if row is None:
                     miss[-1] += 1
-                    row = table.unk_index
-                valid.append(0.0 if row is None else 1.0)
-                idx.append(0 if row is None else row)
+                idx.append(-1 if row is None else row)
         starts = np.cumsum([0] + count)
         cells = [c for i in first for c in range(starts[i], starts[i + 1])]
-        per_table.append((np.array(idx, dtype=np.int64)[cells], np.array(valid)[cells],
+        per_table.append((np.array(idx, dtype=np.int64)[cells],
                           np.array(count, dtype=np.int64)[first]))
         misses.append(sum(miss))
     return per_table, misses

@@ -467,6 +467,14 @@ class TestEnsemble:
         assert cli.main(["ensemble", *files, "--out", str(out)]) == 0
         assert out.read_text().splitlines()[0] == "x\tB-a"
 
+    def test_no_prediction_file_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "v.conll"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["ensemble", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "predictions" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_length_mismatch_exit_2(self, tmp_path):
         a, b = tmp_path / "a.conll", tmp_path / "b.conll"
         self.write_pred(a, [[("x", "O")]])

@@ -5,7 +5,7 @@ import pytest
 
 from hme import embeddings as emb
 from hme import model as mdl
-from hme.autodiff import Tape, tensor_sum, take
+from hme.autodiff import Tape, Tensor, mul, tensor_sum, take
 from hme.tokenization import TokenizedSentence, apply_bpe, to_chars
 
 from oracles import lookup
@@ -119,8 +119,8 @@ def gathered_rows(table, found):
     """The rows the model's gather gives a Lookup under a Tape (float64),
     after checking that with no Tape it gives exactly their float32 cast."""
     with Tape():
-        rows = mdl._masked_lookup(table, found.idx, found.valid).data
-    predicted = mdl._masked_lookup(table, found.idx, found.valid).data
+        rows = mdl._gather(table, found.idx).data
+    predicted = mdl._gather(table, found.idx).data
     assert rows.dtype == np.float64 and predicted.dtype == np.float32
     np.testing.assert_array_equal(predicted, rows.astype(np.float32))
     return rows
@@ -155,8 +155,45 @@ class TestLookup:
 
     def test_trainable_unk_shares_row(self):
         t = emb.init_char_table({"a", "b"}, dim=4, seed=0)
-        self.check(t, "é", t.vectors.data[t.unk_index])
-        self.check(t, "ø", t.vectors.data[t.unk_index])
+        self.check(t, "é", t.vectors.data[emb.UNK_INDEX])
+        self.check(t, "ø", t.vectors.data[emb.UNK_INDEX])
+
+
+def test_a_miss_gathers_zeros_from_a_frozen_table_and_the_unknown_row_of_a_trainable_one(
+        tmp_path):
+    """-1 marks a miss.  A loaded table gives it an exact zero row, never its
+    last row, and its matrix stays read-only and as loaded; the char table
+    gives it row UNK_INDEX, never the padding row.  With no Tape the rows are
+    float32; under a Tape they are float64, and row UNK_INDEX's gradient sums
+    the gradient of every miss cell."""
+    path = write(tmp_path, "t.vec", "3 2\nwalking 1 2\ndead 3 4\nzaru 5 -6\n")
+    loaded = emb.load_text_embeddings(path, "vec_with_header")
+    matrix = loaded.vectors.data.tobytes()
+    chars = emb.init_char_table("ab", 4, seed=0)
+    a, unk = chars.vocab["a"], emb.UNK_INDEX
+    word_idx = np.array([1, -1, 0, -1])
+    char_idx = np.array([-1, a, -1, -1])
+    want_words = np.array([[3, 4], [0, 0], [1, 2], [0, 0]])
+    want_chars = chars.vectors.data[[unk, a, unk, unk]]
+
+    words, letters = mdl._gather(loaded, word_idx).data, mdl._gather(chars, char_idx).data
+    assert words.dtype == letters.dtype == np.float32
+    np.testing.assert_array_equal(words, want_words)
+    np.testing.assert_array_equal(letters, want_chars.astype(np.float32))
+
+    weights = np.arange(1.0, 17.0).reshape(4, 4)
+    with Tape():
+        words, letters = mdl._gather(loaded, word_idx), mdl._gather(chars, char_idx)
+        assert words.data.dtype == letters.data.dtype == np.float64
+        np.testing.assert_array_equal(words.data, want_words)
+        np.testing.assert_array_equal(letters.data, want_chars)
+        tensor_sum(mul(letters, Tensor(weights))).backward()
+    grad = chars.vectors.grad
+    np.testing.assert_array_equal(grad[unk], weights[[0, 2, 3]].sum(axis=0))
+    np.testing.assert_array_equal(grad[a], weights[1])
+    assert not np.delete(grad, [unk, a], axis=0).any()
+    assert not loaded.vectors.data.flags.writeable
+    assert loaded.vectors.data.tobytes() == matrix
 
 
 @pytest.mark.parametrize("level", ["frozen_word", "random_word", "subword", "char"])
