@@ -19,8 +19,11 @@ op of its own through ``_record``.  Design rules:
 * no implicit broadcasting: ``add`` and ``mul`` take operands of one shape,
   and ``matmul`` operands of equal rank (at least 2) with equal leading
   dims; any other shapes raise ``ShapeError``,
-* outputs stay finite: ops that can overflow check for NaN/Inf and raise
-  ``NumericsError``; the rest provably preserve finiteness.
+* finiteness is checked where a step or a prediction batch ends, never by
+  an op: ``backward`` refuses a non-finite loss with ``NumericsError``
+  naming the first recorded op whose output is not finite, and prediction
+  refuses a chunk's non-finite emissions.  A NaN or Inf that a later op
+  saturates (``relu`` of -inf, ``tanh`` of +-inf) raises nowhere.
 """
 
 from __future__ import annotations
@@ -40,20 +43,11 @@ class ShapeError(ValueError):
 
 
 class NumericsError(FloatingPointError):
-    """An operation produced NaN or Inf from finite inputs."""
+    """A training loss or a prediction chunk's emissions hold NaN or Inf.
 
-
-def _check_finite(arr: np.ndarray, op: str) -> None:
-    """Raise on NaN/Inf.  Structural and bounded ops (reshape, take, tanh,
-    softmax, relu, dropout, ...) preserve finiteness and skip this check;
-    arithmetic ops that can overflow call it on their outputs."""
-    # cheap screen first: any NaN/Inf makes the sum non-finite; a non-finite
-    # sum from cancellation of finite values is caught by the exact re-check
-    with np.errstate(over="ignore", invalid="ignore"):
-        if np.isfinite(arr.sum()):
-            return
-        if not np.all(np.isfinite(arr)):
-            raise NumericsError(f"{op} produced non-finite values")
+    ``backward`` raises it for the loss, naming the first recorded op whose
+    output is not finite; prediction raises it naming the chunk's sentences.
+    No op checks its own output."""
 
 
 def _contig(arr) -> np.ndarray:
@@ -80,7 +74,7 @@ class Tape:
     _active: "Tape | None" = None
 
     def __init__(self):
-        self._records: list[tuple["Tensor", tuple["Tensor", ...], object]] = []
+        self._records: list[tuple["Tensor", tuple["Tensor", ...], object, str]] = []
         self._dropped = 0
         self._closed = False
         self._consumed = False
@@ -109,23 +103,10 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
-        arr = _contig(arr if arr.dtype == np.float32 else np.asarray(arr, dtype=np.float64))
-        _check_finite(arr, "tensor creation")
-        self.data = arr
+        self.data = _contig(arr if arr.dtype == np.float32 else np.asarray(arr, dtype=np.float64))
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
         self._tape: Tape | None = None
-
-    @classmethod
-    def _checked(cls, arr: np.ndarray) -> "Tensor":
-        """A constant Tensor over ``arr``, a C-contiguous float64 array whose
-        values the caller has already checked to be finite; ``arr`` is not
-        read again, so pages of a mapped array stay where they are."""
-        if arr.dtype != np.float64 or not arr.flags["C_CONTIGUOUS"]:
-            raise ValueError("Tensor._checked takes a C-contiguous float64 array")
-        t = cls.__new__(cls)
-        t.data, t.requires_grad, t.grad, t._tape = arr, False, None, None
-        return t
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -152,16 +133,10 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-_BOUNDED_OPS = frozenset({
-    "reshape", "take", "concat", "dropout", "tanh", "softmax", "relu",
-})
-
-
 def _record(out_data: np.ndarray, inputs: tuple[Tensor, ...], vjp, op: str) -> Tensor:
-    """Wrap op output; register on the active tape when a gradient is needed.
-    While a tape is active, refuse an input or output that is not float64."""
-    if op not in _BOUNDED_OPS:
-        _check_finite(out_data, op)
+    """Wrap op output; register it, named ``op``, on the active tape when a
+    gradient is needed.  While a tape is active, refuse an input or output
+    that is not float64."""
     tape = Tape._active
     if tape is not None and (out_data.dtype != np.float64
                              or any(t.data.dtype != np.float64 for t in inputs)):
@@ -175,7 +150,7 @@ def _record(out_data: np.ndarray, inputs: tuple[Tensor, ...], vjp, op: str) -> T
     if tape is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
         out._tape = tape
-        tape._records.append((out, inputs, vjp))
+        tape._records.append((out, inputs, vjp, op))
     return out
 
 
@@ -189,7 +164,9 @@ def backward(loss: Tensor) -> None:
     and op outputs get no ``.grad``.  A second call on the same tape raises
     ``RuntimeError``; gradients of losses on separate tapes accumulate on the
     leaves until ``zero_grad``.  Gradient buffers may share storage between
-    tensors; replace them instead of mutating them in place.
+    tensors; replace them instead of mutating them in place.  A non-finite
+    loss raises ``NumericsError`` naming the first recorded op whose output
+    is not finite.
     """
     if loss.size != 1:
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -200,6 +177,10 @@ def backward(loss: Tensor) -> None:
         raise RuntimeError("the recording Tape has already exited")
     if tape._consumed:
         raise RuntimeError("backward already ran on this Tape")
+    if not np.isfinite(loss.data).all():
+        # the loss is itself a record, so some record is not finite
+        op = next(op for out, _, _, op in tape._records if not np.isfinite(out.data).all())
+        raise NumericsError(f"{op} produced non-finite values")
     tape._consumed = True
 
     records, tape._records = tape._records, []
@@ -207,7 +188,7 @@ def backward(loss: Tensor) -> None:
     pending: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     holders: dict[int, Tensor] = {id(loss): loss}
     while records:
-        out, inputs, vjp = records.pop()
+        out, inputs, vjp, _ = records.pop()
         g = pending.pop(id(out), None)
         if g is None:
             continue
@@ -505,7 +486,6 @@ def attention(q: Tensor, k: Tensor, v: Tensor, head_rows: np.ndarray,
     scores = to_heads(q_data) @ np.swapaxes(to_heads(k_data), -1, -2)
     scores *= scale
     scores += ((1.0 - key_mask) * NEG_LARGE).astype(scores.dtype, copy=False)[:, None, None, :]
-    _check_finite(scores, "attention")
     weights = _softmax_data(scores, -1)
     dropped = weights if keep is None else _drop(weights, *keep)
 

@@ -409,8 +409,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # the ops' own finiteness checks report overflow as error[numeric],
-        # so numpy's warnings would only repeat it as raw stderr noise
+        # an overflow surfaces as error[numeric] where a step or a prediction
+        # chunk ends (backward, Adam.step, decoding), so numpy's warnings from
+        # the ops on the way would only repeat it as raw stderr noise
         with np.errstate(over="ignore", invalid="ignore"):
             return args.func(args)
     except (ConfigError, ConllFormatError, emb.EmbeddingFormatError,

@@ -259,10 +259,9 @@ def load_text_embeddings(path: str, fmt: str, language_id: str = "", level: str 
         vectors.flags.writeable = False
         vocab = _MappedVocab(index.stream, 0, index.spans, index.keys, index.order)
         digest = _fingerprint(level, language_id, vectors.shape[1], index.stream, vectors)
-    # both paths checked every value, so the Tensor need not read them again
     table = EmbeddingTable(
         language_id=language_id, level=level, dim=vectors.shape[1],
-        vocab=vocab, vectors=Tensor._checked(vectors), trainable=False)
+        vocab=vocab, vectors=Tensor(vectors), trainable=False)
     table._digest = digest
     return table
 

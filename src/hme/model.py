@@ -482,7 +482,9 @@ class SequenceTagger:
         per-word rows an earlier batch or call computed at the same parameters
         is not featurized or encoded again, and counts no OOV hits (see
         ``Featurizer.count_oov``).  Under a Tape a forward trains, so decoding
-        raises RuntimeError there, before any work."""
+        raises RuntimeError there, before any work.  A chunk whose emissions
+        are not finite raises ``NumericsError`` naming its sentences, by their
+        indices in ``sentences``; no op of the forward checks its output."""
         if ad.Tape._active is not None:
             raise RuntimeError("prediction cannot run under a Tape: a forward there trains")
         if type(batch_size) is not int or batch_size < 1:
@@ -496,6 +498,9 @@ class SequenceTagger:
             result = self.forward(chunk)
             # Viterbi runs in float64: one cast of the chunk's float32 emissions
             emissions = result.emissions.data.astype(np.float64)
+            if not np.isfinite(emissions).all():
+                raise ad.NumericsError(f"sentences {i} to {i + len(chunk) - 1} "
+                                       f"produced non-finite emissions")
             lengths = np.array(result.lengths)
             starts = np.cumsum(lengths) - lengths
             tags = [None] * len(chunk)

@@ -16,7 +16,8 @@ from .tokenization import repair_iob
 
 
 class DivergenceError(RuntimeError):
-    """Training produced NaN gradients or a non-finite loss."""
+    """Training produced a non-finite gradient; ``Adam.step`` names its
+    parameter.  A non-finite loss raises ``NumericsError`` in ``backward``."""
 
 
 @dataclass
@@ -60,15 +61,11 @@ class Adam:
         for p in self.params.values():
             p.zero_grad()
 
-    def _check_grads(self) -> None:
-        for name, p in self.params.items():
-            if p.grad is not None and not np.all(np.isfinite(p.grad)):
-                raise DivergenceError(f"non-finite gradient in parameter {name!r}")
-
     def clip_gradients(self) -> float:
         """Scale all gradients so the global norm is at most clip_norm;
-        returns the pre-clip norm."""
-        self._check_grads()
+        returns the pre-clip norm.  A non-finite gradient leaves a non-finite
+        gradient behind (NaN makes the norm NaN, and Inf meets a zero factor),
+        which ``step`` then refuses, naming its parameter."""
         total = 0.0
         for p in self.params.values():
             if p.grad is not None:
@@ -82,7 +79,9 @@ class Adam:
         return norm
 
     def step(self) -> None:
-        self._check_grads()
+        for name, p in self.params.items():
+            if p.grad is not None and not np.all(np.isfinite(p.grad)):
+                raise DivergenceError(f"non-finite gradient in parameter {name!r}")
         self.t += 1
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
@@ -326,8 +325,6 @@ def train(model, train_set, dev_set, config: TrainConfig,
                 with Tape():
                     loss = model.loss_batch(batch)
                     loss.backward()
-                if not np.isfinite(loss.item()):
-                    raise DivergenceError("training loss is not finite")
                 grad_norms.append(opt.clip_gradients())
                 opt.step()
                 step_s.append(time.perf_counter() - step_start)

@@ -298,20 +298,47 @@ def test_dropout_rate_is_p_quantized_to_16_bits(p):
 
 
 def test_finite_violation_raises():
-    big = Tensor(np.array([1e308]))
-    with np.errstate(over="ignore"):
-        with pytest.raises(ad.NumericsError):
-            ad.mul(big, big)
+    big = Tensor(np.array([1e308]), requires_grad=True)
+    with np.errstate(over="ignore"), Tape():
+        loss = ad.tensor_sum(ad.mul(big, big))
+        with pytest.raises(ad.NumericsError, match="^mul produced non-finite values$"):
+            loss.backward()
 
 
 def test_fused_ops_raise_on_overflow():
-    big = Tensor(np.full((2, 2), 1e200))
+    big = Tensor(np.full((2, 2), 1e200), requires_grad=True)
     mask = np.ones((1, 2))
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ad.NumericsError, match="linear"):
-            ad.linear(big, big, Tensor(np.zeros(2)))
-        with pytest.raises(ad.NumericsError, match="attention"):
-            ad.attention(big, big, big, head_rows(mask, 1), mask, 1.0)
+        with Tape():
+            loss = ad.tensor_sum(ad.linear(big, big, Tensor(np.zeros(2))))
+            with pytest.raises(ad.NumericsError, match="^linear "):
+                loss.backward()
+        with Tape():
+            loss = ad.tensor_sum(ad.attention(big, big, big, head_rows(mask, 1), mask, 1.0))
+            with pytest.raises(ad.NumericsError, match="^attention "):
+                loss.backward()
+
+
+def test_backward_names_the_first_non_finite_op():
+    big = Tensor(np.full((2, 2), 1e200), requires_grad=True)
+    with np.errstate(over="ignore", invalid="ignore"), Tape():
+        out = ad.linear(big, big, Tensor(np.zeros(2)))
+        doubled = ad.scale(out, 2.0)
+        loss = ad.tensor_sum(doubled)
+        assert not np.isfinite(out.data).any() and not np.isfinite(doubled.data).any()
+        with pytest.raises(ad.NumericsError, match="^linear "):
+            loss.backward()
+
+
+def test_a_saturated_non_finite_value_raises_nowhere():
+    """Only the loss is checked: relu maps the -inf it is given to 0."""
+    x = Tensor(np.array([-1e308, 2.0]), requires_grad=True)
+    with np.errstate(over="ignore"), Tape():
+        scaled = ad.scale(x, 10.0)
+        loss = ad.tensor_sum(ad.relu(scaled))
+        assert scaled.data[0] == -np.inf
+        loss.backward()
+    np.testing.assert_array_equal(x.grad, [0.0, 10.0])
 
 
 def test_fused_ops_reject_bad_shapes():

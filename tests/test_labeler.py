@@ -363,8 +363,9 @@ class TestBatchedNll:
         crf = make_crf(["O", "B-a"], seed=1)
         em = Tensor(np.full((3, 2), 1e308), requires_grad=True)
         with np.errstate(over="ignore", invalid="ignore"), Tape():
+            loss = crf.neg_log_likelihood(em, [["O", "O", "O"]], [3])
             with pytest.raises(NumericsError, match="crf_nll"):
-                crf.neg_log_likelihood(em, [["O", "O", "O"]], [3])
+                loss.backward()
 
     def test_gold_and_length_mismatch_rejected(self):
         crf = make_crf(["O", "B-a"], seed=1)

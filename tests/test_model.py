@@ -1054,6 +1054,36 @@ class TestFloat32Prediction:
                 ad.linear(x, linear.weight, linear.bias)
             assert len(tape) == 0
 
+    def test_non_finite_emissions_raise_naming_the_chunk(self):
+        """-1e39 is finite in float64 and Inf as float32.  In the char row of
+        's', which only the third sentence holds, it makes that chunk's
+        emissions non-finite, and prediction refuses the chunk by its
+        sentences' indices; a forward under a Tape stays finite."""
+        model = make_model("hme")
+        sents = build_sentences()
+        table = model.resources.char_table
+        table.vectors.data[table.vocab["s"]] = -1e39
+        with Tape():
+            assert np.isfinite(model.forward(sents).emissions.data).all()
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ad.NumericsError,
+                               match="^sentences 2 to 3 produced non-finite emissions$"):
+                model.predict(sents, batch_size=2)
+            assert len(model.predict(sents[:2], batch_size=2)) == 2
+
+    def test_a_non_finite_value_that_relu_saturates_tags_without_error(self):
+        """Only the emissions are checked: -1e39 in a bias of the first
+        feed-forward layer becomes -Inf in float32, which relu maps to 0, as
+        it maps -1e30."""
+        sents = build_sentences()
+        tags = []
+        for value in (-1e39, -1e30):
+            model = make_model("hme")
+            model.encoder.layers[0].ff1.bias.data[0] = value
+            with np.errstate(over="ignore"):
+                tags.append(model.predict(sents))
+        assert tags[0] == tags[1]
+
     @pytest.mark.parametrize("prefix", ["encoder.", "crf."])
     @pytest.mark.parametrize("change", ["in_place", "adam_step", "load_state"])
     def test_a_parameter_change_refreshes_the_copies(self, change, prefix):

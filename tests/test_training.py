@@ -72,6 +72,19 @@ class TestAdam:
         with pytest.raises(tr.DivergenceError, match="layers.bad"):
             opt.step()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_clipping_leaves_a_non_finite_gradient_for_step_to_name(self, bad):
+        ok = Tensor(np.zeros(2), requires_grad=True)
+        a = Tensor(np.zeros(2), requires_grad=True)
+        opt = tr.Adam({"layers.ok": ok, "layers.bad": a}, cfg())
+        ok.grad = np.array([1.0, 2.0])
+        a.grad = np.array([bad, 0.0])
+        with np.errstate(invalid="ignore"):
+            opt.clip_gradients()
+        with pytest.raises(tr.DivergenceError, match="'layers.bad'"):
+            opt.step()
+        np.testing.assert_array_equal(ok.data, [0.0, 0.0])
+
     def test_moments_decay_without_gradient(self):
         p = Tensor(np.array([0.0]), requires_grad=True)
         opt = tr.Adam({"p": p}, cfg())
