@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from collections import Counter, OrderedDict
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from itertools import chain
@@ -23,7 +23,7 @@ from .nn import TransformerEncoder
 from .tokenization import BpeModel, TokenizedSentence, apply_bpe, to_chars
 
 VARIANTS = ("hme", "mme_word", "concat", "linear", "random")
-# words kept by a tagger's prediction cache; the least recently used go first
+# the most words a tagger's prediction cache holds after a call (WordCache)
 PREDICTION_CACHE_WORDS = 2 ** 14
 
 
@@ -186,14 +186,14 @@ class WordCache:
     A word's row ``u`` and its attention rows depend only on the word and
     the float32 copies of the parameters, so the tagger empties the cache
     whenever it refreshes those copies (``SequenceTagger._float32``).  The
-    cache holds at most PREDICTION_CACHE_WORDS words, dropping the least
-    recently used first.  ``slots`` maps each word to one float32 row that
-    holds its fields side by side; ``widths`` holds each field's width, or
-    None for a level the variant lacks.
+    cache is emptied, never evicted from: a ``rows`` call that leaves it
+    above PREDICTION_CACHE_WORDS words empties it.  ``slots`` maps each
+    word to one float32 row that holds its fields side by side; ``widths``
+    holds each field's width, or None for a level the variant lacks.
     """
 
     def __init__(self):
-        self.slots: OrderedDict[str, np.ndarray] = OrderedDict()
+        self.slots: dict[str, np.ndarray] = {}
         self.widths: list[int | None] = []
 
     def __len__(self) -> int:
@@ -202,24 +202,19 @@ class WordCache:
     def rows(self, words: list[str], compute) -> list[np.ndarray | None]:
         """Each field's (U, width) block for the U distinct ``words``.
 
-        Cached words are read and marked used; ``compute(new)`` gives the
-        fields of the others, which are kept.  Each kept row is its own
-        array, so an evicted row frees its memory rather than pinning its
-        batch's block."""
-        new = []
-        for w in words:
-            if w in self.slots:
-                self.slots.move_to_end(w)
-            else:
-                new.append(w)
+        Cached words are read; ``compute(new)`` gives the fields of the
+        others, which are kept as views of one block per call.  Rows leave
+        only all at once, when the cache is emptied, so no block outlives
+        its cached words."""
+        new = [w for w in words if w not in self.slots]
         if new:
             fields = compute(new)
             self.widths = [None if f is None else f.shape[1] for f in fields]
             block = np.concatenate([f for f in fields if f is not None], axis=1)
-            self.slots.update((w, row.copy()) for w, row in zip(new, block))
+            self.slots.update(zip(new, block))
         block = np.stack([self.slots[w] for w in words])
-        while len(self.slots) > PREDICTION_CACHE_WORDS:
-            self.slots.popitem(last=False)
+        if len(self.slots) > PREDICTION_CACHE_WORDS:
+            self.slots.clear()
         out, start = [], 0
         for width in self.widths:
             out.append(None if width is None else block[:, start:start + width])
@@ -426,13 +421,13 @@ class SequenceTagger:
         """Point every parameter at its float32 copy for the block, then back
         at its float64 master.
 
-        The copies are refreshed, and the prediction cache emptied, whenever
-        a parameter cast to float32 differs from its copy, however it
-        changed (in place, by an optimizer step or by ``load_state``).  A
-        float32 forward reads only the copies, so equal copies give equal
-        outputs.  Frozen tables are no parameters: they stay float64, and
-        ``_gather`` casts the rows it gathers.  Like a Tape, this is
-        not safe for concurrent use."""
+        The copies are refreshed whenever a parameter cast to float32
+        differs from its copy, however it changed (in place, by an optimizer
+        step or by ``load_state``), and a refresh empties the prediction
+        cache, whose rows came from the old copies.  A float32 forward reads
+        only the copies, so equal copies give equal outputs.  Frozen tables
+        are no parameters: they stay float64, and ``_gather`` casts the rows
+        it gathers.  Like a Tape, this is not safe for concurrent use."""
         params = list(self.parameters().values())
         masters = [p.data for p in params]
         flat = np.concatenate([m.ravel() for m in masters], dtype=np.float32)
@@ -480,11 +475,12 @@ class SequenceTagger:
 
         Decoding reads the prediction cache (``WordCache``), so a word whose
         per-word rows an earlier batch or call computed at the same parameters
-        is not featurized or encoded again, and counts no OOV hits (see
-        ``Featurizer.count_oov``).  Under a Tape a forward trains, so decoding
-        raises RuntimeError there, before any work.  A chunk whose emissions
-        are not finite raises ``NumericsError`` naming its sentences, by their
-        indices in ``sentences``; no op of the forward checks its output."""
+        is not featurized or encoded again unless the cache was emptied since,
+        and counts no OOV hits (see ``Featurizer.count_oov``).  Under a Tape a
+        forward trains, so decoding raises RuntimeError there, before any
+        work.  A chunk whose emissions are not finite raises ``NumericsError``
+        naming its sentences, by their indices in ``sentences``; no op of the
+        forward checks its output."""
         if ad.Tape._active is not None:
             raise RuntimeError("prediction cannot run under a Tape: a forward there trains")
         if type(batch_size) is not int or batch_size < 1:

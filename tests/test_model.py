@@ -3,6 +3,7 @@ import copy
 import dataclasses
 import os
 import tracemalloc
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -888,7 +889,10 @@ class TestPredictionCache:
             assert g is not None and got[name] is not None, name
             np.testing.assert_array_equal(got[name], g, err_msg=name)
 
-    def test_cache_keeps_the_most_recently_used_words(self, monkeypatch):
+    def test_a_call_past_the_bound_empties_the_cache(self, monkeypatch):
+        """The cache is emptied, never evicted from: a call whose new words
+        take it past the bound leaves it empty, and drops the blocks behind
+        its rows with it."""
         monkeypatch.setattr(mdl, "PREDICTION_CACHE_WORDS", 8)
         model, cold = make_model("hme"), make_model("hme")
         cache = model._word_cache
@@ -896,19 +900,25 @@ class TestPredictionCache:
         def tag(words):
             sents = [TokenizedSentence([w], [w]) for w in words]
             assert_rows_close(model.forward(sents), uncached(cold, sents))
+            assert len(cache) <= 8
 
-        words = [f"new{k}" for k in range(200)]
+        words = [f"new{k}" for k in range(99)]
+        tag(words[:3])
+        tag(words[3:6])
+        tag(words[:6] + ["walka"])          # six hits and one new word
+        tag([words[6]])                     # exactly at the bound: kept
+        assert list(cache.slots) == words[:6] + ["walka", words[6]]
+        # each call's new rows are views of that call's one block
+        blocks = {id(row.base): weakref.ref(row.base) for row in cache.slots.values()}
+        assert len(blocks) == 4
+        tag([words[7]])                     # past the bound: emptied
+        assert len(cache) == 0
+        assert all(block() is None for block in blocks.values())
+        tag(words[:20])                     # one call of more new words than the bound
+        assert len(cache) == 0
         for k in range(0, len(words), 3):
             tag(words[k:k + 3])
-            assert len(cache) == min(k + 3, 8)
-        assert list(cache.slots) == words[-8:]
-        tag([words[-8]])                    # a hit makes the oldest word the newest
-        tag(["walka"])                      # so the second oldest goes
-        assert list(cache.slots) == words[-6:] + [words[-8], "walka"]
-        tag(words[:20])                     # one batch of more words than the cap
-        assert list(cache.slots) == words[12:20]
-        # each row owns its memory: no evicted row pins its batch's block
-        assert len(cache.slots) == 8 and all(row.base is None for row in cache.slots.values())
+            assert len(cache) == (3, 6, 0)[k // 3 % 3]
 
     def test_prediction_under_a_tape_raises_before_any_work(self):
         """Under a Tape a forward trains, so ``predict`` and
