@@ -19,6 +19,14 @@ op of its own through ``_record``.  Design rules:
 * no implicit broadcasting: ``add`` and ``mul`` take operands of one shape,
   and ``matmul`` operands of equal rank (at least 2) with equal leading
   dims; any other shapes raise ``ShapeError``,
+* batching never changes a result: an op's output row depends only on its
+  own input row and, in ``attention``, its own sequence, so a sequence
+  computed alone gets the same bits as inside a ragged batch.  Reductions
+  run along a leading axis or as ``np.einsum`` row sums, never as a
+  matrix-vector product with ones, whose rounding depends on the number of
+  rows.  BLAS matmuls keep the rule only while they sum each inner product
+  in one order whatever the matrix shape, which OpenBLAS does not for wide
+  attention heads,
 * finiteness is checked where a step or a prediction batch ends, never by
   an op: ``backward`` refuses a non-finite loss with ``NumericsError``
   naming the first recorded op whose output is not finite, and prediction
@@ -359,15 +367,10 @@ def relu(a: Tensor) -> Tensor:
     return _record(out, (a,), vjp, "relu")
 
 
-def _softmax_data(x: np.ndarray, axis: int) -> np.ndarray:
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
-
-
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     """Stable softmax (max-subtraction) along ``axis``."""
-    out = _softmax_data(a.data, axis)
+    e = np.exp(a.data - np.max(a.data, axis=axis, keepdims=True))
+    out = e / e.sum(axis=axis, keepdims=True)
 
     def vjp(g):
         inner = (g * out).sum(axis=axis, keepdims=True)
@@ -421,24 +424,30 @@ def dropout(a: Tensor, keep: tuple[np.ndarray, float]) -> Tensor:
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then scale by
-    ``gain`` and shift by ``bias`` (both shaped like that axis)."""
+    ``gain`` and shift by ``bias`` (both shaped like that axis).
+
+    Row means and variances are einsum row sums: faster than numpy's
+    last-axis reductions on short rows, and the same bits for a row however
+    many rows come with it (a GEMV with a ones vector is not)."""
     if gain.shape != a.shape[-1:] or bias.shape != a.shape[-1:]:
         raise ShapeError(f"layer_norm of {a.shape} needs gain and bias of "
                          f"{a.shape[-1:]}, got {gain.shape} and {bias.shape}")
     a_data = a.data
-    mu = a_data.mean(axis=-1, keepdims=True)
-    var = a_data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    d = a.shape[-1]
+    mu = (np.einsum("...j->...", a_data) / d)[..., None]
+    centred = a_data - mu
+    var = np.einsum("...j,...j->...", centred, centred) / d
+    inv = (1.0 / np.sqrt(var + eps))[..., None]
     gain_data = gain.data
-    out = (a_data - mu) * inv
+    out = centred * inv
     out *= gain_data
     out += bias.data
 
     def vjp(g):
         xhat = (a_data - mu) * inv
         gx = g * gain_data
-        g_mean = gx.mean(axis=-1, keepdims=True)
-        gx_mean = (gx * xhat).mean(axis=-1, keepdims=True)
+        g_mean = (np.einsum("...j->...", gx) / d)[..., None]
+        gx_mean = (np.einsum("...j,...j->...", gx, xhat) / d)[..., None]
         lead = tuple(range(g.ndim - 1))
         return (inv * (gx - g_mean - xhat * gx_mean),
                 (g * xhat).sum(axis=lead), g.sum(axis=lead))
@@ -458,12 +467,14 @@ def attention(q: Tensor, k: Tensor, v: Tensor, head_rows: np.ndarray,
     ``q``, ``k`` and ``v`` are (C, d): the C real cells of the (batch, n)
     ``key_mask``, in row-major order.  ``head_rows`` (C, heads) holds the
     flat position of each cell's heads, d / heads values each, in the padded
-    (batch, heads, n, dk) layout; padding cells are zero vectors there.  In
-    that layout the scores ``scale * q kT`` get NEG_LARGE at padding keys
-    through a (batch, 1, 1, n) bias, a softmax over the keys and, when
-    ``keep`` holds a (batch, heads, n, n) keep-mask and its p, dropout on the
-    weights.  The real cells' heads of the weighted values are gathered back
-    into the packed (C, d) result.
+    (batch, heads, n, dk) layout; padding cells are zero vectors there.  The
+    scores ``scale * q kT`` are laid out key-major, as (n keys, batch * heads,
+    n queries), so the softmax's max, exp and sum all run over the leading
+    axis; a (n, batch, 1) bias adds NEG_LARGE at padding keys.  When ``keep``
+    holds a (batch, heads, n queries, n keys) keep-mask and its p, dropout
+    applies it to the weights through a transposed view.  The real cells'
+    heads of the weighted values are gathered back into the packed (C, d)
+    result.
     """
     c, d = q.shape
     batch, n = key_mask.shape
@@ -477,29 +488,41 @@ def attention(q: Tensor, k: Tensor, v: Tensor, head_rows: np.ndarray,
     def to_heads(t: np.ndarray) -> np.ndarray:
         out = np.zeros((batch * h * n, dk), dtype=t.dtype)
         out[rows] = t.reshape(-1, dk)
-        return out.reshape(batch, h, n, dk)
+        return out.reshape(batch * h, n, dk)
 
     def to_rows(t: np.ndarray) -> np.ndarray:
         return t.reshape(-1, dk)[rows].reshape(c, d)
 
+    def key_major(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        # (n keys, batch * heads, n queries) buffer holding a @ bT per head
+        out = np.empty((n, batch * h, n), dtype=a.dtype)
+        np.matmul(a, np.swapaxes(b, -1, -2), out=out.transpose(1, 0, 2))
+        return out
+
     q_data, k_data, v_data = q.data, k.data, v.data
-    scores = to_heads(q_data) @ np.swapaxes(to_heads(k_data), -1, -2)
-    scores *= scale
-    scores += ((1.0 - key_mask) * NEG_LARGE).astype(scores.dtype, copy=False)[:, None, None, :]
-    weights = _softmax_data(scores, -1)
+    if keep is not None:
+        keep = keep[0].reshape(batch * h, n, n).transpose(2, 0, 1), keep[1]
+    weights = key_major(to_heads(k_data), to_heads(q_data))
+    weights *= scale
+    by_batch = weights.reshape(n, batch, h * n)    # a view
+    by_batch += ((1.0 - key_mask.T) * NEG_LARGE).astype(weights.dtype, copy=False)[:, :, None]
+    weights -= weights.max(axis=0)
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=0)
     dropped = weights if keep is None else _drop(weights, *keep)
 
     def vjp(g):
         # re-scatter the padded heads from the packed inputs the tape holds
         # anyway, rather than keep three padded copies alive until backward
         g_ctx = to_heads(g)
-        g_w = g_ctx @ np.swapaxes(to_heads(v_data), -1, -2)
+        g_w = key_major(to_heads(v_data), g_ctx)
         if keep is not None:
             g_w = _drop(g_w, *keep)
-        g_s = weights * (g_w - (g_w * weights).sum(axis=-1, keepdims=True))
+        g_s = weights * (g_w - (g_w * weights).sum(axis=0))
         g_s *= scale
-        return (to_rows(g_s @ to_heads(k_data)),
-                to_rows(np.swapaxes(g_s, -1, -2) @ to_heads(q_data)),
-                to_rows(np.swapaxes(dropped, -1, -2) @ g_ctx))
+        return (to_rows(g_s.transpose(1, 2, 0) @ to_heads(k_data)),
+                to_rows(g_s.transpose(1, 0, 2) @ to_heads(q_data)),
+                to_rows(dropped.transpose(1, 0, 2) @ g_ctx))
 
-    return _record(to_rows(dropped @ to_heads(v_data)), (q, k, v), vjp, "attention")
+    return _record(to_rows(dropped.transpose(1, 2, 0) @ to_heads(v_data)), (q, k, v),
+                   vjp, "attention")

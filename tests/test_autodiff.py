@@ -6,7 +6,7 @@ from hme import nn
 from hme.autodiff import Tape, Tensor
 
 from oracles import (finite_difference, finite_difference_jacobian, head_rows,
-                     matmul_loops)
+                     matmul_loops, pack_rows)
 
 GRAD_SEEDS = 100
 
@@ -234,12 +234,17 @@ def test_gradients_all_ops(seed):
     mask = np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 1.0], [1.0, 1.0, 0.0]])
     q, k, v = (Tensor(rng.normal(size=(6, 4)), requires_grad=True) for _ in range(3))
     keep = (ad.keep_mask((3, 2, 3, 3), 0.4, np.random.default_rng(seed)), 0.4)
+    # sequences of 9, 1 and 4 keys: past numpy's 8-wide pairwise sum block,
+    # whose order the key-major softmax does not follow
+    long_mask = (np.arange(9) < np.array([[9], [1], [4]])).astype(np.float64)
+    long_qkv = [Tensor(rng.normal(size=(14, 4)), requires_grad=True) for _ in range(3)]
+    long_keep = (ad.keep_mask((3, 2, 9, 9), 0.4, np.random.default_rng(seed)), 0.4)
     # add and mul take operands of one shape: a full-shape bias for a @ b
     ab_bias = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
-    params = (a, b, c, gain, bias, q, k, v, ab_bias)
+    params = (a, b, c, gain, bias, q, k, v, *long_qkv, ab_bias)
 
-    def attend(keep=None):
-        return ad.tensor_sum(ad.tanh(ad.attention(q, k, v, head_rows(mask, 2), mask,
+    def attend(keep=None, qkv=(q, k, v), mask=mask):
+        return ad.tensor_sum(ad.tanh(ad.attention(*qkv, head_rows(mask, 2), mask,
                                                   0.7, keep)))
 
     cases = {
@@ -254,6 +259,8 @@ def test_gradients_all_ops(seed):
         "linear": lambda: ad.tensor_sum(ad.tanh(ad.linear(a, b, c))),
         "attention": attend,
         "attention_keep": lambda: attend(keep),
+        "attention_long": lambda: attend(None, long_qkv, long_mask),
+        "attention_long_keep": lambda: attend(long_keep, long_qkv, long_mask),
         "concat": lambda: ad.tensor_sum(ad.tanh(ad.concat([a, ad.reshape(b, (3, 4))], axis=1))),
         "reshape": lambda: ad.tensor_sum(ad.tanh(
             ad.mul(ad.reshape(a, (2, 6)), ad.reshape(b, (2, 6))))),
@@ -414,6 +421,37 @@ def test_every_op_keeps_float32_with_no_tape():
         got = op(*(Tensor(a.astype(np.float32)) for a in (x64, w64, b64))).data
         assert want.dtype == np.float64 and got.dtype == np.float32, name
         assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max(), name
+
+
+RAGGED_LENGTHS = (3, 1, 7, 5, 11)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_batching_never_changes_a_result(dtype):
+    """Each sequence computed alone gives, bit for bit, its rows computed
+    inside a ragged batch: no op's row depends on another row or sequence."""
+    rng = np.random.default_rng(17)
+    for width in (5, 6, 33, 64):
+        seqs = [rng.normal(size=(m, width)).astype(dtype) for m in RAGGED_LENGTHS]
+        gain, bias = (Tensor(rng.normal(size=width).astype(dtype)) for _ in range(2))
+        packed, _ = pack_rows(seqs)
+        batched = ad.layer_norm(Tensor(packed), gain, bias).data
+        alone = np.concatenate([ad.layer_norm(Tensor(s), gain, bias).data for s in seqs])
+        np.testing.assert_array_equal(batched, alone, err_msg=f"layer_norm width {width}")
+    for heads, d in ((1, 4), (2, 6), (4, 64)):
+        qkv = [[rng.normal(size=(m, d)).astype(dtype) for m in RAGGED_LENGTHS]
+               for _ in range(3)]
+
+        def attend(*seqs):
+            packed = [pack_rows(s) for s in seqs]
+            mask = packed[0][1]
+            return ad.attention(*(Tensor(rows) for rows, _ in packed),
+                                head_rows(mask, heads), mask, 0.3).data
+
+        alone = np.concatenate([attend(*([t[i]] for t in qkv))
+                                for i in range(len(RAGGED_LENGTHS))])
+        np.testing.assert_array_equal(attend(*qkv), alone,
+                                      err_msg=f"attention heads {heads}, width {d}")
 
 
 def test_a_tape_refuses_float32():
