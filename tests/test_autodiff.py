@@ -429,7 +429,13 @@ RAGGED_LENGTHS = (3, 1, 7, 5, 11)
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_batching_never_changes_a_result(dtype):
     """Each sequence computed alone gives, bit for bit, its rows computed
-    inside a ragged batch: no op's row depends on another row or sequence."""
+    inside a ragged batch: no op's row depends on another row or sequence.
+
+    Attention checks only the order the op controls, its softmax, not the
+    order in which the host's BLAS sums a matmul's inner products.  q and k
+    hold small integers, so every score is exact in any order, and v is 1 at
+    one key position j and 0 elsewhere, so each context value is that key's
+    weight alone; j runs over every key position."""
     rng = np.random.default_rng(17)
     for width in (5, 6, 33, 64):
         seqs = [rng.normal(size=(m, width)).astype(dtype) for m in RAGGED_LENGTHS]
@@ -439,8 +445,8 @@ def test_batching_never_changes_a_result(dtype):
         alone = np.concatenate([ad.layer_norm(Tensor(s), gain, bias).data for s in seqs])
         np.testing.assert_array_equal(batched, alone, err_msg=f"layer_norm width {width}")
     for heads, d in ((1, 4), (2, 6), (4, 64)):
-        qkv = [[rng.normal(size=(m, d)).astype(dtype) for m in RAGGED_LENGTHS]
-               for _ in range(3)]
+        q, k = ([rng.integers(-3, 4, size=(m, d)).astype(dtype) for m in RAGGED_LENGTHS]
+                for _ in range(2))
 
         def attend(*seqs):
             packed = [pack_rows(s) for s in seqs]
@@ -448,10 +454,13 @@ def test_batching_never_changes_a_result(dtype):
             return ad.attention(*(Tensor(rows) for rows, _ in packed),
                                 head_rows(mask, heads), mask, 0.3).data
 
-        alone = np.concatenate([attend(*([t[i]] for t in qkv))
-                                for i in range(len(RAGGED_LENGTHS))])
-        np.testing.assert_array_equal(attend(*qkv), alone,
-                                      err_msg=f"attention heads {heads}, width {d}")
+        for j in range(max(RAGGED_LENGTHS)):
+            v = [(np.arange(m) == j)[:, None].repeat(d, axis=1).astype(dtype)
+                 for m in RAGGED_LENGTHS]
+            alone = np.concatenate([attend([q[i]], [k[i]], [v[i]])
+                                    for i in range(len(RAGGED_LENGTHS))])
+            np.testing.assert_array_equal(attend(q, k, v), alone,
+                                          err_msg=f"attention heads {heads}, width {d}, key {j}")
 
 
 def test_a_tape_refuses_float32():

@@ -1,9 +1,8 @@
 """Compare this checkout (B) against another git revision (A).
 
-    python3 tools/ab.py --time --against REV [--workload train_hme|predict_fresh]
-                        [--units 320]
+    python3 tools/ab.py time --against REV [--workload train_hme|predict_fresh]
 
-Run from the root of a git checkout.  ``--time`` extracts REV with
+Run from the root of a git checkout.  The ``time`` mode extracts REV with
 ``git archive`` into a temporary directory whose name is as long as this
 checkout's, then, in each of ``ROUNDS`` rounds, starts one long-lived worker
 process per tree.  Both workers set up the same inputs, built by
@@ -29,7 +28,7 @@ processes of the same tree can differ by a few percent for the life of
 the processes, which no number of units inside them averages out.  After
 ``WARMUP`` uncounted units per round, the tool prints the median over all
 pairs with a 95% bootstrap interval that resamples rounds and then pairs
-within each (2,000 resamples); read it over at least 200 units.
+within each (2,000 resamples), over ``UNITS`` timed units in all.
 
 Outputs are checked on every unit, warm-up included: the two sides must
 return equal tags per request, and training losses equal to a relative
@@ -53,6 +52,7 @@ import time
 
 LOSS_RTOL = 1e-6
 ROUNDS = 4
+UNITS = 320         # timed, over all rounds; a multiple of 2 * ROUNDS
 WARMUP = 10         # per round
 SEED = 1
 BOOTSTRAP = 2000
@@ -257,12 +257,19 @@ def run_round(a_tree: str, kind: str, task_path: str, units: int, a_first: bool)
     return cpu_a, cpu_b, worst
 
 
-def time_ab(rev: str, kind: str, units: int) -> int:
-    per_round = units // ROUNDS
+def time_ab(rev: str, kind: str) -> int:
+    per_round = UNITS // ROUNDS
     pairs, cpu_a, cpu_b, worst = [], [], [], 0.0
     with tempfile.TemporaryDirectory(prefix="ab-") as work:
         a_tree = extract(rev, work)
         task_path = make_inputs(kind, work, a_tree)
+        # A tree's first load of a table parses the text and, once the file
+        # is older than hme.embeddings' 1 s settle guard, writes the sidecar
+        # that later loads map.  Let that happen here, once per tree, so that
+        # no round pits a parsed table against a mapped one.
+        time.sleep(1.5)
+        for tree in (a_tree, ROOT):
+            Worker(tree, kind, task_path).close()
         for r in range(ROUNDS):
             result = run_round(a_tree, kind, task_path, per_round, a_first=r % 2 == 0)
             if result is None:
@@ -287,20 +294,14 @@ def time_ab(rev: str, kind: str, units: int) -> int:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--time", action="store_true", required=True,
-                        help="alternate CPU time per unit between the two trees")
+    parser.add_argument("mode", choices=("time",),
+                        help="time: alternate CPU time per unit between the two trees")
     parser.add_argument("--against", required=True, metavar="REV",
                         help="the git revision that is side A")
     parser.add_argument("--workload", choices=("train_hme", "predict_fresh"),
                         default="predict_fresh")
-    parser.add_argument("--units", type=int, default=320,
-                        help=f"timed units over all rounds, a multiple of {2 * ROUNDS}")
     args = parser.parse_args(argv)
-    if args.units < 2 * ROUNDS or args.units % (2 * ROUNDS):
-        parser.error(f"--units must be a positive multiple of {2 * ROUNDS}")
-    if args.workload == "predict_fresh" and args.units // ROUNDS + WARMUP > 400:
-        parser.error("a round would need more than the stream's 400 requests")
-    return time_ab(args.against, args.workload, args.units)
+    return time_ab(args.against, args.workload)
 
 
 if __name__ == "__main__":
