@@ -16,9 +16,9 @@ op of its own through ``_record``.  Design rules:
   produced (parameters, trainable tables); op outputs get none,
 * ops save what their vjp reads (mostly inputs the tape already holds), not
   copies derived from it,
-* no implicit broadcasting: ``add`` and ``mul`` take operands of one shape,
-  and ``matmul`` operands of equal rank (at least 2) with equal leading
-  dims; any other shapes raise ``ShapeError``,
+* no implicit broadcasting: ``add`` takes operands of one shape, and
+  ``matmul`` operands of equal rank (at least 2) with equal leading dims;
+  any other shapes raise ``ShapeError``,
 * batching never changes a result: an op's output row depends only on its
   own input row and, in ``attention``, its own sequence, so a sequence
   computed alone gets the same bits as inside a ragged batch.  Reductions
@@ -40,9 +40,9 @@ import numpy as np
 
 __all__ = [
     "Tensor", "Tape", "ShapeError", "NumericsError",
-    "matmul", "add", "mul", "scale", "concat", "reshape", "take",
-    "segment_mean", "tanh", "relu", "softmax", "tensor_sum", "dropout", "keep_mask",
-    "layer_norm", "linear", "attention", "backward",
+    "matmul", "add", "scale", "concat", "reshape", "take", "segment_mean",
+    "tanh", "relu", "softmax", "dropout", "keep_mask", "layer_norm", "linear",
+    "attention", "backward",
 ]
 
 
@@ -255,30 +255,15 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _record(out, (x, w, b), vjp, "linear")
 
 
-def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
-    if a.shape != b.shape:
-        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} differ")
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum of two tensors of one shape."""
-    _same_shape(a, b, "add")
+    if a.shape != b.shape:
+        raise ShapeError(f"add: shapes {a.shape} and {b.shape} differ")
 
     def vjp(g):
         return g, g
 
     return _record(a.data + b.data, (a, b), vjp, "add")
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise (Hadamard) product of two tensors of one shape."""
-    _same_shape(a, b, "mul")
-    a_data, b_data = a.data, b.data
-
-    def vjp(g):
-        return g * b_data, g * a_data
-
-    return _record(a_data * b_data, (a, b), vjp, "mul")
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -379,50 +364,41 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _record(out, (a,), vjp, "softmax")
 
 
-def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = a.data.sum(axis=axis, keepdims=keepdims)
-    in_shape = a.shape
+def keep_mask(shape, p: float, rng: np.random.Generator | None) -> np.ndarray | None:
+    """Dropout's keep-mask of ``shape``, already scaled: float64 cells of 0
+    or 1/(1-p); None, drawing nothing, when ``rng`` is None or p is 0.
 
-    def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, in_shape).copy(),)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, in_shape).copy(),)
-
-    return _record(_contig(out), (a,), vjp, "sum")
-
-
-def keep_mask(shape, p: float, rng: np.random.Generator) -> np.ndarray:
-    """Boolean dropout keep-mask: one little-endian uint16 word per cell from
-    ``rng.bytes``, kept where it is at least ``round(p * 2**16)``.
-
-    The drop probability is therefore realised as ``round(p * 65536) / 65536``
-    (0.1 becomes 0.1000061).
+    Each cell is one little-endian uint16 word from ``rng.bytes``, kept where
+    it is at least ``round(p * 2**16)``, so the drop probability is realised
+    as ``round(p * 65536) / 65536`` (0.1 becomes 0.1000061).  As every cell
+    is exactly 0 or 1/(1-p), ``x * mask`` rounds like ``x * keep * 1/(1-p)``,
+    the sign of a zero included.
     """
+    if rng is None or p == 0.0:
+        return None
     size = int(np.prod(shape))
     words = np.frombuffer(rng.bytes(2 * size), dtype="<u2")
-    return (words >= round(p * 65536)).reshape(shape)
+    return (words >= round(p * 65536)).reshape(shape) * (1.0 / (1.0 - p))
 
 
-def _drop(x: np.ndarray, keep: np.ndarray, p: float) -> np.ndarray:
-    """The one rule that applies a keep-mask: ``x * keep * 1/(1-p)``."""
-    out = x * keep
-    out *= 1.0 / (1.0 - p)
-    return out
-
-
-def dropout(a: Tensor, keep: tuple[np.ndarray, float]) -> Tensor:
-    """Inverted dropout with ``keep``, a keep-mask of ``a``'s shape and its p
-    (see ``keep_mask``): keeps the mask's cells and scales them by 1/(1-p)."""
-    mask, p = keep
+def dropout(a: Tensor, p: float, rng: np.random.Generator | None) -> Tensor:
+    """Inverted dropout: ``a`` times a ``keep_mask`` of its shape drawn from
+    ``rng``, or ``a`` itself, with no op, when there is no mask."""
+    mask = keep_mask(a.shape, p, rng)
+    if mask is None:
+        return a
 
     def vjp(g):
-        return (_drop(g, mask, p),)
+        return (g * mask,)
 
-    return _record(_drop(a.data, mask, p), (a,), vjp, "dropout")
+    return _record(a.data * mask, (a,), vjp, "dropout")
 
 
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+# added to each row's variance before its inverse square root
+LAYER_NORM_EPS = 1e-5
+
+
+def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then scale by
     ``gain`` and shift by ``bias`` (both shaped like that axis).
 
@@ -437,7 +413,7 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     mu = (np.einsum("...j->...", a_data) / d)[..., None]
     centred = a_data - mu
     var = np.einsum("...j,...j->...", centred, centred) / d
-    inv = (1.0 / np.sqrt(var + eps))[..., None]
+    inv = (1.0 / np.sqrt(var + LAYER_NORM_EPS))[..., None]
     gain_data = gain.data
     out = centred * inv
     out *= gain_data
@@ -461,7 +437,7 @@ NEG_LARGE = -1e9
 
 def attention(q: Tensor, k: Tensor, v: Tensor, head_rows: np.ndarray,
               key_mask: np.ndarray, scale: float,
-              keep: tuple[np.ndarray, float] | None = None) -> Tensor:
+              keep: np.ndarray | None = None) -> Tensor:
     """Masked multi-head self-attention over packed rows, as one op.
 
     ``q``, ``k`` and ``v`` are (C, d): the C real cells of the (batch, n)
@@ -470,11 +446,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, head_rows: np.ndarray,
     (batch, heads, n, dk) layout; padding cells are zero vectors there.  The
     scores ``scale * q kT`` are laid out key-major, as (n keys, batch * heads,
     n queries), so the softmax's max, exp and sum all run over the leading
-    axis; a (n, batch, 1) bias adds NEG_LARGE at padding keys.  When ``keep``
-    holds a (batch, heads, n queries, n keys) keep-mask and its p, dropout
-    applies it to the weights through a transposed view.  The real cells'
-    heads of the weighted values are gathered back into the packed (C, d)
-    result.
+    axis; a (n, batch, 1) bias adds NEG_LARGE at padding keys.  A ``keep``
+    mask from ``keep_mask``, shaped (batch, heads, n queries, n keys), drops
+    out weights: it multiplies them, and their gradient, through a
+    transposed view.  The real cells' heads of the weighted values are
+    gathered back into the packed (C, d) result.
     """
     c, d = q.shape
     batch, n = key_mask.shape
@@ -501,7 +477,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, head_rows: np.ndarray,
 
     q_data, k_data, v_data = q.data, k.data, v.data
     if keep is not None:
-        keep = keep[0].reshape(batch * h, n, n).transpose(2, 0, 1), keep[1]
+        keep = keep.reshape(batch * h, n, n).transpose(2, 0, 1)
     weights = key_major(to_heads(k_data), to_heads(q_data))
     weights *= scale
     by_batch = weights.reshape(n, batch, h * n)    # a view
@@ -509,7 +485,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, head_rows: np.ndarray,
     weights -= weights.max(axis=0)
     np.exp(weights, out=weights)
     weights /= weights.sum(axis=0)
-    dropped = weights if keep is None else _drop(weights, *keep)
+    dropped = weights if keep is None else weights * keep
 
     def vjp(g):
         # re-scatter the padded heads from the packed inputs the tape holds
@@ -517,7 +493,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, head_rows: np.ndarray,
         g_ctx = to_heads(g)
         g_w = key_major(to_heads(v_data), g_ctx)
         if keep is not None:
-            g_w = _drop(g_w, *keep)
+            g_w *= keep
         g_s = weights * (g_w - (g_w * weights).sum(axis=0))
         g_s *= scale
         return (to_rows(g_s.transpose(1, 2, 0) @ to_heads(k_data)),

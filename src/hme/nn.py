@@ -38,47 +38,15 @@ class Linear:
 class LayerNorm:
     """Last-axis normalization with trainable gain and bias."""
 
-    def __init__(self, dim: int, eps: float = 1e-5):
+    def __init__(self, dim: int):
         self.gain = Tensor(np.ones(dim), requires_grad=True)
         self.bias = Tensor(np.zeros(dim), requires_grad=True)
-        self.eps = eps
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ad.layer_norm(x, self.gain, self.bias, self.eps)
+        return ad.layer_norm(x, self.gain, self.bias)
 
     def parameters(self, prefix: str) -> dict[str, Tensor]:
         return {f"{prefix}.gain": self.gain, f"{prefix}.bias": self.bias}
-
-
-class Dropout:
-    """Inverted dropout with probability ``p``, drawing its masks from the
-    generator each call passes in.
-
-    The layer keeps no random state: the owning model builds one generator
-    per training step and hands it to every dropout of that step, in call
-    order, which makes training runs replayable.  A call without a generator
-    (evaluation) applies no op.  Each mask is one uint16 word per cell, kept
-    when it is at least ``round(p * 2**16)``, so p is realised as
-    ``round(p * 65536) / 65536`` (0.1 becomes 0.1000061).
-    """
-
-    def __init__(self, p: float):
-        if not 0.0 <= p < 1.0:
-            raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-        self.p = p
-
-    def __call__(self, x: Tensor, rng: np.random.Generator | None) -> Tensor:
-        keep = self.keep(x.shape, rng)
-        return x if keep is None else ad.dropout(x, keep)
-
-    def keep(self, shape, rng: np.random.Generator | None
-             ) -> tuple[np.ndarray, float] | None:
-        """A keep-mask of ``shape`` drawn from ``rng`` and p, for
-        ``ad.dropout`` or an op that applies dropout itself; None, drawing
-        nothing, when ``rng`` is None or p is 0."""
-        if rng is None or self.p == 0.0:
-            return None
-        return ad.keep_mask(shape, self.p, rng), self.p
 
 
 def sinusoidal_positions(length: int, dim: int) -> np.ndarray:
@@ -93,19 +61,23 @@ def sinusoidal_positions(length: int, dim: int) -> np.ndarray:
 class EncoderLayer:
     """Pre-norm transformer block: self-attention then feed-forward.
 
-        a = LN1(x);  attn = softmax(q kT / sqrt(dk) + mask) v
+        a = LN1(x);  attn = Drop(softmax(q kT / sqrt(dk) + mask)) v
         x = x + Drop(Wo(attn))
         f = LN2(x);  x = x + Drop(W2(Drop(relu(W1(f)))))
 
     ``x`` holds only the C real positions, packed as (C, d) rows, and every
     per-position op runs on them.  Only ``ad.attention`` uses the padded
-    (batch, heads, n, n) layout, inside the one op.
+    (batch, heads, n, n) layout, inside the one op.  Training draws the four
+    dropout masks (``ad.keep_mask``, probability ``p_drop``) from the step's
+    generator in that order: attention weights, ``Wo``, ``relu``, ``W2``.
     """
 
     def __init__(self, d_model: int, heads: int, ff_dim: int, p_drop: float,
                  rng: np.random.Generator):
         if d_model % heads != 0:
             raise ValueError(f"d_model {d_model} not divisible by heads {heads}")
+        if not 0.0 <= p_drop < 1.0:
+            raise ValueError(f"dropout probability must be in [0, 1), got {p_drop}")
         self.d_model = d_model
         self.heads = heads
         self.ln1 = LayerNorm(d_model)
@@ -118,7 +90,7 @@ class EncoderLayer:
         self.ln2 = LayerNorm(d_model)
         self.ff1 = Linear(d_model, ff_dim, rng)
         self.ff2 = Linear(ff_dim, d_model, rng)
-        self.drop = Dropout(p_drop)
+        self.p_drop = p_drop
 
     def __call__(self, x: Tensor, mask: np.ndarray, head_rows: np.ndarray,
                  rng: np.random.Generator | None) -> Tensor:
@@ -128,14 +100,15 @@ class EncoderLayer:
         evaluation."""
         batch, n = mask.shape
         a = self.ln1(x)
-        keep = self.drop.keep((batch, self.heads, n, n), rng)
+        p = self.p_drop
+        keep = ad.keep_mask((batch, self.heads, n, n), p, rng)
         ctx = ad.attention(self.wq(a), ad.matmul(a, self.wk), self.wv(a), head_rows,
                            mask, 1.0 / math.sqrt(self.d_model // self.heads), keep)
-        x = ad.add(x, self.drop(self.wo(ctx), rng))
+        x = ad.add(x, ad.dropout(self.wo(ctx), p, rng))
 
         f = ad.relu(self.ff1(self.ln2(x)))
-        f = self.ff2(self.drop(f, rng))
-        return ad.add(x, self.drop(f, rng))
+        f = self.ff2(ad.dropout(f, p, rng))
+        return ad.add(x, ad.dropout(f, p, rng))
 
     def parameters(self, prefix: str) -> dict[str, Tensor]:
         out = self.ln1.parameters(f"{prefix}.ln1")

@@ -1,7 +1,9 @@
 """Independent reference implementations used to check the library.
 
 Everything here is written with plain loops / direct formulas and must not
-call back into the code paths it verifies.
+call back into the code paths it verifies.  The exceptions are ``mul`` and
+``tensor_sum``, two differentiable ops that only tests use to build scalar
+losses: they record on the library's tape through ``ad._record``.
 """
 
 import itertools
@@ -10,7 +12,41 @@ import re
 
 import numpy as np
 
+from hme import autodiff as ad
 from hme.embeddings import UNK_INDEX
+
+
+def mul(a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
+    """Elementwise (Hadamard) product of two tensors of one shape."""
+    if a.shape != b.shape:
+        raise ad.ShapeError(f"mul: shapes {a.shape} and {b.shape} differ")
+    a_data, b_data = a.data, b.data
+
+    def vjp(g):
+        return g * b_data, g * a_data
+
+    return ad._record(a_data * b_data, (a, b), vjp, "mul")
+
+
+def tensor_sum(a: ad.Tensor, axis=None, keepdims: bool = False) -> ad.Tensor:
+    """Sum over ``axis`` (every axis when None), as numpy's ``sum``."""
+    out = a.data.sum(axis=axis, keepdims=keepdims)
+    in_shape = a.shape
+
+    def vjp(g):
+        gg = g if axis is None or keepdims else np.expand_dims(g, axis)
+        return (np.broadcast_to(gg, in_shape).copy(),)
+
+    return ad._record(ad._contig(out), (a,), vjp, "sum")
+
+
+def boolean_dropout(x: np.ndarray, p: float, rng: np.random.Generator) -> np.ndarray:
+    """Inverted dropout by a boolean keep-mask, ``x * keep * (1/(1-p))``:
+    one little-endian uint16 word per cell from ``rng.bytes``, kept where it
+    is at least ``round(p * 65536)``."""
+    words = np.frombuffer(rng.bytes(2 * x.size), dtype="<u2")
+    keep = (words >= round(p * 65536)).reshape(x.shape)
+    return x * keep * (1.0 / (1.0 - p))
 
 
 def finite_difference(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -166,12 +202,18 @@ def softmax_rows(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def transformer_layer_loops(x, mask, layer, eps=1e-5):
-    """One pre-norm encoder layer evaluated with explicit loops (eval mode).
+def transformer_layer_loops(x, mask, layer, eps=1e-5, attn_keep=None, out_keep=None,
+                            ff_keep=None, ff2_keep=None):
+    """One pre-norm encoder layer evaluated with explicit loops.
 
     x: (n, d); mask: (n,) with 1 for real positions; ``layer`` carries numpy
     weights with keys ln1_g, ln1_b, wq, bq, wk, wv, bv, wo, bo, ln2_g,
-    ln2_b, w1, b1, w2, b2 and the head count in "heads".
+    ln2_b, w1, b1, w2, b2 and the head count in "heads".  With no masks this
+    is evaluation.  Otherwise each given mask multiplies, as dropout: the
+    attention weights (``attn_keep``, (heads, n queries, n keys)), the
+    output projection (``out_keep``, (n, d)), the ReLU of the first
+    feed-forward layer (``ff_keep``, (n, ff)), and the second feed-forward
+    layer (``ff2_keep``, (n, d)).
     """
     n, d = x.shape
     heads = layer["heads"]
@@ -193,6 +235,8 @@ def transformer_layer_loops(x, mask, layer, eps=1e-5):
                 if mask[j] == 0:
                     scores[i, j] += -1e9
         w = softmax_rows(scores)
+        if attn_keep is not None:
+            w = w * attn_keep[h]
         for i in range(n):
             for t in range(dk):
                 s = 0.0
@@ -200,10 +244,16 @@ def transformer_layer_loops(x, mask, layer, eps=1e-5):
                     s += w[i, j] * v[j, sl][t]
                 ctx[i, h * dk + t] = s
     attn_out = ctx @ layer["wo"] + layer["bo"]
+    if out_keep is not None:
+        attn_out = attn_out * out_keep
     x = x + attn_out
     f = layer_norm_loops(x, layer["ln2_g"], layer["ln2_b"], eps)
     f = np.maximum(f @ layer["w1"] + layer["b1"], 0.0)
+    if ff_keep is not None:
+        f = f * ff_keep
     f = f @ layer["w2"] + layer["b2"]
+    if ff2_keep is not None:
+        f = f * ff2_keep
     return x + f
 
 

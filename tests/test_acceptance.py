@@ -27,7 +27,8 @@ from hme.labeler import CrfModel
 from hme.tokenization import (BpeModel, apply_bpe, preprocess_token, read_conll,
                              to_chars)
 
-from oracles import FREE_LABELS_BY_T, finite_difference, head_rows, pack_rows
+from oracles import (FREE_LABELS_BY_T, finite_difference, head_rows, mul, pack_rows,
+                     tensor_sum)
 
 RNG_CASES = 100
 
@@ -90,39 +91,39 @@ def _op_cases(rng):
     q, k, v = (Tensor(rng.normal(size=(3, 4)), requires_grad=True) for _ in range(3))
     params = {"a": a, "b": b, "c": c, "gain": gain, "bias": bias, "q": q, "k": k, "v": v}
     mask_rng_seed = int(rng.integers(0, 2 ** 31))
-    keep = (ad.keep_mask((2, 2, 3, 3), 0.4, np.random.default_rng(mask_rng_seed)), 0.4)
+    keep = ad.keep_mask((2, 2, 3, 3), 0.4, np.random.default_rng(mask_rng_seed))
     # add and mul take operands of one shape: a full-shape bias for a @ b
     ab_bias = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
     params["ab_bias"] = ab_bias
 
     def attend(keep=None):
         ctx = ad.attention(q, k, v, head_rows(mask, 2), mask, 0.5, keep)
-        return ad.tensor_sum(ad.mul(ctx, a))
+        return tensor_sum(mul(ctx, a))
 
     cases = {
-        "matmul": lambda: ad.tensor_sum(ad.tanh(ad.matmul(a, b))),
-        "add": lambda: ad.tensor_sum(ad.mul(ad.add(ad.matmul(a, b), ab_bias), ab_bias)),
-        "add_neg_scale": lambda: ad.tensor_sum(ad.tanh(
+        "matmul": lambda: tensor_sum(ad.tanh(ad.matmul(a, b))),
+        "add": lambda: tensor_sum(mul(ad.add(ad.matmul(a, b), ab_bias), ab_bias)),
+        "add_neg_scale": lambda: tensor_sum(ad.tanh(
             ad.add(ad.scale(a, 1.3), ad.scale(ad.reshape(b, (3, 4)), -1.0)))),
-        "mul": lambda: ad.tensor_sum(ad.mul(a, a)),
-        "softmax": lambda: ad.tensor_sum(ad.mul(ad.softmax(a, axis=-1), a)),
-        "tanh": lambda: ad.tensor_sum(ad.tanh(a)),
-        "relu": lambda: ad.tensor_sum(ad.relu(ad.matmul(a, b))),
-        "layer_norm": lambda: ad.tensor_sum(ad.mul(ad.layer_norm(a, gain, bias), a)),
-        "linear": lambda: ad.tensor_sum(ad.tanh(ad.linear(a, b, c))),
+        "mul": lambda: tensor_sum(mul(a, a)),
+        "softmax": lambda: tensor_sum(mul(ad.softmax(a, axis=-1), a)),
+        "tanh": lambda: tensor_sum(ad.tanh(a)),
+        "relu": lambda: tensor_sum(ad.relu(ad.matmul(a, b))),
+        "layer_norm": lambda: tensor_sum(mul(ad.layer_norm(a, gain, bias), a)),
+        "linear": lambda: tensor_sum(ad.tanh(ad.linear(a, b, c))),
         "attention": attend,
         "attention_keep": lambda: attend(keep),
-        "concat_reshape": lambda: ad.tensor_sum(ad.tanh(
+        "concat_reshape": lambda: tensor_sum(ad.tanh(
             ad.reshape(ad.concat([a, ad.reshape(b, (3, 4))], axis=1), (2, 12)))),
-        "take": lambda: ad.tensor_sum(ad.tanh(
+        "take": lambda: tensor_sum(ad.tanh(
             ad.take(ad.take(a, np.array([0, 2, 1, 0])), np.array([1, 2, 3])))),
-        "segment_mean": lambda: ad.tensor_sum(ad.tanh(
-            ad.mul(ad.segment_mean(a, [1, 2]),
-                   ad.segment_mean(ad.reshape(b, (3, 4)), [2, 1])))),
+        "segment_mean": lambda: tensor_sum(ad.tanh(
+            mul(ad.segment_mean(a, [1, 2]),
+                ad.segment_mean(ad.reshape(b, (3, 4)), [2, 1])))),
         "mean_sum": lambda: ad.scale(
-            ad.tensor_sum(ad.mul(ad.tensor_sum(a, axis=1), c)), 1.0 / c.size),
-        "dropout": lambda: ad.tensor_sum(ad.dropout(
-            a, (ad.keep_mask(a.shape, 0.4, np.random.default_rng(mask_rng_seed)), 0.4))),
+            tensor_sum(mul(tensor_sum(a, axis=1), c)), 1.0 / c.size),
+        "dropout": lambda: tensor_sum(ad.dropout(
+            a, 0.4, np.random.default_rng(mask_rng_seed))),
     }
     return cases, params
 
@@ -137,7 +138,7 @@ def _word_path(rng):
     def build():
         u, _ = me.mme_word(embeds, proj, scorer)
         diff = ad.add(u, Tensor(-target))
-        return ad.tensor_sum(ad.mul(diff, diff))
+        return tensor_sum(mul(diff, diff))
 
     params = dict(proj.parameters("proj"), **scorer.parameters("scorer"))
     params.update({f"x{j}": e for j, e in enumerate(embeds)})
@@ -158,7 +159,7 @@ def _subword_path(rng):
 
     def build():
         u, _ = me.mme_subword(xs, masks, proj, enc, scorer)
-        return ad.tensor_sum(ad.mul(u, ad.tanh(u)))
+        return tensor_sum(mul(u, ad.tanh(u)))
 
     params = dict(proj.parameters("proj"), **scorer.parameters("scorer"),
                   **enc.parameters("enc"))
@@ -174,7 +175,7 @@ def _char_path(rng):
 
     def build():
         u = me.encode_and_pool(chars, mask, enc)
-        return ad.tensor_sum(ad.mul(u, ad.tanh(u)))
+        return tensor_sum(mul(u, ad.tanh(u)))
 
     params = dict(enc.parameters("enc"), chars=chars)
     return build, params

@@ -5,8 +5,8 @@ from hme import autodiff as ad
 from hme import nn
 from hme.autodiff import Tape, Tensor
 
-from oracles import (finite_difference, finite_difference_jacobian, head_rows,
-                     matmul_loops, pack_rows)
+from oracles import (boolean_dropout, finite_difference, finite_difference_jacobian,
+                     head_rows, matmul_loops, mul, pack_rows, tensor_sum)
 
 GRAD_SEEDS = 100
 
@@ -42,7 +42,7 @@ class TestMatmul:
         b = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
         with Tape():
             c = ad.matmul(a, b)
-            loss = ad.tensor_sum(ad.mul(c, c))
+            loss = tensor_sum(mul(c, c))
             loss.backward()
         np.testing.assert_allclose(c.data, matmul_loops(a.data, b.data), atol=1e-12)
         for p in (a, b):
@@ -61,7 +61,7 @@ class TestMatmul:
         rng = np.random.default_rng(1)
         a = Tensor(rng.normal(size=(5, 2, 3)), requires_grad=True)
         b = Tensor(rng.normal(size=(5, 3, 4)), requires_grad=True)
-        grad_check(lambda: ad.tensor_sum(ad.tanh(ad.matmul(a, b))), [a, b], rng)
+        grad_check(lambda: tensor_sum(ad.tanh(ad.matmul(a, b))), [a, b], rng)
 
 
 class TestSoftmax:
@@ -82,7 +82,7 @@ class TestSoftmax:
             x.zero_grad()
             with Tape():
                 out = ad.softmax(x, axis=-1)
-                ad.tensor_sum(ad.take(out, [k])).backward()
+                tensor_sum(ad.take(out, [k])).backward()
             np.testing.assert_allclose(x.grad, num_jac[k], rtol=1e-6, atol=1e-9)
 
     @pytest.mark.parametrize("seed", range(GRAD_SEEDS))
@@ -102,26 +102,40 @@ class TestElementwise:
         assert ad.tanh(Tensor([0.0])).data[0] == 0.0
 
     def test_dropout_eval_identity(self):
-        """``nn.Dropout`` applies no op without a generator, nor at p = 0,
-        where it draws nothing from the generator either."""
+        """``ad.dropout`` applies no op without a generator, nor at p = 0,
+        where ``keep_mask`` draws nothing from the generator either."""
         x = Tensor(np.random.default_rng(0).normal(size=(3, 3)))
-        assert nn.Dropout(0.1)(x, None) is x
+        assert ad.dropout(x, 0.1, None) is x
+        assert ad.keep_mask(x.shape, 0.1, None) is None
         rng = np.random.default_rng(1)
         before = rng.bit_generator.state
-        assert nn.Dropout(0.0)(x, rng) is x
+        assert ad.dropout(x, 0.0, rng) is x
+        assert ad.keep_mask(x.shape, 0.0, rng) is None
         assert rng.bit_generator.state == before
 
     def test_dropout_train_scales(self):
         x = Tensor(np.ones((1000,)))
-        out = ad.dropout(x, (ad.keep_mask(x.shape, 0.25, np.random.default_rng(0)), 0.25))
+        out = ad.dropout(x, 0.25, np.random.default_rng(0))
         kept = out.data[out.data != 0]
         assert 0 < len(kept) < len(x.data)
         np.testing.assert_allclose(kept, 1.0 / 0.75)
 
     def test_dropout_bad_p(self):
+        """An encoder layer refuses a dropout probability outside [0, 1)."""
         for p in (1.0, -0.1):
             with pytest.raises(ValueError):
-                nn.Dropout(p)
+                nn.EncoderLayer(4, 2, 8, p, np.random.default_rng(0))
+
+    def test_scaled_mask_rounds_like_the_boolean_rule(self):
+        """``x * keep_mask`` has, bit for bit, the bits of the boolean rule
+        ``x * keep * (1/(1-p))`` on the same words, signed zeros included."""
+        x = np.random.default_rng(2).normal(size=(40, 50)) * 10.0 ** np.arange(-25, 25)
+        x[0, :3] = -0.0, 0.0, -1e-310
+        for p in (0.1, 0.3, 0.5, 0.7):
+            got = x * ad.keep_mask(x.shape, p, np.random.default_rng(9))
+            want = boolean_dropout(x, p, np.random.default_rng(9))
+            assert (np.signbit(got) & (got == 0)).any() and (got < 0).any()
+            assert got.tobytes() == want.tobytes(), p
 
     def test_layer_norm_normalizes(self):
         rng = np.random.default_rng(3)
@@ -131,13 +145,13 @@ class TestElementwise:
         out = ad.layer_norm(x, gain, bias)
         assert abs(out.data.mean()) < 1e-6
         assert abs(out.data.var() - 1.0) < 1e-4
-        grad_check(lambda: ad.tensor_sum(ad.mul(ad.layer_norm(x, gain, bias),
-                                                ad.layer_norm(x, gain, bias))),
+        grad_check(lambda: tensor_sum(mul(ad.layer_norm(x, gain, bias),
+                                          ad.layer_norm(x, gain, bias))),
                    [x, gain, bias], rng)
 
     def test_disallowed_broadcast(self):
         # neither a size-1 axis, a trailing bias vector nor a scalar broadcasts
-        for op in (ad.add, ad.mul):
+        for op in (ad.add, mul):
             for shape in ((2, 1), (3,), (), (1, 2, 3)):
                 with pytest.raises(ad.ShapeError):
                     op(Tensor(np.zeros((2, 3))), Tensor(np.zeros(shape)))
@@ -154,20 +168,20 @@ class TestBackward:
     def test_sum_gradient(self):
         x = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
         with Tape():
-            ad.tensor_sum(x).backward()
+            tensor_sum(x).backward()
         np.testing.assert_array_equal(x.grad, [1.0, 1.0, 1.0])
 
     def test_square_gradient(self):
         x = Tensor(np.array([3.0]), requires_grad=True)
         with Tape():
-            ad.tensor_sum(ad.mul(x, x)).backward()
+            tensor_sum(mul(x, x)).backward()
         assert x.grad[0] == pytest.approx(6.0)
 
     def test_accumulation_without_zero_grad(self):
         x = Tensor(np.array([1.0, 1.0]), requires_grad=True)
         for _ in range(2):
             with Tape():
-                ad.tensor_sum(ad.mul(x, x)).backward()
+                tensor_sum(mul(x, x)).backward()
         np.testing.assert_allclose(x.grad, [4.0, 4.0])
 
     def test_non_scalar_loss_rejected(self):
@@ -180,22 +194,22 @@ class TestBackward:
     def test_shared_subexpression(self):
         x = Tensor(np.array([2.0]), requires_grad=True)
         with Tape():
-            y = ad.mul(x, x)
-            ad.tensor_sum(ad.add(y, y)).backward()
+            y = mul(x, x)
+            tensor_sum(ad.add(y, y)).backward()
         assert x.grad[0] == pytest.approx(8.0)
 
     def test_gradients_stay_on_leaves(self):
         x = Tensor(np.array([2.0, -1.5]), requires_grad=True)
         with Tape():
-            y = ad.mul(x, x)
-            ad.tensor_sum(ad.add(y, y)).backward()
+            y = mul(x, x)
+            tensor_sum(ad.add(y, y)).backward()
         np.testing.assert_array_equal(x.grad, 4 * x.data)
         assert y.grad is None
 
     def test_second_backward_on_one_tape_raises(self):
         x = Tensor(np.array([1.0, 3.0]), requires_grad=True)
         with Tape():
-            loss = ad.tensor_sum(ad.mul(x, x))
+            loss = tensor_sum(mul(x, x))
             loss.backward()
             first = x.grad.copy()
             with pytest.raises(RuntimeError, match="already ran"):
@@ -207,7 +221,7 @@ class TestBackward:
     def test_tape_length_counts_the_records_made(self, run_backward):
         x = Tensor(np.ones(2), requires_grad=True)
         with Tape() as tape:
-            loss = ad.tensor_sum(ad.tanh(ad.mul(x, x)))
+            loss = tensor_sum(ad.tanh(mul(x, x)))
             assert len(tape) == 3
             if run_backward:
                 loss.backward()
@@ -218,7 +232,7 @@ class TestBackward:
         out = ad.scale(x, 2.0)
         assert not out.requires_grad
         with pytest.raises(RuntimeError):
-            ad.tensor_sum(out).backward()
+            tensor_sum(out).backward()
 
 
 @pytest.mark.parametrize("seed", range(GRAD_SEEDS))
@@ -233,41 +247,41 @@ def test_gradients_all_ops(seed):
     # a ragged batch with a length-1 sequence, two heads of two values
     mask = np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 1.0], [1.0, 1.0, 0.0]])
     q, k, v = (Tensor(rng.normal(size=(6, 4)), requires_grad=True) for _ in range(3))
-    keep = (ad.keep_mask((3, 2, 3, 3), 0.4, np.random.default_rng(seed)), 0.4)
+    keep = ad.keep_mask((3, 2, 3, 3), 0.4, np.random.default_rng(seed))
     # sequences of 9, 1 and 4 keys: past numpy's 8-wide pairwise sum block,
     # whose order the key-major softmax does not follow
     long_mask = (np.arange(9) < np.array([[9], [1], [4]])).astype(np.float64)
     long_qkv = [Tensor(rng.normal(size=(14, 4)), requires_grad=True) for _ in range(3)]
-    long_keep = (ad.keep_mask((3, 2, 9, 9), 0.4, np.random.default_rng(seed)), 0.4)
+    long_keep = ad.keep_mask((3, 2, 9, 9), 0.4, np.random.default_rng(seed))
     # add and mul take operands of one shape: a full-shape bias for a @ b
     ab_bias = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
     params = (a, b, c, gain, bias, q, k, v, *long_qkv, ab_bias)
 
     def attend(keep=None, qkv=(q, k, v), mask=mask):
-        return ad.tensor_sum(ad.tanh(ad.attention(*qkv, head_rows(mask, 2), mask,
-                                                  0.7, keep)))
+        return tensor_sum(ad.tanh(ad.attention(*qkv, head_rows(mask, 2), mask,
+                                               0.7, keep)))
 
     cases = {
-        "matmul": lambda: ad.tensor_sum(ad.tanh(ad.matmul(a, b))),
-        "add_neg": lambda: ad.tensor_sum(ad.tanh(
+        "matmul": lambda: tensor_sum(ad.tanh(ad.matmul(a, b))),
+        "add_neg": lambda: tensor_sum(ad.tanh(
             ad.add(ad.add(a, a), ad.scale(ad.reshape(b, (3, 4)), -1.0)))),
-        "mul_bias": lambda: ad.tensor_sum(ad.mul(ad.add(ad.matmul(a, b), ab_bias), ab_bias)),
-        "scale_neg": lambda: ad.tensor_sum(ad.scale(ad.scale(a, 1.7), -1.0)),
-        "softmax": lambda: ad.tensor_sum(ad.mul(ad.softmax(a, axis=-1), a)),
-        "relu": lambda: ad.tensor_sum(ad.relu(ad.matmul(a, b))),
-        "layer_norm": lambda: ad.tensor_sum(ad.mul(ad.layer_norm(a, gain, bias), a)),
-        "linear": lambda: ad.tensor_sum(ad.tanh(ad.linear(a, b, c))),
+        "mul_bias": lambda: tensor_sum(mul(ad.add(ad.matmul(a, b), ab_bias), ab_bias)),
+        "scale_neg": lambda: tensor_sum(ad.scale(ad.scale(a, 1.7), -1.0)),
+        "softmax": lambda: tensor_sum(mul(ad.softmax(a, axis=-1), a)),
+        "relu": lambda: tensor_sum(ad.relu(ad.matmul(a, b))),
+        "layer_norm": lambda: tensor_sum(mul(ad.layer_norm(a, gain, bias), a)),
+        "linear": lambda: tensor_sum(ad.tanh(ad.linear(a, b, c))),
         "attention": attend,
         "attention_keep": lambda: attend(keep),
         "attention_long": lambda: attend(None, long_qkv, long_mask),
         "attention_long_keep": lambda: attend(long_keep, long_qkv, long_mask),
-        "concat": lambda: ad.tensor_sum(ad.tanh(ad.concat([a, ad.reshape(b, (3, 4))], axis=1))),
-        "reshape": lambda: ad.tensor_sum(ad.tanh(
-            ad.mul(ad.reshape(a, (2, 6)), ad.reshape(b, (2, 6))))),
-        "take": lambda: ad.tensor_sum(ad.tanh(ad.take(a, np.array([0, 2, 0])))),
-        "segment_mean": lambda: ad.tensor_sum(ad.tanh(ad.segment_mean(b, [1, 3]))),
-        "mean": lambda: ad.scale(ad.tensor_sum(ad.mul(a, a)), 1.0 / a.size),
-        "sum_axis": lambda: ad.tensor_sum(ad.tanh(ad.tensor_sum(a, axis=0))),
+        "concat": lambda: tensor_sum(ad.tanh(ad.concat([a, ad.reshape(b, (3, 4))], axis=1))),
+        "reshape": lambda: tensor_sum(ad.tanh(
+            mul(ad.reshape(a, (2, 6)), ad.reshape(b, (2, 6))))),
+        "take": lambda: tensor_sum(ad.tanh(ad.take(a, np.array([0, 2, 0])))),
+        "segment_mean": lambda: tensor_sum(ad.tanh(ad.segment_mean(b, [1, 3]))),
+        "mean": lambda: ad.scale(tensor_sum(mul(a, a)), 1.0 / a.size),
+        "sum_axis": lambda: tensor_sum(ad.tanh(tensor_sum(a, axis=0))),
     }
     for name, build in cases.items():
         for p in params:
@@ -286,10 +300,9 @@ def test_gradients_all_ops(seed):
 def test_dropout_gradient():
     rng = np.random.default_rng(7)
     x = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
-    keep = (ad.keep_mask(x.shape, 0.3, np.random.default_rng(42)), 0.3)
     with Tape():
-        out = ad.dropout(x, keep)
-        loss = ad.tensor_sum(ad.mul(out, out))
+        out = ad.dropout(x, 0.3, np.random.default_rng(42))
+        loss = tensor_sum(mul(out, out))
         loss.backward()
     words = np.frombuffer(np.random.default_rng(42).bytes(2 * x.size), dtype="<u2")
     mask = (words >= round(0.3 * 65536)).reshape(x.shape) / 0.7
@@ -299,7 +312,9 @@ def test_dropout_gradient():
 @pytest.mark.parametrize("p", [0.1, 0.5])
 def test_dropout_rate_is_p_quantized_to_16_bits(p):
     n = 1 << 18
-    dropped = 1.0 - ad.keep_mask((n,), p, np.random.default_rng(3)).mean()
+    mask = ad.keep_mask((n,), p, np.random.default_rng(3))
+    assert set(np.unique(mask)) == {0.0, 1.0 / (1.0 - p)}
+    dropped = (mask == 0.0).mean()
     realised = round(p * 65536) / 65536
     assert abs(dropped - realised) <= 5.0 * np.sqrt(realised * (1.0 - realised) / n)
 
@@ -307,7 +322,7 @@ def test_dropout_rate_is_p_quantized_to_16_bits(p):
 def test_finite_violation_raises():
     big = Tensor(np.array([1e308]), requires_grad=True)
     with np.errstate(over="ignore"), Tape():
-        loss = ad.tensor_sum(ad.mul(big, big))
+        loss = tensor_sum(mul(big, big))
         with pytest.raises(ad.NumericsError, match="^mul produced non-finite values$"):
             loss.backward()
 
@@ -317,11 +332,11 @@ def test_fused_ops_raise_on_overflow():
     mask = np.ones((1, 2))
     with np.errstate(over="ignore", invalid="ignore"):
         with Tape():
-            loss = ad.tensor_sum(ad.linear(big, big, Tensor(np.zeros(2))))
+            loss = tensor_sum(ad.linear(big, big, Tensor(np.zeros(2))))
             with pytest.raises(ad.NumericsError, match="^linear "):
                 loss.backward()
         with Tape():
-            loss = ad.tensor_sum(ad.attention(big, big, big, head_rows(mask, 1), mask, 1.0))
+            loss = tensor_sum(ad.attention(big, big, big, head_rows(mask, 1), mask, 1.0))
             with pytest.raises(ad.NumericsError, match="^attention "):
                 loss.backward()
 
@@ -331,7 +346,7 @@ def test_backward_names_the_first_non_finite_op():
     with np.errstate(over="ignore", invalid="ignore"), Tape():
         out = ad.linear(big, big, Tensor(np.zeros(2)))
         doubled = ad.scale(out, 2.0)
-        loss = ad.tensor_sum(doubled)
+        loss = tensor_sum(doubled)
         assert not np.isfinite(out.data).any() and not np.isfinite(doubled.data).any()
         with pytest.raises(ad.NumericsError, match="^linear "):
             loss.backward()
@@ -342,7 +357,7 @@ def test_a_saturated_non_finite_value_raises_nowhere():
     x = Tensor(np.array([-1e308, 2.0]), requires_grad=True)
     with np.errstate(over="ignore"), Tape():
         scaled = ad.scale(x, 10.0)
-        loss = ad.tensor_sum(ad.relu(scaled))
+        loss = tensor_sum(ad.relu(scaled))
         assert scaled.data[0] == -np.inf
         loss.backward()
     np.testing.assert_array_equal(x.grad, [0.0, 10.0])
@@ -371,7 +386,7 @@ def test_segment_mean_counts_must_tile_the_rows():
 def test_backward_after_tape_exit_rejected():
     x = Tensor(np.ones(2), requires_grad=True)
     with Tape():
-        y = ad.tensor_sum(ad.mul(x, x))
+        y = tensor_sum(mul(x, x))
     with pytest.raises(RuntimeError, match="exited"):
         y.backward()
 
@@ -382,7 +397,7 @@ def test_determinism_replay():
         x = Tensor(rng.normal(size=(5, 5)), requires_grad=True)
         with Tape():
             y = ad.softmax(ad.matmul(x, ad.tanh(x)), axis=-1)
-            loss = ad.tensor_sum(ad.mul(y, x))
+            loss = tensor_sum(mul(y, x))
             loss.backward()
         return y.data.copy(), x.grad.copy()
 
@@ -407,12 +422,12 @@ def test_every_op_keeps_float32_with_no_tape():
     cases = {
         "matmul": lambda x, w, b: ad.matmul(x, w),
         "linear": lambda x, w, b: ad.linear(x, w, b),
-        "add_mul_scale": lambda x, w, b: ad.scale(ad.mul(ad.add(x, x), x), 0.3),
+        "add_mul_scale": lambda x, w, b: ad.scale(mul(ad.add(x, x), x), 0.3),
         "concat_reshape": lambda x, w, b: ad.reshape(ad.concat([x, x], axis=1), (6, 4)),
         "take": lambda x, w, b: ad.take(x, [2, 0, 2]),
         "segment_mean": lambda x, w, b: ad.segment_mean(x, [1, 2]),
         "tanh_relu_softmax": lambda x, w, b: ad.softmax(ad.relu(ad.tanh(x))),
-        "sum": lambda x, w, b: ad.tensor_sum(x, axis=0),
+        "sum": lambda x, w, b: tensor_sum(x, axis=0),
         "layer_norm": lambda x, w, b: ad.layer_norm(x, b, b),
         "attention": lambda x, w, b: ad.attention(x, x, x, head_rows(mask, 2), mask, 0.5),
     }

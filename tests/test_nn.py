@@ -7,8 +7,8 @@ from hme import nn
 from hme.autodiff import Tape, Tensor
 from hme.model import _step_rng
 
-from oracles import (finite_difference, layer_norm_loops, pack_rows,
-                     transformer_layer_loops)
+from oracles import (finite_difference, head_rows, layer_norm_loops, pack_rows,
+                     tensor_sum, transformer_layer_loops)
 
 
 def layer_weights(layer: nn.EncoderLayer) -> dict:
@@ -46,31 +46,27 @@ def test_layer_norm_matches_loops():
 
 class TestDropout:
     def test_eval_is_identity(self):
-        d = nn.Dropout(0.5)
         x = Tensor(np.ones((4, 4)))
-        assert d(x, None) is x
+        assert ad.dropout(x, 0.5, None) is x
 
     def test_keyed_masks_replay(self):
         def run():
-            d = nn.Dropout(0.5)
             x = Tensor(np.ones((64,)))
-            return d(x, _step_rng(7, 2)).data.copy()
+            return ad.dropout(x, 0.5, _step_rng(7, 2)).data.copy()
 
         np.testing.assert_array_equal(run(), run())
 
     def test_step_changes_mask(self):
-        d = nn.Dropout(0.5)
         x = Tensor(np.ones((256,)))
-        m0 = d(x, _step_rng(7, 0)).data.copy()
-        m1 = d(x, _step_rng(7, 1)).data.copy()
+        m0 = ad.dropout(x, 0.5, _step_rng(7, 0)).data.copy()
+        m1 = ad.dropout(x, 0.5, _step_rng(7, 1)).data.copy()
         assert not np.array_equal(m0, m1)
 
     def test_calls_within_step_differ(self):
-        d = nn.Dropout(0.5)
         rng = _step_rng(7, 0)
         x = Tensor(np.ones((256,)))
-        a = d(x, rng).data.copy()
-        b = d(x, rng).data.copy()
+        a = ad.dropout(x, 0.5, rng).data.copy()
+        b = ad.dropout(x, 0.5, rng).data.copy()
         assert not np.array_equal(a, b)
 
 
@@ -130,6 +126,33 @@ class TestTransformerEncoder:
         ref = transformer_layer_loops(padded + pe, mask[0], layer_weights(enc.layers[0]))
         ref = layer_norm_loops(ref, enc.final_ln.gain.data, enc.final_ln.bias.data)
         np.testing.assert_allclose(got[:3], ref[:3], atol=1e-8)
+
+    def test_dropout_places_and_draw_order_match_loop_oracle(self):
+        """An encoder layer at p = 0.5 under a step's generator is the loop
+        reference with the masks that ``ad.keep_mask`` draws from an equal
+        generator in order: attention weights, ``wo``, ``relu(ff1)``, ``ff2``.
+        The layer draws nothing more."""
+        rng = np.random.default_rng(12)
+        layer = nn.EncoderLayer(8, 2, 16, 0.5, rng)
+        seqs = [rng.normal(size=(m, 8)) for m in (3, 5, 1)]
+        x, mask = pack_rows(seqs)
+        (batch, n), c = mask.shape, x.shape[0]
+        drop = _step_rng(5, 2)
+        got = layer(Tensor(x), mask, head_rows(mask, 2), drop).data
+
+        ref_rng = _step_rng(5, 2)
+        attn, out, ff, ff2 = [ad.keep_mask(shape, 0.5, ref_rng)
+                              for shape in ((batch, 2, n, n), (c, 8), (c, 16), (c, 8))]
+        assert drop.bytes(16) == ref_rng.bytes(16)
+        start = 0
+        for b, seq in enumerate(seqs):
+            m = len(seq)
+            rows = slice(start, start + m)
+            ref = transformer_layer_loops(
+                seq, np.ones(m), layer_weights(layer), attn_keep=attn[b, :, :m, :m],
+                out_keep=out[rows], ff_keep=ff[rows], ff2_keep=ff2[rows])
+            np.testing.assert_allclose(got[rows], ref, rtol=0, atol=1e-10, err_msg=f"{b}")
+            start += m
 
     def test_masked_positions_do_not_leak(self):
         """One sequence's cells are masked out of every other sequence's
@@ -205,7 +228,7 @@ class TestTransformerEncoder:
             params = dict(enc.parameters("enc"), x=x)
 
             def build():
-                return ad.tensor_sum(ad.tanh(enc(x, mask)))
+                return tensor_sum(ad.tanh(enc(x, mask)))
 
             for p in params.values():
                 p.zero_grad()
