@@ -2,12 +2,15 @@
 
 The log-partition comes from the forward algorithm run in log space with
 log-sum-exp, and decoding from Viterbi with lowest-tag-index tie-breaking;
-each runs one recursion over a whole batch of sentences at once.  The
-negative log-likelihood is one tape op whose gradient comes from one
-backward recursion: the forward-backward marginals minus the gold counts.
-Illegal IOB transitions (to I-x from anything but B-x/I-x, and I-x at the
-start) are additively masked to a large negative value so they never appear
-in decoded paths.
+each runs one recursion over a whole batch of sentences at once.  Every
+recursion reduces over the leading axis of a C-ordered key-major broadcast,
+``(prev, B, cur)`` or ``(cur, B, prev)``, which numpy reduces without a
+per-row cost.  Viterbi keeps its deltas, not back-pointers, and recomputes a
+back-pointer only for each tag it chose.  The negative log-likelihood is one
+tape op whose gradient comes from one backward recursion: the
+forward-backward marginals minus the gold counts.  Illegal IOB transitions
+(to I-x from anything but B-x/I-x, and I-x at the start) are additively
+masked to a large negative value so they never appear in decoded paths.
 """
 
 from __future__ import annotations
@@ -36,9 +39,10 @@ def iob_transition_masks(labels: list[str]) -> tuple[np.ndarray, np.ndarray]:
     return trans, start
 
 
-def _log_sum_exp(x: np.ndarray, axis: int) -> np.ndarray:
-    m = x.max(axis=axis, keepdims=True)
-    return np.squeeze(m, axis) + np.log(np.exp(x - m).sum(axis=axis))
+def _log_sum_exp(x: np.ndarray) -> np.ndarray:
+    """log-sum-exp over axis 0."""
+    m = x.max(axis=0)
+    return m + np.log(np.exp(x - m).sum(axis=0))
 
 
 def _forward(e: np.ndarray, live: np.ndarray, trans: np.ndarray, start: np.ndarray,
@@ -54,10 +58,9 @@ def _forward(e: np.ndarray, live: np.ndarray, trans: np.ndarray, start: np.ndarr
     alpha = np.empty((n_max, B, T))
     alpha[0] = start + e[:, 0]
     for i in range(1, n_max):
-        # scores[b, prev, cur] = alpha[b, prev] + trans[prev, cur]
-        new = _log_sum_exp(alpha[i - 1][:, :, None] + trans, 1) + e[:, i]
-        alpha[i] = np.where(live[i][:, None], new, alpha[i - 1])
-    return alpha, _log_sum_exp(alpha[-1] + end, 1)
+        scores = np.add(alpha[i - 1].T[:, :, None], trans[:, None, :], order="C")  # [prev, b, cur]
+        alpha[i] = np.where(live[i][:, None], _log_sum_exp(scores) + e[:, i], alpha[i - 1])
+    return alpha, _log_sum_exp((alpha[-1] + end).T)
 
 
 class CrfModel:
@@ -99,8 +102,7 @@ class CrfModel:
     # -- masked views -------------------------------------------------------
 
     def _effective_np(self) -> tuple[np.ndarray, np.ndarray]:
-        return (self.transitions.data + self._trans_mask,
-                self.start.data + self._start_mask)
+        return self.transitions.data + self._trans_mask, self.start.data + self._start_mask
 
     def _gold_indices(self, gold: list[str]) -> list[int]:
         idx = [self.label_index[g] for g in gold]
@@ -156,8 +158,7 @@ class CrfModel:
         onehot = np.zeros(emissions.shape)
         onehot[np.arange(len(onehot)), np.concatenate(idx)] = 1.0
         pairs = np.zeros((T, T))
-        first = np.zeros(T)
-        last = np.zeros(T)
+        first, last = np.zeros(T), np.zeros(T)
         for seq in idx:
             np.add.at(pairs, (seq[:-1], seq[1:]), 1.0)
             first[seq[0]] += 1.0
@@ -173,8 +174,9 @@ class CrfModel:
             beta = np.empty_like(alpha)
             beta[-1] = end
             for i in range(len(beta) - 2, -1, -1):
-                new = _log_sum_exp(trans + (e_t[i + 1] + beta[i + 1])[:, None, :], 2)
-                beta[i] = np.where(live[i + 1][:, None], new, beta[i + 1])
+                scores = np.add(trans.T[:, None, :], (e_t[i + 1] + beta[i + 1]).T[:, :, None],
+                                order="C")                          # [cur, b, prev]
+                beta[i] = np.where(live[i + 1][:, None], _log_sum_exp(scores), beta[i + 1])
             node = np.exp(alpha + beta - log_z[:, None]) * live[:, :, None]
             # pair[i, b, prev, cur] for the move into position i + 1
             pair = np.exp(alpha[:-1, :, :, None] + trans
@@ -199,26 +201,24 @@ class CrfModel:
         ``lengths`` is as in ``neg_log_likelihood``; the result holds one
         (tags, score) per sentence.
         """
-        e, _, sizes = self._batch(rows, lengths)
+        e, real, sizes = self._batch(rows, lengths)
         B, n_max, T = e.shape
         trans, start = self._effective_np()
-        shortest, ends = min(sizes), np.array(sizes)[:, None]
-        delta = start + e[:, 0]                                 # (B, T)
-        back = np.empty((n_max, B, T), dtype=np.int64)
+        shortest = min(sizes)
+        delta = np.empty((n_max, B, T))
+        delta[0] = start + e[:, 0]
+        scores = np.empty((T, B, T))                            # [prev, b, cur]
         for i in range(1, n_max):
-            scores = delta[:, :, None] + trans                  # [b, prev, cur]
-            back[i] = scores.argmax(axis=1)                     # first max = lowest index
-            new = scores.max(axis=1) + e[:, i]
-            # a finished sentence keeps its delta
-            delta = new if i < shortest else np.where(i < ends, new, delta)
-        final = delta + self.end.data
-        back = back.tolist()
-        out = []
-        for b, (n, tag, score) in enumerate(zip(sizes, final.argmax(axis=1).tolist(),
-                                                final.max(axis=1).tolist())):
-            path = [tag]
-            for i in range(n - 1, 0, -1):
-                tag = back[i][b][tag]
-                path.append(tag)
-            out.append(([self.labels[t] for t in reversed(path)], score))
-        return out
+            np.add(delta[i - 1].T[:, :, None], trans[:, None, :], out=scores)
+            np.add(scores.max(axis=0, out=delta[i]), e[:, i], out=delta[i])
+            if i >= shortest:                   # a finished sentence keeps its delta
+                np.copyto(delta[i], delta[i - 1], where=~real[:, i, None])
+        final = delta[-1] + self.end.data
+        # each chosen tag's back-pointer, from the same sums; ties take the lowest tag
+        tags = np.empty((B, n_max), dtype=np.int64)
+        tags[:, -1] = cur = final.argmax(axis=1)
+        for i in range(n_max - 1, 0, -1):
+            prev = (delta[i - 1] + trans.T[cur]).argmax(axis=1)
+            tags[:, i - 1] = cur = prev if i < shortest else np.where(real[:, i], prev, cur)
+        return [([self.labels[t] for t in path[:n]], score) for path, n, score
+                in zip(tags.tolist(), sizes, final.max(axis=1).tolist())]

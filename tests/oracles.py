@@ -294,21 +294,25 @@ def crf_paths(emissions, transitions, start, end):
 def viterbi_loops(emissions, transitions, start, end):
     """Per-sentence Viterbi in scalar loops: (best path, its score).
 
+    Stores every back-pointer and walks them back from the best final tag.
     Takes the same float adds as the recursion it checks, so scores compare
     exactly; ties keep the lowest previous tag and the lowest final tag.
     """
     n, t = emissions.shape
-    delta = [start[c] + emissions[0, c] for c in range(t)]
+    # Python floats are the same doubles as numpy's, and faster to index
+    emissions, transitions = emissions.tolist(), transitions.tolist()
+    start, end = start.tolist(), end.tolist()
+    delta = [start[c] + emissions[0][c] for c in range(t)]
     back = []
     for i in range(1, n):
         new, ptr = [], []
         for c in range(t):
             best = 0
             for p in range(1, t):
-                if delta[p] + transitions[p, c] > delta[best] + transitions[best, c]:
+                if delta[p] + transitions[p][c] > delta[best] + transitions[best][c]:
                     best = p
             ptr.append(best)
-            new.append(delta[best] + transitions[best, c] + emissions[i, c])
+            new.append(delta[best] + transitions[best][c] + emissions[i][c])
         delta = new
         back.append(ptr)
     final = [delta[c] + end[c] for c in range(t)]

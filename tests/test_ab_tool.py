@@ -1,7 +1,8 @@
-"""``tools/ab.py``'s statistics and parity check, imported by path; the
-timing runs themselves are not exercised here."""
+"""``tools/ab.py``'s trees, statistics and parity check, imported by path;
+the timing runs themselves are not exercised here."""
 
 import importlib.util
+import os
 from pathlib import Path
 
 import pytest
@@ -43,3 +44,25 @@ def test_check_flags_any_tag_difference():
     a = {"tags": [["O", "B-x"], ["O"]]}
     for tags in ([["O", "I-x"], ["O"]], [["O", "B-x"]], [["O", "B-x"], ["O"], ["O"]]):
         assert ab.check("predict_fresh", 2, a, {"tags": tags}) == "request 2: tags differ"
+
+
+def test_both_trees_have_paths_of_one_length_and_b_holds_the_working_src(tmp_path):
+    a_tree, b_tree = ab.trees(str(tmp_path))
+    assert a_tree != b_tree
+    assert len(a_tree) == len(b_tree)
+    assert os.path.dirname(a_tree) == os.path.dirname(b_tree) == str(tmp_path)
+    ab.copy_src(b_tree)
+
+    def files(root):
+        out = {}
+        for folder, dirs, names in os.walk(root):
+            dirs[:] = [d for d in dirs if d != "__pycache__"]
+            for name in names:
+                path = os.path.join(folder, name)
+                out[os.path.relpath(path, root)] = Path(path).read_bytes()
+        return out
+
+    copied = files(os.path.join(b_tree, "src"))
+    assert copied == files(os.path.join(ab.ROOT, "src"))
+    assert "hme/labeler.py" in copied
+    assert not any("__pycache__" in folder for folder, _, _ in os.walk(b_tree))

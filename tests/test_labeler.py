@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hme import nn
+from hme import nn, synth
 from hme.autodiff import NumericsError, ShapeError, Tape, Tensor
 from hme.labeler import CrfModel, iob_transition_masks
 
@@ -222,6 +222,26 @@ class TestBatchedViterbi:
                 _, ref_path, ref_score = crf_paths(rows, trans, start, crf.end.data)
                 assert tags == [crf.labels[t] for t in ref_path]
                 assert score == pytest.approx(ref_score, abs=1e-9)
+
+    def test_ragged_batches_with_ties_match_the_loop_oracle(self):
+        """Seeded ragged batches on the benchmark's 19-tag IOB label set, every
+        score a multiple of 0.5 so that ties are common: each sentence's tags
+        and score equal the stored-back-pointer loop oracle's exactly."""
+        labels = ["O"] + sorted(f"{p}-{t}" for t in synth.ENTITY_TYPES for p in "BI")
+        T = len(labels)
+        rng = np.random.default_rng(15)
+        for trial in range(200):
+            crf = make_crf(labels, seed=500 + trial)
+            for p in (crf.transitions, crf.start, crf.end):
+                p.data[:] = rng.integers(-2, 3, size=p.shape) * 0.5
+            lengths = rng.integers(1, 13, size=int(rng.integers(1, 21))).tolist()
+            em = np.round(rng.normal(size=(sum(lengths), T)) * 4) / 2
+            decoded = crf.viterbi_decode(em, lengths)
+            trans, start = effective_by_hand(crf)
+            for (tags, score), at, n in zip(decoded, starts(lengths), lengths):
+                path, loop_score = viterbi_loops(em[at:at + n], trans, start, crf.end.data)
+                assert tags == [labels[t] for t in path]
+                assert score == loop_score
 
     def test_all_zero_sentence_in_a_batch_decodes_to_first_tag(self):
         rng = np.random.default_rng(13)

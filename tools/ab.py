@@ -3,10 +3,12 @@
     python3 tools/ab.py time --against REV [--workload train_hme|predict_fresh]
 
 Run from the root of a git checkout.  The ``time`` mode extracts REV with
-``git archive`` into a temporary directory whose name is as long as this
-checkout's, then, in each of ``ROUNDS`` rounds, starts one long-lived worker
-process per tree.  Both workers set up the same inputs, built by
-``benchmarks/bench_inputs.make_task``:
+``git archive`` into a temporary directory and copies this checkout's
+``src/`` into a sibling named as long, so that neither side's paths,
+``PYTHONPATH`` or working directory differ in length: a worker's CPU time
+was seen to move with the length of its paths.  Then, in each of ``ROUNDS``
+rounds, it starts one long-lived worker process per tree.  Both workers set
+up the same inputs, built by ``benchmarks/bench_inputs.make_task``:
 
 - ``train_hme``: the benchmark's task (seed 1) and model; a unit is one
   training step (``loss_batch``, ``backward``, clipping and ``Adam.step``) on
@@ -44,6 +46,7 @@ import argparse
 import contextlib
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -168,15 +171,25 @@ class Worker:
         self.proc.wait()
 
 
-def extract(rev: str, parent: str) -> str:
-    """REV's files in a directory under ``parent`` named as long as this
-    checkout's directory."""
-    tree = os.path.join(parent, "a" * len(os.path.basename(ROOT)))
+def trees(work: str) -> tuple[str, str]:
+    """The paths of side A's and side B's trees: siblings under ``work``
+    whose full paths are equally long."""
+    return os.path.join(work, "a"), os.path.join(work, "b")
+
+
+def extract(rev: str, tree: str) -> None:
+    """REV's files in the new directory ``tree``."""
     os.makedirs(tree)
     archive = subprocess.run(["git", "-C", ROOT, "archive", rev],
                              check=True, capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", tree], input=archive, check=True)
-    return tree
+
+
+def copy_src(tree: str) -> None:
+    """This checkout's ``src/``, as it is on disk, in the new directory
+    ``tree``; compiled files stay behind."""
+    shutil.copytree(os.path.join(ROOT, "src"), os.path.join(tree, "src"),
+                    ignore=shutil.ignore_patterns("__pycache__"))
 
 
 def make_inputs(kind: str, work: str, a_tree: str) -> str:
@@ -229,14 +242,15 @@ def check(kind: str, unit: int, a: dict, b: dict) -> str | None:
     return None
 
 
-def run_round(a_tree: str, kind: str, task_path: str, units: int, a_first: bool):
+def run_round(a_tree: str, b_tree: str, kind: str, task_path: str, units: int,
+              a_first: bool):
     """One round on fresh workers: the per-unit CPU seconds of A and of B
     after the warm-up, and the largest relative loss gap (0 for requests);
     None after printing the first disagreement."""
     cpu_a, cpu_b, worst = [], [], 0.0
     with contextlib.ExitStack() as stack:
         # one after the other, so a table's first load never runs twice at once
-        starts = [(a_tree, "a"), (ROOT, "b")]
+        starts = [(a_tree, "a"), (b_tree, "b")]
         workers = {}
         for tree, side in starts if a_first else starts[::-1]:
             workers[side] = Worker(tree, kind, task_path)
@@ -261,17 +275,20 @@ def time_ab(rev: str, kind: str) -> int:
     per_round = UNITS // ROUNDS
     pairs, cpu_a, cpu_b, worst = [], [], [], 0.0
     with tempfile.TemporaryDirectory(prefix="ab-") as work:
-        a_tree = extract(rev, work)
+        a_tree, b_tree = trees(work)
+        extract(rev, a_tree)
+        copy_src(b_tree)
         task_path = make_inputs(kind, work, a_tree)
         # A tree's first load of a table parses the text and, once the file
         # is older than hme.embeddings' 1 s settle guard, writes the sidecar
         # that later loads map.  Let that happen here, once per tree, so that
         # no round pits a parsed table against a mapped one.
         time.sleep(1.5)
-        for tree in (a_tree, ROOT):
+        for tree in (a_tree, b_tree):
             Worker(tree, kind, task_path).close()
         for r in range(ROUNDS):
-            result = run_round(a_tree, kind, task_path, per_round, a_first=r % 2 == 0)
+            result = run_round(a_tree, b_tree, kind, task_path, per_round,
+                               a_first=r % 2 == 0)
             if result is None:
                 return 1
             ra, rb, gap = result
