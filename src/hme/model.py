@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import weakref
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
@@ -294,9 +295,12 @@ class SequenceTagger:
                   if config.variant == "hme" else [])
         self.featurizer = Featurizer(resources.word_tables + deeper, resources.bpe_models)
         self._word_cache = WordCache()
-        # float32 copies of the parameters, as views into one flat buffer
+        self._params = list(self.parameters().values())
+        # float32 copies of the parameters, as views into one flat buffer, and
+        # the float64 masters they were copied from, held weakly
         self._flat32 = np.empty(0, dtype=np.float32)
         self._copies: list[np.ndarray] = []
+        self._copied: list[weakref.ref] = []
         self._dropout_rng = _step_rng(seed, 0)
 
     # -- bookkeeping ---------------------------------------------------------
@@ -327,6 +331,9 @@ class SequenceTagger:
         return {k: p.data.copy() for k, p in self.parameters().items()}
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
+        """Give every parameter a copy of its array in ``state``; the copy
+        replaces the master, so the next prediction refreshes the float32
+        copies, and the caller's arrays never become read-only."""
         params = self.parameters()
         if set(params) != set(state):
             missing = set(params) ^ set(state)
@@ -336,7 +343,7 @@ class SequenceTagger:
             if arr.shape != p.data.shape:
                 raise ValueError(f"shape mismatch for {name}: "
                                  f"{arr.shape} vs {p.data.shape}")
-            p.data[:] = arr
+            p.data = arr.copy()
 
     # -- forward passes ------------------------------------------------------
 
@@ -421,21 +428,26 @@ class SequenceTagger:
         """Point every parameter at its float32 copy for the block, then back
         at its float64 master.
 
-        The copies are refreshed whenever a parameter cast to float32
-        differs from its copy, however it changed (in place, by an optimizer
-        step or by ``load_state``), and a refresh empties the prediction
+        Copying a master makes it read-only, so a parameter changes only by
+        being given a new array (``Adam.step``, ``load_state`` or ``p.data =
+        new``), and an in-place write to a copied master raises ValueError.
+        The copies are therefore refreshed only when some parameter's array
+        is not the master they were copied from, which is held weakly, so a
+        replaced master is not kept alive; a refresh empties the prediction
         cache, whose rows came from the old copies.  A float32 forward reads
         only the copies, so equal copies give equal outputs.  Frozen tables
         are no parameters: they stay float64, and ``_gather`` casts the rows
         it gathers.  Like a Tape, this is not safe for concurrent use."""
-        params = list(self.parameters().values())
+        params = self._params
         masters = [p.data for p in params]
-        flat = np.concatenate([m.ravel() for m in masters], dtype=np.float32)
-        if not np.array_equal(flat, self._flat32):
-            self._flat32, self._copies, start = flat, [], 0
+        if not self._copied or any(ref() is not m for ref, m in zip(self._copied, masters)):
+            self._flat32 = np.concatenate([m.ravel() for m in masters], dtype=np.float32)
+            self._copies, start = [], 0
             for m in masters:
-                self._copies.append(flat[start:start + m.size].reshape(m.shape))
+                m.flags.writeable = False
+                self._copies.append(self._flat32[start:start + m.size].reshape(m.shape))
                 start += m.size
+            self._copied = [weakref.ref(m) for m in masters]
             self._word_cache.slots.clear()
         for p, copy in zip(params, self._copies):
             p.data = copy
@@ -455,17 +467,23 @@ class SequenceTagger:
 
     def predict(self, sentences: list[TokenizedSentence],
                 batch_size: int = 64) -> list[list[str]]:
-        return [tags for tags, _, _ in self._decode_all(sentences, batch_size)]
+        return [path for paths, _ in self._decode_all(sentences, batch_size)
+                for path in paths]
 
     def predict_with_attention(self, sentences: list[TokenizedSentence],
                                batch_size: int = 64):
-        """Predicted tags plus per-sentence word/subword attention matrices."""
-        out = self._decode_all(sentences, batch_size)
-        return tuple(list(column) for column in zip(*out)) if out else ([], [], [])
+        """Predicted tags plus per-sentence word/subword attention matrices;
+        the matrices are views into each chunk's attention rows."""
+        tags, word, subword = [], [], []
+        for paths, result in self._decode_all(sentences, batch_size):
+            tags += paths
+            ends = np.cumsum(result.lengths)[:-1]
+            for column, rows in ((word, result.alpha_word), (subword, result.alpha_subword)):
+                column += [None] * len(paths) if rows is None else np.split(rows, ends)
+        return tags, word, subword
 
     def _decode_all(self, sentences, batch_size):
-        """(tags, word attention rows, subword attention rows) per sentence;
-        the rows are views into the batch's attention arrays.
+        """(tags of each sentence, ``ForwardResult``) per chunk.
 
         Each ``batch_size`` chunk is decoded with one ``viterbi_decode`` call
         per distinct sentence length, on that length's packed rows in chunk
@@ -506,10 +524,7 @@ class SequenceTagger:
                 decoded = self.crf.viterbi_decode(emissions[rows], [n] * len(members))
                 for b, (path, _) in zip(members.tolist(), decoded):
                     tags[b] = path
-            alphas = (result.alpha_word, result.alpha_subword)
-            for path, start, n in zip(tags, starts.tolist(), result.lengths):
-                aw, asw = (None if r is None else r[start:start + n] for r in alphas)
-                out.append((path, aw, asw))
+            out.append((tags, result))
         return out
 
 
@@ -617,7 +632,11 @@ def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
                                   f"{left} follow the header")
         arrays = {}
         for meta, size in zip(params, sizes):
-            buf = fh.read(size)
-            arrays[meta["name"]] = np.frombuffer(buf, dtype=np.float64).reshape(
-                meta["shape"]).copy()
+            arr = np.frombuffer(fh.read(size), dtype=np.float64).reshape(meta["shape"])
+            # prediction reads float32 copies, where any other value is Inf
+            # or NaN; compared, never cast, so no overflow warning is raised
+            if not (np.abs(arr) <= np.finfo(np.float32).max).all():
+                raise CheckpointError(f"{path}: parameter {meta['name']!r} holds a NaN, "
+                                      f"an Inf or a value beyond float32's range")
+            arrays[meta["name"]] = arr.copy()
     return header, arrays

@@ -45,7 +45,9 @@ class TrainConfig:
 class Adam:
     """Standard bias-corrected Adam over named parameters, with global-norm
     gradient clipping applied before each update.  Parameters with no gradient
-    are treated as having a zero gradient."""
+    are treated as having a zero gradient.  ``step`` gives every parameter a
+    new array rather than writing into the old one, which a prediction may
+    have made read-only (see ``SequenceTagger._float32``)."""
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
@@ -94,7 +96,7 @@ class Adam:
                 self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * p.grad ** 2
             m_hat = self.m[name] / b1t
             v_hat = self.v[name] / b2t
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
 # ---------------------------------------------------------------------------

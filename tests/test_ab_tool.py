@@ -1,5 +1,5 @@
-"""``tools/ab.py``'s trees, statistics and parity check, imported by path;
-the timing runs themselves are not exercised here."""
+"""``tools/ab.py``'s trees, statistics, peak RSS and parity check, imported
+by path; the timing runs themselves are not exercised here."""
 
 import importlib.util
 import os
@@ -22,6 +22,12 @@ def test_bootstrap_median_is_the_overall_median():
 
 def test_bootstrap_median_of_constant_groups_has_zero_width():
     assert ab.bootstrap_median([[0.97] * 5] * 4) == (0.97, 0.97, 0.97)
+
+
+def test_peak_rss_is_the_largest_of_a_side_in_mb():
+    results = [{"maxrss_kb": 1024, "cpu_s": 0.5}, {"maxrss_kb": 5120, "tags": []},
+               {"maxrss_kb": 2048}]
+    assert ab.peak_rss_mb(results) == 5.0
 
 
 def test_check_passes_equal_outputs():

@@ -2,6 +2,7 @@ import contextlib
 import copy
 import dataclasses
 import os
+import re
 import tracemalloc
 import weakref
 from collections import Counter
@@ -516,7 +517,7 @@ class TestStateAndCheckpoint:
         snap = model.state()
         base = model.predict(sents)
         for p in model.parameters().values():
-            p.data += 0.05
+            p.data = p.data + 0.05
         model.load_state(snap)
         assert model.predict(sents) == base
         np.testing.assert_array_equal(model.state()["crf.transitions"],
@@ -559,6 +560,25 @@ class TestStateAndCheckpoint:
         mdl.save_checkpoint(str(after), model, run_config={})
         assert before.read_bytes() == after.read_bytes()
         assert all(p.data.dtype == np.float64 for p in model.parameters().values())
+
+    @pytest.mark.parametrize("value, rejected", [
+        pytest.param(np.nan, True, id="nan"), pytest.param(-np.inf, True, id="inf"),
+        pytest.param(-1e39, True, id="beyond_float32"),
+        pytest.param(float(np.finfo(np.float32).max), False, id="float32_max")])
+    def test_checkpoint_rejects_a_value_float32_cannot_hold(self, tmp_path, value,
+                                                              rejected):
+        """Prediction reads float32 copies, so a restore refuses any value
+        whose copy would not be finite, naming the file and the parameter."""
+        model = make_model()
+        model.crf.transitions.data[1, 2] = value
+        path = str(tmp_path / "m.ckpt")
+        mdl.save_checkpoint(path, model, run_config={})
+        if rejected:
+            with pytest.raises(mdl.CheckpointError,
+                               match=f"^{re.escape(path)}: parameter 'crf.transitions' "):
+                mdl.load_checkpoint(path)
+        else:
+            assert mdl.load_checkpoint(path)[1]["crf.transitions"][1, 2] == value
 
     def test_checkpoint_bad_magic(self, tmp_path):
         p = tmp_path / "junk.ckpt"
@@ -849,17 +869,17 @@ class TestPredictionCache:
                 assert sum(encoded) < len({w for s in chunk for w in s.words})
         assert 0 < len(model._word_cache) <= mdl.PREDICTION_CACHE_WORDS
 
-    @pytest.mark.parametrize("change", ["in_place", "load_state"])
+    @pytest.mark.parametrize("change", ["assign", "load_state"])
     def test_a_parameter_change_empties_the_cache(self, change):
         model = make_model("hme")
         sents = fresh_stream(40)
         before = model.forward(sents)
         model.predict(sents)
-        if change == "in_place":
+        if change == "assign":
             rng = np.random.default_rng(3)
             for name, p in model.parameters().items():
                 if not name.startswith(("encoder.", "crf.")):
-                    p.data += 0.3 * rng.normal(size=p.shape)
+                    p.data = p.data + 0.3 * rng.normal(size=p.shape)
         else:
             model.load_state(make_model("hme", seed=4).state())
         rebuilt = make_model("hme")
@@ -1095,7 +1115,7 @@ class TestFloat32Prediction:
         assert tags[0] == tags[1]
 
     @pytest.mark.parametrize("prefix", ["encoder.", "crf."])
-    @pytest.mark.parametrize("change", ["in_place", "adam_step", "load_state"])
+    @pytest.mark.parametrize("change", ["assign", "adam_step", "load_state"])
     def test_a_parameter_change_refreshes_the_copies(self, change, prefix):
         """However the sentence encoder's or the CRF's parameters change, the
         next prediction reads float32 copies of the new values: its tags and
@@ -1106,10 +1126,11 @@ class TestFloat32Prediction:
         model.predict(sents)
         changed = [name for name in model.parameters() if name.startswith(prefix)]
         rng = np.random.default_rng(3)
-        if change == "in_place":
+        if change == "assign":
             params = model.parameters()
             for name in changed:
-                params[name].data += 0.3 * rng.normal(size=params[name].shape)
+                params[name].data = params[name].data + 0.3 * rng.normal(
+                    size=params[name].shape)
         elif change == "adam_step":
             opt = tr.Adam(model.parameters(), tr.TrainConfig(learning_rate=0.05))
             for name in changed:
@@ -1124,3 +1145,68 @@ class TestFloat32Prediction:
         assert np.abs(after - before).max() > 1e-3
         np.testing.assert_array_equal(after, rebuilt.forward(sents).emissions.data)
         assert model.predict(sents) == rebuilt.predict(sents)
+
+    @pytest.mark.parametrize("variant, name", [
+        ("hme", "encoder.layer0.wq.weight"), ("hme", "crf.transitions"),
+        ("hme", "char_table.vectors"), ("random", "word_table.random.vectors")])
+    def test_a_copied_master_refuses_an_in_place_write(self, variant, name):
+        """Once a prediction has copied a parameter, its float64 master is
+        read-only: an in-place write raises ValueError and changes nothing
+        the next prediction reads."""
+        model = variant_model(variant)
+        sents = fresh_stream(40)
+        before = model.forward(sents).emissions.data
+        tags = model.predict(sents)
+        p = model.parameters()[name]
+        master = p.data.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            p.data[0] += 1.0
+        np.testing.assert_array_equal(p.data, master)
+        np.testing.assert_array_equal(model.forward(sents).emissions.data, before)
+        assert model.predict(sents) == tags
+
+    @pytest.mark.parametrize("change", ["assign", "adam_step", "load_state"])
+    def test_a_new_master_refreshes_the_copies_and_empties_the_cache(self, change):
+        """A parameter changes only by getting a new array, even with equal
+        values; the next prediction then copies every parameter afresh and
+        empties the cache, which afterwards holds only that call's words."""
+        model = make_model("hme")
+        first, second = fresh_stream(20, seed=1), fresh_stream(20, seed=2)
+        second_words = {w for s in second for w in s.words}
+        assert {w for s in first for w in s.words} - second_words
+        model.predict(first)
+        flat = model._flat32
+        if change == "assign":
+            model.crf.transitions.data = model.crf.transitions.data.copy()
+        elif change == "adam_step":
+            tr.Adam(model.parameters(), tr.TrainConfig()).step()
+        else:
+            model.load_state(model.state())
+        model.predict(second)
+        assert model._flat32 is not flat
+        assert set(model._word_cache.slots) == second_words
+        for p, copied in zip(model.parameters().values(), model._copies):
+            np.testing.assert_array_equal(copied, p.data.astype(np.float32))
+
+    def test_predictions_with_no_write_between_keep_the_copies(self):
+        model = make_model("hme")
+        sents = fresh_stream(40)
+        model.predict(sents)
+        flat = model._flat32
+        model.predict(sents)
+        with Tape():
+            model.forward(sents)
+        model.predict(fresh_stream(40, seed=1))
+        assert model._flat32 is flat
+
+    def test_a_replaced_master_is_not_kept_alive(self):
+        """The tagger holds the masters it copied weakly, so an optimizer
+        step frees every array it replaces."""
+        model = make_model("hme")
+        sents = fresh_stream(40)
+        model.predict(sents)
+        params = model.parameters()
+        replaced = [weakref.ref(p.data) for p in params.values()]
+        tr.Adam(params, tr.TrainConfig()).step()
+        model.predict(sents)
+        assert all(ref() is None for ref in replaced)

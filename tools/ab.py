@@ -22,15 +22,18 @@ up the same inputs, built by ``benchmarks/bench_inputs.make_task``:
 Every round starts both workers afresh and runs the same first units.  The
 tool runs each unit on one worker and then on the other, so the two never
 run at once, and each worker reports the ``time.process_time()`` of the unit
-alone.  Units go in pairs: A runs first in one unit of a pair and B in the
-other, because the side that runs second is measurably faster, and a median
-of raw per-unit ratios would fall between the two modes.  A pair's value is
-the geometric mean of its two B/A ratios.  Rounds exist because one pair of
-processes of the same tree can differ by a few percent for the life of
-the processes, which no number of units inside them averages out.  After
+alone and its peak RSS so far (``ru_maxrss``).  Units go in pairs: A runs
+first in one unit of a pair and B in the other, because the side that runs
+second is measurably faster, and a median of raw per-unit ratios would
+fall between the two modes.  A pair's value is the geometric mean of its
+two B/A ratios.  Rounds exist because one pair of processes of the same
+tree can differ by a few percent for the life of the processes, which no
+number of units inside them averages out.  After
 ``WARMUP`` uncounted units per round, the tool prints the median over all
 pairs with a 95% bootstrap interval that resamples rounds and then pairs
-within each (2,000 resamples), over ``UNITS`` timed units in all.
+within each (2,000 resamples), over ``UNITS`` timed units in all, and
+each side's largest peak RSS over all rounds, in MB as the benchmark's
+``peak_rss_mb`` counts them.
 
 Outputs are checked on every unit, warm-up included: the two sides must
 return equal tags per request, and training losses equal to a relative
@@ -46,6 +49,7 @@ import argparse
 import contextlib
 import json
 import os
+import resource
 import shutil
 import statistics
 import subprocess
@@ -123,7 +127,7 @@ def _predict_units(task: dict):
 
 def worker(kind: str, task_path: str) -> int:
     """Serve units over stdin/stdout: each input line asks for the next unit,
-    each output line is its JSON result with ``cpu_s``."""
+    each output line is its JSON result with ``cpu_s`` and ``maxrss_kb``."""
     reply = os.fdopen(os.dup(sys.stdout.fileno()), "w")
     sys.stdout = sys.stderr             # keep the program's own prints off the pipe
     with open(task_path, encoding="utf-8") as fh:
@@ -136,6 +140,7 @@ def worker(kind: str, task_path: str) -> int:
         start = time.process_time()
         result = run()
         result["cpu_s"] = time.process_time() - start
+        result["maxrss_kb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         reply.write(json.dumps(result) + "\n")
         reply.flush()
     return 0
@@ -242,10 +247,17 @@ def check(kind: str, unit: int, a: dict, b: dict) -> str | None:
     return None
 
 
+def peak_rss_mb(results: list[dict]) -> float:
+    """The largest ``maxrss_kb`` of ``results``, in MB (``ru_maxrss`` counts
+    KiB on Linux)."""
+    return max(r["maxrss_kb"] for r in results) / 1024.0
+
+
 def run_round(a_tree: str, b_tree: str, kind: str, task_path: str, units: int,
               a_first: bool):
     """One round on fresh workers: the per-unit CPU seconds of A and of B
-    after the warm-up, and the largest relative loss gap (0 for requests);
+    after the warm-up, the largest relative loss gap (0 for requests), and
+    A's and B's last results, whose ``maxrss_kb`` is their process's peak;
     None after printing the first disagreement."""
     cpu_a, cpu_b, worst = [], [], 0.0
     with contextlib.ExitStack() as stack:
@@ -268,12 +280,12 @@ def run_round(a_tree: str, b_tree: str, kind: str, task_path: str, units: int,
             if i >= WARMUP:
                 cpu_a.append(out[a]["cpu_s"])
                 cpu_b.append(out[b]["cpu_s"])
-    return cpu_a, cpu_b, worst
+    return cpu_a, cpu_b, worst, (out[a], out[b])
 
 
 def time_ab(rev: str, kind: str) -> int:
     per_round = UNITS // ROUNDS
-    pairs, cpu_a, cpu_b, worst = [], [], [], 0.0
+    pairs, cpu_a, cpu_b, worst, last_a, last_b = [], [], [], 0.0, [], []
     with tempfile.TemporaryDirectory(prefix="ab-") as work:
         a_tree, b_tree = trees(work)
         extract(rev, a_tree)
@@ -291,12 +303,14 @@ def time_ab(rev: str, kind: str) -> int:
                                a_first=r % 2 == 0)
             if result is None:
                 return 1
-            ra, rb, gap = result
+            ra, rb, gap, (end_a, end_b) = result
             ratios = [b_s / a_s for a_s, b_s in zip(ra, rb)]
             pairs.append([(r0 * r1) ** 0.5 for r0, r1 in zip(ratios[::2], ratios[1::2])])
             cpu_a += ra
             cpu_b += rb
             worst = max(worst, gap)
+            last_a.append(end_a)
+            last_b.append(end_b)
     med, lo, hi = bootstrap_median(pairs)
     a_ms, b_ms = (statistics.median(c) * 1e3 for c in (cpu_a, cpu_b))
     rounds = ", ".join(f"{statistics.median(p):.4f}" for p in pairs)
@@ -305,7 +319,9 @@ def time_ab(rev: str, kind: str) -> int:
               else "tags equal")
     print(f"{kind}: B/A CPU per unit {med:.4f} (95% bootstrap {lo:.4f}-{hi:.4f}) over "
           f"{ROUNDS} rounds of {per_round} {unit} after {WARMUP} warm-up (round medians "
-          f"{rounds}); median CPU A {a_ms:.2f} ms, B {b_ms:.2f} ms; {parity} on every unit")
+          f"{rounds}); median CPU A {a_ms:.2f} ms, B {b_ms:.2f} ms; peak RSS "
+          f"A {peak_rss_mb(last_a):.1f} MB, B {peak_rss_mb(last_b):.1f} MB; {parity} on "
+          f"every unit")
     return 0
 
 
