@@ -1,8 +1,10 @@
 """Dense tensors with tape-based reverse-mode automatic differentiation.
 
 Everything downstream (projections, attention, transformer layers) is built
-from the operations in this module; the CRF records its log-likelihood as one
-op of its own through ``_record``.  Design rules:
+from the operations in this module.  Whole sub-blocks run as single fused
+ops: ``linear``, ``layer_norm``, ``attention``, and ``mix``, the softmax over
+languages that weighs each level's embeddings.  The CRF records its
+log-likelihood as one op of its own through ``_record``.  Design rules:
 
 * eager evaluation on numpy arrays, float64 or float32: an op's output and
   the constants it makes take its inputs' dtype, and a ``Tensor`` keeps a
@@ -16,17 +18,17 @@ op of its own through ``_record``.  Design rules:
   produced (parameters, trainable tables); op outputs get none,
 * ops save what their vjp reads (mostly inputs the tape already holds), not
   copies derived from it,
-* no implicit broadcasting: ``add`` takes operands of one shape, and
-  ``matmul`` operands of equal rank (at least 2) with equal leading dims;
-  any other shapes raise ``ShapeError``,
+* no implicit broadcasting: ``add`` takes operands of one shape, ``matmul``
+  a (n, k) and a (k, m) operand, and ``concat`` operands of one rank that
+  agree off the concat axis; any other shapes raise ``ShapeError``,
 * batching never changes a result: an op's output row depends only on its
   own input row and, in ``attention``, its own sequence, so a sequence
   computed alone gets the same bits as inside a ragged batch.  Reductions
-  run along a leading axis or as ``np.einsum`` row sums, never as a
-  matrix-vector product with ones, whose rounding depends on the number of
-  rows.  BLAS matmuls keep the rule only while they sum each inner product
-  in one order whatever the matrix shape, which OpenBLAS does not for wide
-  attention heads,
+  run along a leading axis, as ``np.einsum`` row sums, or, in ``mix``, over
+  each row's L scores, never as a matrix-vector product with ones, whose
+  rounding depends on the number of rows.  BLAS matmuls keep the rule only
+  while they sum each inner product in one order whatever the matrix shape,
+  which OpenBLAS does not for wide attention heads,
 * finiteness is checked where a step or a prediction batch ends, never by
   an op: ``backward`` refuses a non-finite loss with ``NumericsError``
   naming the first recorded op whose output is not finite, and prediction
@@ -40,9 +42,8 @@ import numpy as np
 
 __all__ = [
     "Tensor", "Tape", "ShapeError", "NumericsError",
-    "matmul", "add", "scale", "concat", "reshape", "take", "segment_mean",
-    "tanh", "relu", "softmax", "dropout", "keep_mask", "layer_norm", "linear",
-    "attention", "backward",
+    "matmul", "add", "scale", "concat", "take", "segment_mean", "tanh", "relu",
+    "mix", "dropout", "keep_mask", "layer_norm", "linear", "attention", "backward",
 ]
 
 
@@ -222,21 +223,15 @@ def backward(loss: Tensor) -> None:
 # core ops
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product over the last two axes of operands of equal rank (at
-    least 2) whose leading axes agree."""
-    if a.ndim < 2 or a.ndim != b.ndim or a.shape[:-2] != b.shape[:-2]:
-        raise ShapeError(f"matmul needs operands of equal rank >= 2 and equal "
-                         f"leading dims, got {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
+    """Matrix product of a (n, k) and a (k, m) operand."""
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+        raise ShapeError(f"matmul needs (n, k) @ (k, m), got {a.shape} @ {b.shape}")
     a_data, b_data = a.data, b.data
-    out = np.matmul(a_data, b_data)
 
     def vjp(g):
-        return (np.matmul(g, np.swapaxes(b_data, -1, -2)),
-                np.matmul(np.swapaxes(a_data, -1, -2), g))
+        return g @ b_data.T, a_data.T @ g
 
-    return _record(out, (a, b), vjp, "matmul")
+    return _record(a_data @ b_data, (a, b), vjp, "matmul")
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -277,8 +272,14 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
+    """Join tensors of one rank along ``axis``; their other axes must agree."""
     if not tensors:
         raise ShapeError("concat of empty list")
+    ndim = tensors[0].ndim
+    k = axis % ndim if -ndim <= axis < ndim else None
+    if k is None or len({(t.ndim, t.shape[:k] + t.shape[k + 1:]) for t in tensors}) != 1:
+        raise ShapeError(f"concat along axis {axis} needs shapes that agree off it, "
+                         f"got {[t.shape for t in tensors]}")
     out = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.shape[axis] for t in tensors]
     split_at = np.cumsum(sizes)[:-1]
@@ -287,17 +288,6 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
         return tuple(np.ascontiguousarray(p) for p in np.split(g, split_at, axis=axis))
 
     return _record(out, tuple(tensors), vjp, "concat")
-
-
-def reshape(a: Tensor, shape) -> Tensor:
-    shape = tuple(shape)
-    out = a.data.reshape(shape)
-    in_shape = a.shape
-
-    def vjp(g):
-        return (g.reshape(in_shape),)
-
-    return _record(_contig(out), (a,), vjp, "reshape")
 
 
 def take(a: Tensor, indices) -> Tensor:
@@ -352,16 +342,38 @@ def relu(a: Tensor) -> Tensor:
     return _record(out, (a,), vjp, "relu")
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    """Stable softmax (max-subtraction) along ``axis``."""
-    e = np.exp(a.data - np.max(a.data, axis=axis, keepdims=True))
-    out = e / e.sum(axis=axis, keepdims=True)
+def mix(scores: list[Tensor], xs: list[Tensor]) -> tuple[Tensor, np.ndarray]:
+    """Softmax-weighted sum of L packed (N, d) row blocks ``xs`` as one op.
+
+    ``scores[j]`` holds block j's (N, 1) score per row; each row's weights
+    are the stable (max-subtracted) softmax of its L scores.  Returns the
+    (N, d) weighted sum and the (N, L) weights as a plain array, which is
+    never differentiated.  The sum is one batched (N, 1, L) @ (N, L, d)
+    product on contiguous operands, and each input's gradient is contiguous.
+    """
+    L = len(xs)
+    shape = xs[0].shape if xs else ()
+    if (len(shape) != 2 or len(scores) != L or any(x.shape != shape for x in xs)
+            or any(s.shape != (shape[0], 1) for s in scores)):
+        raise ShapeError(f"mix needs one (N, 1) score per (N, d) block, at least one, "
+                         f"got {[s.shape for s in scores]} and {[x.shape for x in xs]}")
+    n, d = shape
+    s = np.concatenate([t.data for t in scores], axis=-1)
+    e = np.exp(s - np.max(s, axis=-1, keepdims=True))
+    weights = e / e.sum(axis=-1, keepdims=True)
+    row_weights = weights.reshape(n, 1, L)
+    stacked = np.stack([x.data for x in xs], axis=1)
 
     def vjp(g):
-        inner = (g * out).sum(axis=axis, keepdims=True)
-        return (out * (g - inner),)
+        g = g.reshape(n, 1, d)
+        g_w = np.matmul(g, np.swapaxes(stacked, -1, -2)).reshape(n, L)
+        g_s = weights * (g_w - (g_w * weights).sum(axis=-1, keepdims=True))
+        g_x = np.matmul(np.swapaxes(row_weights, -1, -2), g)
+        return (*(np.ascontiguousarray(g_s[:, j:j + 1]) for j in range(L)),
+                *(np.ascontiguousarray(g_x[:, j]) for j in range(L)))
 
-    return _record(out, (a,), vjp, "softmax")
+    out = np.matmul(row_weights, stacked).reshape(n, d)
+    return _record(out, (*scores, *xs), vjp, "mix"), weights
 
 
 def keep_mask(shape, p: float, rng: np.random.Generator | None) -> np.ndarray | None:

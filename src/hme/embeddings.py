@@ -569,8 +569,15 @@ def save_text_embeddings(table: EmbeddingTable, path: str) -> None:
             fh.write(f"{token} {values}\n")
 
 
-def _uniform_rows(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
-    return rng.uniform(-0.1, 0.1, size=(count, dim))
+def _generated_table(entries: list[str], dim: int, seed: int, language_id: str,
+                     level: str) -> EmbeddingTable:
+    """Trainable table of seeded uniform(-0.1, 0.1) rows: a zero padding row,
+    a shared unknown row, then one row per entry in order."""
+    rows = np.random.default_rng(seed).uniform(-0.1, 0.1, size=(len(entries) + 2, dim))
+    rows[PAD_INDEX] = 0.0
+    vocab = {tok: i + 2 for i, tok in enumerate(entries)}
+    return EmbeddingTable(language_id=language_id, level=level, dim=dim, vocab=vocab,
+                          vectors=Tensor(rows, requires_grad=True), trainable=True)
 
 
 def init_char_table(alphabet, dim: int, seed: int) -> EmbeddingTable:
@@ -581,28 +588,14 @@ def init_char_table(alphabet, dim: int, seed: int) -> EmbeddingTable:
     symbols = sorted(set(alphabet) - set(SPECIAL_TOKENS))
     if not symbols:
         raise ValueError("empty alphabet")
-    entries = list(SPECIAL_TOKENS) + symbols
-    rng = np.random.default_rng(seed)
-    rows = _uniform_rows(rng, len(entries) + 2, dim)
-    rows[PAD_INDEX] = 0.0
-    vocab = {sym: i + 2 for i, sym in enumerate(entries)}
-    return EmbeddingTable(
-        language_id="*", level="char", dim=dim, vocab=vocab,
-        vectors=Tensor(rows, requires_grad=True), trainable=True)
+    return _generated_table(list(SPECIAL_TOKENS) + symbols, dim, seed, "*", "char")
 
 
 def init_random_word_table(vocab_tokens, dim: int, seed: int) -> EmbeddingTable:
     """Trainable word table with uniform(-0.1, 0.1) rows and a shared unk row."""
     if dim <= 0:
         raise ValueError("dim must be positive")
-    tokens = sorted(set(vocab_tokens))
-    rng = np.random.default_rng(seed)
-    rows = _uniform_rows(rng, len(tokens) + 2, dim)
-    rows[PAD_INDEX] = 0.0
-    vocab = {tok: i + 2 for i, tok in enumerate(tokens)}
-    return EmbeddingTable(
-        language_id="random", level="word", dim=dim, vocab=vocab,
-        vectors=Tensor(rows, requires_grad=True), trainable=True)
+    return _generated_table(sorted(set(vocab_tokens)), dim, seed, "random", "word")
 
 
 @dataclass

@@ -1,14 +1,16 @@
 """Token representations: attention-weighted meta-embeddings per level.
 
 Word level: project each language's embedding into a shared space, score each
-projection with v . tanh(x'), softmax the scores over languages, and take the
-weighted sum.  Subword level: per-language projection, a shared transformer
-encoder over the word's subword positions, masked mean pooling, then the same
-cross-language attention with its own scorer.  Character level: one trainable
-table, an encoder, mean pooling.  The three outputs concatenate into the
-hierarchical representation.  Each level has one batched implementation,
-which training, prediction and the tests all call.  The CONCAT and LINEAR
-baselines live here too.
+projection with v . tanh(x'), and mix the projections by the softmax of their
+scores over languages, as one ``ad.mix`` op.  Subword level: per-language
+projection, a shared transformer encoder over the word's subword positions,
+masked mean pooling, then the same cross-language mix with its own scorer.
+Character level: one trainable table, an encoder, mean pooling.  The three
+outputs concatenate into the hierarchical representation.  Each level has
+one batched implementation, which training, prediction and the tests all
+call; the word and subword levels return their attention weights α as plain
+arrays, which nothing differentiates.  The CONCAT and LINEAR baselines live
+here too.  Shape errors come from the ops, as ``ShapeError``.
 """
 
 from __future__ import annotations
@@ -51,27 +53,17 @@ class AttentionScorer:
         return {f"{prefix}.v": self.v}
 
 
-def attend_languages(projected: list[Tensor], scorer) -> tuple[Tensor, Tensor]:
-    """Softmax-weighted combination of per-language vectors, all (N, d')."""
-    n, dp = projected[0].shape
-    L = len(projected)
-    scores = ad.concat([scorer(x) for x in projected], axis=-1)
-    alpha = ad.softmax(scores, axis=-1)
-    stacked = ad.concat([ad.reshape(x, (n, 1, dp)) for x in projected], axis=1)
-    u = ad.reshape(ad.matmul(ad.reshape(alpha, (n, 1, L)), stacked), (n, dp))
-    return u, alpha
+def attend_languages(projected: list[Tensor], scorer) -> tuple[Tensor, np.ndarray]:
+    """Softmax-weighted combination of per-language (N, d') rows: the
+    combined (N, d') rows and the (N, L) weights as an array."""
+    return ad.mix([scorer(x) for x in projected], projected)
 
 
 def mme_word(embeddings_per_language: list[Tensor], proj: ProjectionSet,
-             scorer: AttentionScorer) -> tuple[Tensor, Tensor]:
+             scorer: AttentionScorer) -> tuple[Tensor, np.ndarray]:
     """Word-level meta-embedding of each language's packed (N, d_j) rows;
-    returns the combined (N, d') vectors and the (N, L) attention weights."""
-    if not embeddings_per_language:
-        raise ShapeError("mme_word needs at least one language")
-    n = embeddings_per_language[0].shape[0]
-    for e in embeddings_per_language:
-        if e.ndim != 2 or e.shape[0] != n:
-            raise ShapeError("language inputs disagree on token count")
+    returns the combined (N, d') vectors and the (N, L) attention weights
+    as an array."""
     projected = [proj.project(j, e) for j, e in enumerate(embeddings_per_language)]
     return attend_languages(projected, scorer)
 
@@ -87,7 +79,7 @@ def encode_and_pool(x: Tensor, mask: np.ndarray, encoder: TransformerEncoder,
 def mme_subword(subword_embeddings: list[Tensor], masks: list[np.ndarray],
                 proj: ProjectionSet, encoder: TransformerEncoder,
                 scorer: AttentionScorer, rng: np.random.Generator | None = None
-                ) -> tuple[Tensor, Tensor]:
+                ) -> tuple[Tensor, np.ndarray]:
     """Subword-level meta-embedding.
 
     ``masks[j]`` is language j's (N, m_j) mask, 1.0 at real subwords, and
@@ -95,14 +87,11 @@ def mme_subword(subword_embeddings: list[Tensor], masks: list[np.ndarray],
     Per language: project, encode with the shared transformer, mean-pool to
     one vector per word; then combine across languages with softmax
     attention.  ``rng`` draws the encoder's dropout masks, language by
-    language; None is evaluation.  Returns ((N, d'), (N, L)).
+    language; None is evaluation.  Returns the (N, d') rows and the (N, L)
+    weights as an array.
     """
     if not subword_embeddings or len(masks) != len(subword_embeddings):
         raise ShapeError("mme_subword needs one mask per language, at least one")
-    n = masks[0].shape[0]
-    for x, mask in zip(subword_embeddings, masks):
-        if mask.ndim != 2 or mask.shape[0] != n or x.shape[0] != mask.sum():
-            raise ShapeError("language inputs disagree on word count or real cells")
     pooled = [encode_and_pool(proj.project(j, x), mask, encoder, rng)
               for j, (x, mask) in enumerate(zip(subword_embeddings, masks))]
     return attend_languages(pooled, scorer)
@@ -110,19 +99,11 @@ def mme_subword(subword_embeddings: list[Tensor], masks: list[np.ndarray],
 
 def hme_concat(u_word: Tensor, u_subword: Tensor, u_char: Tensor) -> Tensor:
     """Concatenate the three per-token vectors in (word, subword, char) order."""
-    if not (u_word.shape[:-1] == u_subword.shape[:-1] == u_char.shape[:-1]):
-        raise ShapeError("token counts disagree across levels")
     return ad.concat([u_word, u_subword, u_char], axis=-1)
 
 
 def concat_baseline(embeddings_per_language: list[Tensor]) -> Tensor:
     """Rowwise concatenation of the raw, unprojected embeddings."""
-    if not embeddings_per_language:
-        raise ShapeError("concat_baseline needs at least one language")
-    lead = embeddings_per_language[0].shape[:-1]
-    for e in embeddings_per_language:
-        if e.shape[:-1] != lead:
-            raise ShapeError("language inputs disagree on token count")
     return ad.concat(embeddings_per_language, axis=-1)
 
 

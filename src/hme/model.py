@@ -401,7 +401,6 @@ class SequenceTagger:
             u = me.linear_baseline(word_inputs, self.word_proj)
         else:
             u, alpha_w = me.mme_word(word_inputs, self.word_proj, self.word_scorer)
-            alpha_w = alpha_w.data
 
         if self.config.variant == "hme":
             subwords = slice(n_word, -1)
@@ -410,7 +409,6 @@ class SequenceTagger:
             u_s, alpha_s = me.mme_subword(inputs[subwords], sub_masks, self.subword_proj,
                                           self.subword_encoder, self.subword_scorer,
                                           rng)
-            alpha_s = alpha_s.data
             u_c = me.encode_and_pool(inputs[-1],
                                      _length_mask(tables[-1].count, u.data.dtype),
                                      self.char_encoder, rng)

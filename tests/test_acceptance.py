@@ -95,6 +95,11 @@ def _op_cases(rng):
     # add and mul take operands of one shape: a full-shape bias for a @ b
     ab_bias = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
     params["ab_bias"] = ab_bias
+    # a second (3, 4) block, (3, 1) scores for mix, and a scorer's vector
+    a2 = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    scores = [Tensor(rng.normal(size=(3, 1)), requires_grad=True) for _ in range(2)]
+    score_v = Tensor(rng.normal(size=(4, 1)), requires_grad=True)
+    params.update(a2=a2, s0=scores[0], s1=scores[1], score_v=score_v)
 
     def attend(keep=None):
         ctx = ad.attention(q, k, v, head_rows(mask, 2), mask, 0.5, keep)
@@ -104,22 +109,24 @@ def _op_cases(rng):
         "matmul": lambda: tensor_sum(ad.tanh(ad.matmul(a, b))),
         "add": lambda: tensor_sum(mul(ad.add(ad.matmul(a, b), ab_bias), ab_bias)),
         "add_neg_scale": lambda: tensor_sum(ad.tanh(
-            ad.add(ad.scale(a, 1.3), ad.scale(ad.reshape(b, (3, 4)), -1.0)))),
+            ad.add(ad.scale(a, 1.3), ad.scale(a2, -1.0)))),
         "mul": lambda: tensor_sum(mul(a, a)),
-        "softmax": lambda: tensor_sum(mul(ad.softmax(a, axis=-1), a)),
+        "mix": lambda: tensor_sum(mul(ad.mix(scores, [a, a2])[0], a)),
+        "mix_scored": lambda: tensor_sum(ad.tanh(ad.mix(
+            [ad.matmul(ad.tanh(x), score_v) for x in (a, a2)], [a, a2])[0])),
         "tanh": lambda: tensor_sum(ad.tanh(a)),
         "relu": lambda: tensor_sum(ad.relu(ad.matmul(a, b))),
         "layer_norm": lambda: tensor_sum(mul(ad.layer_norm(a, gain, bias), a)),
         "linear": lambda: tensor_sum(ad.tanh(ad.linear(a, b, c))),
         "attention": attend,
         "attention_keep": lambda: attend(keep),
-        "concat_reshape": lambda: tensor_sum(ad.tanh(
-            ad.reshape(ad.concat([a, ad.reshape(b, (3, 4))], axis=1), (2, 12)))),
+        "concat": lambda: tensor_sum(ad.tanh(ad.concat(
+            [ad.concat([a, ab_bias], axis=1), ad.concat([a2, ab_bias], axis=1)], axis=0))),
         "take": lambda: tensor_sum(ad.tanh(
             ad.take(ad.take(a, np.array([0, 2, 1, 0])), np.array([1, 2, 3])))),
         "segment_mean": lambda: tensor_sum(ad.tanh(
             mul(ad.segment_mean(a, [1, 2]),
-                ad.segment_mean(ad.reshape(b, (3, 4)), [2, 1])))),
+                ad.segment_mean(a2, [2, 1])))),
         "mean_sum": lambda: ad.scale(
             tensor_sum(mul(tensor_sum(a, axis=1), c)), 1.0 / c.size),
         "dropout": lambda: tensor_sum(ad.dropout(
@@ -322,8 +329,8 @@ def test_criterion_3_attention_invariants():
         embeds = [Tensor(rng.normal(scale=2.0, size=(n, d))) for d in dims]
         u, alpha = me.mme_word(embeds, proj, scorer)
 
-        assert np.all(alpha.data >= 0)
-        np.testing.assert_allclose(alpha.data.sum(axis=-1), 1.0, atol=1e-6)
+        assert np.all(alpha >= 0)
+        np.testing.assert_allclose(alpha.sum(axis=-1), 1.0, atol=1e-6)
 
         projected = np.stack([proj.project(j, e).data for j, e in enumerate(embeds)])
         assert np.all(u.data <= projected.max(axis=0) + 1e-9)
@@ -332,11 +339,11 @@ def test_criterion_3_attention_invariants():
         u2, alpha2 = me.mme_word(embeds, proj,
                                  _Shifted(scorer, float(rng.normal() * 30)))
         np.testing.assert_allclose(u.data, u2.data, atol=1e-9)
-        np.testing.assert_allclose(alpha.data, alpha2.data, atol=1e-9)
+        np.testing.assert_allclose(alpha, alpha2, atol=1e-9)
 
         if L == 1:
             np.testing.assert_array_equal(u.data, projected[0])
-            np.testing.assert_array_equal(alpha.data, np.ones((n, 1)))
+            np.testing.assert_array_equal(alpha, np.ones((n, 1)))
         checked += 1
     assert checked == 1000
     _passed(3, "simplex, shift invariance, convex hull and L=1 reduction "

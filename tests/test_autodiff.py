@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -57,43 +59,50 @@ class TestMatmul:
             with pytest.raises(ad.ShapeError):
                 ad.matmul(Tensor(np.zeros(a)), Tensor(np.zeros(b)))
 
-    def test_batched(self):
-        rng = np.random.default_rng(1)
-        a = Tensor(rng.normal(size=(5, 2, 3)), requires_grad=True)
-        b = Tensor(rng.normal(size=(5, 3, 4)), requires_grad=True)
-        grad_check(lambda: tensor_sum(ad.tanh(ad.matmul(a, b))), [a, b], rng)
+
+def mix_weights(scores: np.ndarray) -> np.ndarray:
+    """``ad.mix``'s (N, L) weights for the (N, L) array ``scores``."""
+    n, L = scores.shape
+    return ad.mix([Tensor(scores[:, j:j + 1]) for j in range(L)],
+                  [Tensor(np.zeros((n, 1)))] * L)[1]
 
 
 class TestSoftmax:
+    """The softmax over languages inside ``ad.mix``."""
+
     def test_uniform(self):
-        out = ad.softmax(Tensor([0.0, 0.0, 0.0]), axis=-1)
-        np.testing.assert_allclose(out.data, [1 / 3] * 3, atol=1e-15)
+        np.testing.assert_allclose(mix_weights(np.zeros((1, 3))), [[1 / 3] * 3], atol=1e-15)
 
     def test_large_inputs_stable(self):
-        out = ad.softmax(Tensor([1000.0, 1000.0, 999.0]), axis=-1)
-        assert np.all(np.isfinite(out.data))
-        assert abs(out.data.sum() - 1.0) < 1e-9
+        out = mix_weights(np.array([[1000.0, 1000.0, 999.0]]))
+        assert np.all(np.isfinite(out))
+        assert abs(out.sum() - 1.0) < 1e-9
 
     def test_jacobian_matches_finite_differences(self):
-        x = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
-        num_jac = finite_difference_jacobian(
-            lambda: ad.softmax(Tensor(x.data), axis=-1).data, x.data)
+        """Mixing one-hot rows gives the weights themselves as the output."""
+        x = np.array([[1.0, 2.0, 3.0]])
+        scores = [Tensor(x[:, j:j + 1], requires_grad=True) for j in range(3)]
+        onehot = [Tensor(row[None]) for row in np.eye(3)]
+        num_jac = finite_difference_jacobian(lambda: mix_weights(x), x)
         for k in range(3):
-            x.zero_grad()
+            for s in scores:
+                s.zero_grad()
             with Tape():
-                out = ad.softmax(x, axis=-1)
-                tensor_sum(ad.take(out, [k])).backward()
-            np.testing.assert_allclose(x.grad, num_jac[k], rtol=1e-6, atol=1e-9)
+                out, weights = ad.mix(scores, onehot)
+                tensor_sum(mul(out, onehot[k])).backward()
+            np.testing.assert_array_equal(out.data, weights)
+            np.testing.assert_allclose(np.concatenate([s.grad for s in scores], axis=1)[0],
+                                       num_jac[k], rtol=1e-6, atol=1e-9)
 
     @pytest.mark.parametrize("seed", range(GRAD_SEEDS))
     def test_simplex_and_shift_invariance(self, seed):
         rng = np.random.default_rng(seed)
         x = rng.normal(scale=3.0, size=(4, 5))
-        out = ad.softmax(Tensor(x), axis=-1).data
+        out = mix_weights(x)
         assert np.all(out >= 0)
         np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-9)
         c = rng.normal() * 10
-        shifted = ad.softmax(Tensor(x + c), axis=-1).data
+        shifted = mix_weights(x + c)
         np.testing.assert_allclose(out, shifted, atol=1e-9)
 
 
@@ -255,7 +264,11 @@ def test_gradients_all_ops(seed):
     long_keep = ad.keep_mask((3, 2, 9, 9), 0.4, np.random.default_rng(seed))
     # add and mul take operands of one shape: a full-shape bias for a @ b
     ab_bias = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
-    params = (a, b, c, gain, bias, q, k, v, *long_qkv, ab_bias)
+    # a second (3, 4) block, (3, 1) scores for mix, and a scorer's vector
+    a2 = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    scores = [Tensor(rng.normal(size=(3, 1)), requires_grad=True) for _ in range(3)]
+    score_v = Tensor(rng.normal(size=(4, 1)), requires_grad=True)
+    params = (a, b, c, gain, bias, q, k, v, *long_qkv, ab_bias, a2, *scores, score_v)
 
     def attend(keep=None, qkv=(q, k, v), mask=mask):
         return tensor_sum(ad.tanh(ad.attention(*qkv, head_rows(mask, 2), mask,
@@ -263,11 +276,14 @@ def test_gradients_all_ops(seed):
 
     cases = {
         "matmul": lambda: tensor_sum(ad.tanh(ad.matmul(a, b))),
-        "add_neg": lambda: tensor_sum(ad.tanh(
-            ad.add(ad.add(a, a), ad.scale(ad.reshape(b, (3, 4)), -1.0)))),
+        "add_neg": lambda: tensor_sum(ad.tanh(ad.add(ad.add(a, a), ad.scale(a2, -1.0)))),
         "mul_bias": lambda: tensor_sum(mul(ad.add(ad.matmul(a, b), ab_bias), ab_bias)),
         "scale_neg": lambda: tensor_sum(ad.scale(ad.scale(a, 1.7), -1.0)),
-        "softmax": lambda: tensor_sum(mul(ad.softmax(a, axis=-1), a)),
+        "mix": lambda: tensor_sum(ad.tanh(ad.mix(scores, [a, a2, ad.tanh(a)])[0])),
+        "mix_one": lambda: tensor_sum(ad.tanh(ad.mix(scores[:1], [a2])[0])),
+        # scored from its own blocks, as each level's languages are
+        "mix_scored": lambda: tensor_sum(ad.tanh(ad.mix(
+            [ad.matmul(ad.tanh(x), score_v) for x in (a, a2)], [a, a2])[0])),
         "relu": lambda: tensor_sum(ad.relu(ad.matmul(a, b))),
         "layer_norm": lambda: tensor_sum(mul(ad.layer_norm(a, gain, bias), a)),
         "linear": lambda: tensor_sum(ad.tanh(ad.linear(a, b, c))),
@@ -275,9 +291,8 @@ def test_gradients_all_ops(seed):
         "attention_keep": lambda: attend(keep),
         "attention_long": lambda: attend(None, long_qkv, long_mask),
         "attention_long_keep": lambda: attend(long_keep, long_qkv, long_mask),
-        "concat": lambda: tensor_sum(ad.tanh(ad.concat([a, ad.reshape(b, (3, 4))], axis=1))),
-        "reshape": lambda: tensor_sum(ad.tanh(
-            mul(ad.reshape(a, (2, 6)), ad.reshape(b, (2, 6))))),
+        "concat": lambda: tensor_sum(ad.tanh(ad.concat(
+            [ad.concat([a, ab_bias], axis=1), ad.concat([a2, ab_bias], axis=1)], axis=0))),
         "take": lambda: tensor_sum(ad.tanh(ad.take(a, np.array([0, 2, 0])))),
         "segment_mean": lambda: tensor_sum(ad.tanh(ad.segment_mean(b, [1, 3]))),
         "mean": lambda: ad.scale(tensor_sum(mul(a, a)), 1.0 / a.size),
@@ -307,6 +322,30 @@ def test_dropout_gradient():
     words = np.frombuffer(np.random.default_rng(42).bytes(2 * x.size), dtype="<u2")
     mask = (words >= round(0.3 * 65536)).reshape(x.shape) / 0.7
     np.testing.assert_allclose(x.grad, 2 * x.data * mask * mask)
+
+
+def test_every_op_is_gradient_checked_and_float32_checked(monkeypatch):
+    """Each op ``hme.autodiff`` exports, an exported function that calls
+    ``_record``, is recorded by the finite-difference cases of
+    ``test_gradients_all_ops`` or ``test_dropout_gradient``, and all but
+    dropout, which records only with a generator, by the float32 cases."""
+    ops = {name for name in ad.__all__ if inspect.isfunction(getattr(ad, name))
+           and "_record(" in inspect.getsource(getattr(ad, name))}
+    assert {"matmul", "linear", "mix", "attention", "dropout"} <= ops
+    seen = set()
+    record = ad._record
+
+    def spy(out, inputs, vjp, op):
+        seen.add(op)
+        return record(out, inputs, vjp, op)
+
+    monkeypatch.setattr(ad, "_record", spy)
+    test_gradients_all_ops(0)
+    test_dropout_gradient()
+    assert ops - seen == set(), "ops without a finite-difference case"
+    seen.clear()
+    test_every_op_keeps_float32_with_no_tape()
+    assert ops - seen == {"dropout"}, "ops without a float32 case"
 
 
 @pytest.mark.parametrize("p", [0.1, 0.5])
@@ -371,6 +410,19 @@ def test_fused_ops_reject_bad_shapes():
     x = Tensor(np.zeros((3, 4)))
     with pytest.raises(ad.ShapeError):
         ad.attention(x, x, x, head_rows(mask, 2), mask, 1.0)
+    # no blocks, a score short, rows or scores of the wrong shape, a 1-D block
+    s = Tensor(np.zeros((3, 1)))
+    for scores, xs in (([], []), ([s], [x, x]), ([s, s], [x, Tensor(np.zeros((2, 4)))]),
+                       ([s, Tensor(np.zeros((3, 2)))], [x, x]),
+                       ([Tensor(np.zeros((2, 1)))], [Tensor(np.zeros((2, 4, 1)))]),
+                       ([s], [Tensor(np.zeros(3))])):
+        with pytest.raises(ad.ShapeError):
+            ad.mix(scores, xs)
+    # rows that disagree, unequal ranks, an axis out of range, a 0-d operand
+    for parts, axis in (([x, Tensor(np.zeros((2, 4)))], 1), ([x, Tensor(np.zeros((3, 4, 1)))], 0),
+                        ([x, x], 2), ([x, x], -3), ([Tensor(np.zeros(()))], 0)):
+        with pytest.raises(ad.ShapeError):
+            ad.concat(parts, axis)
 
 
 def test_segment_mean_counts_must_tile_the_rows():
@@ -395,8 +447,10 @@ def test_determinism_replay():
     def run(seed):
         rng = np.random.default_rng(seed)
         x = Tensor(rng.normal(size=(5, 5)), requires_grad=True)
+        v = Tensor(rng.normal(size=(5, 1)), requires_grad=True)
         with Tape():
-            y = ad.softmax(ad.matmul(x, ad.tanh(x)), axis=-1)
+            t = ad.tanh(x)
+            y, _ = ad.mix([ad.matmul(x, v), ad.matmul(t, v)], [ad.matmul(x, t), t])
             loss = tensor_sum(mul(y, x))
             loss.backward()
         return y.data.copy(), x.grad.copy()
@@ -423,10 +477,12 @@ def test_every_op_keeps_float32_with_no_tape():
         "matmul": lambda x, w, b: ad.matmul(x, w),
         "linear": lambda x, w, b: ad.linear(x, w, b),
         "add_mul_scale": lambda x, w, b: ad.scale(mul(ad.add(x, x), x), 0.3),
-        "concat_reshape": lambda x, w, b: ad.reshape(ad.concat([x, x], axis=1), (6, 4)),
+        "concat": lambda x, w, b: ad.concat([x, x], axis=1),
         "take": lambda x, w, b: ad.take(x, [2, 0, 2]),
         "segment_mean": lambda x, w, b: ad.segment_mean(x, [1, 2]),
-        "tanh_relu_softmax": lambda x, w, b: ad.softmax(ad.relu(ad.tanh(x))),
+        "tanh_relu_mix": lambda x, w, b: ad.mix(
+            [ad.matmul(ad.tanh(x), Tensor(w.data[:, j:j + 1])) for j in range(2)],
+            [ad.relu(x), x])[0],
         "sum": lambda x, w, b: tensor_sum(x, axis=0),
         "layer_norm": lambda x, w, b: ad.layer_norm(x, b, b),
         "attention": lambda x, w, b: ad.attention(x, x, x, head_rows(mask, 2), mask, 0.5),
@@ -476,6 +532,20 @@ def test_batching_never_changes_a_result(dtype):
                                     for i in range(len(RAGGED_LENGTHS))])
             np.testing.assert_array_equal(attend(q, k, v), alone,
                                           err_msg=f"attention heads {heads}, width {d}, key {j}")
+    bounds = np.cumsum((0,) + RAGGED_LENGTHS)
+    for L, width in ((1, 5), (2, 6), (3, 33), (4, 64)):
+        scores = [rng.normal(scale=3.0, size=(bounds[-1], 1)).astype(dtype) for _ in range(L)]
+        blocks = [rng.normal(size=(bounds[-1], width)).astype(dtype) for _ in range(L)]
+
+        def mix(rows):
+            out, weights = ad.mix([Tensor(t[rows]) for t in scores],
+                                  [Tensor(t[rows]) for t in blocks])
+            return out.data, weights
+
+        alone = [mix(slice(lo, hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        for got, parts in zip(mix(slice(None)), zip(*alone)):
+            np.testing.assert_array_equal(got, np.concatenate(parts),
+                                          err_msg=f"mix of {L} blocks, width {width}")
 
 
 def test_a_tape_refuses_float32():

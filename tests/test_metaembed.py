@@ -32,7 +32,7 @@ class TestMmeWord:
         scorer = me.AttentionScorer(4, rng)
         x = Tensor(rng.normal(size=(3, 5)))
         u, alpha = me.mme_word([x], proj, scorer)
-        np.testing.assert_array_equal(alpha.data, np.ones((3, 1)))
+        np.testing.assert_array_equal(alpha, np.ones((3, 1)))
         np.testing.assert_array_equal(u.data, proj.project(0, x).data)
 
     def test_identical_inputs_shared_weights(self):
@@ -42,7 +42,7 @@ class TestMmeWord:
         scorer = me.AttentionScorer(4, rng)
         x = Tensor(rng.normal(size=(3, 5)))
         u, alpha = me.mme_word([x, x], proj, scorer)
-        np.testing.assert_allclose(alpha.data, 0.5, atol=1e-15)
+        np.testing.assert_allclose(alpha, 0.5, atol=1e-15)
         np.testing.assert_allclose(u.data, proj.project(0, x).data, atol=1e-12)
 
     def test_three_languages_match_scalar_oracle(self):
@@ -58,7 +58,7 @@ class TestMmeWord:
             [lin.bias.data for lin in proj.linears],
             scorer.v.data[:, 0])
         np.testing.assert_allclose(u.data, ref_u, atol=1e-10)
-        np.testing.assert_allclose(alpha.data, ref_a, atol=1e-10)
+        np.testing.assert_allclose(alpha, ref_a, atol=1e-10)
 
     def test_empty_language_list_rejected(self):
         with pytest.raises(ad.ShapeError):
@@ -96,8 +96,8 @@ def test_mme_word_invariants(seed):
     u, alpha = me.mme_word(embeds, proj, scorer)
 
     # simplex
-    assert np.all(alpha.data >= 0)
-    np.testing.assert_allclose(alpha.data.sum(axis=-1), 1.0, atol=1e-6)
+    assert np.all(alpha >= 0)
+    np.testing.assert_allclose(alpha.sum(axis=-1), 1.0, atol=1e-6)
 
     # convex hull containment per coordinate
     projected = np.stack([proj.project(j, e).data for j, e in enumerate(embeds)])
@@ -108,7 +108,7 @@ def test_mme_word_invariants(seed):
     shifted = ShiftedScorer(scorer, float(rng.normal() * 50))
     u2, alpha2 = me.mme_word(embeds, proj, shifted)
     np.testing.assert_allclose(u.data, u2.data, atol=1e-9)
-    np.testing.assert_allclose(alpha.data, alpha2.data, atol=1e-9)
+    np.testing.assert_allclose(alpha, alpha2, atol=1e-9)
 
     if L == 1:
         np.testing.assert_array_equal(u.data, projected[0])
@@ -161,7 +161,7 @@ class TestMmeSubword:
                                   proj, enc, scorer)
         np.testing.assert_allclose(u.data[0], proj.project(0, Tensor(seq)).data[0],
                                    atol=1e-12)
-        np.testing.assert_array_equal(alpha.data, [[1.0]])
+        np.testing.assert_array_equal(alpha, [[1.0]])
 
     def test_identical_pooled_vectors_uniform_attention(self):
         rng = np.random.default_rng(1)
@@ -173,7 +173,7 @@ class TestMmeSubword:
         group = [rng.normal(size=(2, 5)), rng.normal(size=(3, 5))]
         xs, masks = subword_inputs([group, group])
         u, alpha = me.mme_subword(xs, masks, proj, enc, scorer)
-        np.testing.assert_allclose(alpha.data, 0.5, atol=1e-12)
+        np.testing.assert_allclose(alpha, 0.5, atol=1e-12)
         # single-language run with the same projection reproduces the shared case
         single = me.ProjectionSet([5], 4, np.random.default_rng(0))
         single.linears[0].weight.data[:] = proj.linears[0].weight.data
@@ -196,7 +196,7 @@ class TestMmeSubword:
         u, alpha = me.mme_subword(xs, masks, proj, enc, scorer)
         ref_u, ref_a = subword_oracle(groups, proj, enc, scorer)
         np.testing.assert_allclose(u.data, ref_u, atol=1e-8)
-        np.testing.assert_allclose(alpha.data, ref_a, atol=1e-8)
+        np.testing.assert_allclose(alpha, ref_a, atol=1e-8)
 
     def test_mask_shape_mismatch_rejected(self):
         proj = make_proj([3, 3], 2)

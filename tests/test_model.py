@@ -1075,7 +1075,7 @@ class TestFloat32Prediction:
         sents = fresh_stream(40)
         model.predict(sents)
         assert {"attention", "layer_norm", "linear", "segment_mean",
-                "softmax"} <= {op for op, _ in seen}
+                "mix"} <= {op for op, _ in seen}
         assert [(op, dtype) for op, dtype in seen if dtype != np.float32] == []
         linear = model.encoder.layers[0].wq
         x = Tensor(np.ones((2, linear.weight.shape[0]), dtype=np.float32))

@@ -41,6 +41,14 @@ tolerance of ``LOSS_RTOL``.  A float reordering (a different reduction order
 in one tree) moves a loss by far less; a changed dropout draw or a wrong
 gradient moves it by far more within a few steps.  A failed check stops the
 run and exits 1.
+
+The ratio gives the direction of a change, not its size.  On one change
+that removed a per-request scan of every parameter, the tool read
+0.774-0.783 per ``predict_fresh`` request, where one long-running process
+per tree read 0.914 and the benchmark's ``step_p50_ms`` 0.928.  The cause is
+not settled; a likely one is that each unit starts on caches the other
+worker filled.  Until it is, take the size of a change from the benchmark
+or from a one-process run.
 """
 
 from __future__ import annotations
