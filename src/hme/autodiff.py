@@ -6,11 +6,12 @@ ops: ``linear``, ``layer_norm``, ``attention``, and ``mix``, the softmax over
 languages that weighs each level's embeddings.  The CRF records its
 log-likelihood as one op of its own through ``_record``.  Design rules:
 
-* eager evaluation on numpy arrays, float64 or float32: an op's output and
-  the constants it makes take its inputs' dtype, and a ``Tensor`` keeps a
-  float32 array as float32 and makes anything else float64.  While a Tape
-  is active every op's inputs and output must be float64, so float32 never
-  reaches a gradient; float32 is for forwards with no Tape,
+* eager evaluation on numpy arrays, float64 or float32: an op's output, the
+  constants it makes and the gradients its vjp returns take its inputs'
+  dtype, and a ``Tensor`` keeps a float32 array as float32 and makes
+  anything else float64.  Under a Tape an op whose inputs mix dtypes
+  raises ``TypeError``, so no op silently promotes a float32 step or its
+  gradients to float64; prediction, with no Tape, pays no such check,
 * an explicit ``Tape`` that records ops in execution order; ``backward``
   consumes it in exact reverse order, dropping each record once its vjp has
   run, so the graph is freed during the pass,
@@ -144,13 +145,12 @@ class Tensor:
 
 def _record(out_data: np.ndarray, inputs: tuple[Tensor, ...], vjp, op: str) -> Tensor:
     """Wrap op output; register it, named ``op``, on the active tape when a
-    gradient is needed.  While a tape is active, refuse an input or output
-    that is not float64."""
+    gradient is needed.  While a tape is active, refuse inputs of more than
+    one dtype."""
     tape = Tape._active
-    if tape is not None and (out_data.dtype != np.float64
-                             or any(t.data.dtype != np.float64 for t in inputs)):
+    if tape is not None and any(t.data.dtype != inputs[0].data.dtype for t in inputs):
         dtypes = ", ".join(str(t.data.dtype) for t in inputs)
-        raise TypeError(f"{op} under a Tape needs float64, got ({dtypes}) -> {out_data.dtype}")
+        raise TypeError(f"{op} under a Tape needs inputs of one dtype, got ({dtypes})")
     out = Tensor.__new__(Tensor)
     out.data = out_data
     out.grad = None
@@ -316,10 +316,11 @@ def segment_mean(x: Tensor, counts) -> Tensor:
         raise ShapeError(f"segment_mean: counts must be positive and tile the rows "
                          f"of {x.shape}, got {n.size} summing to {n.sum()}")
     starts = np.cumsum(n) - n
-    out = np.add.reduceat(x.data, starts, axis=0) / n[:, None].astype(x.data.dtype)
+    per_row = n[:, None].astype(x.data.dtype)
+    out = np.add.reduceat(x.data, starts, axis=0) / per_row
 
     def vjp(g):
-        return (np.repeat(g / n[:, None], n, axis=0),)
+        return (np.repeat(g / per_row, n, axis=0),)
 
     return _record(out, (x,), vjp, "segment_mean")
 
@@ -376,27 +377,52 @@ def mix(scores: list[Tensor], xs: list[Tensor]) -> tuple[Tensor, np.ndarray]:
     return _record(out, (*scores, *xs), vjp, "mix"), weights
 
 
-def keep_mask(shape, p: float, rng: np.random.Generator | None) -> np.ndarray | None:
-    """Dropout's keep-mask of ``shape``, already scaled: float64 cells of 0
-    or 1/(1-p); None, drawing nothing, when ``rng`` is None or p is 0.
+def _words(rng: np.random.Generator, size: int) -> np.ndarray:
+    """The ``size`` little-endian uint16 words of ``rng.bytes(2 * size)``,
+    drawn as raw 64-bit outputs of the bit generator, which is faster.
 
-    Each cell is one little-endian uint16 word from ``rng.bytes``, kept where
-    it is at least ``round(p * 2**16)``, so the drop probability is realised
-    as ``round(p * 65536) / 65536`` (0.1 becomes 0.1000061).  As every cell
-    is exactly 0 or 1/(1-p), ``x * mask`` rounds like ``x * keep * 1/(1-p)``,
-    the sign of a zero included.
+    ``bytes`` takes max(ceil(size / 2), 1) uint32 values, each the low and
+    then the high half of a raw output; a high half left over waits in the
+    generator's state (``has_uint32``) for the next uint32 draw.  This reads
+    such a half first and leaves one behind exactly as ``bytes`` would."""
+    bitgen = rng.bit_generator
+    state = bitgen.state
+    held = state["has_uint32"]
+    need = max((size + 1) // 2, 1) - held          # uint32 values from new outputs
+    halves = bitgen.random_raw((need + 1) // 2).astype("<u8", copy=False).view("<u4")
+    if held:
+        halves = np.concatenate((np.array([state["uinteger"]], dtype="<u4"), halves))
+    if held or need % 2:
+        state = bitgen.state
+        state["has_uint32"] = need % 2
+        state["uinteger"] = int(halves[-1])
+        bitgen.state = state
+    return halves.view("<u2")[:size]
+
+
+def keep_mask(shape, p: float, rng: np.random.Generator | None,
+              dtype=np.float64) -> np.ndarray | None:
+    """Dropout's keep-mask of ``shape``, already scaled: cells of ``dtype``,
+    the dtype of the activation it multiplies, that are 0 or 1/(1-p); None,
+    drawing nothing, when ``rng`` is None or p is 0.
+
+    Each cell is one of the little-endian uint16 words of
+    ``rng.bytes(2 * size)`` (see ``_words``), kept where it is at least
+    ``round(p * 2**16)``, so the drop probability is realised as
+    ``round(p * 65536) / 65536`` (0.1 becomes 0.1000061).  As every cell is
+    exactly 0 or 1/(1-p) rounded to ``dtype``, ``x * mask`` rounds like
+    ``x * keep * 1/(1-p)`` in that dtype, the sign of a zero included.
     """
     if rng is None or p == 0.0:
         return None
-    size = int(np.prod(shape))
-    words = np.frombuffer(rng.bytes(2 * size), dtype="<u2")
-    return (words >= round(p * 65536)).reshape(shape) * (1.0 / (1.0 - p))
+    keep = _words(rng, int(np.prod(shape))) >= round(p * 65536)
+    return np.multiply(keep.reshape(shape), 1.0 / (1.0 - p), dtype=dtype)
 
 
 def dropout(a: Tensor, p: float, rng: np.random.Generator | None) -> Tensor:
     """Inverted dropout: ``a`` times a ``keep_mask`` of its shape drawn from
     ``rng``, or ``a`` itself, with no op, when there is no mask."""
-    mask = keep_mask(a.shape, p, rng)
+    mask = keep_mask(a.shape, p, rng, a.data.dtype)
     if mask is None:
         return a
 
@@ -432,13 +458,19 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     out += bias.data
 
     def vjp(g):
-        xhat = (a_data - mu) * inv
+        # in place, in the order of inv * (gx - g_mean - xhat * gx_mean)
+        xhat = a_data - mu
+        xhat *= inv
         gx = g * gain_data
         g_mean = (np.einsum("...j->...", gx) / d)[..., None]
         gx_mean = (np.einsum("...j,...j->...", gx, xhat) / d)[..., None]
         lead = tuple(range(g.ndim - 1))
-        return (inv * (gx - g_mean - xhat * gx_mean),
-                (g * xhat).sum(axis=lead), g.sum(axis=lead))
+        g_gain = (g * xhat).sum(axis=lead)
+        gx -= g_mean
+        xhat *= gx_mean
+        gx -= xhat
+        gx *= inv
+        return gx, g_gain, g.sum(axis=lead)
 
     return _record(out, (a, gain, bias), vjp, "layer_norm")
 

@@ -142,7 +142,10 @@ class CrfModel:
         sequence per sentence.
 
         One tape op: its gradient is the forward-backward marginals minus
-        the gold counts, for the emissions, transitions, start and end.
+        the gold counts, for the emissions, transitions, start and end.  The
+        recursions, the loss and the gradients run in float64 whatever the
+        inputs' dtype, which the op requires to be one (see ``ad._record``);
+        the loss stays float64 and each gradient is cast to that dtype.
         """
         e, real, sizes = self._batch(emissions.data, lengths)
         if [len(g) for g in gold] != sizes:
@@ -150,6 +153,7 @@ class CrfModel:
         idx = [self._gold_indices(g) for g in gold]
         trans, start = self._effective_np()
         end = self.end.data
+        dtype = emissions.data.dtype
         live = real.T                                               # (n_max, B)
         alpha, log_z = _forward(e, live, trans, start, end)
 
@@ -184,8 +188,8 @@ class CrfModel:
                           - log_z[:, None, None]) * live[1:, :, None, None]
             g_end = np.exp(alpha[-1] + end - log_z[:, None]).sum(axis=0) - last
             g_e = np.swapaxes(node, 0, 1)[real] - onehot
-            return (g * g_e, g * (pair.sum(axis=(0, 1)) - pairs),
-                    g * (node[0].sum(axis=0) - first), g * g_end)
+            return tuple((g * gt).astype(dtype, copy=False) for gt in (
+                g_e, pair.sum(axis=(0, 1)) - pairs, node[0].sum(axis=0) - first, g_end))
 
         return ad._record(np.asarray(log_z.sum() - score),
                           (emissions, self.transitions, self.start, self.end),

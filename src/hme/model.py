@@ -8,7 +8,7 @@ import math
 import os
 import weakref
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, field
 from itertools import chain
 from typing import NamedTuple
@@ -161,20 +161,19 @@ def _length_mask(lengths, dtype) -> np.ndarray:
     return (np.arange(lengths.max()) < lengths[:, None]).astype(dtype)
 
 
-def _gather(table: emb.EmbeddingTable, idx: np.ndarray) -> Tensor:
+def _gather(table: emb.EmbeddingTable, idx: np.ndarray, dtype) -> Tensor:
     """The (len(idx), d) rows of ``idx``, where -1 marks a miss, which reads
-    row ``emb.UNK_INDEX`` of a trainable table and zeros from a frozen one.
-    Under a Tape the rows are float64; with no Tape the gathered rows, never
-    the table, are cast to float32, so a frozen table stays one float64 map."""
+    row ``emb.UNK_INDEX`` of a trainable table and zeros from a frozen one,
+    in ``dtype``, the parameters' dtype.  Under a Tape a trainable table's
+    rows come through ``ad.take``; a frozen table stays one float64 map, and
+    the rows it gives, never the table, are cast."""
     miss = idx < 0
     # a frozen miss reads row 0 and zeroes it: row -1 would fault in a page
     # of the map that no hit needs
     idx = np.where(miss, emb.UNK_INDEX if table.trainable else 0, idx)
     if table.trainable and ad.Tape._active is not None:
         return ad.take(table.vectors, idx)
-    x = table.vectors.data[idx]
-    if ad.Tape._active is None:
-        x = x.astype(np.float32, copy=False)
+    x = table.vectors.data[idx].astype(dtype, copy=False)
     if not table.trainable:
         x[miss] = 0.0
     return Tensor(x)
@@ -295,7 +294,7 @@ class SequenceTagger:
                   if config.variant == "hme" else [])
         self.featurizer = Featurizer(resources.word_tables + deeper, resources.bpe_models)
         self._word_cache = WordCache()
-        self._params = list(self.parameters().values())
+        self._params = self.parameters()
         # float32 copies of the parameters, as views into one flat buffer, and
         # the float64 masters they were copied from, held weakly
         self._flat32 = np.empty(0, dtype=np.float32)
@@ -348,28 +347,26 @@ class SequenceTagger:
     # -- forward passes ------------------------------------------------------
 
     def forward(self, sentences: list[TokenizedSentence]) -> ForwardResult:
-        """Emissions and attention rows of a batch.
+        """Emissions and attention rows of a batch, computed in float32 from
+        a copy of every parameter (see ``_float32``) and returned as float32.
 
         Every per-word level runs once per distinct word (U rows), and one
         gather expands the result to the R tokens for the sentence encoder.
         The active Tape is the only mode signal.  Under one, the forward
-        trains, in float64: every word's per-word rows are computed, so a
-        gradient reaches each of them, the featurizer stores the words, and
-        dropout masks come from the step's generator (see ``set_step``).
-        With no Tape the forward predicts, in float32 from a copy of every
-        parameter (see ``_float32``), without dropout: each word's per-word
+        trains: every word's per-word rows are computed, so a gradient
+        reaches each of them, the featurizer stores the words, and dropout
+        masks come from the step's generator (see ``set_step``).  With no
+        Tape the forward predicts, without dropout: each word's per-word
         rows come from the prediction cache, and only the words it lacks are
-        featurized and encoded.  The emissions and attention rows then come
-        as float32."""
-        if ad.Tape._active is not None:
-            return self._forward(sentences, self._dropout_rng)
+        featurized and encoded."""
         with self._float32():
-            return self._forward(sentences, None)
+            return self._forward(sentences)
 
-    def _forward(self, sentences: list[TokenizedSentence],
-                 rng: np.random.Generator | None) -> ForwardResult:
-        """``forward`` that trains with the dropout generator ``rng``, or
-        predicts through the prediction cache when it is None."""
+    def _forward(self, sentences: list[TokenizedSentence]) -> ForwardResult:
+        """``forward`` on the parameters' arrays as they are: under a Tape it
+        trains with the step's dropout generator, else it predicts through
+        the prediction cache."""
+        rng = self._dropout_rng if ad.Tape._active is not None else None
         rows: dict[str, int] = {}
         word_of = np.fromiter((rows.setdefault(w, len(rows))
                                for sent in sentences for w in sent.words), dtype=np.int64)
@@ -390,7 +387,9 @@ class SequenceTagger:
         """The per-word levels on U distinct words: the (U, ·) rows ``u`` and
         the (U, L) word and subword attention weights as arrays, None for a
         level the variant lacks."""
-        inputs = [_gather(t, lookup.idx) for t, lookup in zip(self.featurizer.tables, tables)]
+        dtype = self.crf.transitions.data.dtype         # the parameters' dtype
+        inputs = [_gather(t, lookup.idx, dtype)
+                  for t, lookup in zip(self.featurizer.tables, tables)]
         n_word = len(self.resources.word_tables)
 
         word_inputs = inputs[:n_word]
@@ -433,13 +432,23 @@ class SequenceTagger:
         is not the master they were copied from, which is held weakly, so a
         replaced master is not kept alive; a refresh empties the prediction
         cache, whose rows came from the old copies.  A float32 forward reads
-        only the copies, so equal copies give equal outputs.  Frozen tables
-        are no parameters: they stay float64, and ``_gather`` casts the rows
-        it gathers.  Like a Tape, this is not safe for concurrent use."""
+        only the copies, so equal copies give equal outputs.  Under a Tape a
+        master beyond float32's range raises ``NumericsError`` naming it,
+        with no overflow warning; with no Tape it becomes Inf, which
+        prediction refuses where a chunk's emissions end.  Frozen tables are
+        no parameters: they stay float64, and ``_gather`` casts the rows it
+        gathers.  Like a Tape, this is not safe for concurrent use."""
         params = self._params
-        masters = [p.data for p in params]
+        masters = [p.data for p in params.values()]
         if not self._copied or any(ref() is not m for ref, m in zip(self._copied, masters)):
-            self._flat32 = np.concatenate([m.ravel() for m in masters], dtype=np.float32)
+            try:
+                with np.errstate(over="raise") if ad.Tape._active is not None else nullcontext():
+                    self._flat32 = np.concatenate([m.ravel() for m in masters], dtype=np.float32)
+            except FloatingPointError:
+                name = next(name for name, m in zip(params, masters)
+                            if not (np.abs(m) <= np.finfo(np.float32).max).all())
+                raise ad.NumericsError(f"parameter {name!r} holds a value beyond "
+                                       f"float32's range") from None
             self._copies, start = [], 0
             for m in masters:
                 m.flags.writeable = False
@@ -447,20 +456,23 @@ class SequenceTagger:
                 start += m.size
             self._copied = [weakref.ref(m) for m in masters]
             self._word_cache.slots.clear()
-        for p, copy in zip(params, self._copies):
+        for p, copy in zip(params.values(), self._copies):
             p.data = copy
         try:
             yield
         finally:
-            for p, master in zip(params, masters):
+            for p, master in zip(params.values(), masters):
                 p.data = master
 
     def loss_batch(self, sentences: list[TokenizedSentence]) -> Tensor:
-        """Mean per-sentence CRF negative log-likelihood; a training step
-        calls it under a Tape (see ``forward``)."""
+        """Mean per-sentence CRF negative log-likelihood, float64, of a
+        ``forward``; a training step calls it under a Tape.  The CRF reads
+        the same float32 copies as the forward, so every op recorded takes
+        float32 inputs and every gradient comes back float32."""
         result = self.forward(sentences)
-        nll = self.crf.neg_log_likelihood(
-            result.emissions, [s.labels for s in sentences], result.lengths)
+        with self._float32():
+            nll = self.crf.neg_log_likelihood(
+                result.emissions, [s.labels for s in sentences], result.lengths)
         return ad.scale(nll, 1.0 / len(sentences))
 
     def predict(self, sentences: list[TokenizedSentence],

@@ -101,7 +101,7 @@ class EncoderLayer:
         batch, n = mask.shape
         a = self.ln1(x)
         p = self.p_drop
-        keep = ad.keep_mask((batch, self.heads, n, n), p, rng)
+        keep = ad.keep_mask((batch, self.heads, n, n), p, rng, x.data.dtype)
         ctx = ad.attention(self.wq(a), ad.matmul(a, self.wk), self.wv(a), head_rows,
                            mask, 1.0 / math.sqrt(self.d_model // self.heads), keep)
         x = ad.add(x, ad.dropout(self.wo(ctx), p, rng))

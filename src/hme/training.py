@@ -17,7 +17,8 @@ from .tokenization import repair_iob
 
 class DivergenceError(RuntimeError):
     """Training produced a non-finite gradient; ``Adam.step`` names its
-    parameter.  A non-finite loss raises ``NumericsError`` in ``backward``."""
+    parameter.  A non-finite loss raises ``NumericsError`` in ``backward``,
+    as does a parameter beyond float32's range in the next ``loss_batch``."""
 
 
 @dataclass
@@ -45,9 +46,11 @@ class TrainConfig:
 class Adam:
     """Standard bias-corrected Adam over named parameters, with global-norm
     gradient clipping applied before each update.  Parameters with no gradient
-    are treated as having a zero gradient.  ``step`` gives every parameter a
-    new array rather than writing into the old one, which a prediction may
-    have made read-only (see ``SequenceTagger._float32``)."""
+    are treated as having a zero gradient.  Gradients may be float32; the
+    moments, the sums and the updates are float64, like the parameters.
+    ``step`` gives every parameter a new array rather than writing into the
+    old one, which a prediction may have made read-only (see
+    ``SequenceTagger._float32``)."""
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
@@ -58,6 +61,8 @@ class Adam:
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+        # every gradient was finite at the last clip_gradients since a step
+        self._finite = False
 
     def zero_grad(self) -> None:
         for p in self.params.values():
@@ -65,14 +70,17 @@ class Adam:
 
     def clip_gradients(self) -> float:
         """Scale all gradients so the global norm is at most clip_norm;
-        returns the pre-clip norm.  A non-finite gradient leaves a non-finite
-        gradient behind (NaN makes the norm NaN, and Inf meets a zero factor),
-        which ``step`` then refuses, naming its parameter."""
+        returns the pre-clip norm, from a float64 sum of squares.  A finite
+        sum also shows every gradient finite, so ``step`` need not scan them.
+        A non-finite gradient leaves a non-finite gradient behind (NaN makes
+        the norm NaN, and Inf meets a zero factor), which ``step`` then
+        refuses, naming its parameter."""
         total = 0.0
         for p in self.params.values():
             if p.grad is not None:
-                total += float((p.grad ** 2).sum())
+                total += float(np.square(p.grad, dtype=np.float64).sum())
         norm = float(np.sqrt(total))
+        self._finite = math.isfinite(norm)
         if norm > self.clip_norm:
             factor = self.clip_norm / norm
             for p in self.params.values():
@@ -81,9 +89,14 @@ class Adam:
         return norm
 
     def step(self) -> None:
-        for name, p in self.params.items():
-            if p.grad is not None and not np.all(np.isfinite(p.grad)):
-                raise DivergenceError(f"non-finite gradient in parameter {name!r}")
+        """One update.  Unless ``clip_gradients`` found every gradient
+        finite since the last step, each is scanned first, and a non-finite
+        one raises ``DivergenceError`` naming its parameter."""
+        if not self._finite:
+            for name, p in self.params.items():
+                if p.grad is not None and not np.all(np.isfinite(p.grad)):
+                    raise DivergenceError(f"non-finite gradient in parameter {name!r}")
+        self._finite = False
         self.t += 1
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
@@ -92,8 +105,9 @@ class Adam:
                 self.m[name] *= self.beta1
                 self.v[name] *= self.beta2
             else:
-                self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * p.grad
-                self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * p.grad ** 2
+                g = p.grad.astype(np.float64, copy=False)
+                self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
+                self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * g ** 2
             m_hat = self.m[name] / b1t
             v_hat = self.v[name] / b2t
             p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)

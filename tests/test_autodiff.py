@@ -327,8 +327,8 @@ def test_dropout_gradient():
 def test_every_op_is_gradient_checked_and_float32_checked(monkeypatch):
     """Each op ``hme.autodiff`` exports, an exported function that calls
     ``_record``, is recorded by the finite-difference cases of
-    ``test_gradients_all_ops`` or ``test_dropout_gradient``, and all but
-    dropout, which records only with a generator, by the float32 cases."""
+    ``test_gradients_all_ops`` or ``test_dropout_gradient``, and by the
+    float32 cases, which dropout joins with a generator."""
     ops = {name for name in ad.__all__ if inspect.isfunction(getattr(ad, name))
            and "_record(" in inspect.getsource(getattr(ad, name))}
     assert {"matmul", "linear", "mix", "attention", "dropout"} <= ops
@@ -345,7 +345,7 @@ def test_every_op_is_gradient_checked_and_float32_checked(monkeypatch):
     assert ops - seen == set(), "ops without a finite-difference case"
     seen.clear()
     test_every_op_keeps_float32_with_no_tape()
-    assert ops - seen == {"dropout"}, "ops without a float32 case"
+    assert ops - seen == set(), "ops without a float32 case"
 
 
 @pytest.mark.parametrize("p", [0.1, 0.5])
@@ -466,14 +466,12 @@ def test_tensor_keeps_float32_and_makes_anything_else_float64():
         assert Tensor(data).data.dtype == np.float64
 
 
-def test_every_op_keeps_float32_with_no_tape():
-    """Each op and every constant it makes follows its float32 inputs, and
-    its values are those of the float64 op to float32 rounding."""
-    rng = np.random.default_rng(5)
+def float32_cases() -> dict:
+    """One case per op for the float32 checks: a function of three leaves
+    (x, w, b) that calls the op.  Dropout draws from a generator of a fixed
+    seed, so equal cases drop equal cells."""
     mask = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 0.0]], dtype=np.float32)
-    x64 = rng.normal(size=(3, 4))
-    w64, b64 = rng.normal(size=(4, 4)), rng.normal(size=4)
-    cases = {
+    return {
         "matmul": lambda x, w, b: ad.matmul(x, w),
         "linear": lambda x, w, b: ad.linear(x, w, b),
         "add_mul_scale": lambda x, w, b: ad.scale(mul(ad.add(x, x), x), 0.3),
@@ -486,12 +484,44 @@ def test_every_op_keeps_float32_with_no_tape():
         "sum": lambda x, w, b: tensor_sum(x, axis=0),
         "layer_norm": lambda x, w, b: ad.layer_norm(x, b, b),
         "attention": lambda x, w, b: ad.attention(x, x, x, head_rows(mask, 2), mask, 0.5),
+        "dropout": lambda x, w, b: ad.dropout(x, 0.3, np.random.default_rng(4)),
     }
-    for name, op in cases.items():
-        want = op(Tensor(x64), Tensor(w64), Tensor(b64)).data
-        got = op(*(Tensor(a.astype(np.float32)) for a in (x64, w64, b64))).data
+
+
+def float32_inputs():
+    rng = np.random.default_rng(5)
+    return rng.normal(size=(3, 4)), rng.normal(size=(4, 4)), rng.normal(size=4)
+
+
+def test_every_op_keeps_float32_with_no_tape():
+    """Each op and every constant it makes follows its float32 inputs, and
+    its values are those of the float64 op to float32 rounding."""
+    inputs = float32_inputs()
+    for name, op in float32_cases().items():
+        want = op(*(Tensor(a) for a in inputs)).data
+        got = op(*(Tensor(a.astype(np.float32)) for a in inputs)).data
         assert want.dtype == np.float64 and got.dtype == np.float32, name
         assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max(), name
+
+
+def test_every_op_backpropagates_float32_in_float32():
+    """Under a Tape each op records float32 inputs, and its vjp gives every
+    leaf a float32 gradient, that of the float64 op to float32 rounding."""
+    inputs = float32_inputs()
+    for name, op in float32_cases().items():
+        grads = {}
+        for dtype in (np.float64, np.float32):
+            leaves = [Tensor(a.astype(dtype), requires_grad=True) for a in inputs]
+            with Tape():
+                out = op(*leaves)
+                weights = np.random.default_rng(6).normal(size=out.shape).astype(dtype)
+                tensor_sum(mul(out, Tensor(weights))).backward()
+            grads[dtype] = [leaf.grad for leaf in leaves]
+        for g64, g32 in zip(grads[np.float64], grads[np.float32]):
+            assert (g64 is None) == (g32 is None), name
+            if g64 is not None:
+                assert g32.dtype == np.float32, name
+                assert np.abs(g32 - g64).max() <= 1e-5 * np.abs(g64).max(), name
 
 
 RAGGED_LENGTHS = (3, 1, 7, 5, 11)
@@ -548,12 +578,97 @@ def test_batching_never_changes_a_result(dtype):
                                           err_msg=f"mix of {L} blocks, width {width}")
 
 
-def test_a_tape_refuses_float32():
-    """Under a Tape a float32 input raises instead of recording, so float32
-    never reaches a gradient."""
+def test_a_tape_records_float32_and_an_op_refuses_mixed_dtypes():
+    """A Tape records float32 ops, and their gradients come back float32.
+    Under a Tape an op given inputs of two dtypes raises instead of
+    promoting, and records nothing."""
     x = Tensor(np.ones((2, 3), dtype=np.float32))
     w, b = Tensor(np.ones((3, 2)), requires_grad=True), Tensor(np.zeros(2), requires_grad=True)
     with Tape() as tape:
-        with pytest.raises(TypeError, match="float64"):
+        with pytest.raises(TypeError, match=r"^linear under a Tape needs inputs of one "
+                                            r"dtype, got \(float32, float64, float64\)$"):
             ad.linear(x, w, b)
         assert len(tape) == 0
+    w32, b32 = (Tensor(t.data.astype(np.float32), requires_grad=True) for t in (w, b))
+    with Tape() as tape:
+        tensor_sum(ad.linear(x, w32, b32)).backward()
+    assert len(tape) == 2
+    assert w32.grad.dtype == b32.grad.dtype == np.float32
+    np.testing.assert_array_equal(w32.grad, np.full((3, 2), 2.0))
+
+
+def bit_generator_states_equal(a: np.random.Generator, b: np.random.Generator) -> bool:
+    """Equal states but for ``uinteger`` while ``has_uint32`` is 0, a value
+    no draw reads."""
+    def same(x, y):
+        if isinstance(x, dict):
+            return x.keys() == y.keys() and all(same(x[k], y[k]) for k in x)
+        return np.array_equal(x, y)
+
+    states = [dict(g.bit_generator.state) for g in (a, b)]
+    for state in states:
+        if not state["has_uint32"]:
+            state["uinteger"] = 0
+    return same(*states)
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.Philox, np.random.PCG64])
+def test_keep_mask_words_are_the_words_of_rng_bytes(bit_generator):
+    """Words drawn as raw 64-bit outputs are, bit for bit, those of
+    ``rng.bytes(2 * size)`` for every size, in sequence, so calls that start
+    on, or leave, a buffered half output are included; the generator ends
+    in ``bytes``'s state after each call, a buffered half included."""
+    sizes = [1, 2, 3, 0, 5, 6, 1, 1, 7, 4, 150_001, 2, 0, 0, 9, 150_000, 1]
+    seed = np.random.SeedSequence((3, 5))
+    ours, reference = (np.random.Generator(bit_generator(seed)) for _ in range(2))
+    for size in sizes:
+        want = np.frombuffer(reference.bytes(2 * size), dtype="<u2")
+        got = ad._words(ours, size)
+        assert got.dtype == np.dtype("<u2") and got.shape == (size,)
+        assert got.tobytes() == want.tobytes(), size
+        assert bit_generator_states_equal(ours, reference), size
+    assert reference.bit_generator.state["has_uint32"] == 1
+
+
+@pytest.mark.parametrize("p", [0.1, 0.5])
+def test_a_float32_keep_mask_holds_the_float64_mask_rounded(p):
+    """A mask in an activation's dtype keeps the same cells as the float64
+    mask from an equal generator, and ``x * mask`` rounds like the boolean
+    rule in float32."""
+    x = np.random.default_rng(2).normal(size=(40, 50)).astype(np.float32)
+    mask = ad.keep_mask(x.shape, p, np.random.default_rng(9), np.float32)
+    assert mask.dtype == np.float32
+    np.testing.assert_array_equal(
+        mask, ad.keep_mask(x.shape, p, np.random.default_rng(9)).astype(np.float32))
+    words = np.frombuffer(np.random.default_rng(9).bytes(2 * x.size), dtype="<u2")
+    keep = (words >= round(p * 65536)).reshape(x.shape)
+    want = x * keep.astype(np.float32) * np.float32(1.0 / (1.0 - p))
+    assert (x * mask).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_layer_norm_vjp_gives_the_bits_of_its_written_formula(dtype):
+    """The vjp works in place, in the order of
+    ``inv * (gx - g_mean - xhat * gx_mean)``, and gives its bits."""
+    rng = np.random.default_rng(21)
+    d = 33
+    a = Tensor(rng.normal(size=(7, d)).astype(dtype), requires_grad=True)
+    gain, bias = (Tensor(rng.normal(size=d).astype(dtype), requires_grad=True)
+                  for _ in range(2))
+    g = rng.normal(size=(7, d)).astype(dtype)
+    with Tape():
+        tensor_sum(mul(ad.layer_norm(a, gain, bias), Tensor(g))).backward()
+
+    x = a.data
+    mu = (np.einsum("...j->...", x) / d)[..., None]
+    centred = x - mu
+    inv = (1.0 / np.sqrt(np.einsum("...j,...j->...", centred, centred) / d
+                         + ad.LAYER_NORM_EPS))[..., None]
+    xhat = (x - mu) * inv
+    gx = g * gain.data
+    g_mean = (np.einsum("...j->...", gx) / d)[..., None]
+    gx_mean = (np.einsum("...j,...j->...", gx, xhat) / d)[..., None]
+    for got, want in ((a.grad, inv * (gx - g_mean - xhat * gx_mean)),
+                      (gain.grad, (g * xhat).sum(axis=0)), (bias.grad, g.sum(axis=0))):
+        assert got.dtype == dtype
+        assert got.tobytes() == want.tobytes()

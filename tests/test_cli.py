@@ -630,6 +630,30 @@ def test_overflowing_training_exits_3_without_a_checkpoint(toy, tmp_path, capsys
     path.write_text(json.dumps(cfg))
     rc = cli.main(["train", "--config", str(path), "--quiet"])
     assert rc == 3
+    # the first step moves every master by about the learning rate, so the
+    # second step's float32 copies would overflow, from the first parameter on
     err = capsys.readouterr().err
-    assert "hme: error[numeric]: attention produced non-finite values" in err
+    assert err == ("hme: error[numeric]: parameter 'word_proj.L1.weight' holds a value "
+                   "beyond float32's range\n")
+    assert not (tmp_path / "run" / "model.ckpt").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_master_beyond_float32_exits_3_naming_it(toy, tmp_path, monkeypatch, capsys):
+    """A master float32 cannot hold fails the first step, before any
+    checkpoint is written, naming the parameter."""
+    train = cli.tr.train
+
+    def train_from_a_bad_master(model, *args, **kwargs):
+        model.crf.end.data = np.full_like(model.crf.end.data, 1e39)
+        return train(model, *args, **kwargs)
+
+    monkeypatch.setattr(cli.tr, "train", train_from_a_bad_master)
+    cfg = json.loads(Path(toy["paths"]["config"]).read_text())
+    cfg["output_dir"] = str(tmp_path / "run")
+    path = tmp_path / "bad_master.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["train", "--config", str(path), "--quiet"]) == 3
+    assert capsys.readouterr().err == ("hme: error[numeric]: parameter 'crf.end' holds a "
+                                       "value beyond float32's range\n")
     assert not (tmp_path / "run" / "model.ckpt").exists()

@@ -1,3 +1,5 @@
+import contextlib
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -115,12 +117,21 @@ class TestLoad:
         np.testing.assert_array_equal(t.vectors.data, [[0.1, 0.2, 0.3], [1, 2, 3]])
 
 
+def in_float32(table):
+    """``table`` as a float32 forward reads it (``SequenceTagger._float32``):
+    a trainable table, a parameter, through a float32 copy of its vectors; a
+    frozen table as it is."""
+    if not table.trainable:
+        return table
+    return dataclasses.replace(
+        table, vectors=Tensor(table.vectors.data.astype(np.float32), requires_grad=True))
+
+
 def gathered_rows(table, found):
-    """The rows the model's gather gives a Lookup under a Tape (float64),
-    after checking that with no Tape it gives exactly their float32 cast."""
-    with Tape():
-        rows = mdl._gather(table, found.idx).data
-    predicted = mdl._gather(table, found.idx).data
+    """The rows the model's gather gives a Lookup in float64, after checking
+    that in float32 it gives exactly their float32 cast."""
+    rows = mdl._gather(table, found.idx, np.float64).data
+    predicted = mdl._gather(in_float32(table), found.idx, np.float32).data
     assert rows.dtype == np.float64 and predicted.dtype == np.float32
     np.testing.assert_array_equal(predicted, rows.astype(np.float32))
     return rows
@@ -163,35 +174,37 @@ def test_a_miss_gathers_zeros_from_a_frozen_table_and_the_unknown_row_of_a_train
         tmp_path):
     """-1 marks a miss.  A loaded table gives it an exact zero row, never its
     last row, and its matrix stays read-only and as loaded; the char table
-    gives it row UNK_INDEX, never the padding row.  With no Tape the rows are
-    float32; under a Tape they are float64, and row UNK_INDEX's gradient sums
-    the gradient of every miss cell."""
+    gives it row UNK_INDEX, never the padding row.  The rows come in the
+    dtype asked for, a float32 forward's or the float64 masters', with or
+    without a Tape, and under one row UNK_INDEX's gradient, in its table's
+    dtype, sums the gradient of every miss cell."""
     path = write(tmp_path, "t.vec", "3 2\nwalking 1 2\ndead 3 4\nzaru 5 -6\n")
     loaded = emb.load_text_embeddings(path, "vec_with_header")
     matrix = loaded.vectors.data.tobytes()
-    chars = emb.init_char_table("ab", 4, seed=0)
-    a, unk = chars.vocab["a"], emb.UNK_INDEX
+    chars64 = emb.init_char_table("ab", 4, seed=0)
+    a, unk = chars64.vocab["a"], emb.UNK_INDEX
     word_idx = np.array([1, -1, 0, -1])
     char_idx = np.array([-1, a, -1, -1])
     want_words = np.array([[3, 4], [0, 0], [1, 2], [0, 0]])
-    want_chars = chars.vectors.data[[unk, a, unk, unk]]
-
-    words, letters = mdl._gather(loaded, word_idx).data, mdl._gather(chars, char_idx).data
-    assert words.dtype == letters.dtype == np.float32
-    np.testing.assert_array_equal(words, want_words)
-    np.testing.assert_array_equal(letters, want_chars.astype(np.float32))
-
+    want_chars = chars64.vectors.data[[unk, a, unk, unk]]
     weights = np.arange(1.0, 17.0).reshape(4, 4)
-    with Tape():
-        words, letters = mdl._gather(loaded, word_idx), mdl._gather(chars, char_idx)
-        assert words.data.dtype == letters.data.dtype == np.float64
-        np.testing.assert_array_equal(words.data, want_words)
-        np.testing.assert_array_equal(letters.data, want_chars)
-        tensor_sum(mul(letters, Tensor(weights))).backward()
-    grad = chars.vectors.grad
-    np.testing.assert_array_equal(grad[unk], weights[[0, 2, 3]].sum(axis=0))
-    np.testing.assert_array_equal(grad[a], weights[1])
-    assert not np.delete(grad, [unk, a], axis=0).any()
+
+    for dtype in (np.float32, np.float64):
+        chars = chars64 if dtype == np.float64 else in_float32(chars64)
+        for taped in (False, True):
+            with Tape() if taped else contextlib.nullcontext():
+                words = mdl._gather(loaded, word_idx, dtype)
+                letters = mdl._gather(chars, char_idx, dtype)
+                assert words.data.dtype == letters.data.dtype == dtype
+                np.testing.assert_array_equal(words.data, want_words)
+                np.testing.assert_array_equal(letters.data, want_chars.astype(dtype))
+                if taped:
+                    tensor_sum(mul(letters, Tensor(weights.astype(dtype)))).backward()
+        grad = chars.vectors.grad
+        assert grad.dtype == dtype
+        np.testing.assert_array_equal(grad[unk], weights[[0, 2, 3]].sum(axis=0))
+        np.testing.assert_array_equal(grad[a], weights[1])
+        assert not np.delete(grad, [unk, a], axis=0).any()
     assert not loaded.vectors.data.flags.writeable
     assert loaded.vectors.data.tobytes() == matrix
 

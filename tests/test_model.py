@@ -116,8 +116,11 @@ class TestForward:
 
     @pytest.mark.parametrize("variant", mdl.VARIANTS[:4])
     def test_batch_loss_and_gradients_are_sentence_means(self, variant, monkeypatch):
+        """On the float64 masters (``_float32`` a null context), so the
+        tolerance holds float64's rounding."""
         cfg = dataclasses.replace(tiny_model_config(variant), dropout=0.0)
         model = mdl.SequenceTagger(cfg, build_resources(), seed=3)
+        monkeypatch.setattr(model, "_float32", contextlib.nullcontext)
         params = model.parameters()
         sents = build_sentences()
         pool = me.encode_and_pool
@@ -305,14 +308,17 @@ class TestGroupedDecoding:
 class TestAgainstPublicOps:
     """The batched featurizer path must agree with per-word lookups fed
     through the public ops.  Both run in float64: the model's forward under a
-    Tape, with no dropout, and the public ops on float64 inputs."""
+    Tape on its float64 masters (``_float32`` a null context), with no
+    dropout, and the public ops on float64 inputs."""
 
     def lookup_rows(self, table, tokens):
         return np.stack([lookup(table, t) for t in tokens])
 
     def model(self, variant):
         config = dataclasses.replace(tiny_model_config(variant), dropout=0.0)
-        return mdl.SequenceTagger(config, build_resources(), seed=0)
+        model = mdl.SequenceTagger(config, build_resources(), seed=0)
+        model._float32 = contextlib.nullcontext
+        return model
 
     def emissions(self, model, sent):
         with Tape():
@@ -373,6 +379,72 @@ class TestTrainingIntegration:
             opt.clip_gradients()
             opt.step()
         return model
+
+    def test_a_training_step_runs_every_op_in_float32(self, monkeypatch):
+        """Every op a training step records takes float32 inputs, the
+        scaling of the CRF's float64 loss aside, and every parameter's
+        gradient arrives as float32; the masters and Adam's moments stay
+        float64."""
+        seen = []
+        record = ad._record
+
+        def spy(out, inputs, vjp, op):
+            seen.append((op, {str(t.data.dtype) for t in inputs}, str(out.dtype)))
+            return record(out, inputs, vjp, op)
+
+        monkeypatch.setattr(ad, "_record", spy)
+        model = make_model("hme")
+        assert model.config.dropout > 0
+        params = model.parameters()
+        opt = tr.Adam(params, tr.TrainConfig())
+        model.set_step(0)
+        with Tape():
+            loss = model.loss_batch(repeating_batch())
+            loss.backward()
+        assert {"attention", "layer_norm", "linear", "segment_mean", "mix", "take",
+                "dropout", "crf_nll"} <= {op for op, _, _ in seen}
+        assert [(op, dtypes) for op, dtypes, _ in seen if dtypes != {"float32"}] \
+            == [("scale", {"float64"})]
+        assert seen[-2:] == [("crf_nll", {"float32"}, "float64"),
+                             ("scale", {"float64"}, "float64")]
+        assert {name: str(p.grad.dtype) for name, p in params.items()} \
+            == dict.fromkeys(params, "float32")
+        opt.clip_gradients()
+        opt.step()
+        for name, p in params.items():
+            assert p.data.dtype == opt.m[name].dtype == opt.v[name].dtype == np.float64
+
+    def test_a_master_beyond_float32_fails_the_step_by_name(self):
+        """Under a Tape the float32 copy of a master float32 cannot hold
+        raises ``NumericsError`` naming it, before any op records and with
+        no overflow warning (the suite turns one into an error); the masters
+        stay as they were, and a valid master lets the step run."""
+        model = make_model("hme")
+        bias = model.encoder.layers[0].ff1.bias
+        good = bias.data
+        bias.data = np.full_like(good, 1e39)
+        with Tape() as tape, pytest.raises(
+                ad.NumericsError, match="^parameter 'encoder.layer0.ff1.bias' holds a value "
+                                        "beyond float32's range$"):
+            model.loss_batch(build_sentences())
+        assert len(tape) == 0
+        assert bias.data[0] == 1e39
+        assert all(p.data.dtype == np.float64 for p in model.parameters().values())
+        bias.data = good
+        self.train_steps(model, build_sentences(), steps=1)
+
+    def test_two_training_runs_save_byte_identical_checkpoints(self, tmp_path):
+        """Float32 steps with dropout, from equal seeds, give equal bytes."""
+        blobs = []
+        for run in range(2):
+            model = self.train_steps(make_model("hme", seed=4), build_sentences(), steps=4)
+            path = tmp_path / f"run{run}.ckpt"
+            mdl.save_checkpoint(str(path), model, {"seed": 4})
+            blobs.append(path.read_bytes())
+        assert blobs[0] == blobs[1]
+        _, trained = mdl.load_checkpoint(str(path))
+        assert any(not np.array_equal(trained[k], v)
+                   for k, v in make_model("hme", seed=4).state().items())
 
     def test_frozen_tables_unchanged_char_table_changes(self):
         model = make_model("hme")
@@ -1033,14 +1105,15 @@ def toy_task(tmp_path_factory):
 
 
 class TestFloat32Prediction:
-    """A forward with no Tape runs in float32 from copies of the parameters;
-    under a Tape it stays float64."""
+    """A forward, with or without a Tape, runs in float32 from copies of the
+    parameters."""
 
     @pytest.mark.parametrize("variant", mdl.VARIANTS)
-    def test_float32_forward_matches_the_float64_one(self, variant, toy_task):
-        """Without dropout, a forward under a Tape is the float64 reference:
-        the float32 emissions and attention rows lie within 1e-6 of its max
-        |value|, and ``predict`` gives the tags of its emissions."""
+    def test_float32_forward_matches_the_float64_one(self, variant, toy_task, monkeypatch):
+        """Without dropout, a forward under a Tape on the float64 masters
+        (``_float32`` a null context) is the float64 reference: the float32
+        emissions and attention rows lie within 1e-6 of its max |value|, and
+        ``predict`` gives the tags of its emissions."""
         cfg, train, test = toy_task
         words = {w for s in train for w in s.words}
         config = dataclasses.replace(cfg.model, variant=variant, dropout=0.0)
@@ -1048,7 +1121,8 @@ class TestFloat32Prediction:
                                          {c for w in words for c in to_chars(w)}, words,
                                          seed=0)
         model = mdl.SequenceTagger(config, resources, seed=0)
-        with Tape():
+        with monkeypatch.context() as m, Tape():
+            m.setattr(model, "_float32", contextlib.nullcontext)
             want = model.forward(test)
         got = model.forward(test)
         for a, b in zip((got.emissions.data, got.alpha_word, got.alpha_subword),
@@ -1062,7 +1136,8 @@ class TestFloat32Prediction:
 
     def test_prediction_runs_every_op_in_float32(self, monkeypatch):
         """No constant an op or the model makes turns prediction back to
-        float64; under a Tape a float32 input raises instead of recording."""
+        float64; under a Tape an op given a float32 input and float64
+        parameters raises instead of promoting, and records nothing."""
         seen = []
         record = ad._record
 
@@ -1080,7 +1155,7 @@ class TestFloat32Prediction:
         linear = model.encoder.layers[0].wq
         x = Tensor(np.ones((2, linear.weight.shape[0]), dtype=np.float32))
         with Tape() as tape:
-            with pytest.raises(TypeError, match="float64"):
+            with pytest.raises(TypeError, match=r"one dtype, got \(float32, float64, float64\)"):
                 ad.linear(x, linear.weight, linear.bias)
             assert len(tape) == 0
 
@@ -1088,13 +1163,14 @@ class TestFloat32Prediction:
         """-1e39 is finite in float64 and Inf as float32.  In the char row of
         's', which only the third sentence holds, it makes that chunk's
         emissions non-finite, and prediction refuses the chunk by its
-        sentences' indices; a forward under a Tape stays finite."""
+        sentences' indices; a forward under a Tape, which trains, refuses
+        the parameter instead, by name."""
         model = make_model("hme")
         sents = build_sentences()
         table = model.resources.char_table
         table.vectors.data[table.vocab["s"]] = -1e39
-        with Tape():
-            assert np.isfinite(model.forward(sents).emissions.data).all()
+        with Tape(), pytest.raises(ad.NumericsError, match="^parameter 'char_table.vectors' "):
+            model.forward(sents)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ad.NumericsError,
                                match="^sentences 2 to 3 produced non-finite emissions$"):

@@ -84,6 +84,47 @@ class TestAdam:
             opt.step()
         np.testing.assert_array_equal(ok.data, [0.0, 0.0])
 
+    def test_float32_gradients_update_in_float64(self):
+        """A float32 gradient moves the float64 master and moments exactly
+        as its float64 cast does, and its norm is a float64 sum of squares:
+        squares float32 cannot hold (1e40) raise no overflow."""
+        g = np.array([3e20, -1e20, 0.5], dtype=np.float32)
+        runs = []
+        for grad in (g, g.astype(np.float64)):
+            x = Tensor(np.array([1.0, -2.0, 0.25]), requires_grad=True)
+            opt = tr.Adam({"x": x}, cfg(clip_norm=1e30))
+            x.grad = grad
+            runs.append((opt.clip_gradients(), x, opt))
+            opt.step()
+        (norm32, x32, opt32), (norm64, x64, opt64) = runs
+        assert norm32 == norm64 == pytest.approx(np.sqrt(1e41), rel=1e-6)
+        assert x32.data.dtype == opt32.m["x"].dtype == opt32.v["x"].dtype == np.float64
+        for a, b in ((x32.data, x64.data), (opt32.m["x"], opt64.m["x"]),
+                     (opt32.v["x"], opt64.v["x"])):
+            assert a.tobytes() == b.tobytes()
+
+    def test_a_step_after_a_finite_clip_scans_no_gradient(self, monkeypatch):
+        """``clip_gradients``' finite sum of squares stands for the scan; a
+        step with no clip since the last step scans every gradient."""
+        a = Tensor(np.zeros(3), requires_grad=True)
+        b = Tensor(np.zeros(2), requires_grad=True)
+        opt = tr.Adam({"a": a, "b": b}, cfg())
+        a.grad = np.array([1.0, 2.0, 3.0], dtype=np.float32)
+        b.grad = np.array([0.5, -1.0], dtype=np.float32)
+        scanned = []
+        isfinite = np.isfinite
+
+        def spy(x, *args, **kwargs):
+            scanned.append(x.shape)
+            return isfinite(x, *args, **kwargs)
+
+        opt.clip_gradients()
+        monkeypatch.setattr(np, "isfinite", spy)
+        opt.step()
+        assert scanned == []
+        opt.step()
+        assert scanned == [(3,), (2,)]
+
     def test_moments_decay_without_gradient(self):
         p = Tensor(np.array([0.0]), requires_grad=True)
         opt = tr.Adam({"p": p}, cfg())
