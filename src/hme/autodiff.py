@@ -377,46 +377,24 @@ def mix(scores: list[Tensor], xs: list[Tensor]) -> tuple[Tensor, np.ndarray]:
     return _record(out, (*scores, *xs), vjp, "mix"), weights
 
 
-def _words(rng: np.random.Generator, size: int) -> np.ndarray:
-    """The ``size`` little-endian uint16 words of ``rng.bytes(2 * size)``,
-    drawn as raw 64-bit outputs of the bit generator, which is faster.
-
-    ``bytes`` takes max(ceil(size / 2), 1) uint32 values, each the low and
-    then the high half of a raw output; a high half left over waits in the
-    generator's state (``has_uint32``) for the next uint32 draw.  This reads
-    such a half first and leaves one behind exactly as ``bytes`` would."""
-    bitgen = rng.bit_generator
-    state = bitgen.state
-    held = state["has_uint32"]
-    need = max((size + 1) // 2, 1) - held          # uint32 values from new outputs
-    halves = bitgen.random_raw((need + 1) // 2).astype("<u8", copy=False).view("<u4")
-    if held:
-        halves = np.concatenate((np.array([state["uinteger"]], dtype="<u4"), halves))
-    if held or need % 2:
-        state = bitgen.state
-        state["has_uint32"] = need % 2
-        state["uinteger"] = int(halves[-1])
-        bitgen.state = state
-    return halves.view("<u2")[:size]
-
-
 def keep_mask(shape, p: float, rng: np.random.Generator | None,
               dtype=np.float64) -> np.ndarray | None:
     """Dropout's keep-mask of ``shape``, already scaled: cells of ``dtype``,
     the dtype of the activation it multiplies, that are 0 or 1/(1-p); None,
     drawing nothing, when ``rng`` is None or p is 0.
 
-    Each cell is one of the little-endian uint16 words of
-    ``rng.bytes(2 * size)`` (see ``_words``), kept where it is at least
-    ``round(p * 2**16)``, so the drop probability is realised as
-    ``round(p * 65536) / 65536`` (0.1 becomes 0.1000061).  As every cell is
-    exactly 0 or 1/(1-p) rounded to ``dtype``, ``x * mask`` rounds like
+    Each cell is one little-endian uint16 word from ``rng.bytes``, kept where
+    it is at least ``round(p * 2**16)``, so the drop probability is realised
+    as ``round(p * 65536) / 65536`` (0.1 becomes 0.1000061).  As every cell
+    is exactly 0 or 1/(1-p) rounded to ``dtype``, ``x * mask`` rounds like
     ``x * keep * 1/(1-p)`` in that dtype, the sign of a zero included.
     """
     if rng is None or p == 0.0:
         return None
-    keep = _words(rng, int(np.prod(shape))) >= round(p * 65536)
-    return np.multiply(keep.reshape(shape), 1.0 / (1.0 - p), dtype=dtype)
+    size = int(np.prod(shape))
+    words = np.frombuffer(rng.bytes(2 * size), dtype="<u2")
+    return np.multiply((words >= round(p * 65536)).reshape(shape), 1.0 / (1.0 - p),
+                       dtype=dtype)
 
 
 def dropout(a: Tensor, p: float, rng: np.random.Generator | None) -> Tensor:

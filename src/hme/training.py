@@ -61,10 +61,12 @@ class Adam:
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
-        # every gradient was finite at the last clip_gradients since a step
+        # clip_gradients found every gradient finite, and none has been
+        # zeroed or stepped since
         self._finite = False
 
     def zero_grad(self) -> None:
+        self._finite = False
         for p in self.params.values():
             p.zero_grad()
 
@@ -90,8 +92,9 @@ class Adam:
 
     def step(self) -> None:
         """One update.  Unless ``clip_gradients`` found every gradient
-        finite since the last step, each is scanned first, and a non-finite
-        one raises ``DivergenceError`` naming its parameter."""
+        finite since the last ``step`` or ``zero_grad``, each is scanned
+        first, and a non-finite one raises ``DivergenceError`` naming its
+        parameter."""
         if not self._finite:
             for name, p in self.params.items():
                 if p.grad is not None and not np.all(np.isfinite(p.grad)):

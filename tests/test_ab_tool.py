@@ -72,21 +72,3 @@ def test_both_trees_have_paths_of_one_length_and_b_holds_the_working_src(tmp_pat
     assert copied == files(os.path.join(ab.ROOT, "src"))
     assert "hme/labeler.py" in copied
     assert not any("__pycache__" in folder for folder, _, _ in os.walk(b_tree))
-
-
-def test_a_round_pads_both_workers_alike_and_each_round_differently(tmp_path):
-    """Both workers of a round get one padding value, so their environments
-    are equally large, and each round's padding has another length, which
-    also falls at another offset within a 64-byte cache line."""
-    a_tree, b_tree = ab.trees(str(tmp_path))
-    lengths = []
-    for r in range(ab.ROUNDS):
-        env_a, env_b = (ab.worker_env(tree, ab.padding(r)) for tree in (a_tree, b_tree))
-        assert env_a[ab.PAD_VAR] == env_b[ab.PAD_VAR] == ab.padding(r)
-        assert {k: v for k, v in env_a.items() if k != "PYTHONPATH"} == \
-            {k: v for k, v in env_b.items() if k != "PYTHONPATH"}
-        assert (sum(len(k) + len(v) for k, v in env_a.items())
-                == sum(len(k) + len(v) for k, v in env_b.items()))
-        lengths.append(len(ab.padding(r)))
-    assert len({n % 64 for n in lengths}) == ab.ROUNDS
-    assert all(n < 4096 for n in lengths)

@@ -125,6 +125,26 @@ class TestAdam:
         opt.step()
         assert scanned == [(3,), (2,)]
 
+    def test_zero_grad_voids_a_finite_clip(self):
+        """An Inf gradient from backward passes after ``zero_grad`` (two of
+        1e308, accumulated) is named by the next ``step`` even though a clip
+        before ``zero_grad`` found the gradients finite, and no master
+        moves."""
+        ok = Tensor(np.zeros(2), requires_grad=True)
+        bad = Tensor(np.zeros(2), requires_grad=True)
+        opt = tr.Adam({"layers.ok": ok, "layers.bad": bad}, cfg())
+        ok.grad, bad.grad = np.ones(2), np.ones(2)
+        opt.clip_gradients()
+        opt.zero_grad()
+        for x, w in ((ok, [1.0, 2.0]), (bad, [1e308, 0.0]), (bad, [1e308, 0.0])):
+            with Tape(), np.errstate(over="ignore"):
+                tensor_sum(mul(x, Tensor(np.array(w)))).backward()
+        assert np.isinf(bad.grad[0])
+        with pytest.raises(tr.DivergenceError, match="'layers.bad'"):
+            opt.step()
+        np.testing.assert_array_equal(ok.data, [0.0, 0.0])
+        np.testing.assert_array_equal(bad.data, [0.0, 0.0])
+
     def test_moments_decay_without_gradient(self):
         p = Tensor(np.array([0.0]), requires_grad=True)
         opt = tr.Adam({"p": p}, cfg())

@@ -19,12 +19,8 @@ up the same inputs, built by ``benchmarks/bench_inputs.make_task``:
   ``SequenceTagger.predict`` request of 64 sentences of the stream in its
   seed-1 order, as the benchmark sends them.
 
-Every round starts both workers afresh and runs the same first units.  Both
-workers of a round run under one padding variable, ``PAD_VAR``, whose length
-changes from round to round: the size of the environment moves where each
-process's stack and heap start, and a bias of about 1% was seen to move with
-the size of the caller's environment, so no single alignment decides every
-round.  The tool runs each unit on one worker and then on the other, so the two never
+Every round starts both workers afresh and runs the same first units.  The
+tool runs each unit on one worker and then on the other, so the two never
 run at once, and each worker reports the ``time.process_time()`` of the unit
 alone and its peak RSS so far (``ru_maxrss``).  Units go in pairs: A runs
 first in one unit of a pair and B in the other, because the side that runs
@@ -76,8 +72,6 @@ WARMUP = 10         # per round
 SEED = 1
 BOOTSTRAP = 2000
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-PAD_VAR = "AB_PAD"
-PAD_STEP = 1553     # characters of padding added per round, modulo one page
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -163,28 +157,14 @@ def worker(kind: str, task_path: str) -> int:
 # ---------------------------------------------------------------------------
 # the controlling process
 
-def padding(round_index: int) -> str:
-    """The value of ``PAD_VAR`` for both workers of round ``round_index``."""
-    return "x" * ((round_index + 1) * PAD_STEP % 4096)
-
-
-def worker_env(tree: str, pad: str) -> dict[str, str]:
-    """The environment of a worker for ``tree``: the caller's, with that
-    tree's ``src/`` as ``PYTHONPATH``, one BLAS thread and ``pad`` as
-    ``PAD_VAR``; one hash seed for both sides, so that their dicts and sets
-    are laid out alike."""
-    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"), PYTHONHASHSEED="0")
-    env.update((var, "1") for var in BLAS_VARS)
-    env[PAD_VAR] = pad
-    return env
-
-
 class Worker:
-    def __init__(self, tree: str, kind: str, task_path: str, pad: str):
+    def __init__(self, tree: str, kind: str, task_path: str):
+        # one hash seed for both sides, so their dicts and sets are laid out alike
+        env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"), PYTHONHASHSEED="0")
+        env.update((var, "1") for var in BLAS_VARS)
         self.proc = subprocess.Popen(
             [sys.executable, os.path.abspath(__file__), "--worker", kind, task_path],
-            cwd=tree, env=worker_env(tree, pad), stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE, text=True)
+            cwd=tree, env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
         if self.proc.stdout.readline().strip() != "ready":
             self.close()
             raise RuntimeError(f"the worker for {tree} failed to start")
@@ -282,18 +262,18 @@ def peak_rss_mb(results: list[dict]) -> float:
 
 
 def run_round(a_tree: str, b_tree: str, kind: str, task_path: str, units: int,
-              a_first: bool, pad: str):
-    """One round on fresh workers, both under ``pad``: the per-unit CPU
-    seconds of A and of B after the warm-up, the largest relative loss gap
-    (0 for requests), and A's and B's last results, whose ``maxrss_kb`` is
-    their process's peak; None after printing the first disagreement."""
+              a_first: bool):
+    """One round on fresh workers: the per-unit CPU seconds of A and of B
+    after the warm-up, the largest relative loss gap (0 for requests), and
+    A's and B's last results, whose ``maxrss_kb`` is their process's peak;
+    None after printing the first disagreement."""
     cpu_a, cpu_b, worst = [], [], 0.0
     with contextlib.ExitStack() as stack:
         # one after the other, so a table's first load never runs twice at once
         starts = [(a_tree, "a"), (b_tree, "b")]
         workers = {}
         for tree, side in starts if a_first else starts[::-1]:
-            workers[side] = Worker(tree, kind, task_path, pad)
+            workers[side] = Worker(tree, kind, task_path)
             stack.callback(workers[side].close)
         a, b = workers["a"], workers["b"]
         for i in range(WARMUP + units):
@@ -325,10 +305,10 @@ def time_ab(rev: str, kind: str) -> int:
         # no round pits a parsed table against a mapped one.
         time.sleep(1.5)
         for tree in (a_tree, b_tree):
-            Worker(tree, kind, task_path, "").close()
+            Worker(tree, kind, task_path).close()
         for r in range(ROUNDS):
             result = run_round(a_tree, b_tree, kind, task_path, per_round,
-                               a_first=r % 2 == 0, pad=padding(r))
+                               a_first=r % 2 == 0)
             if result is None:
                 return 1
             ra, rb, gap, (end_a, end_b) = result
